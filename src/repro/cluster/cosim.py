@@ -5,7 +5,7 @@ event loop:
 
 - one :class:`~repro.platform.invoker.PlatformSimulator` per deployed
   function, all sharing a single :class:`~repro.sim.kernel.SimulationKernel`
-  (their autoscalers are polled kernel processes, their event kinds are
+  (their autoscalers are periodic kernel processes, their event kinds are
   namespaced by function name);
 - a :class:`~repro.cluster.fleet.Fleet` subscribed to the shared bus, placing
   every cold-started sandbox onto (possibly heterogeneous, multi-zone) hosts

@@ -27,7 +27,7 @@ Three cluster-level mechanisms live here:
   :meth:`Fleet.attach_meter`, samples the user-side billed cost next to it --
   the provider-vs-user cost comparison of §2.2/§3.3 read off one timeline.
 
-The fleet is also a polled kernel process (:class:`repro.sim.kernel.SimProcess`):
+The fleet is also a periodic kernel process (:class:`repro.sim.kernel.SimProcess`):
 registered on the co-simulation kernel, it samples fleet-level utilisation on
 a fixed interval, producing the deployment-density timeline that the static
 packer cannot express (density under keep-alive churn, autoscaler growth, and

@@ -17,7 +17,8 @@ inside them:
 The contract that makes all of this safe to attach anywhere: **observers
 only read**.  No component here mutates simulator state, draws randomness,
 or schedules heap events; the one kernel interaction (the telemetry tick) is
-a periodic polled process whose handler reads gauges.  A run with an
+a periodic kernel process whose handler reads gauges (its tick ranks by
+registration and takes no event sequence number).  A run with an
 :class:`Observability` attached is therefore byte-identical -- same CSVs,
 same golden invoices, same replay fingerprints -- to the same seed without
 one, and ``obs=None`` (every entry point's default) does not even subscribe.

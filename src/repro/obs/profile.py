@@ -39,7 +39,7 @@ class KernelProfile:
 
     #: total heap + polled events dispatched by the kernel.
     events_total: int
-    #: of those, polled-process handler invocations.
+    #: of those, process handler invocations (polled and periodic).
     process_events: int
     #: events cancelled before firing.
     cancels: int
@@ -97,13 +97,11 @@ class KernelProfile:
 class KernelProfiler:
     """Mutable tally sink the kernel and bus report into when installed."""
 
-    __slots__ = ("_by_kind", "_publishes", "process_events",
-                 "cancels", "prunes", "max_heap_depth")
+    __slots__ = ("_by_kind", "_publishes", "cancels", "prunes", "max_heap_depth")
 
     def __init__(self) -> None:
         self._by_kind: Dict[str, List[float]] = {}
         self._publishes: Dict[str, List[float]] = {}
-        self.process_events = 0
         self.cancels = 0
         self.prunes = 0
         self.max_heap_depth = 0
@@ -134,7 +132,7 @@ class KernelProfiler:
             stats[1] += wall_s
 
     def record_process(self, type_name: str, wall_s: float) -> None:
-        self.process_events += 1
+        # Periodic processes fire as heap ticks of this same kind.
         kind = f"process:{type_name}"
         stats = self._by_kind.get(kind)
         if stats is None:
@@ -167,6 +165,10 @@ class KernelProfiler:
         # Derived at read time (sum over per-kind counts, which include the
         # process:* kinds) so the per-event hooks never touch a second counter.
         return sum(s[0] for s in self._by_kind.values())
+
+    @property
+    def process_events(self) -> int:
+        return sum(s[0] for kind, s in self._by_kind.items() if kind.startswith("process:"))
 
     def snapshot(self) -> KernelProfile:
         return KernelProfile(

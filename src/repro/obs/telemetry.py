@@ -1,6 +1,6 @@
-"""Time-series telemetry: a polled kernel process sampling the metrics registry.
+"""Time-series telemetry: a periodic kernel process sampling the metrics registry.
 
-The :class:`TelemetryProcess` is a periodic polled process (the same
+The :class:`TelemetryProcess` is a periodic kernel process (the same
 mechanism as the autoscaler's evaluation tick and the fleet's utilisation
 sampler): on a fixed time grid it reads every counter and gauge in its
 :class:`~repro.obs.metrics.MetricsRegistry` and appends one row to a ring

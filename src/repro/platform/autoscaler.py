@@ -149,13 +149,13 @@ class Autoscaler:
 
 
 class AutoscalerProcess(PeriodicProcess):
-    """The autoscaler as a polled kernel process.
+    """The autoscaler as a periodic kernel process.
 
     Instead of the simulator pre-scheduling one heap event per evaluation tick
     over the whole horizon, the process computes its own next evaluation time
     (a fixed evaluation-interval grid, see
-    :class:`repro.sim.kernel.PeriodicProcess`) and the kernel interleaves it
-    with heap events.  The callback is called once per tick with the
+    :class:`repro.sim.kernel.PeriodicProcess`) and the kernel keeps one
+    self-re-arming tick for it on the heap.  The callback is called once per tick with the
     simulation time; the owning simulator supplies it and reads its own pool
     state there.  The same instance works in a standalone simulation and in
     an open-ended cluster co-simulation.

@@ -10,7 +10,7 @@ pieces defined elsewhere in the package:
 - the keep-alive policy decides how long idle sandboxes survive,
 - the autoscaler (when configured) grows and shrinks the instance pool from
   window-averaged metrics, reproducing the scaling lag of Figure 6.  It runs
-  as a *polled kernel process* (it computes its own next evaluation tick)
+  as a *periodic kernel process* (it computes its own next evaluation tick)
   rather than being called inline, so it co-simulates cleanly when several
   functions share one kernel.
 
@@ -27,6 +27,7 @@ keep-alive expiry, eviction), which is what the fleet placement layer
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -68,7 +69,7 @@ _EPS = 1e-9
 _INF = float("inf")
 
 #: Event kinds the simulator schedules on the kernel; the autoscaler is a
-#: polled kernel process (:class:`repro.platform.autoscaler.AutoscalerProcess`)
+#: periodic kernel process (:class:`repro.platform.autoscaler.AutoscalerProcess`)
 #: rather than a pre-scheduled heap event.
 _EVENT_KINDS = ("arrival", "sandbox_ready", "completion", "keepalive_expire")
 
@@ -147,9 +148,17 @@ class PlatformSimulator:
         self._kind_completion = self._kind("completion")
         self._kind_keepalive_expire = self._kind("keepalive_expire")
         #: Live sandbox registry: terminated sandboxes are discarded on the
-        #: spot (:meth:`_discard_sandbox`), so routing scans stay O(alive)
-        #: and memory stays bounded over million-request runs.
+        #: spot (:meth:`_discard_sandbox`), so its size is the alive-instance
+        #: count and memory stays bounded over million-request runs.
         self._sandboxes: Dict[str, Sandbox] = {}
+        #: Routing index: one ``(concurrency, name)`` key per ready (idle or
+        #: busy) sandbox, kept sorted.  The head is the sandbox routing picks
+        #: -- fewest active requests, ties to the lowest name -- so a routing
+        #: decision reads one key instead of scanning every sandbox.  Updated
+        #: wherever a ready sandbox's concurrency changes (:meth:`_reindex`),
+        #: on readiness and on discard.
+        self._routable: List[Tuple[int, str]] = []
+        self._max_concurrency = platform.concurrency.max_concurrency
         #: Ingress FIFO: (arrival time, request id, attempts, retry wait,
         #: first-attempt arrival time).
         self._queue: Deque[Tuple[float, str, int, float, float]] = deque()
@@ -162,9 +171,9 @@ class PlatformSimulator:
         self.metrics = SimulationMetrics(retain_outcomes=retain_outcomes)
         # Each simulator owns its instrumentation bus, so its metrics only ever
         # see its own events.  A caller-supplied bus becomes a downstream
-        # observer: every event is forwarded to it, letting one external bus
-        # watch several co-simulated simulators without cross-contaminating
-        # their metrics.
+        # observer: every event is forwarded to it (delivered in the same
+        # publish), letting one external bus watch several co-simulated
+        # simulators without cross-contaminating their metrics.
         self._feedback = feedback
         self._retry = retry
         self._tenant = tenant
@@ -180,7 +189,7 @@ class PlatformSimulator:
         self.bus.subscribe(RequestFailed, self._record_failure)
         self.bus.subscribe(InstanceCountChanged, self._record_instances)
         if bus is not None:
-            self.bus.subscribe(SimEvent, bus.publish)
+            self.bus.forward_to(bus)
         if obs is not None:
             obs.attach(self._kernel, self.bus)
         self._autoscaler: Optional[Autoscaler] = None
@@ -278,7 +287,7 @@ class PlatformSimulator:
         instant -- the invariant the cross-layer conservation test suite
         checks on every configuration.
         """
-        return sum(s.concurrency for s in self._alive_sandboxes())
+        return sum(s.concurrency for s in self._sandboxes.values())
 
     # ------------------------------------------------------------------
     # Event plumbing and instrumentation
@@ -300,11 +309,10 @@ class PlatformSimulator:
     def _publish_instance_count(self) -> None:
         self.bus.publish(InstanceCountChanged(self._now, self._instance_count()))
 
-    def _alive_sandboxes(self) -> List[Sandbox]:
-        return [s for s in self._sandboxes.values() if s.state is not SandboxState.TERMINATED]
-
     def _instance_count(self) -> int:
-        return len(self._alive_sandboxes())
+        # The registry holds exactly the alive sandboxes (terminated ones are
+        # discarded on the spot).
+        return len(self._sandboxes)
 
     # ------------------------------------------------------------------
     # Arrival and routing
@@ -442,7 +450,7 @@ class PlatformSimulator:
             self._admit(sandbox, request_id, arrival_s, cold=False,
                         attempts=attempts, retry_wait_s=retry_wait_s, origin_s=origin_s)
             return
-        if self.platform.concurrency.is_single or not self._alive_sandboxes():
+        if self._max_concurrency == 1 or not self._sandboxes:
             # Single-concurrency platforms provision a fresh sandbox per excess
             # request; multi-concurrency platforms also cold-start when scaled
             # to zero.
@@ -469,31 +477,23 @@ class PlatformSimulator:
     def _pick_sandbox(self) -> Optional[Sandbox]:
         """Choose a ready sandbox with available concurrency (fewest active requests).
 
-        Single allocation-free pass; ties on concurrency keep the first
-        candidate in name order, matching the old
-        ``min(candidates, key=(concurrency, name))`` selection exactly.
+        The routing index is sorted by ``(concurrency, name)``, so its head is
+        ``min(ready sandboxes, key=(concurrency, name))`` -- the selection a
+        full scan makes -- and if the head is at its limit, every sandbox is.
         """
-        limit = self.platform.concurrency.max_concurrency
-        ready_cutoff = self._now + _EPS
-        best: Optional[Sandbox] = None
-        best_concurrency = 0
-        for sandbox in self._sandboxes.values():
-            state = sandbox.state
-            if state is not SandboxState.IDLE and state is not SandboxState.BUSY:
-                continue
-            if sandbox.ready_s > ready_cutoff:
-                continue
-            concurrency = sandbox.concurrency
-            if concurrency >= limit:
-                continue
-            if (
-                best is None
-                or concurrency < best_concurrency
-                or (concurrency == best_concurrency and sandbox.name < best.name)
-            ):
-                best = sandbox
-                best_concurrency = concurrency
-        return best
+        routable = self._routable
+        if routable:
+            concurrency, name = routable[0]
+            if concurrency < self._max_concurrency:
+                return self._sandboxes[name]
+        return None
+
+    def _reindex(self, sandbox: Sandbox, old_concurrency: int) -> None:
+        """Move a ready sandbox's routing key after its concurrency changed."""
+        routable = self._routable
+        name = sandbox.name
+        del routable[bisect_left(routable, (old_concurrency, name))]
+        insort(routable, (sandbox.concurrency, name))
 
     def _create_sandbox(self) -> Sandbox:
         init_duration = self.platform.placement_delay_s + self.function.init_duration_s
@@ -585,9 +585,16 @@ class PlatformSimulator:
         name as terminated, so stale kernel events for a discarded sandbox
         are ignored exactly as they were when its record stuck around.
         """
-        self._sandboxes.pop(sandbox.name, None)
-        self._completion_version.pop(sandbox.name, None)
-        self._keepalive_pending.pop(sandbox.name, None)
+        name = sandbox.name
+        self._sandboxes.pop(name, None)
+        self._completion_version.pop(name, None)
+        self._keepalive_pending.pop(name, None)
+        # Only sandboxes that became ready have a routing key (an aborted one
+        # never did); a terminated sandbox has no active requests.
+        routable = self._routable
+        index = bisect_left(routable, (sandbox.concurrency, name))
+        if index < len(routable) and routable[index][1] == name:
+            del routable[index]
 
     def _abort_sandbox(self, sandbox: Sandbox) -> None:
         """Tear down a sandbox whose fleet admission was rejected."""
@@ -648,6 +655,7 @@ class PlatformSimulator:
         if sandbox is None or sandbox.state is SandboxState.TERMINATED:
             return
         sandbox.mark_ready(self._now)
+        insort(self._routable, (sandbox.concurrency, sandbox.name))
         waiting = self._pending_cold.pop(sandbox.name, [])
         for index, (arrival_s, request_id, attempts, retry_wait_s, origin_s) in enumerate(waiting):
             # The request(s) that waited for this sandbox experienced the cold start.
@@ -683,7 +691,9 @@ class PlatformSimulator:
             origin_s=origin_s,
         )
         was_busy = sandbox.state is SandboxState.BUSY
+        concurrency = sandbox.concurrency
         sandbox.admit(request, now)
+        self._reindex(sandbox, concurrency)
         self._refresh_rate_factor(sandbox)
         if self._emit_spans:
             self.bus.publish(
@@ -741,7 +751,9 @@ class PlatformSimulator:
         sandbox.advance(now)
         finished = sandbox.completed_requests()
         for request_id, request in finished.items():
+            concurrency = sandbox.concurrency
             sandbox.remove(request_id, now)
+            self._reindex(sandbox, concurrency)
             exec_start = request.exec_start_s if request.exec_start_s is not None else request.admitted_s
             execution_duration = now - exec_start
             self.bus.publish(
@@ -839,13 +851,13 @@ class PlatformSimulator:
         self._publish_instance_count()
 
     # ------------------------------------------------------------------
-    # Autoscaling (a polled kernel process, registered in __init__)
+    # Autoscaling (a periodic kernel process, registered in __init__)
     # ------------------------------------------------------------------
 
     def _autoscale_tick(self, now_s: float) -> None:
         if self._autoscaler is None:
             return
-        alive = self._alive_sandboxes()
+        alive = self._sandboxes.values()
         active_requests: float = sum(s.concurrency for s in alive) + len(self._queue)
         queue_weight = self._autoscaler.config.admission_queue_weight
         if self._feedback is not None and queue_weight > 0:

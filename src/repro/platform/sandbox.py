@@ -95,8 +95,17 @@ class Sandbox:
     executing: Dict[str, ActiveRequest] = field(default_factory=dict, init=False)
     #: Admitted requests waiting for a runtime worker, in FIFO order.
     waiting: List[ActiveRequest] = field(default_factory=list, init=False)
+    #: Total admitted requests (executing plus waiting) -- the platform's
+    #: view.  Maintained by :meth:`admit`/:meth:`remove` rather than derived,
+    #: because routing and the autoscaler read it on every decision.
+    concurrency: int = field(default=0, init=False)
     _last_progress_update_s: float = field(default=0.0, init=False)
     served_requests: int = field(default=0, init=False)
+    #: Memo of the contention model's per-request rate for the last executing
+    #: count: :meth:`advance` and :meth:`next_completion_time` both need it at
+    #: every event, and the count rarely changes between the two.
+    _rate_count: int = field(default=0, init=False)
+    _contended_rate: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -110,11 +119,6 @@ class Sandbox:
     # ------------------------------------------------------------------
     # State transitions
     # ------------------------------------------------------------------
-
-    @property
-    def concurrency(self) -> int:
-        """Total admitted requests (executing plus waiting) -- the platform's view."""
-        return len(self.executing) + len(self.waiting)
 
     @property
     def is_available(self) -> bool:
@@ -147,8 +151,7 @@ class Sandbox:
         self._last_progress_update_s = now_s
         if elapsed <= 0 or not self.executing:
             return
-        n = len(self.executing)
-        rate = self.contention.per_request_rate(n, self.alloc_vcpus) * self.rate_factor
+        rate = self._per_request_rate() * self.rate_factor
         for request in self.executing.values():
             if request.remaining_cpu_s > 0:
                 consumed = min(request.remaining_cpu_s, elapsed * rate)
@@ -161,6 +164,14 @@ class Sandbox:
             else:
                 request.io_remaining_s = max(request.io_remaining_s - elapsed, 0.0)
 
+    def _per_request_rate(self) -> float:
+        """The contention model's rate for the current executing count (memoised)."""
+        n = len(self.executing)
+        if n != self._rate_count:
+            self._rate_count = n
+            self._contended_rate = self.contention.per_request_rate(n, self.alloc_vcpus)
+        return self._contended_rate
+
     def admit(self, request: ActiveRequest, now_s: float) -> None:
         """Admit a request: it starts executing if a runtime worker is free, else waits."""
         self.advance(now_s)
@@ -169,6 +180,7 @@ class Sandbox:
             self.executing[request.request_id] = request
         else:
             self.waiting.append(request)
+        self.concurrency += 1
         self.state = SandboxState.BUSY
         self.keep_alive_deadline_s = float("inf")
 
@@ -183,6 +195,7 @@ class Sandbox:
     def remove(self, request_id: str, now_s: float) -> ActiveRequest:
         """Remove a finished request and promote the oldest waiting request, if any."""
         request = self.executing.pop(request_id)
+        self.concurrency -= 1
         self.served_requests += 1
         if self.waiting and len(self.executing) < self.runtime_workers:
             promoted = self.waiting.pop(0)
@@ -197,8 +210,7 @@ class Sandbox:
         """Earliest time at which some executing request could finish, given current sharing."""
         if not self.executing:
             return None
-        n = len(self.executing)
-        rate = self.contention.per_request_rate(n, self.alloc_vcpus) * self.rate_factor
+        rate = self._per_request_rate() * self.rate_factor
         best: Optional[float] = None
         for request in self.executing.values():
             if request.remaining_cpu_s > _EPS:

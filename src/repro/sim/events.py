@@ -291,9 +291,14 @@ class EventBus:
     The resolved tuple is also the dispatch *snapshot*: a callback that
     changes subscriptions mid-dispatch changes what the next publish sees,
     never the publish that is currently delivering.
+
+    :meth:`forward_to` chains buses (each co-simulated function's own bus
+    feeds the cluster bus) without publishing twice: the downstream bus's
+    chain is spliced into this bus's resolved chains at the point where the
+    forwarding subscription was made.
     """
 
-    __slots__ = ("_subscribers", "_resolved", "_version", "_profiler")
+    __slots__ = ("_subscribers", "_resolved", "_version", "_profiler", "_upstream")
 
     def __init__(self) -> None:
         self._subscribers: Dict[Type[SimEvent], List[Subscriber]] = {}
@@ -304,15 +309,23 @@ class EventBus:
         # Dormant profiling slot (see repro.obs.profile): None keeps publish()
         # on the exact pre-profiling path.
         self._profiler = None
+        #: Buses that forward into this one (see :meth:`forward_to`).
+        self._upstream: List["EventBus"] = []
 
     def set_profiler(self, profiler) -> None:
-        """Install an opt-in publish profiler (``None`` restores the fast path)."""
+        """Install an opt-in publish profiler (``None`` restores the fast path).
+
+        Buses forwarding into this one share it: their publishes deliver to
+        this bus's subscribers too.
+        """
         self._profiler = profiler
+        for bus in self._upstream:
+            bus.set_profiler(profiler)
 
     def subscribe(self, event_type: Type[SimEvent], callback: Subscriber) -> Subscriber:
         """Register ``callback`` for events of ``event_type`` (or subclasses)."""
         self._subscribers.setdefault(event_type, []).append(callback)
-        self._version += 1
+        self._invalidate()
         return callback
 
     def unsubscribe(self, event_type: Type[SimEvent], callback: Subscriber) -> None:
@@ -320,7 +333,35 @@ class EventBus:
         callbacks = self._subscribers.get(event_type, [])
         if callback in callbacks:
             callbacks.remove(callback)
-            self._version += 1
+            self._invalidate()
+
+    def forward_to(self, downstream: "EventBus") -> None:
+        """Deliver every event published here to ``downstream``'s subscribers too.
+
+        Same delivery order as subscribing ``downstream.publish`` to
+        :class:`SimEvent` right now, but each event is published once: the
+        downstream chain is spliced into this bus's resolved chains, and a
+        downstream subscription change invalidates them.
+        """
+        # The downstream bus itself stands in the subscriber list as the
+        # splice point.
+        self._subscribers.setdefault(SimEvent, []).append(downstream)  # type: ignore[arg-type]
+        downstream._upstream.append(self)
+        if downstream._profiler is not None:
+            self._profiler = downstream._profiler
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Mark every cached chain stale, here and on buses forwarding here."""
+        self._version += 1
+        for bus in self._upstream:
+            bus._invalidate()
+
+    def _chain(self, event_type: Type[SimEvent]) -> Tuple[Subscriber, ...]:
+        entry = self._resolved.get(event_type)
+        if entry is None or entry[0] != self._version:
+            entry = self._resolve(event_type)
+        return entry[1]
 
     def _resolve(self, event_type: Type[SimEvent]) -> Tuple[int, Tuple[Subscriber, ...]]:
         """Flatten ``event_type``'s subscriber chain (exact first, then MRO bases)."""
@@ -328,9 +369,11 @@ class EventBus:
         for klass in event_type.__mro__:
             if klass is object:
                 break
-            callbacks = self._subscribers.get(klass)
-            if callbacks:
-                chain.extend(callbacks)
+            for callback in self._subscribers.get(klass, ()):
+                if isinstance(callback, EventBus):
+                    chain.extend(callback._chain(event_type))
+                else:
+                    chain.append(callback)
         entry = (self._version, tuple(chain))
         self._resolved[event_type] = entry
         return entry

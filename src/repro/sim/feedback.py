@@ -170,6 +170,9 @@ class FeedbackChannel:
         stall the simulation nor speed it up.  With no modifiers registered
         the rate is exactly ``1.0``.
         """
+        if not self._modifiers:
+            # Platforms re-read the rate at every admit and completion.
+            return 1.0
         rate = 1.0
         for modifier in self._modifiers.values():
             rate *= modifier.service_rate(now_s)

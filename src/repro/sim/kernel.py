@@ -1,6 +1,6 @@
 """The discrete-event simulation kernel shared by every simulator in the repo.
 
-The kernel owns the clock and decides what happens next.  Two kinds of
+The kernel owns the clock and decides what happens next.  Three kinds of
 participants coexist:
 
 - **Scheduled events**: pushed onto a binary heap with an absolute firing
@@ -11,6 +11,13 @@ participants coexist:
   demand (e.g. the CPU-bandwidth scheduler, whose next event depends on
   mutable state such as remaining quota).  The kernel asks each registered
   process for its next event time and interleaves it with the heap.
+- **Periodic processes** (``periodic = True``: autoscaler ticks, fleet
+  samplers, telemetry): their next tick changes only when they handle one,
+  so instead of being polled after every event they live on the heap as one
+  self-re-arming tick each.  A tick's sequence number is
+  :data:`_TICK_SEQ` plus the process's registration rank, which keeps the
+  polled order exactly: heap events win exact-time ties, then processes go
+  in registration order.
 
 The clock never moves backwards: it advances to ``max(now, event.time)`` when
 an event fires.  ``peek``/``step``/``pause`` let a host embed the kernel in a
@@ -19,8 +26,9 @@ larger co-simulation and advance it one event at a time.
 ``run`` is the hot path: it fuses the prune/poll/pick/dispatch cycle that
 ``peek`` + ``step`` would otherwise each repeat per event, so a
 million-event run does each piece of bookkeeping exactly once per event.
-The event *order* it produces is identical to repeated ``step()`` calls --
-the determinism contract every replay-fingerprint test pins down.
+Without polled processes it never polls at all.  The event *order* it
+produces is identical to repeated ``step()`` calls -- the determinism
+contract every replay-fingerprint test pins down.
 
 Bulk producers (the batched arrival streams of :mod:`repro.sim.arrivals`)
 use :meth:`SimulationKernel.reserve_seqs` + :meth:`schedule_at_seq` to hold
@@ -38,8 +46,15 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, runtime
 __all__ = ["Event", "PeriodicProcess", "SimProcess", "SimulationKernel"]
 
 #: Poll result when no process is pending; shared so the common
-#: no-processes case never allocates.
-_NO_PROCESS: Tuple[None, float] = (None, float("inf"))
+#: no-processes case never allocates.  Layout: (process, time, rank).
+_NO_PROCESS: Tuple[None, float, int] = (None, float("inf"), -1)
+
+#: Sequence-number base of periodic ticks.  Ordinary events take sequence
+#: numbers from a counter far below it, so a tick ranks after every event at
+#: the same instant, and ticks rank among themselves (and, in
+#: :meth:`SimulationKernel._heap_goes_first`, against polled processes) by
+#: registration rank.
+_TICK_SEQ = 1 << 62
 
 
 class Event:
@@ -98,9 +113,11 @@ class PeriodicProcess:
     the grid (not ``now + interval``), so tick times stay exact multiples of
     the interval regardless of clock jitter.
 
-    Periodic processes never run out of ticks; they are marked ``periodic``
-    so :meth:`SimulationKernel.run` without an ``until`` bound still
-    terminates once the heap drains and only periodic ticks remain.
+    Periodic processes never run out of ticks; they are marked ``periodic``,
+    which tells the kernel two things: the next tick time changes only when
+    ``handle`` runs (so the tick can live on the heap instead of being
+    polled), and :meth:`SimulationKernel.run` without an ``until`` bound
+    should stop once only periodic ticks remain.
     """
 
     periodic = True
@@ -131,9 +148,15 @@ class SimulationKernel:
         self._now = float(start_s)
         self._handlers: Dict[str, Callable[[Event], None]] = {}
         self._default_handler: Optional[Callable[[Event], None]] = None
+        #: Every registered process, in registration order (its index is the
+        #: process's tie-break rank).
         self._processes: List[SimProcess] = []
+        #: (rank, process) of the non-periodic processes, which are polled
+        #: for their next event time.
+        self._polled: List[Tuple[int, SimProcess]] = []
         self._paused = False
-        # Memoised result of the last peek(): (best process or None, its time).
+        # Memoised result of the last peek(): (best process or None, its
+        # time, its rank).
         # Polling a process's next_event_time can be expensive (the scheduler
         # engine scans tasks, grids and quota budgets), and the peek/step pair
         # used by run loops would otherwise poll twice per event.  Invalidated
@@ -165,9 +188,33 @@ class SimulationKernel:
         self._default_handler = handler
 
     def add_process(self, process: SimProcess) -> None:
-        """Register a polled co-simulation process (kept in registration order)."""
+        """Register a co-simulation process (ranked in registration order).
+
+        A ``periodic`` process is armed on the heap as a self-re-arming tick
+        (event kind ``process:<TypeName>``); any other process is polled.
+        """
+        rank = len(self._processes)
         self._processes.append(process)
-        self._poll_cache = None
+        if not getattr(process, "periodic", False):
+            self._polled.append((rank, process))
+            self._poll_cache = None
+            return
+        kind = f"process:{type(process).__name__}"
+        self._handlers[kind] = self._fire_tick
+        self._arm_tick(process, _TICK_SEQ + rank, kind, {"process": process})
+
+    def _arm_tick(self, process: SimProcess, seq: int, kind: str, data: Dict[str, Any]) -> None:
+        """Push a periodic process's next tick, if it has one."""
+        time_s = process.next_event_time(self._now)
+        if time_s is not None:
+            tick = Event(float(time_s), seq, kind, data)
+            heapq.heappush(self._heap, (tick.time, seq, tick))
+
+    def _fire_tick(self, tick: Event) -> None:
+        """Handler of periodic ticks: run the process, then re-arm its tick."""
+        process = tick.data["process"]
+        process.handle(tick.time)
+        self._arm_tick(process, tick.seq, tick.kind, tick.data)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -283,28 +330,51 @@ class SimulationKernel:
         if pruned:
             self._profiler.record_prunes(pruned)
 
-    def _poll_processes(self) -> Tuple[Optional[SimProcess], float]:
-        """The registered process with the earliest next event (cached until consumed)."""
+    def _poll_processes(self) -> Tuple[Optional[SimProcess], float, int]:
+        """The polled process with the earliest next event, its time and rank.
+
+        Ties go to the earlier-registered process.  Cached until consumed.
+        """
         cache = self._poll_cache
         if cache is None:
-            if not self._processes:
+            if not self._polled:
                 cache = _NO_PROCESS
             else:
                 best: Optional[SimProcess] = None
                 best_time = float("inf")
-                for process in self._processes:
+                best_rank = -1
+                for rank, process in self._polled:
                     t = process.next_event_time(self._now)
                     if t is not None and t < best_time:
                         best = process
                         best_time = t
-                cache = (best, best_time)
+                        best_rank = rank
+                cache = (best, best_time, best_rank)
             self._poll_cache = cache
         return cache
+
+    def _heap_goes_first(self, process: Optional[SimProcess], process_time: float,
+                         rank: int) -> bool:
+        """Whether the (pruned) heap head fires before the polled ``process``."""
+        heap = self._heap
+        if not heap:
+            return False
+        if process is None:
+            return True
+        head_time, head_seq, _ = heap[0]
+        if head_time != process_time:
+            return head_time < process_time
+        # Exact-time tie: events win; a periodic tick goes by registration rank.
+        return head_seq < _TICK_SEQ or head_seq - _TICK_SEQ < rank
+
+    def _work_pending(self) -> bool:
+        """Whether the heap holds a live event that is not a periodic tick."""
+        return any(seq < _TICK_SEQ and not event.cancelled for _, seq, event in self._heap)
 
     def peek(self) -> Optional[float]:
         """Time of the next event (heap or process) without executing it."""
         self._prune()
-        process, process_time = self._poll_processes()
+        process, process_time, _ = self._poll_processes()
         heap_time = self._heap[0][0] if self._heap else None
         if heap_time is None and process is None:
             return None
@@ -317,19 +387,19 @@ class SimulationKernel:
     def step(self) -> Optional[Event]:
         """Execute the single next event.
 
-        Advances the clock and dispatches the event's handler (heap events),
-        or calls ``handle`` on the owning process (polled events, returned as
-        a synthetic ``Event`` of kind ``"process"``).  Returns ``None`` when
-        nothing is pending.  Heap events win exact-time ties against polled
-        processes; among processes, registration order breaks ties.
+        Advances the clock and dispatches the event's handler (heap events
+        and periodic ticks), or calls ``handle`` on the owning process (polled
+        events, returned as a synthetic ``Event`` of kind ``"process"``).
+        Returns ``None`` when nothing is pending.  Heap events win exact-time
+        ties against processes; among processes, registration order breaks
+        ties.
         """
         self._prune()
-        process, process_time = self._poll_processes()
-        heap_time = self._heap[0][0] if self._heap else None
-        if heap_time is None and process is None:
-            return None
-        if process is None or (heap_time is not None and heap_time <= process_time):
+        process, process_time, rank = self._poll_processes()
+        if self._heap_goes_first(process, process_time, rank):
             return self._dispatch_heap_event()
+        if process is None:
+            return None
         self._dispatch_process(process, process_time)
         return Event(self._now, -1, "process", {"process": process})
 
@@ -373,20 +443,6 @@ class SimulationKernel:
         """Stop the current ``run`` after the in-flight event (for co-simulation)."""
         self._paused = True
 
-    def _only_periodic_pending(self) -> bool:
-        """True when the heap is empty and every pending process tick is periodic.
-
-        An unbounded ``run()`` must still terminate for simulators that carry
-        periodic processes (autoscaler ticks, fleet samplers) -- those tick
-        forever by design, so once nothing else is pending there is no more
-        work to do.
-        """
-        self._prune()
-        if self._heap:
-            return False
-        pending = [p for p in self._processes if p.next_event_time(self._now) is not None]
-        return bool(pending) and all(getattr(p, "periodic", False) for p in pending)
-
     def run(
         self,
         until: Optional[float] = None,
@@ -405,8 +461,9 @@ class SimulationKernel:
 
         This is the hot loop: prune, poll, pick and dispatch are fused into
         one pass per event (``peek()`` + ``step()`` would each redo the first
-        two).  Kernels with no polled processes -- the overwhelmingly common
-        shape -- run a further-specialized inner loop with the prune, bound
+        two).  Kernels with no polled processes -- every simulation except
+        one co-simulating the CPU scheduler, since periodic ticks live on the
+        heap -- run a further-specialized inner loop with the prune, bound
         check and dispatch inlined.  Event order is identical to stepping
         one event at a time.
         """
@@ -418,16 +475,16 @@ class SimulationKernel:
         while True:
             if max_events is not None and executed >= max_events:
                 break
-            if not self._processes:
+            if not self._polled:
                 # Fast loop: nothing to poll, so the next event is always the
                 # heap head.  The head is popped *before* the ``until`` bound
                 # check and re-pushed in the (at most once per run) case where
                 # it lies beyond the bound -- cheaper than peeking every
                 # event.  Falls back to the general loop only if a handler
-                # registers a process mid-run (which also invalidates the
-                # hoisted profiler/handler locals, so they are re-read).
+                # registers a polled process mid-run (which also invalidates
+                # the hoisted profiler/handler locals, so they are re-read).
                 handlers = self._handlers
-                processes = self._processes
+                processes = self._polled
                 profiler = self._profiler
                 unbounded = max_events is None
                 if profiler is None:
@@ -437,7 +494,11 @@ class SimulationKernel:
                         if event.cancelled:
                             continue
                         time_s = head[0]
-                        if until is not None and time_s > until:
+                        if until is not None:
+                            if time_s > until:
+                                heappush(heap, head)
+                                return executed
+                        elif head[1] >= _TICK_SEQ and not self._work_pending():
                             heappush(heap, head)
                             return executed
                         if time_s > self._now:
@@ -480,7 +541,11 @@ class SimulationKernel:
                             profiler.prunes += 1
                             continue
                         time_s = head[0]
-                        if until is not None and time_s > until:
+                        if until is not None:
+                            if time_s > until:
+                                heappush(heap, head)
+                                return executed
+                        elif head[1] >= _TICK_SEQ and not self._work_pending():
                             heappush(heap, head)
                             return executed
                         if time_s > self._now:
@@ -521,13 +586,9 @@ class SimulationKernel:
                         profiler.max_heap_depth = max_depth
                 continue
             self._prune()
-            process, process_time = self._poll_processes()
-            if heap:
-                head_time = heap[0][0]
-                if process is None or head_time <= process_time:
-                    next_time, next_is_heap = head_time, True
-                else:
-                    next_time, next_is_heap = process_time, False
+            process, process_time, rank = self._poll_processes()
+            if self._heap_goes_first(process, process_time, rank):
+                next_time, next_is_heap = heap[0][0], True
             elif process is not None:
                 next_time, next_is_heap = process_time, False
             else:
@@ -535,7 +596,8 @@ class SimulationKernel:
             if until is not None:
                 if next_time > until:
                     break
-            elif not heap and self._only_periodic_pending():
+            elif (next_is_heap and process is None and heap[0][1] >= _TICK_SEQ
+                  and not self._work_pending()):
                 break
             if next_is_heap:
                 self._dispatch_heap_event()

@@ -360,6 +360,8 @@ class TestSandbox:
         sandbox.remove("a", 0.1)
         assert "b" in sandbox.executing
         assert sandbox.executing["b"].exec_start_s == pytest.approx(0.1)
+        # Promotion moves a request from waiting to executing: still admitted.
+        assert sandbox.concurrency == 1
 
     def test_idle_after_all_requests_leave(self):
         sandbox = self._sandbox()

@@ -112,3 +112,63 @@ class TestNamedRng:
     def test_int_names_supported(self):
         assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
         assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+
+
+class TestForwarding:
+    """forward_to delivers like subscribing downstream.publish, in one publish."""
+
+    @staticmethod
+    def _wire(forward):
+        upstream, downstream = EventBus(), EventBus()
+        order = []
+        upstream.subscribe(RequestCompleted, lambda e: order.append("up-exact"))
+        downstream.subscribe(SimEvent, lambda e: order.append("down-base"))
+        downstream.subscribe(RequestCompleted, lambda e: order.append("down-exact"))
+        forward(upstream, downstream)
+        upstream.subscribe(SimEvent, lambda e: order.append("up-base-after"))
+        upstream.subscribe(RequestCompleted, lambda e: order.append("up-exact-after"))
+        return upstream, downstream, order
+
+    def test_same_delivery_order_as_a_forwarding_subscriber(self):
+        def by_subscriber(upstream, downstream):
+            upstream.subscribe(SimEvent, downstream.publish)
+
+        def by_splice(upstream, downstream):
+            upstream.forward_to(downstream)
+
+        logs = []
+        for forward in (by_subscriber, by_splice):
+            upstream, downstream, order = self._wire(forward)
+            upstream.publish(_CustomEvent(1.0, outcome=None))
+            upstream.publish(InstanceCountChanged(2.0, count=1))
+            downstream.publish(RequestCompleted(3.0, outcome=None))
+            logs.append(order)
+        assert logs[0] == logs[1]
+        assert logs[1][:4] == ["up-exact", "up-exact-after", "down-exact", "down-base"]
+
+    def test_later_downstream_subscriptions_reach_upstream_publishes(self):
+        upstream, downstream, middle = EventBus(), EventBus(), EventBus()
+        upstream.forward_to(middle)
+        middle.forward_to(downstream)
+        seen = []
+        upstream.publish(SimEvent(0.0))
+        downstream.subscribe(SimEvent, seen.append)
+        upstream.publish(SimEvent(1.0))
+        downstream.unsubscribe(SimEvent, seen.append)
+        upstream.publish(SimEvent(2.0))
+        assert [event.time_s for event in seen] == [1.0]
+
+    def test_each_event_is_published_once(self):
+        from repro.obs.profile import KernelProfiler
+        from repro.sim.kernel import SimulationKernel
+
+        upstream, downstream = EventBus(), EventBus()
+        profiler = KernelProfiler().install(SimulationKernel(), downstream)
+        upstream.forward_to(downstream)
+        upstream.subscribe(SimEvent, lambda e: None)
+        downstream.subscribe(SimEvent, lambda e: None)
+        for index in range(3):
+            upstream.publish(SimEvent(float(index)))
+        stats = profiler.snapshot().publishes["SimEvent"]
+        assert stats["count"] == 3
+        assert stats["fanout"] == 6

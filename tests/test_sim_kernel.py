@@ -243,3 +243,106 @@ class TestPeriodicProcess:
 
         with pytest.raises(ValueError):
             PeriodicProcess(0.0, lambda now: None)
+
+
+class TestHeapResidentTicks:
+    """Periodic processes fire as heap ticks ranked after events, then by registration."""
+
+    def test_periodic_processes_are_not_polled(self):
+        from repro.sim.kernel import PeriodicProcess
+
+        kernel = SimulationKernel()
+        periodic = PeriodicProcess(1.0, lambda now: None)
+        polled = _CountdownProcess([0.5])
+        kernel.add_process(periodic)
+        kernel.add_process(polled)
+        assert kernel._processes == [periodic, polled]
+        assert kernel._polled == [(1, polled)]
+
+    def test_tick_fires_after_events_at_its_instant_even_ones_scheduled_then(self):
+        from repro.sim.kernel import PeriodicProcess
+
+        kernel = SimulationKernel()
+        order = []
+
+        def on_event(event):
+            order.append(event.kind)
+            if event.kind == "first":
+                kernel.schedule_in(0.0, "spawned")
+
+        kernel.add_process(PeriodicProcess(1.0, lambda now: order.append(("tick", now)),
+                                           start_s=1.0))
+        for kind in ("first", "spawned"):
+            kernel.on(kind, on_event)
+        kernel.schedule(1.0, "first")
+        kernel.run(until=2.0)
+        assert order == ["first", "spawned", ("tick", 1.0), ("tick", 2.0)]
+
+    @pytest.mark.parametrize("polled_rank", [0, 1, 2])
+    def test_exact_time_ties_between_processes_go_by_registration_rank(self, polled_rank):
+        from repro.sim.kernel import PeriodicProcess
+
+        kernel = SimulationKernel()
+        order = []
+
+        class Once:
+            def __init__(self):
+                self.done = False
+
+            def next_event_time(self, now):
+                return None if self.done else 1.0
+
+            def handle(self, now):
+                order.append("polled")
+                self.done = True
+
+        names = iter(["a", "b"])
+        for rank in range(3):
+            if rank == polled_rank:
+                kernel.add_process(Once())
+            else:
+                name = next(names)
+                kernel.add_process(PeriodicProcess(
+                    5.0, lambda now, n=name: order.append(n), start_s=1.0
+                ))
+        kernel.run(until=1.0)
+        expected = ["a", "b"]
+        expected.insert(polled_rank, "polled")
+        assert order == expected
+
+    def test_step_dispatches_ticks_like_run(self):
+        from repro.sim.kernel import PeriodicProcess
+
+        kernel = SimulationKernel()
+        ticks = []
+        kernel.add_process(PeriodicProcess(2.0, ticks.append))
+        assert kernel.peek() == 0.0
+        event = kernel.step()
+        assert (event.kind, event.time) == ("process:PeriodicProcess", 0.0)
+        assert ticks == [0.0]
+        assert kernel.peek() == 2.0
+
+    def test_unbounded_run_stops_when_only_ticks_and_cancelled_events_remain(self):
+        from repro.sim.kernel import PeriodicProcess
+
+        kernel = SimulationKernel()
+        ticks = []
+        kernel.add_process(PeriodicProcess(1.0, ticks.append))
+        kernel.on("work", lambda event: None)
+        kernel.schedule(2.5, "work")
+        kernel.cancel(kernel.schedule(10.0, "work"))
+        assert kernel.run() == 4  # ticks at 0, 1, 2 and the work at 2.5
+        assert ticks == [0.0, 1.0, 2.0]
+        assert kernel.now == 2.5
+
+    def test_unbounded_run_keeps_ticking_while_a_polled_process_is_pending(self):
+        from repro.sim.kernel import PeriodicProcess
+
+        kernel = SimulationKernel()
+        ticks = []
+        kernel.add_process(PeriodicProcess(1.0, ticks.append))
+        process = _CountdownProcess([2.5])
+        kernel.add_process(process)
+        kernel.run()
+        assert process.fired == [2.5]
+        assert ticks == [0.0, 1.0, 2.0]
