@@ -18,7 +18,7 @@ event loop:
   attached to the fleet, so the ``COST_FIT``-relevant provider spend and the
   live user invoice are sampled on one timeline;
 - optionally, a :class:`~repro.sched.engine.SchedulerSim` registered as a
-  polled process on the same kernel, so CPU-bandwidth scheduling decisions
+  process on the same kernel, so CPU-bandwidth scheduling decisions
   (tick accounting, cgroup throttling, task placement) co-simulate with the
   serving, fleet and billing layers instead of running in a separate loop.
 
@@ -192,8 +192,8 @@ class ClusterSimulator:
     """Co-simulates a set of function deployments over one shared kernel.
 
     Pass ``scheduler`` (an un-run :class:`~repro.sched.engine.SchedulerSim`)
-    to register the CPU-bandwidth scheduling engine as a polled process on
-    the cluster kernel: its ticks, period refills and throttling decisions
+    to register the CPU-bandwidth scheduling engine as a process on the
+    cluster kernel: its ticks, period refills and throttling decisions
     then interleave with arrivals, cold starts, fleet placement and billing
     in one deterministic event order.  The run horizon is extended to the
     scheduler's own ``horizon_s`` so it always reaches its standalone result.

@@ -149,7 +149,7 @@ class Fleet:
     Event-driven: :meth:`admit` on every :class:`SandboxColdStart`,
     :meth:`release` on every :class:`SandboxTerminated` (evictions are a
     subclass, so both teardown paths release capacity and drain the admission
-    queue).  Polled: when added to the kernel via ``kernel.add_process(fleet)``,
+    queue).  Periodic: when added to the kernel via ``kernel.add_process(fleet)``,
     it records one utilisation sample per ``sample_interval_s``.
     """
 
@@ -450,7 +450,7 @@ class Fleet:
         )
 
     # ------------------------------------------------------------------
-    # Polled kernel process: periodic utilisation sampling (delegated to a
+    # Periodic kernel process: utilisation sampling (delegated to a
     # shared PeriodicProcess so the tick-grid behaviour matches the autoscaler)
     # ------------------------------------------------------------------
 

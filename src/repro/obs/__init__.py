@@ -10,9 +10,9 @@ inside them:
 - **time-series telemetry** (:mod:`repro.obs.metrics` +
   :mod:`repro.obs.telemetry`): counter/gauge/histogram primitives sampled on
   a kernel time grid into ring-buffered series with CSV export;
-- **kernel profiling** (:mod:`repro.obs.profile`): opt-in hooks on
-  ``SimulationKernel.step()`` / ``EventBus.publish()`` tallying events,
-  wall-time, heap depth and dispatch fan-out per kind.
+- **kernel profiling** (:mod:`repro.obs.profile`): opt-in wrappers around
+  the kernel's event handlers and a hook on ``EventBus.publish()`` tallying
+  events, wall-time, heap depth and dispatch fan-out per kind.
 
 The contract that makes all of this safe to attach anywhere: **observers
 only read**.  No component here mutates simulator state, draws randomness,

@@ -3,11 +3,13 @@
 The :class:`~repro.sim.kernel.SimulationKernel` and
 :class:`~repro.sim.events.EventBus` each carry a dormant profiler slot
 (``set_profiler``).  With no profiler installed -- the default everywhere --
-their hot paths take the exact pre-profiling branch: no ``perf_counter``
-call, no dict lookup, nothing.  With a :class:`KernelProfiler` installed the
-kernel reports every dispatched event (kind, post-pop heap depth, handler
-wall-time), every cancel and every prune, and the bus reports every publish
-(event type, subscriber fan-out, dispatch wall-time).
+the kernel calls its handlers directly and the bus takes its exact
+pre-profiling branch: no ``perf_counter`` call, no dict lookup, nothing.
+Installing a :class:`KernelProfiler` wraps every kernel handler
+(:meth:`KernelProfiler.wrap`), so each dispatched event is tallied under its
+kind with its handler wall-time and the heap depth after it ran; the kernel
+also counts cancels and prunes, and the bus reports every publish (event
+type, subscriber fan-out, dispatch wall-time).
 
 :meth:`KernelProfiler.snapshot` freezes the tallies into a
 :class:`KernelProfile` -- the record ``benchmarks/bench_kernel.py`` uses to
@@ -22,14 +24,15 @@ are (the profiler only reads).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from time import perf_counter
+from typing import Callable, Dict, List
 
 __all__ = ["KernelProfile", "KernelProfiler"]
 
 
 # Mutable tallies are bare lists, not stat objects: list item updates are the
-# cheapest mutation CPython offers, and record_event runs once per dispatched
-# kernel event.  Layout: [count, wall_s] per kind; [count, fanout, wall_s]
+# cheapest mutation CPython offers, and a wrapped handler updates one per
+# dispatched kernel event.  Layout: [count, wall_s] per kind; [count, fanout, wall_s]
 # per published type.
 
 
@@ -37,18 +40,18 @@ __all__ = ["KernelProfile", "KernelProfiler"]
 class KernelProfile:
     """An immutable snapshot of one profiled run."""
 
-    #: total heap + polled events dispatched by the kernel.
+    #: total events dispatched by the kernel, process ticks included.
     events_total: int
-    #: of those, process handler invocations (polled and periodic).
+    #: of those, process ticks (``process:<TypeName>`` kinds).
     process_events: int
     #: events cancelled before firing.
     cancels: int
     #: cancelled events popped (pruned) off the heap without dispatch.
     prunes: int
-    #: deepest heap observed at dispatch time.
+    #: deepest heap observed after a handler ran.
     max_heap_depth: int
-    #: per event kind: {"count": n, "wall_s": t} (polled processes appear
-    #: under ``process:<TypeName>``).
+    #: per event kind: {"count": n, "wall_s": t} (processes appear under
+    #: ``process:<TypeName>``).
     by_kind: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: per published bus event type: {"count", "fanout", "wall_s"}.
     publishes: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -95,7 +98,7 @@ class KernelProfile:
 
 
 class KernelProfiler:
-    """Mutable tally sink the kernel and bus report into when installed."""
+    """Mutable tally sink: wraps kernel handlers, and the bus reports into it."""
 
     __slots__ = ("_by_kind", "_publishes", "cancels", "prunes", "max_heap_depth")
 
@@ -117,35 +120,33 @@ class KernelProfiler:
             bus.set_profiler(self)
         return self
 
+    def wrap(self, handler: Callable, heap: list) -> Callable:
+        """``handler`` timed and tallied under the kind of each event it handles.
+
+        The kernel wraps every handler in its table while the profiler is
+        installed; ``heap`` is the kernel's heap, whose depth after the
+        handler ran feeds :attr:`max_heap_depth`.
+        """
+        by_kind = self._by_kind
+
+        def profiled(event) -> None:
+            start = perf_counter()
+            handler(event)
+            wall_s = perf_counter() - start
+            stats = by_kind.get(event.kind)
+            if stats is None:
+                by_kind[event.kind] = [1, wall_s]
+            else:
+                stats[0] += 1
+                stats[1] += wall_s
+            if len(heap) > self.max_heap_depth:
+                self.max_heap_depth = len(heap)
+
+        return profiled
+
     # ------------------------------------------------------------------
-    # Hooks called from the kernel / bus hot paths (profiler installed only)
+    # Hook called from the bus hot path (profiler installed only)
     # ------------------------------------------------------------------
-
-    def record_event(self, kind: str, heap_depth: int, wall_s: float) -> None:
-        if heap_depth > self.max_heap_depth:
-            self.max_heap_depth = heap_depth
-        stats = self._by_kind.get(kind)
-        if stats is None:
-            self._by_kind[kind] = [1, wall_s]
-        else:
-            stats[0] += 1
-            stats[1] += wall_s
-
-    def record_process(self, type_name: str, wall_s: float) -> None:
-        # Periodic processes fire as heap ticks of this same kind.
-        kind = f"process:{type_name}"
-        stats = self._by_kind.get(kind)
-        if stats is None:
-            self._by_kind[kind] = [1, wall_s]
-        else:
-            stats[0] += 1
-            stats[1] += wall_s
-
-    def record_cancel(self) -> None:
-        self.cancels += 1
-
-    def record_prunes(self, count: int) -> None:
-        self.prunes += count
 
     def record_publish(self, type_name: str, fanout: int, wall_s: float) -> None:
         stats = self._publishes.get(type_name)
@@ -163,7 +164,7 @@ class KernelProfiler:
     @property
     def events_total(self) -> int:
         # Derived at read time (sum over per-kind counts, which include the
-        # process:* kinds) so the per-event hooks never touch a second counter.
+        # process:* kinds) so the wrapped handlers never touch a second counter.
         return sum(s[0] for s in self._by_kind.values())
 
     @property

@@ -56,7 +56,7 @@ class TelemetryProcess:
         self._grid = PeriodicProcess(interval_s, self._tick)
 
     # ------------------------------------------------------------------
-    # Polled kernel process protocol (delegates grid bookkeeping)
+    # Kernel process protocol (delegates grid bookkeeping)
     # ------------------------------------------------------------------
 
     def next_event_time(self, now: float) -> Optional[float]:

@@ -182,11 +182,11 @@ class SchedulerSim:
     def run(self) -> SimulationResult:
         """Run the simulation to completion (all tasks done) or to the horizon.
 
-        The engine registers itself as a polled process on the shared
-        :class:`repro.sim.kernel.SimulationKernel`: the kernel owns the clock
-        and asks :meth:`next_event_time` when the next tick/refill/arrival/
-        completion is due, then calls :meth:`handle` to advance running tasks
-        and process that instant's events.
+        The engine registers itself as a process on a private
+        :class:`repro.sim.kernel.SimulationKernel` and lets the kernel drive
+        it: after every :meth:`handle` the kernel asks :meth:`next_event_time`
+        when the next tick/refill/arrival/completion is due and re-arms the
+        engine's tick there.
         """
         if self._attached:
             raise RuntimeError(
@@ -196,18 +196,13 @@ class SchedulerSim:
         kernel = SimulationKernel(start_s=self._now)
         kernel.add_process(self)
         self._kernel = kernel
-        events = 0
-        while events < self.config.max_events:
-            events += 1
-            next_time = kernel.peek()
-            if next_time is None or next_time > self.config.horizon_s:
-                self._advance_running(min(self.config.horizon_s, self._horizon_or(next_time)))
-                break
-            kernel.step()
-            if all(t.is_done for t in self.tasks):
-                break
-        else:  # pragma: no cover - safety valve
-            raise RuntimeError("simulation exceeded max_events; possible event-loop bug")
+        max_events = self.config.max_events
+        executed = kernel.run(until=self.config.horizon_s, max_events=max_events,
+                              stop=self._all_done)
+        if not self._all_done():
+            if executed >= max_events:  # pragma: no cover - safety valve
+                raise RuntimeError("simulation exceeded max_events; possible event-loop bug")
+            self._advance_running(self.config.horizon_s)
         self._close_open_segments()
         return self._collect()
 
@@ -217,16 +212,17 @@ class SchedulerSim:
         feedback: Optional[FeedbackChannel] = None,
         feedback_key: str = "sched",
     ) -> "SchedulerSim":
-        """Register this engine as a polled process on a *shared* kernel.
+        """Register this engine as a process on a *shared* kernel.
 
         This is how scheduler decisions (cgroup throttling, tick accounting,
         task placement) co-simulate with the platform/fleet/billing layers in
-        one event loop: the shared kernel owns the clock, polls the engine
-        for its next tick/refill/arrival/completion, and interleaves it with
-        every other simulator's events.  Past its own ``horizon_s`` (or once
-        every task is done) the engine reports nothing pending, so it never
-        keeps the cluster loop alive.  After the kernel run, call
-        :meth:`finalize` to close open run segments and collect results.
+        one event loop: the shared kernel owns the clock, keeps the engine's
+        next tick/refill/arrival/completion on its heap (re-armed after every
+        :meth:`handle`), and interleaves it with every other simulator's
+        events.  Past its own ``horizon_s`` (or once every task is done) the
+        engine reports nothing pending, so it never keeps the cluster loop
+        alive.  After the kernel run, call :meth:`finalize` to close open run
+        segments and collect results.
 
         With a ``feedback`` channel, the engine closes the state loop the
         shared clock alone cannot: at every bandwidth-period boundary it
@@ -278,11 +274,12 @@ class SchedulerSim:
 
         Mirrors the tail of :meth:`run`: unfinished tasks are advanced to the
         engine's horizon, open run/throttle segments are closed, and the
-        per-task results plus bandwidth statistics are returned.
+        per-task results plus bandwidth statistics are returned.  Call it once
+        the shared kernel has stopped driving the engine.
         """
         if not self._finalized:
             self._finalized = True
-            if not all(t.is_done for t in self.tasks):
+            if not self._all_done():
                 self._advance_running(max(self._now, self.config.horizon_s))
             self._close_open_segments()
             self._quiesce_feedback(self._now)
@@ -291,7 +288,7 @@ class SchedulerSim:
     # -- repro.sim.kernel.SimProcess protocol --------------------------
 
     def next_event_time(self, now: float) -> Optional[float]:
-        """When this engine next needs the clock (kernel poll).
+        """When this engine next needs the clock (asked after every :meth:`handle`).
 
         Returns ``None`` once the next event would fall strictly beyond the
         configured horizon -- exactly where the standalone :meth:`run` loop
@@ -315,11 +312,6 @@ class SchedulerSim:
     # ------------------------------------------------------------------
     # Event-time computation
     # ------------------------------------------------------------------
-
-    def _horizon_or(self, candidate: Optional[float]) -> float:
-        if candidate is None:
-            return self.config.horizon_s
-        return min(candidate, self.config.horizon_s)
 
     def _next_grid_point(self, phase: float, interval: float) -> float:
         """The first grid point strictly after the current time."""
@@ -607,6 +599,9 @@ class SchedulerSim:
     # ------------------------------------------------------------------
     # Helpers and result collection
     # ------------------------------------------------------------------
+
+    def _all_done(self) -> bool:
+        return all(t.is_done for t in self.tasks)
 
     def _least_loaded_cpu(self) -> int:
         return min(self._runqueues, key=lambda cpu_id: len(self._runqueues[cpu_id]))

@@ -5,10 +5,10 @@ across the platform simulator (`repro.platform.invoker`) and the CPU-bandwidth
 scheduler (`repro.sched.engine`) into one reusable layer:
 
 - :mod:`repro.sim.kernel` -- a discrete-event kernel: heap-ordered event queue
-  with monotonic sequence numbers for deterministic tie-breaking, plus polled
+  with monotonic sequence numbers for deterministic tie-breaking, plus
   "processes" for co-simulating components that compute their own next event
-  time (the scheduler engine).  Supports ``peek``/``step``/``pause`` so a host
-  can interleave the kernel with other simulations.
+  time (the scheduler engine, autoscalers, samplers), each kept on the same
+  heap as a tick re-armed after every ``handle``.
 - :mod:`repro.sim.events` -- a typed publish/subscribe event bus so metrics
   collectors and tracers subscribe to simulation events instead of being
   hard-wired into the simulators.

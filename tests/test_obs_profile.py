@@ -1,6 +1,7 @@
 """Kernel profiling: opt-in hooks count exactly what the kernel dispatched."""
 
 import dataclasses
+import json
 
 from repro.obs.profile import KernelProfiler
 from repro.sim.events import EventBus, SimEvent
@@ -72,6 +73,47 @@ class TestKernelProfiler:
         assert profile.process_events == len(ticks) == 6  # t = 0..5
         assert profile.count_of("process:PeriodicProcess") == 6
 
+    def test_handler_registered_after_install_is_counted(self):
+        kernel = SimulationKernel()
+        seen = []
+        kernel.on("early", seen.append)
+        profiler = KernelProfiler().install(kernel)
+        kernel.on("late", seen.append)
+        kernel.on_default(seen.append)
+        for kind in ("early", "late", "unregistered"):
+            kernel.schedule(1.0, kind)
+        kernel.run()
+        profile = profiler.snapshot()
+        assert [event.kind for event in seen] == ["early", "late", "unregistered"]
+        assert [profile.count_of(k) for k in ("early", "late", "unregistered")] == [1, 1, 1]
+
+    def test_uninstall_restores_the_raw_handlers(self):
+        kernel = SimulationKernel()
+
+        def early(event):
+            pass
+
+        def late(event):
+            pass
+
+        def fallback(event):
+            pass
+
+        kernel.on("early", early)
+        kernel.add_process(PeriodicProcess(1.0, lambda now: None))
+        raw_tick = kernel._handlers["process:PeriodicProcess"]
+        KernelProfiler().install(kernel)
+        assert kernel._handlers["early"] is not early
+        kernel.on("late", late)
+        kernel.on_default(fallback)
+        kernel.set_profiler(None)
+        assert kernel._profiler is None
+        raw = {"early": early, "process:PeriodicProcess": raw_tick, "late": late}
+        assert kernel._handlers.keys() == raw.keys()
+        for kind, handler in raw.items():
+            assert kernel._handlers[kind] is handler
+        assert kernel._default_handler is fallback
+
     def test_counts_bus_publishes_and_fanout(self):
         bus = EventBus()
         profiler = KernelProfiler().install(SimulationKernel(), bus)
@@ -115,3 +157,27 @@ class TestProfiledRunsMatchUnprofiled:
             return fired
 
         assert run(profiled=False) == run(profiled=True)
+
+
+class TestProfiledBackpressurePoint:
+    def test_full_stack_point_counts_match_the_pinned_profile(self, tmp_path):
+        """A backpressure point with the scheduler on: counts pinned from the polled kernel."""
+        from repro.analysis.backpressure import backpressure_point
+
+        path = tmp_path / "profile.json"
+        backpressure_point(
+            {"queue_depth": 2, "placement_policy": "best_fit", "heterogeneity": "two_tier",
+             "num_functions": 3, "duration_s": 10.0, "feedback": "on", "retry": "on",
+             "tenants": 2, "profile_out": str(path)},
+            2026,
+        )
+        profile = json.loads(path.read_text())
+        assert {key: profile[key] for key in
+                ("events_total", "process_events", "cancels", "prunes")} == {
+            "events_total": 922, "process_events": 728, "cancels": 0, "prunes": 0,
+        }
+        assert {kind: stats["count"] for kind, stats in profile["by_kind"].items()
+                if kind.startswith("process:")} == {
+            "process:AutoscalerProcess": 54, "process:Fleet": 4,
+            "process:SchedulerSim": 634, "process:TelemetryProcess": 36,
+        }

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import Event, SimulationKernel
+from repro.sim.kernel import _TICK_SEQ, PeriodicProcess, SimulationKernel
 
 
 def collect(kernel, kinds):
@@ -73,29 +73,6 @@ class TestEventOrdering:
 
 
 class TestPeekStepCancelPause:
-    def test_peek_returns_next_time_without_executing(self):
-        kernel = SimulationKernel()
-        log = collect(kernel, ["x"])
-        kernel.schedule(2.5, "x")
-        assert kernel.peek() == 2.5
-        assert log == []
-        assert kernel.now == 0.0
-
-    def test_peek_empty_returns_none(self):
-        assert SimulationKernel().peek() is None
-
-    def test_step_executes_exactly_one_event(self):
-        kernel = SimulationKernel()
-        log = collect(kernel, ["x"])
-        kernel.schedule(1.0, "x")
-        kernel.schedule(2.0, "x")
-        event = kernel.step()
-        assert isinstance(event, Event)
-        assert len(log) == 1
-        assert kernel.now == 1.0
-        assert kernel.step() is not None
-        assert kernel.step() is None
-
     def test_cancelled_events_are_skipped(self):
         kernel = SimulationKernel()
         log = collect(kernel, ["keep", "drop"])
@@ -113,33 +90,20 @@ class TestPeekStepCancelPause:
             kernel.schedule(t, "x")
         executed = kernel.run(until=2.0)
         assert executed == 2
-        assert kernel.peek() == 3.0
+        assert kernel.now == 2.0
+        assert [entry[0] for entry in kernel._heap] == [3.0]
         kernel.run()
         assert len(log) == 3
 
     def test_run_max_events(self):
         kernel = SimulationKernel()
-        collect(kernel, ["x"])
+        log = collect(kernel, ["x"])
         for t in (1.0, 2.0, 3.0):
             kernel.schedule(t, "x")
+        assert kernel.run(max_events=0) == 0
         assert kernel.run(max_events=2) == 2
-        assert kernel.peek() == 3.0
-
-    def test_pause_from_handler_stops_run(self):
-        kernel = SimulationKernel()
-        log = []
-
-        def handler(event):
-            log.append(kernel.now)
-            kernel.pause()
-
-        kernel.on("x", handler)
-        kernel.schedule(1.0, "x")
-        kernel.schedule(2.0, "x")
-        assert kernel.run() == 1
-        assert log == [1.0]
-        assert kernel.run() == 1  # resumes where it left off
-        assert log == [1.0, 2.0]
+        assert [entry[0] for entry in log] == [1.0, 2.0]
+        assert kernel.run(max_events=2) == 1  # resumes where it left off
 
     def test_run_stop_predicate(self):
         kernel = SimulationKernel()
@@ -151,7 +115,7 @@ class TestPeekStepCancelPause:
 
 
 class _CountdownProcess:
-    """A polled process firing at fixed times (co-simulation stand-in)."""
+    """A non-periodic process firing at fixed times (co-simulation stand-in)."""
 
     def __init__(self, fire_times):
         self.remaining = list(fire_times)
@@ -166,6 +130,8 @@ class _CountdownProcess:
 
 
 class TestPolledProcesses:
+    """Non-periodic processes ride the heap as ticks re-armed after each handle."""
+
     def test_process_events_interleave_with_heap_events(self):
         kernel = SimulationKernel()
         log = collect(kernel, ["heap"])
@@ -199,16 +165,43 @@ class TestPolledProcesses:
         kernel.run()
         assert order == ["heap", "process"]
 
-    def test_peek_sees_process_times(self):
+    def test_tick_is_armed_at_registration(self):
         kernel = SimulationKernel()
-        kernel.add_process(_CountdownProcess([0.75]))
-        assert kernel.peek() == 0.75
+        process = _CountdownProcess([0.75])
+        kernel.add_process(process)
+        ((time_s, seq, tick),) = kernel._heap
+        assert (time_s, seq, tick.kind) == (0.75, _TICK_SEQ, "process:_CountdownProcess")
+        assert process.fired == []
+
+    def test_process_added_mid_run_fires_at_its_time(self):
+        kernel = SimulationKernel()
+        order = []
+        process = _CountdownProcess([1.5, 2.5])
+
+        def register(event):
+            order.append(("register", kernel.now))
+            kernel.add_process(process)
+
+        kernel.on("register", register)
+        kernel.on("heap", lambda event: order.append(("heap", kernel.now)))
+        kernel.schedule(1.0, "register")
+        kernel.schedule(2.0, "heap")
+        kernel.run()
+        assert process.fired == [1.5, 2.5]
+        assert order == [("register", 1.0), ("heap", 2.0)]
+        assert kernel.now == 2.5
+
+    def test_a_non_periodic_tick_alone_keeps_an_unbounded_run_alive(self):
+        kernel = SimulationKernel()
+        process = _CountdownProcess([1.0, 4.0, 9.0])
+        kernel.add_process(process)
+        assert kernel.run() == 3
+        assert process.fired == [1.0, 4.0, 9.0]
+        assert kernel._heap == []
 
 
 class TestPeriodicProcess:
     def test_fixed_grid_ticks(self):
-        from repro.sim.kernel import PeriodicProcess, SimulationKernel
-
         ticks = []
         kernel = SimulationKernel()
         kernel.add_process(PeriodicProcess(3.0, ticks.append))
@@ -216,8 +209,6 @@ class TestPeriodicProcess:
         assert ticks == [0.0, 3.0, 6.0, 9.0]
 
     def test_unbounded_run_terminates_when_only_periodic_ticks_remain(self):
-        from repro.sim.kernel import PeriodicProcess, SimulationKernel
-
         ticks = []
         kernel = SimulationKernel()
         kernel.add_process(PeriodicProcess(1.0, ticks.append))
@@ -230,38 +221,30 @@ class TestPeriodicProcess:
         assert all(t <= 2.5 for t in ticks)
 
     def test_unbounded_run_with_only_periodic_process_executes_nothing(self):
-        from repro.sim.kernel import PeriodicProcess, SimulationKernel
-
         kernel = SimulationKernel()
         kernel.add_process(PeriodicProcess(1.0, lambda now: None))
         assert kernel.run() == 0
 
     def test_invalid_interval(self):
-        import pytest
-
-        from repro.sim.kernel import PeriodicProcess
-
         with pytest.raises(ValueError):
             PeriodicProcess(0.0, lambda now: None)
 
 
 class TestHeapResidentTicks:
-    """Periodic processes fire as heap ticks ranked after events, then by registration."""
+    """Process ticks live on the heap, ranked after events, then by registration."""
 
     def test_periodic_processes_are_not_polled(self):
-        from repro.sim.kernel import PeriodicProcess
-
         kernel = SimulationKernel()
         periodic = PeriodicProcess(1.0, lambda now: None)
-        polled = _CountdownProcess([0.5])
+        other = _CountdownProcess([0.5])
         kernel.add_process(periodic)
-        kernel.add_process(polled)
-        assert kernel._processes == [periodic, polled]
-        assert kernel._polled == [(1, polled)]
+        kernel.add_process(other)
+        assert kernel._processes == [periodic, other]
+        # One tick per process, ranked by registration; nothing to poll.
+        assert sorted((t, seq - _TICK_SEQ) for t, seq, _ in kernel._heap) == [(0.0, 0), (0.5, 1)]
+        assert not hasattr(kernel, "_polled")
 
     def test_tick_fires_after_events_at_its_instant_even_ones_scheduled_then(self):
-        from repro.sim.kernel import PeriodicProcess
-
         kernel = SimulationKernel()
         order = []
 
@@ -278,10 +261,8 @@ class TestHeapResidentTicks:
         kernel.run(until=2.0)
         assert order == ["first", "spawned", ("tick", 1.0), ("tick", 2.0)]
 
-    @pytest.mark.parametrize("polled_rank", [0, 1, 2])
-    def test_exact_time_ties_between_processes_go_by_registration_rank(self, polled_rank):
-        from repro.sim.kernel import PeriodicProcess
-
+    @pytest.mark.parametrize("once_rank", [0, 1, 2])
+    def test_exact_time_ties_between_processes_go_by_registration_rank(self, once_rank):
         kernel = SimulationKernel()
         order = []
 
@@ -293,12 +274,12 @@ class TestHeapResidentTicks:
                 return None if self.done else 1.0
 
             def handle(self, now):
-                order.append("polled")
+                order.append("once")
                 self.done = True
 
         names = iter(["a", "b"])
         for rank in range(3):
-            if rank == polled_rank:
+            if rank == once_rank:
                 kernel.add_process(Once())
             else:
                 name = next(names)
@@ -307,24 +288,19 @@ class TestHeapResidentTicks:
                 ))
         kernel.run(until=1.0)
         expected = ["a", "b"]
-        expected.insert(polled_rank, "polled")
+        expected.insert(once_rank, "once")
         assert order == expected
 
-    def test_step_dispatches_ticks_like_run(self):
-        from repro.sim.kernel import PeriodicProcess
-
+    def test_ticks_dispatch_as_process_kind_events(self):
         kernel = SimulationKernel()
         ticks = []
         kernel.add_process(PeriodicProcess(2.0, ticks.append))
-        assert kernel.peek() == 0.0
-        event = kernel.step()
-        assert (event.kind, event.time) == ("process:PeriodicProcess", 0.0)
+        assert kernel.run(until=0.0) == 1
         assert ticks == [0.0]
-        assert kernel.peek() == 2.0
+        ((time_s, _, tick),) = kernel._heap
+        assert (time_s, tick.kind) == (2.0, "process:PeriodicProcess")
 
     def test_unbounded_run_stops_when_only_ticks_and_cancelled_events_remain(self):
-        from repro.sim.kernel import PeriodicProcess
-
         kernel = SimulationKernel()
         ticks = []
         kernel.add_process(PeriodicProcess(1.0, ticks.append))
@@ -336,8 +312,7 @@ class TestHeapResidentTicks:
         assert kernel.now == 2.5
 
     def test_unbounded_run_keeps_ticking_while_a_polled_process_is_pending(self):
-        from repro.sim.kernel import PeriodicProcess
-
+        """A non-periodic process's tick is pending work; periodic ticks are not."""
         kernel = SimulationKernel()
         ticks = []
         kernel.add_process(PeriodicProcess(1.0, ticks.append))
