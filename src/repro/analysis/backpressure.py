@@ -18,12 +18,10 @@ identity, so sequential and parallel sweeps produce identical rows.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.sim.results import ResultStore
 from repro.sim.rng import named_generator
-from repro.sim.sweep import build_grid, run_sweep
 
 __all__ = [
     "backpressure_point",
@@ -115,13 +113,6 @@ def _scheduler(seed: int, horizon_s: float):
     return SchedulerSim(config, tasks)
 
 
-def _resolve_obs(params: Mapping[str, object]):
-    """Observability for points that asked for artifacts (import deferred)."""
-    from repro.obs import obs_from_params
-
-    return obs_from_params(params)
-
-
 def backpressure_point(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     """Sweep runner: one backpressure co-simulation grid point.
 
@@ -166,112 +157,42 @@ def backpressure_point(params: Mapping[str, object], seed: int) -> Dict[str, obj
     Imports stay inside the function so the runner is resolvable by dotted
     path in sweep worker processes without import cycles.
     """
-    from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
-    from repro.cluster.fleet import FleetConfig
+    from repro.analysis.scenario import run_cluster_scenario
     from repro.cluster.placement import PlacementPolicy
-    from repro.platform.presets import get_platform_preset
-    from repro.sim.retry import resolve_retry
-    from repro.traces.generator import HUAWEI_FLAVORS
-    from repro.workloads.functions import get_workload
 
     queue_depth = int(params["queue_depth"])  # type: ignore[arg-type]
     policy = PlacementPolicy(str(params["placement_policy"]))
     heterogeneity = str(params["heterogeneity"])
-    num_functions = int(params.get("num_functions", 6))  # type: ignore[arg-type]
-    max_hosts = int(params.get("max_hosts", 2))  # type: ignore[arg-type]
     discipline = str(params.get("queue_discipline", "fifo"))
-    platform = get_platform_preset(str(params.get("platform", "gcp_run_like")))
-    billing = str(params.get("billing", "gcp_run_request"))
-    workload = get_workload(str(params.get("workload", "pyaes")))
-    rps = float(params.get("rps_per_function", 2.0))  # type: ignore[arg-type]
     duration_s = float(params.get("duration_s", 30.0))  # type: ignore[arg-type]
-    keep_alive_s = float(params.get("keep_alive_s", duration_s / 3.0))  # type: ignore[arg-type]
-    arrival_process = str(params.get("arrival_process", "constant"))
-    host_vcpus = float(params.get("host_vcpus", 2.0))  # type: ignore[arg-type]
-    host_memory_gb = float(params.get("host_memory_gb", 4.0))  # type: ignore[arg-type]
-    with_scheduler = bool(params.get("with_scheduler", True))
-    feedback = str(params.get("feedback", "off"))
-    retry_mode, retry_policy = resolve_retry(params)
-    from repro.tenancy import resolve_tenants
-
-    tenants_mode, tenant_configs = resolve_tenants(params)
-    obs = _resolve_obs(params)
-
-    # Rescale the preset's keep-alive window so its max hits ``keep_alive_s``
-    # (preserving the min/max ratio).  A window shorter than the traffic
-    # duration is what makes backpressure *drain*: keep-alive expiries free
-    # capacity mid-run and queued sandboxes get retried onto it.
-    keep_alive = platform.keep_alive
-    factor = keep_alive_s / keep_alive.max_keep_alive_s
-    platform = dataclasses.replace(
-        platform,
-        keep_alive=dataclasses.replace(
-            keep_alive,
-            min_keep_alive_s=keep_alive.min_keep_alive_s * factor,
-            max_keep_alive_s=keep_alive_s,
-        ),
+    zones = _zones(
+        heterogeneity,
+        float(params.get("host_vcpus", 2.0)),  # type: ignore[arg-type]
+        float(params.get("host_memory_gb", 4.0)),  # type: ignore[arg-type]
+        int(params.get("max_hosts", 2)),  # type: ignore[arg-type]
     )
-
-    # Functions draw discrete Huawei-like flavors from a named stream, so the
-    # population depends only on (seed, "flavors") -- not on sweep ordering.
-    flavor_rng = named_generator(seed, "flavors")
-    flavor_indices = flavor_rng.integers(0, len(HUAWEI_FLAVORS), size=num_functions)
-    deployments: List[FunctionDeployment] = []
-    for index in range(num_functions):
-        vcpus, memory_gb = HUAWEI_FLAVORS[int(flavor_indices[index])]
-        function = workload.to_function_config(vcpus, memory_gb, init_duration_s=1.0)
-        function = dataclasses.replace(function, name=f"fn-{index:03d}")
-        deployments.append(
-            FunctionDeployment(
-                function=function,
-                platform=platform,
-                rps=rps,
-                duration_s=duration_s,
-                arrival_process=arrival_process,
-            )
-        )
-
-    simulator = ClusterSimulator(
-        deployments,
-        fleet_config=FleetConfig(
-            policy=policy,
-            zones=_zones(heterogeneity, host_vcpus, host_memory_gb, max_hosts),
-            queue_depth=queue_depth,
-            queue_discipline=discipline,
-            sample_interval_s=float(params.get("sample_interval_s", 10.0)),  # type: ignore[arg-type]
-        ),
-        billing_platform=billing,
-        scheduler=_scheduler(seed, duration_s) if with_scheduler else None,
-        seed=seed,
-        feedback=feedback,
-        retry=retry_policy,
-        obs=obs,
-        tenants=tenant_configs,
+    return run_cluster_scenario(
+        params,
+        seed,
+        head={
+            "queue_depth_bound": queue_depth,
+            "placement_policy": policy.value,
+            "heterogeneity": heterogeneity,
+            "queue_discipline": discipline,
+        },
+        fleet={
+            "policy": policy,
+            "zones": zones,
+            "queue_depth": queue_depth,
+            "queue_discipline": discipline,
+        },
+        num_functions=int(params.get("num_functions", 6)),  # type: ignore[arg-type]
+        duration_s=duration_s,
+        # Defaults to a third of the duration so keep-alive expiries free
+        # capacity mid-run and the admission queue drains.
+        keep_alive_s=float(params.get("keep_alive_s", duration_s / 3.0)),  # type: ignore[arg-type]
+        scheduler=_scheduler(seed, duration_s) if params.get("with_scheduler", True) else None,
     )
-    result = simulator.run()
-    if obs is not None:
-        from repro.obs import write_obs_artifacts
-
-        write_obs_artifacts(obs, params)
-
-    row: Dict[str, object] = {
-        "queue_depth_bound": queue_depth,
-        "placement_policy": policy.value,
-        "heterogeneity": heterogeneity,
-        "queue_discipline": discipline,
-        "keep_alive_s": keep_alive_s,
-        "platform": platform.name,
-        "feedback": feedback,
-        "seed": seed,
-    }
-    if retry_mode is not None:
-        row["retry"] = retry_mode
-    if tenants_mode is not None:
-        row["tenants"] = tenants_mode
-    summary = result.summary()
-    summary.pop("policy", None)
-    row.update(summary)
-    return row
 
 
 def backpressure_sweep(
@@ -303,18 +224,18 @@ def backpressure_sweep(
     write the same files.  Scenario seeds derive from grid identity, not
     params, so the extra keys leave every row byte-identical.
     """
-    scenarios = build_grid(
-        runner="repro.analysis.backpressure:backpressure_point",
-        axes=dict(axes or DEFAULT_AXES),
+    from repro.analysis.scenario import run_cluster_grid
+
+    return run_cluster_grid(
+        "repro.analysis.backpressure:backpressure_point",
+        axes or DEFAULT_AXES,
         common=common,
         base_seed=base_seed,
-    )
-    if first_point_extra:
-        scenarios[0] = dataclasses.replace(
-            scenarios[0], params={**scenarios[0].params, **first_point_extra}
-        )
-    return run_sweep(
-        scenarios, processes=processes, ordered=ordered, backend=backend, checkpoint=checkpoint
+        processes=processes,
+        ordered=ordered,
+        first_point_extra=first_point_extra,
+        backend=backend,
+        checkpoint=checkpoint,
     )
 
 

@@ -15,12 +15,9 @@ so sequential and parallel sweeps produce identical rows.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.sim.rng import named_generator
 from repro.sim.results import ResultStore
-from repro.sim.sweep import build_grid, run_sweep
 
 __all__ = ["cluster_point", "cluster_cost_sweep", "DEFAULT_AXES"]
 
@@ -72,102 +69,26 @@ def cluster_point(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     Imports stay inside the function so the runner is resolvable by dotted
     path in sweep worker processes without import cycles.
     """
-    from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
-    from repro.cluster.fleet import FleetConfig
+    from repro.analysis.scenario import run_cluster_scenario
     from repro.cluster.host import HostSpec
     from repro.cluster.placement import PlacementPolicy
-    from repro.platform.presets import get_platform_preset
-    from repro.sim.retry import resolve_retry
-    from repro.traces.generator import HUAWEI_FLAVORS
-    from repro.workloads.functions import get_workload
 
     num_functions = int(params["num_functions"])  # type: ignore[arg-type]
     policy = PlacementPolicy(str(params["placement_policy"]))
-    keep_alive_s = float(params["keep_alive_s"])  # type: ignore[arg-type]
-    platform = get_platform_preset(str(params.get("platform", "gcp_run_like")))
-    billing = str(params.get("billing", "gcp_run_request"))
-    workload = get_workload(str(params.get("workload", "pyaes")))
-    rps = float(params.get("rps_per_function", 2.0))  # type: ignore[arg-type]
-    duration_s = float(params.get("duration_s", 60.0))  # type: ignore[arg-type]
-    arrival_process = str(params.get("arrival_process", "constant"))
     host_spec = HostSpec(
         vcpus=float(params.get("host_vcpus", 16.0)),  # type: ignore[arg-type]
         memory_gb=float(params.get("host_memory_gb", 64.0)),  # type: ignore[arg-type]
     )
-
-    # Rescale the preset's keep-alive window so its max hits the swept value
-    # (preserving the min/max ratio keeps the opportunistic ramp shape).
-    keep_alive = platform.keep_alive
-    factor = keep_alive_s / keep_alive.max_keep_alive_s
-    platform = dataclasses.replace(
-        platform,
-        keep_alive=dataclasses.replace(
-            keep_alive,
-            min_keep_alive_s=keep_alive.min_keep_alive_s * factor,
-            max_keep_alive_s=keep_alive_s,
-        ),
+    # No ``zones``: the fleet special-cases an unnamed single default zone.
+    return run_cluster_scenario(
+        params,
+        seed,
+        head={"num_functions": num_functions, "placement_policy": policy.value},
+        fleet={"host_spec": host_spec, "policy": policy},
+        num_functions=num_functions,
+        duration_s=float(params.get("duration_s", 60.0)),  # type: ignore[arg-type]
+        keep_alive_s=float(params["keep_alive_s"]),  # type: ignore[arg-type]
     )
-
-    # Functions draw discrete Huawei-like flavors from a named stream, so the
-    # population depends only on (seed, "flavors") -- not on sweep ordering.
-    flavor_rng = named_generator(seed, "flavors")
-    flavor_indices = flavor_rng.integers(0, len(HUAWEI_FLAVORS), size=num_functions)
-    deployments: List[FunctionDeployment] = []
-    for index in range(num_functions):
-        vcpus, memory_gb = HUAWEI_FLAVORS[int(flavor_indices[index])]
-        function = workload.to_function_config(vcpus, memory_gb, init_duration_s=1.0)
-        function = dataclasses.replace(function, name=f"fn-{index:03d}")
-        deployments.append(
-            FunctionDeployment(
-                function=function,
-                platform=platform,
-                rps=rps,
-                duration_s=duration_s,
-                arrival_process=arrival_process,
-            )
-        )
-
-    feedback = str(params.get("feedback", "off"))
-    retry_mode, retry_policy = resolve_retry(params)
-    from repro.obs import obs_from_params, write_obs_artifacts
-    from repro.tenancy import resolve_tenants
-
-    tenants_mode, tenant_configs = resolve_tenants(params)
-    obs = obs_from_params(params)
-    simulator = ClusterSimulator(
-        deployments,
-        fleet_config=FleetConfig(
-            host_spec=host_spec,
-            policy=policy,
-            sample_interval_s=float(params.get("sample_interval_s", 10.0)),  # type: ignore[arg-type]
-        ),
-        billing_platform=billing,
-        seed=seed,
-        feedback=feedback,
-        retry=retry_policy,
-        obs=obs,
-        tenants=tenant_configs,
-    )
-    result = simulator.run()
-    write_obs_artifacts(obs, params)
-
-    row: Dict[str, object] = {
-        "num_functions": num_functions,
-        "placement_policy": policy.value,
-        "keep_alive_s": keep_alive_s,
-        "platform": platform.name,
-        "feedback": feedback,
-        "seed": seed,
-    }
-    if retry_mode is not None:
-        row["retry"] = retry_mode
-    if tenants_mode is not None:
-        row["tenants"] = tenants_mode
-    summary = result.summary()
-    summary.pop("num_functions", None)
-    summary.pop("policy", None)
-    row.update(summary)
-    return row
 
 
 def cluster_cost_sweep(
@@ -195,18 +116,18 @@ def cluster_cost_sweep(
     paths to a single representative point.  Seeds derive from grid
     identity, not params, so the rows are unchanged.
     """
-    scenarios = build_grid(
-        runner="repro.analysis.cluster_costs:cluster_point",
-        axes=dict(axes or DEFAULT_AXES),
+    from repro.analysis.scenario import run_cluster_grid
+
+    return run_cluster_grid(
+        "repro.analysis.cluster_costs:cluster_point",
+        axes or DEFAULT_AXES,
         common=common,
         base_seed=base_seed,
-    )
-    if first_point_extra:
-        scenarios[0] = dataclasses.replace(
-            scenarios[0], params={**scenarios[0].params, **first_point_extra}
-        )
-    return run_sweep(
-        scenarios, processes=processes, ordered=ordered, backend=backend, checkpoint=checkpoint
+        processes=processes,
+        ordered=ordered,
+        first_point_extra=first_point_extra,
+        backend=backend,
+        checkpoint=checkpoint,
     )
 
 

@@ -8,7 +8,7 @@ Usage::
     repro-serverless-costs trace --requests 50000 --output trace.csv
     repro-serverless-costs trace --simulate backpressure --retry on --trace-out run_trace.json
     repro-serverless-costs sweep --processes 4 --output sweep.csv
-    repro-serverless-costs sweep --backend futures --unordered --checkpoint sweep.jsonl
+    repro-serverless-costs sweep --backend multiprocessing --unordered --checkpoint sweep.jsonl
     repro-serverless-costs sweep --backend socket-queue:0.0.0.0:7077 --output sweep.csv
     repro-serverless-costs sweep-worker --connect head-node:7077
     repro-serverless-costs cluster --fleet-sizes 8,16 --policies best_fit,worst_fit --output cluster.csv
@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro._version import __version__
 from repro.analysis.experiments import EXPERIMENTS, list_experiments, run_experiment
 from repro.core.report import render_table, to_markdown_table
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.sim.results import ResultStore
 
 __all__ = ["main", "build_parser"]
 
@@ -55,7 +58,7 @@ def _add_sweep_execution_flags(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         help=(
-            "Execution backend: serial, multiprocessing, futures, or "
+            "Execution backend: serial, multiprocessing, or "
             "socket-queue[:host][:port] (a TCP work-queue server that 'sweep-worker' "
             "processes on any machine connect to; default: pick from --processes)"
         ),
@@ -97,8 +100,40 @@ def _compact_checkpoint_if_requested(args: "argparse.Namespace") -> Optional[int
     return None
 
 
-def _add_tenancy_flags(parser: argparse.ArgumentParser) -> None:
-    """Multi-tenancy flags shared by the cluster and backpressure subcommands."""
+def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by the cluster and backpressure subcommands.
+
+    Both fan a grid of :func:`repro.analysis.scenario.run_cluster_scenario`
+    points out through the sweep orchestrator, so everything but their own
+    axes and fleet shape is one flag group (``--retry`` stays per command:
+    cluster forwards it as a common param, backpressure sweeps it as an axis).
+    """
+    parser.add_argument(
+        "--platform",
+        default="gcp_run_like",
+        help="Serving-platform preset every function runs on (see repro.platform.presets)",
+    )
+    parser.add_argument(
+        "--billing",
+        default="gcp_run_request",
+        help="Billing model metered live (see repro.billing.catalog)",
+    )
+    parser.add_argument(
+        "--rps", type=float, default=2.0, help="Request rate per function (requests/second)"
+    )
+    parser.add_argument(
+        "--duration-s", type=float, default=30.0, help="Traffic duration per scenario (seconds)"
+    )
+    parser.add_argument(
+        "--feedback",
+        choices=("off", "on"),
+        default="off",
+        help=(
+            "Close the state loop: fleet admission outcomes delay/fail serving "
+            "(queued cold starts defer sandbox readiness, rejected ones fail their "
+            "requests) and scheduler throttling stretches latency (default: off)"
+        ),
+    )
     parser.add_argument(
         "--tenants",
         default="off",
@@ -139,29 +174,23 @@ def _add_tenancy_flags(parser: argparse.ArgumentParser) -> None:
             "slo_attainment/goodput columns; default: no target)"
         ),
     )
-
-
-def _tenancy_common(args: "argparse.Namespace") -> Dict[str, object]:
-    """The tenant_* params an active --tenants axis forwards to every point."""
-    common: Dict[str, object] = {
-        "tenant_credit_capacity": args.tenant_credit_capacity,
-        "tenant_credit_refill_per_s": args.tenant_credit_refill_per_s,
-        "tenant_on_exhausted": args.tenant_on_exhausted,
-    }
-    if args.tenant_slo_latency_s is not None:
-        common["tenant_slo_latency_s"] = args.tenant_slo_latency_s
-    return common
-
-
-def _parse_tenants_axis(text: str) -> List[object]:
-    """Parse a --tenants list into sweep-axis values ('off' or integer counts)."""
-    values: List[object] = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        values.append(item if item == "off" else int(item))
-    return values
+    _add_sweep_execution_flags(parser)
+    parser.add_argument("--seed", type=int, default=2026, help="Base seed for per-run seeds")
+    parser.add_argument("--output", help="Also write the result rows to this CSV path")
+    parser.add_argument(
+        "--trace-out",
+        help=(
+            "Record the first grid point's request spans to this path "
+            "(.jsonl for span lines, else Chrome trace JSON); rows are unchanged"
+        ),
+    )
+    parser.add_argument(
+        "--telemetry-out",
+        help="Record the first grid point's sampled time-series to this CSV; rows are unchanged",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "markdown"), default="text", help="Output table format"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,35 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="Comma-separated keep-alive windows in seconds (rescales the preset's window)",
     )
     cluster_parser.add_argument(
-        "--platform",
-        default="gcp_run_like",
-        help="Serving-platform preset every function runs on (see repro.platform.presets)",
-    )
-    cluster_parser.add_argument(
-        "--billing",
-        default="gcp_run_request",
-        help="Billing model metered live (see repro.billing.catalog)",
-    )
-    cluster_parser.add_argument(
-        "--rps", type=float, default=2.0, help="Request rate per function (requests/second)"
-    )
-    cluster_parser.add_argument(
-        "--duration-s", type=float, default=30.0, help="Traffic duration per scenario (seconds)"
-    )
-    cluster_parser.add_argument(
         "--host-vcpus", type=float, default=16.0, help="vCPU capacity of each host"
     )
     cluster_parser.add_argument(
         "--host-memory-gb", type=float, default=64.0, help="Memory capacity of each host (GB)"
-    )
-    cluster_parser.add_argument(
-        "--feedback",
-        choices=("off", "on"),
-        default="off",
-        help=(
-            "Close the state loop: scheduler throttling stretches request latency and "
-            "fleet admission outcomes delay/fail serving (default: off, PR-3 behaviour)"
-        ),
     )
     cluster_parser.add_argument(
         "--retry",
@@ -340,24 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
             "default: off, failures stay terminal)"
         ),
     )
-    _add_tenancy_flags(cluster_parser)
-    _add_sweep_execution_flags(cluster_parser)
-    cluster_parser.add_argument("--seed", type=int, default=2026, help="Base seed for per-run seeds")
-    cluster_parser.add_argument("--output", help="Also write the result rows to this CSV path")
-    cluster_parser.add_argument(
-        "--trace-out",
-        help=(
-            "Record the first grid point's request spans to this path "
-            "(.jsonl for span lines, else Chrome trace JSON); rows are unchanged"
-        ),
-    )
-    cluster_parser.add_argument(
-        "--telemetry-out",
-        help="Record the first grid point's sampled time-series to this CSV; rows are unchanged",
-    )
-    cluster_parser.add_argument(
-        "--format", choices=("text", "markdown"), default="text", help="Output table format"
-    )
+    _add_cluster_flags(cluster_parser)
 
     backpressure_parser = subparsers.add_parser(
         "backpressure",
@@ -398,34 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--num-functions", type=int, default=6, help="Functions deployed into the cluster"
     )
     backpressure_parser.add_argument(
-        "--platform",
-        default="gcp_run_like",
-        help="Serving-platform preset every function runs on (see repro.platform.presets)",
-    )
-    backpressure_parser.add_argument(
-        "--billing",
-        default="gcp_run_request",
-        help="Billing model metered live (see repro.billing.catalog)",
-    )
-    backpressure_parser.add_argument(
-        "--rps", type=float, default=2.0, help="Request rate per function (requests/second)"
-    )
-    backpressure_parser.add_argument(
-        "--duration-s", type=float, default=30.0, help="Traffic duration per scenario (seconds)"
-    )
-    backpressure_parser.add_argument(
         "--no-scheduler",
         action="store_true",
         help="Skip the co-simulated CPU-bandwidth scheduler engine",
-    )
-    backpressure_parser.add_argument(
-        "--feedback",
-        choices=("off", "on"),
-        default="off",
-        help=(
-            "Close the state loop: queued cold starts defer sandbox readiness, rejected "
-            "ones fail their requests, throttling stretches latency (default: off)"
-        ),
     )
     backpressure_parser.add_argument(
         "--retry",
@@ -437,26 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the retry_amplification column compares the twin rows"
         ),
     )
-    _add_tenancy_flags(backpressure_parser)
-    _add_sweep_execution_flags(backpressure_parser)
-    backpressure_parser.add_argument(
-        "--seed", type=int, default=2026, help="Base seed for per-run seeds"
-    )
-    backpressure_parser.add_argument("--output", help="Also write the result rows to this CSV path")
-    backpressure_parser.add_argument(
-        "--trace-out",
-        help=(
-            "Record the first grid point's request spans to this path "
-            "(.jsonl for span lines, else Chrome trace JSON); rows are unchanged"
-        ),
-    )
-    backpressure_parser.add_argument(
-        "--telemetry-out",
-        help="Record the first grid point's sampled time-series to this CSV; rows are unchanged",
-    )
-    backpressure_parser.add_argument(
-        "--format", choices=("text", "markdown"), default="text", help="Output table format"
-    )
+    _add_cluster_flags(backpressure_parser)
 
     worker_parser = subparsers.add_parser(
         "sweep-worker",
@@ -526,13 +469,6 @@ def _obs_first_point_extra(args: "argparse.Namespace"):
     return extra
 
 
-def _error_message(error: BaseException) -> str:
-    """Human-readable message (str() of a KeyError is the repr of its argument)."""
-    if isinstance(error, KeyError) and error.args:
-        return str(error.args[0])
-    return str(error)
-
-
 def _cmd_list() -> int:
     rows = [
         {"experiment": e.experiment_id, "title": e.title, "modules": e.modules}
@@ -548,7 +484,9 @@ def _cmd_run(experiment: str, output_format: str) -> int:
         try:
             rows = run_experiment(experiment_id)
         except KeyError as error:
-            print(_error_message(error), file=sys.stderr)
+            from repro.sim.backends import _error_text
+
+            print(_error_text(error), file=sys.stderr)
             return 2
         title = f"== {experiment_id}: {EXPERIMENTS[experiment_id].title} =="
         print(title)
@@ -621,8 +559,29 @@ def _cmd_trace_simulate(args: "argparse.Namespace") -> int:
     return 0
 
 
+def _run_and_print(
+    args: "argparse.Namespace", command: str, run: "Callable[[], ResultStore]"
+) -> int:
+    """Run a sweep, then print its rows as a table (and CSV with --output)."""
+    from repro.sim.backends import SweepPointError, _error_text
+
+    try:
+        store = run()
+    except (KeyError, ValueError, SweepPointError) as error:
+        print(_error_text(error), file=sys.stderr)
+        return 2
+    print(f"== {command}: {len(store)} scenarios (base seed {args.seed}) ==")
+    if args.format == "markdown":
+        print(to_markdown_table(store.rows))
+    else:
+        print(render_table(store.rows))
+    if args.output:
+        written = store.to_csv(args.output)
+        print(f"wrote {written} rows to {args.output}")
+    return 0
+
+
 def _cmd_sweep(args: "argparse.Namespace") -> int:
-    from repro.sim.backends import SweepPointError
     from repro.sim.sweep import build_grid, run_sweep
 
     platforms = [name.strip() for name in args.platforms.split(",") if name.strip()]
@@ -638,37 +597,85 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
     code = _compact_checkpoint_if_requested(args)
     if code is not None:
         return code
-    try:
-        scenarios = build_grid(
-            runner="repro.sim.sweep:platform_point",
-            axes={"platform": platforms, "workload": workloads, "rps": rates},
-            common={"duration_s": args.duration_s, "arrival_process": args.arrival_process},
-            base_seed=args.seed,
-        )
-        store = run_sweep(
+    scenarios = build_grid(
+        runner="repro.sim.sweep:platform_point",
+        axes={"platform": platforms, "workload": workloads, "rps": rates},
+        common={"duration_s": args.duration_s, "arrival_process": args.arrival_process},
+        base_seed=args.seed,
+    )
+    return _run_and_print(
+        args,
+        "sweep",
+        lambda: run_sweep(
             scenarios,
             processes=args.processes,
             ordered=not args.unordered,
             backend=args.backend,
             checkpoint=args.checkpoint,
-        )
-    except (KeyError, ValueError, SweepPointError) as error:
-        print(_error_message(error), file=sys.stderr)
+        ),
+    )
+
+
+def _run_cluster_grid(
+    args: "argparse.Namespace",
+    command: str,
+    sweep: "Callable[..., ResultStore]",
+    axes: Dict[str, List[object]],
+    common: Dict[str, object],
+    retry_on: bool,
+) -> int:
+    """The shared tail of the cluster and backpressure subcommands.
+
+    Adds the :func:`_add_cluster_flags` params to the command's own ``axes``
+    and ``common``, gates the tenancy axis, and runs ``sweep`` (a
+    ``*_sweep`` function of :mod:`repro.analysis`) with the execution flags.
+    """
+    items = [item.strip() for item in args.tenants.split(",") if item.strip()]
+    try:
+        tenants = [item if item == "off" else int(item) for item in items]
+    except ValueError:
+        print(f"invalid --tenants list: {args.tenants!r}", file=sys.stderr)
         return 2
-    print(f"== sweep: {len(scenarios)} scenarios (base seed {args.seed}) ==")
-    if args.format == "markdown":
-        print(to_markdown_table(store.rows))
-    else:
-        print(render_table(store.rows))
-    if args.output:
-        written = store.to_csv(args.output)
-        print(f"wrote {written} rows to {args.output}")
-    return 0
+    code = _compact_checkpoint_if_requested(args)
+    if code is not None:
+        return code
+    common.update(
+        platform=args.platform,
+        billing=args.billing,
+        rps_per_function=args.rps,
+        duration_s=args.duration_s,
+        feedback=args.feedback,
+    )
+    if tenants and tenants != ["off"]:
+        # Same gating contract as retry: the axis (and the tenant knobs) only
+        # exist when tenancy is requested, so default CSVs stay byte-identical.
+        axes["tenants"] = tenants
+        common.update(
+            tenant_credit_capacity=args.tenant_credit_capacity,
+            tenant_credit_refill_per_s=args.tenant_credit_refill_per_s,
+            tenant_on_exhausted=args.tenant_on_exhausted,
+        )
+        if args.tenant_slo_latency_s is not None:
+            common["tenant_slo_latency_s"] = args.tenant_slo_latency_s
+    _warn_inert_retry(args.feedback, retry_on)
+    return _run_and_print(
+        args,
+        command,
+        lambda: sweep(
+            axes=axes,
+            common=common,
+            base_seed=args.seed,
+            processes=args.processes,
+            ordered=not args.unordered,
+            first_point_extra=_obs_first_point_extra(args),
+            backend=args.backend,
+            checkpoint=args.checkpoint,
+        ),
+    )
 
 
 def _cmd_cluster(args: "argparse.Namespace") -> int:
     from repro.analysis.cluster_costs import cluster_cost_sweep
-    from repro.sim.backends import SweepPointError
 
     try:
         fleet_sizes = [int(value) for value in args.fleet_sizes.split(",") if value.strip()]
@@ -683,66 +690,26 @@ def _cmd_cluster(args: "argparse.Namespace") -> int:
     if not fleet_sizes or not policies or not keep_alive:
         print("cluster needs at least one fleet size, policy, and keep-alive value", file=sys.stderr)
         return 2
-    try:
-        tenants = _parse_tenants_axis(args.tenants)
-    except ValueError:
-        print(f"invalid --tenants list: {args.tenants!r}", file=sys.stderr)
-        return 2
-    code = _compact_checkpoint_if_requested(args)
-    if code is not None:
-        return code
-    common = {
-        "platform": args.platform,
-        "billing": args.billing,
-        "rps_per_function": args.rps,
-        "duration_s": args.duration_s,
+    common: Dict[str, object] = {
         "host_vcpus": args.host_vcpus,
         "host_memory_gb": args.host_memory_gb,
-        "feedback": args.feedback,
     }
     if args.retry != "off":
         # Only forward an active retry mode: without the param the rows (and
         # therefore default CSVs) stay byte-identical to the pre-retry CLI.
         common["retry"] = args.retry
-    axes = {
+    axes: Dict[str, List[object]] = {
         "num_functions": fleet_sizes,
         "placement_policy": policies,
         "keep_alive_s": keep_alive,
     }
-    if tenants and tenants != ["off"]:
-        # Same gating contract as retry: the axis (and the tenant knobs) only
-        # exist when tenancy is requested, so default CSVs stay byte-identical.
-        axes["tenants"] = tenants
-        common.update(_tenancy_common(args))
-    _warn_inert_retry(args.feedback, args.retry == "on")
-    try:
-        store = cluster_cost_sweep(
-            axes=axes,
-            common=common,
-            base_seed=args.seed,
-            processes=args.processes,
-            ordered=not args.unordered,
-            first_point_extra=_obs_first_point_extra(args),
-            backend=args.backend,
-            checkpoint=args.checkpoint,
-        )
-    except (KeyError, ValueError, SweepPointError) as error:
-        print(_error_message(error), file=sys.stderr)
-        return 2
-    print(f"== cluster: {len(store)} scenarios (base seed {args.seed}) ==")
-    if args.format == "markdown":
-        print(to_markdown_table(store.rows))
-    else:
-        print(render_table(store.rows))
-    if args.output:
-        written = store.to_csv(args.output)
-        print(f"wrote {written} rows to {args.output}")
-    return 0
+    return _run_cluster_grid(
+        args, "cluster", cluster_cost_sweep, axes, common, retry_on=args.retry == "on"
+    )
 
 
 def _cmd_backpressure(args: "argparse.Namespace") -> int:
     from repro.analysis.backpressure import backpressure_sweep
-    from repro.sim.backends import SweepPointError
 
     try:
         queue_depths = [int(value) for value in args.queue_depths.split(",") if value.strip()]
@@ -758,15 +725,7 @@ def _cmd_backpressure(args: "argparse.Namespace") -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        tenants = _parse_tenants_axis(args.tenants)
-    except ValueError:
-        print(f"invalid --tenants list: {args.tenants!r}", file=sys.stderr)
-        return 2
-    code = _compact_checkpoint_if_requested(args)
-    if code is not None:
-        return code
-    axes = {
+    axes: Dict[str, List[object]] = {
         "queue_depth": queue_depths,
         "placement_policy": policies,
         "heterogeneity": heterogeneity,
@@ -779,42 +738,11 @@ def _cmd_backpressure(args: "argparse.Namespace") -> int:
         "queue_discipline": args.queue_discipline,
         "max_hosts": args.max_hosts,
         "num_functions": args.num_functions,
-        "platform": args.platform,
-        "billing": args.billing,
-        "rps_per_function": args.rps,
-        "duration_s": args.duration_s,
         "with_scheduler": not args.no_scheduler,
-        "feedback": args.feedback,
     }
-    if tenants and tenants != ["off"]:
-        # Same gating contract as retry: the axis (and the tenant knobs) only
-        # exist when tenancy is requested, so default CSVs stay byte-identical.
-        axes["tenants"] = tenants
-        common.update(_tenancy_common(args))
-    _warn_inert_retry(args.feedback, "on" in retries)
-    try:
-        store = backpressure_sweep(
-            axes=axes,
-            common=common,
-            base_seed=args.seed,
-            processes=args.processes,
-            ordered=not args.unordered,
-            first_point_extra=_obs_first_point_extra(args),
-            backend=args.backend,
-            checkpoint=args.checkpoint,
-        )
-    except (KeyError, ValueError, SweepPointError) as error:
-        print(_error_message(error), file=sys.stderr)
-        return 2
-    print(f"== backpressure: {len(store)} scenarios (base seed {args.seed}) ==")
-    if args.format == "markdown":
-        print(to_markdown_table(store.rows))
-    else:
-        print(render_table(store.rows))
-    if args.output:
-        written = store.to_csv(args.output)
-        print(f"wrote {written} rows to {args.output}")
-    return 0
+    return _run_cluster_grid(
+        args, "backpressure", backpressure_sweep, axes, common, retry_on="on" in retries
+    )
 
 
 def _cmd_sweep_worker(args: "argparse.Namespace") -> int:

@@ -71,8 +71,9 @@ _OBS_PARAM_KEYS = ("trace_out", "telemetry_out", "profile_out")
 def obs_from_params(params) -> Optional["Observability"]:
     """An :class:`Observability` when a grid point asked for artifacts.
 
-    Shared by the analysis sweep runners: a point carrying any of
-    ``trace_out`` / ``telemetry_out`` / ``profile_out`` gets the layer
+    Read by the one cluster scenario builder,
+    :func:`repro.analysis.scenario.run_cluster_scenario`: a point carrying
+    any of ``trace_out`` / ``telemetry_out`` / ``profile_out`` gets the layer
     attached; all other points (and every pre-obs grid) return ``None`` and
     take the untouched path.
     """

@@ -33,8 +33,8 @@ scheduler (`repro.sched.engine`) into one reusable layer:
   structured result store the rows land in.
 - :mod:`repro.sim.backends` / :mod:`repro.sim.checkpoint` -- the sweep
   execution seam (:class:`~repro.sim.backends.SweepBackend`: in-process
-  serial, multiprocessing pool, ``concurrent.futures`` executor, or a
-  multi-node TCP work queue served to ``sweep-worker`` processes) and the
+  serial, multiprocessing pool, or a multi-node TCP work queue served to
+  ``sweep-worker`` processes) and the
   append-only JSONL checkpoint journal that makes 10k+-point grids
   kill/resume-safe.  Every backend yields byte-identical results because
   rows are reassembled by grid index from per-point derived seeds.
@@ -46,7 +46,6 @@ scenario runners.
 """
 
 from repro.sim.backends import (
-    FuturesBackend,
     MultiprocessingBackend,
     PointOutcome,
     SerialBackend,
@@ -89,7 +88,6 @@ __all__ = [
     "Event",
     "EventBus",
     "FeedbackChannel",
-    "FuturesBackend",
     "InstanceCountChanged",
     "KeepAliveExpired",
     "MultiprocessingBackend",

@@ -16,9 +16,6 @@ Backends:
 - ``multiprocessing`` -- ``multiprocessing.Pool`` fan-out (the historical
   default for ``processes>1``): ``imap`` when ordered, ``imap_unordered``
   work-stealing otherwise.
-- ``futures`` -- ``concurrent.futures.ProcessPoolExecutor``; every point is
-  its own submitted task, so scheduling is work-stealing either way and
-  ``ordered`` only changes the order results stream back.
 - ``socket-queue`` -- a stdlib TCP work-queue server for multi-node sweeps:
   remote workers started with ``repro-serverless-costs sweep-worker
   --connect host:port`` pull pickled ``(index, Scenario)`` items and push
@@ -48,7 +45,6 @@ import struct
 import threading
 import time
 import traceback
-from concurrent import futures as _futures
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -68,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 __all__ = [
     "BACKEND_NAMES",
-    "FuturesBackend",
     "MultiprocessingBackend",
     "PointOutcome",
     "SerialBackend",
@@ -85,7 +80,7 @@ Rows = List[Dict[str, object]]
 
 #: The backend names :func:`resolve_backend` accepts (socket-queue also takes
 #: an optional ``[:host]:port`` suffix).
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "multiprocessing", "futures", "socket-queue")
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "multiprocessing", "socket-queue")
 
 
 class SweepPointError(RuntimeError):
@@ -220,33 +215,6 @@ class MultiprocessingBackend:
             mapper = pool.imap if ordered else pool.imap_unordered
             for outcome in mapper(execute_point, items, chunksize=1):
                 yield outcome
-
-
-class FuturesBackend:
-    """``concurrent.futures.ProcessPoolExecutor`` fan-out.
-
-    Every point is its own submitted task, so workers steal naturally;
-    ``ordered`` only changes whether results stream back in submission order
-    or completion order, never their content.
-    """
-
-    name = "futures"
-
-    def __init__(self, processes: Optional[int] = None) -> None:
-        self.processes = _normalize_processes(processes)
-
-    def run(self, items: Iterable[WorkItem], ordered: bool = True) -> Iterator[PointOutcome]:
-        items = list(items)
-        if not items:
-            return
-        with _futures.ProcessPoolExecutor(max_workers=min(self.processes, len(items))) as pool:
-            pending = [pool.submit(execute_point, item) for item in items]
-            try:
-                for future in pending if ordered else _futures.as_completed(pending):
-                    yield future.result()
-            finally:
-                for future in pending:
-                    future.cancel()
 
 
 # ----------------------------------------------------------------------
@@ -476,10 +444,10 @@ def resolve_backend(
     serial when ``processes`` is unset/``<=1`` or the grid has at most one
     point, the multiprocessing pool otherwise (``-1`` = every core).
 
-    String specs: ``"serial"``, ``"multiprocessing"``, ``"futures"``,
-    ``"socket-queue"`` (ephemeral port on localhost), ``"socket-queue:PORT"``
-    (all interfaces) or ``"socket-queue:HOST:PORT"`` to choose the bind
-    address workers connect to.  ``announce`` is called with the socket
+    String specs: ``"serial"``, ``"multiprocessing"``, ``"socket-queue"``
+    (ephemeral port on localhost), ``"socket-queue:PORT"`` (all interfaces)
+    or ``"socket-queue:HOST:PORT"`` to choose the bind address workers
+    connect to.  ``announce`` is called with the socket
     server's listening address once the sweep starts.
     """
     if backend is None:
@@ -496,8 +464,6 @@ def resolve_backend(
         return SerialBackend()
     if name == "multiprocessing":
         return MultiprocessingBackend(processes)
-    if name == "futures":
-        return FuturesBackend(processes)
     if name == "socket-queue":
         host, port = "127.0.0.1", 0
         if spec:

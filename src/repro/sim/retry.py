@@ -52,8 +52,8 @@ def resolve_retry(
 ) -> Tuple[Optional[str], Optional["RetryPolicy"]]:
     """One sweep grid point's (retry mode, policy) pair.
 
-    Shared by the analysis sweep runners (``cluster_point``,
-    ``backpressure_point``).  The mode is ``None`` when the ``retry`` param
+    Read by the one cluster scenario builder,
+    :func:`repro.analysis.scenario.run_cluster_scenario`.  The mode is ``None`` when the ``retry`` param
     is absent -- deliberately distinct from ``"off"``, so pre-retry grids
     keep producing byte-identical rows (no ``retry`` column at all); the
     policy is non-``None`` only for ``"on"`` (built from the point's

@@ -4,12 +4,11 @@ A *scenario* is one fully specified simulation run: a picklable reference to
 a top-level runner function (``"package.module:function"``), a parameter
 mapping, and a seed.  The orchestrator fans a list of scenarios out across a
 pluggable execution backend (:mod:`repro.sim.backends`: in-process serial, a
-``multiprocessing`` pool, a ``concurrent.futures`` executor, or a multi-node
-TCP work queue) and collects the returned rows -- always reassembled into
-scenario order, so every backend produces identical
-:class:`~repro.sim.results.ResultStore` contents.  Completed points can be
-journaled to a checkpoint (:mod:`repro.sim.checkpoint`) as they finish and
-skipped on resume, so huge grids survive mid-sweep failures.
+``multiprocessing`` pool, or a multi-node TCP work queue) and collects the
+returned rows -- always reassembled into scenario order, so every backend
+produces identical :class:`~repro.sim.results.ResultStore` contents.
+Completed points can be journaled to a checkpoint (:mod:`repro.sim.checkpoint`)
+as they finish and skipped on resume, so huge grids survive mid-sweep failures.
 
 Seeding: :func:`build_grid` derives every scenario's seed from one base seed
 and the scenario's identity via :func:`repro.sim.rng.derive_seed`, so a sweep
@@ -141,14 +140,6 @@ def build_grid(
     return scenarios
 
 
-def _run_indexed_scenario(
-    indexed: "Tuple[int, Scenario]",
-) -> "Tuple[int, List[Dict[str, object]]]":
-    """Index-tagging worker shim (legacy; backends now return full outcomes)."""
-    index, scenario = indexed
-    return index, run_scenario(scenario)
-
-
 def run_sweep(
     scenarios: Sequence[Scenario],
     processes: Optional[int] = None,
@@ -164,7 +155,7 @@ def run_sweep(
     ``processes=None``/``0``/``1`` runs sequentially in-process,
     ``processes=N`` fans out over a multiprocessing pool of N workers, and
     ``processes=-1`` uses every available core.  ``backend`` may also be a
-    name/spec string (``"serial"``, ``"multiprocessing"``, ``"futures"``, or
+    name/spec string (``"serial"``, ``"multiprocessing"``, or
     ``"socket-queue[:host]:port"`` -- a TCP work-queue server that remote
     ``repro-serverless-costs sweep-worker`` processes connect to) or any
     object implementing :class:`~repro.sim.backends.SweepBackend`.  Results

@@ -104,8 +104,8 @@ def resolve_tenants(
 ) -> Tuple[Optional[Union[int, str]], Optional[List[TenantConfig]]]:
     """One sweep grid point's (tenants mode, tenant configs) pair.
 
-    Shared by the analysis sweep runners (``cluster_point``,
-    ``backpressure_point``) and the CLI.  The mode is ``None`` when the
+    Read by the one cluster scenario builder,
+    :func:`repro.analysis.scenario.run_cluster_scenario`.  The mode is ``None`` when the
     ``tenants`` param is absent -- deliberately distinct from ``"off"``, so
     pre-tenancy grids keep producing byte-identical rows (no ``tenants``
     column at all).  An integer count ``N >= 1`` builds ``N`` identical

@@ -184,13 +184,6 @@ class TestWorkStealingSweep:
         # not change results there either.
         assert run_sweep(heterogeneous_grid, ordered=False) == run_sweep(heterogeneous_grid)
 
-    def test_worker_shim_tags_results_with_the_grid_index(self, heterogeneous_grid):
-        from repro.sim.sweep import _run_indexed_scenario, run_scenario
-
-        index, rows = _run_indexed_scenario((3, heterogeneous_grid[3]))
-        assert index == 3
-        assert rows == run_scenario(heterogeneous_grid[3])
-
 
 class TestResultStore:
     @pytest.fixture()

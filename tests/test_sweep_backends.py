@@ -1,7 +1,7 @@
 """Tests for pluggable sweep backends, checkpoint/resume, and the sweep-layer bugfixes.
 
-The tentpole invariant: every backend (serial, multiprocessing pool, futures
-executor, multi-node socket queue) produces *byte-identical* sweep CSVs, in
+The tentpole invariant: every backend (serial, multiprocessing pool,
+multi-node socket queue) produces *byte-identical* sweep CSVs, in
 ordered and work-stealing mode, across kill/resume boundaries, because each
 scenario is self-contained (runner path + params + derived seed) and the
 sweep layer reassembles rows by grid index.
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.cli import build_parser, main
 from repro.sim.backends import (
     BACKEND_NAMES,
-    FuturesBackend,
     MultiprocessingBackend,
     PointOutcome,
     SerialBackend,
@@ -136,7 +135,7 @@ class TestBackendEquivalence:
         store = run_sweep(_grid(), backend="serial")
         return _csv_bytes(store, tmp_path_factory.mktemp("ref") / "ref.csv")
 
-    @pytest.mark.parametrize("backend", ["serial", "multiprocessing", "futures"])
+    @pytest.mark.parametrize("backend", ["serial", "multiprocessing"])
     @pytest.mark.parametrize("ordered", [True, False])
     def test_in_process_backends_byte_identical(self, backend, ordered, reference_bytes, tmp_path):
         store = run_sweep(_grid(), backend=backend, processes=2, ordered=ordered)
@@ -157,16 +156,16 @@ class TestBackendEquivalence:
         assert _csv_bytes(store, tmp_path / "sq.csv") == reference_bytes
 
     def test_explicit_backend_instances_byte_identical(self, reference_bytes, tmp_path):
-        for backend in (SerialBackend(), MultiprocessingBackend(2), FuturesBackend(2)):
+        for backend in (SerialBackend(), MultiprocessingBackend(2)):
             store = run_sweep(_grid(), backend=backend)
             assert _csv_bytes(store, tmp_path / f"{backend.name}.csv") == reference_bytes
 
     @given(rates=st.lists(st.integers(1, 4).map(float), min_size=1, max_size=3, unique=True))
     @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_property_serial_equals_workstealing_futures(self, rates, tmp_path_factory):
+    def test_property_serial_equals_workstealing_pool(self, rates, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("prop")
         serial = run_sweep(_grid(rates), backend="serial")
-        stolen = run_sweep(_grid(rates), backend="futures", processes=2, ordered=False)
+        stolen = run_sweep(_grid(rates), backend="multiprocessing", processes=2, ordered=False)
         assert _csv_bytes(serial, tmp / "a.csv") == _csv_bytes(stolen, tmp / "b.csv")
 
 
@@ -274,9 +273,7 @@ class TestBackendResolution:
     def test_backend_names_resolve(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert isinstance(resolve_backend("multiprocessing", processes=3), MultiprocessingBackend)
-        futures = resolve_backend("futures", processes=3)
-        assert isinstance(futures, FuturesBackend)
-        assert futures.processes == 3
+        assert resolve_backend("multiprocessing", processes=3).processes == 3
 
     def test_socket_queue_specs(self):
         default = resolve_backend("socket-queue")
@@ -299,6 +296,9 @@ class TestBackendResolution:
     def test_unknown_and_malformed_specs_raise(self):
         with pytest.raises(ValueError, match="unknown sweep backend"):
             resolve_backend("nope")
+        # The concurrent.futures backend was folded into the multiprocessing pool.
+        with pytest.raises(ValueError, match="unknown sweep backend 'futures'"):
+            resolve_backend("futures")
         with pytest.raises(ValueError, match="socket-queue port"):
             resolve_backend("socket-queue:not-a-port")
         for name in BACKEND_NAMES:
@@ -511,16 +511,11 @@ class TestCliParity:
 
     def test_cli_backends_write_byte_identical_csvs(self, tmp_path):
         serial = tmp_path / "serial.csv"
-        futures = tmp_path / "futures.csv"
+        pooled = tmp_path / "pooled.csv"
         assert main(_CLI_SWEEP + ["--output", str(serial)]) == 0
-        assert (
-            main(
-                _CLI_SWEEP
-                + ["--backend", "futures", "--processes", "2", "--unordered", "--output", str(futures)]
-            )
-            == 0
-        )
-        assert serial.read_bytes() == futures.read_bytes()
+        pool_flags = ["--backend", "multiprocessing", "--processes", "2", "--unordered"]
+        assert main(_CLI_SWEEP + pool_flags + ["--output", str(pooled)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_cli_checkpoint_resume(self, tmp_path, capsys):
         journal = tmp_path / "sweep.jsonl"
