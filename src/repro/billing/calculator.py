@@ -22,10 +22,10 @@ Platform-specific allocation mapping follows the paper's methodology:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.billing.catalog import PlatformName, get_billing_model
-from repro.billing.models import BillableTime, BillingModel, Invoice
+from repro.billing.models import BillingModel, BillRow, Invoice, billable_quantities
 from repro.billing.pricing import VCPU_EQUIVALENT_MEMORY_GB
 from repro.billing.units import ResourceKind
 from repro.traces.schema import RequestRecord
@@ -131,55 +131,70 @@ class BillingCalculator:
     # Billable resources and invoices
     # ------------------------------------------------------------------
 
-    def billable_resources(self, inputs: InvocationBillingInput) -> Dict[ResourceKind, float]:
-        """Billable vCPU-seconds / GB-seconds for one invocation on this platform.
+    def compile(
+        self, inputs: InvocationBillingInput, include_invocation_fee: bool = True
+    ) -> Callable[..., Tuple[List[BillRow], float, float]]:
+        """This platform's Equation 1 for one invocation's allocations and usages.
 
-        For memory-based-billing platforms the billable *CPU* time is reported
-        as the vCPU allocation implied by the billed memory multiplied by the
-        billable duration, matching the paper's treatment ("CPU pricing is
-        usually embedded for platforms with memory-based billing; therefore, we
-        include billable vCPU time for AWS").
+        Returns ``price(execution_s, init_s, instance_s) -> (rows, billable_cpu,
+        billable_memory)``: the model's :meth:`BillingModel.compile` rows for
+        those durations (by default the ones in ``inputs``) and the billable
+        vCPU-seconds and GB-seconds.  For memory-based-billing platforms the
+        billable *CPU* time is the vCPU allocation implied by the billed memory
+        times the billable duration, matching the paper's treatment ("CPU
+        pricing is usually embedded for platforms with memory-based billing;
+        therefore, we include billable vCPU time for AWS").
         """
+        model = self.model
         allocations = self.effective_allocations(inputs)
-        usages = self.effective_usages(inputs)
-        billable = self.model.billable_resources(
-            execution_s=inputs.execution_s,
-            allocations=allocations,
-            usages=usages,
-            init_s=inputs.init_s,
-            instance_s=inputs.instance_s,
-            cpu_time_s=inputs.used_cpu_seconds,
-        )
-        out = dict(billable)
-        if ResourceKind.CPU not in out and self.model.cpu_embedded_in_memory:
-            billable_time = self.model.billable_seconds(
-                execution_s=inputs.execution_s,
-                init_s=inputs.init_s,
-                instance_s=inputs.instance_s,
-                cpu_time_s=inputs.used_cpu_seconds,
-            )
-            out[ResourceKind.CPU] = allocations[ResourceKind.CPU] * billable_time
-        return out
+        rows_at = model.compile(allocations, self.effective_usages(inputs), include_invocation_fee)
+        embedded_cpu = None  # the CPU share of the billed memory, when CPU is not billed
+        if model.cpu_embedded_in_memory and all(
+            r.kind is not ResourceKind.CPU
+            for r in (*model.allocation_resources, *model.usage_resources)
+        ):
+            embedded_cpu = allocations[ResourceKind.CPU]
+        cpu_time_s = inputs.used_cpu_seconds
+        billable_seconds = model.billable_seconds
+        cpu_kind, memory_kind = ResourceKind.CPU, ResourceKind.MEMORY
+
+        def price(
+            execution_s: float = inputs.execution_s,
+            init_s: float = inputs.init_s,
+            instance_s: Optional[float] = inputs.instance_s,
+        ) -> Tuple[List[BillRow], float, float]:
+            billable_time = billable_seconds(execution_s, init_s, instance_s, cpu_time_s)
+            rows = rows_at(billable_time)
+            cpu = memory = 0.0
+            for _, kind, quantity, _, _ in rows:
+                if kind is cpu_kind:
+                    cpu += quantity
+                elif kind is memory_kind:
+                    memory += quantity
+            if embedded_cpu is not None:
+                cpu = embedded_cpu * billable_time
+            return rows, cpu, memory
+
+        return price
+
+    def billable_resources(self, inputs: InvocationBillingInput) -> Dict[ResourceKind, float]:
+        """Billable vCPU-seconds / GB-seconds (and any other billed kind) for one invocation."""
+        rows, cpu, _ = self.compile(inputs, include_invocation_fee=False)()
+        billable = billable_quantities(rows)
+        if self.model.cpu_embedded_in_memory:
+            billable.setdefault(ResourceKind.CPU, cpu)
+        return billable
 
     def bill(self, inputs: InvocationBillingInput, include_invocation_fee: bool = True) -> BilledInvocation:
         """Bill one invocation: billable resources plus the monetary invoice."""
-        billable = self.billable_resources(inputs)
-        invoice = self.model.invoice(
-            execution_s=inputs.execution_s,
-            allocations=self.effective_allocations(inputs),
-            usages=self.effective_usages(inputs),
-            init_s=inputs.init_s,
-            instance_s=inputs.instance_s,
-            cpu_time_s=inputs.used_cpu_seconds,
-            include_invocation_fee=include_invocation_fee,
-        )
+        rows, cpu, memory = self.compile(inputs, include_invocation_fee)()
         return BilledInvocation(
             platform=self.model.platform,
-            billable_cpu_seconds=billable.get(ResourceKind.CPU, 0.0),
-            billable_memory_gb_seconds=billable.get(ResourceKind.MEMORY, 0.0),
+            billable_cpu_seconds=cpu,
+            billable_memory_gb_seconds=memory,
             actual_cpu_seconds=inputs.used_cpu_seconds,
             actual_memory_gb_seconds=inputs.used_memory_gb * inputs.execution_s,
-            invoice=invoice,
+            invoice=Invoice.from_rows(self.model.platform, rows),
         )
 
     def bill_request(self, record: RequestRecord, include_invocation_fee: bool = True) -> BilledInvocation:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.billing.calculator import BillingCalculator, InvocationBillingInput
 from repro.billing.catalog import PlatformName
-from repro.billing.units import ResourceKind
+from repro.billing.units import ResourceKind, fold
 from repro.traces.schema import RequestRecord, Trace
 
 __all__ = ["InflationResult", "InflationAnalyzer", "FIGURE2_PLATFORMS"]
@@ -54,18 +54,18 @@ class InflationResult:
     @property
     def aggregate_cpu_inflation(self) -> float:
         """Total billable over total actual vCPU-seconds (trace-level aggregate)."""
-        total_actual = sum(self.actual_cpu_seconds)
+        total_actual = fold(self.actual_cpu_seconds)
         if total_actual <= 0:
             return float("nan")
-        return sum(self.billable_cpu_seconds) / total_actual
+        return fold(self.billable_cpu_seconds) / total_actual
 
     @property
     def aggregate_memory_inflation(self) -> float:
         """Total billable over total actual GB-seconds (trace-level aggregate)."""
-        total_actual = sum(self.actual_memory_gb_seconds)
+        total_actual = fold(self.actual_memory_gb_seconds)
         if total_actual <= 0:
             return float("nan")
-        return sum(self.billable_memory_gb_seconds) / total_actual
+        return fold(self.billable_memory_gb_seconds) / total_actual
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -9,7 +9,9 @@ GB-seconds and money incrementally through the very same
 :class:`BillingCalculator`, so the live and batch paths agree exactly -- the
 equivalence the cluster co-simulation relies on (and a test asserts) is that
 metering a trace live through the bus produces the identical invoice to
-billing the trace in batch.
+billing the trace in batch.  Simulator outcomes, trace records and instance
+lifespans are all priced by the same compiled Equation 1
+(:meth:`~repro.billing.models.BillingModel.compile`).
 
 Two billing families are handled:
 
@@ -53,8 +55,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.billing.calculator import BilledInvocation, BillingCalculator, InvocationBillingInput
-from repro.billing.models import BillableTime, BillingModel
-from repro.billing.units import ResourceKind, apply_minimum, round_up
+from repro.billing.models import FEE_LABEL, BillableTime, BillingModel, billable_quantities
+from repro.billing.units import ResourceKind, fold
 from repro.sim.events import (
     EventBus,
     RequestCompleted,
@@ -195,135 +197,13 @@ class CostMeter:
 
     def attach(self, bus: EventBus, resources: Optional[RequestResources] = None) -> "CostMeter":
         """Subscribe to a bus; ``resources`` fills in what outcomes don't carry."""
-        bus.subscribe(RequestCompleted, self._request_subscriber(resources))
+        prices: Dict[Optional[str], Callable] = {}  # this bus's compiled Equation 1
+        bus.subscribe(RequestCompleted, lambda event: self._meter(event.outcome, resources, prices))
         bus.subscribe(SandboxColdStart, self._on_cold_start)
         bus.subscribe(SandboxBusy, self._on_busy)
         bus.subscribe(SandboxIdle, self._on_idle)
         bus.subscribe(SandboxTerminated, self._on_terminated)
         return self
-
-    def _request_subscriber(self, resources: Optional[RequestResources]):
-        """The ``RequestCompleted`` callback for one bus.
-
-        With a fixed :class:`RequestResources` context, flat pricing and a
-        request-billed model -- the shape of every simulator run -- the only
-        per-request variables in Equation 1 are the billable duration and the
-        cold-start flag: allocations, usage quantities and the invocation fee
-        are per-function constants.  This compiles those constants once and
-        folds each outcome with a handful of multiply-adds instead of building
-        an ``InvocationBillingInput`` -> ``Invoice`` -> ``BilledInvocation``
-        object chain per request.  The arithmetic (operation order included)
-        mirrors :meth:`meter_request` exactly, so the running totals are
-        float-identical to the generic path -- which remains the fallback for
-        trace-record payloads, instance billing and zone multipliers.
-        """
-        if resources is None or self._instance_billed or self._price_class_multipliers is not None:
-            return lambda event: self.meter_outcome(event.outcome, resources)
-        calculator = self.calculator
-        model = calculator.model
-        probe = InvocationBillingInput(
-            execution_s=0.0,
-            init_s=0.0,
-            alloc_vcpus=resources.alloc_vcpus,
-            alloc_memory_gb=resources.alloc_memory_gb,
-            used_cpu_seconds=resources.used_cpu_seconds,
-            used_memory_gb=resources.used_memory_gb,
-        )
-        allocations = calculator.effective_allocations(probe)
-        usages = calculator.effective_usages(probe)
-        # Pre-rounded amounts, in the order the generic path iterates them:
-        # allocation-billed resources scale with billable time; usage-billed
-        # quantities are constant outright.
-        alloc_terms = []
-        for resource in model.allocation_resources:
-            amount = (
-                usages.get(resource.kind, 0.0)
-                if resource.use_consumption
-                else allocations.get(resource.kind, 0.0)
-            )
-            alloc_terms.append(
-                (resource.kind, resource.billable_amount(amount), resource.unit_price)
-            )
-        usage_terms = [
-            (resource.kind, resource.billable_amount(usages.get(resource.kind, 0.0)),
-             resource.unit_price)
-            for resource in model.usage_resources
-        ]
-        fee_charge = (
-            model.invocation_fee
-            if self.include_invocation_fee and model.invocation_fee > 0
-            else 0.0
-        )
-        cpu_billed_directly = any(
-            kind is ResourceKind.CPU for kind, _, _ in alloc_terms + usage_terms
-        )
-        embedded_cpu_alloc = (
-            allocations.get(ResourceKind.CPU, 0.0)
-            if model.cpu_embedded_in_memory and not cpu_billed_directly
-            else None
-        )
-        billable_time_kind = model.billable_time
-        time_granularity_s = model.time_granularity_s
-        minimum_time_s = model.minimum_time_s
-        used_cpu_seconds = resources.used_cpu_seconds
-        used_memory_gb = resources.used_memory_gb
-        kind_cpu = ResourceKind.CPU
-        kind_memory = ResourceKind.MEMORY
-        by_attempt = self.cost_usd_by_attempt
-        by_class = self.cost_usd_by_class
-        by_tenant = self.cost_usd_by_tenant
-
-        def on_completed(event: RequestCompleted) -> None:
-            outcome = event.outcome
-            execution_s = getattr(outcome, "execution_duration_s", None)
-            if execution_s is None or isinstance(outcome, RequestRecord):
-                self.meter_outcome(outcome, resources)
-                return
-            if billable_time_kind is BillableTime.EXECUTION:
-                raw = execution_s
-            elif billable_time_kind is BillableTime.TURNAROUND:
-                raw = execution_s + float(getattr(outcome, "init_duration_s", 0.0))
-            else:  # CPU_TIME (INSTANCE models never compile this path)
-                raw = used_cpu_seconds
-            billable_time = apply_minimum(round_up(raw, time_granularity_s), minimum_time_s)
-            total = 0.0
-            billable_cpu = 0.0
-            billable_memory = 0.0
-            for kind, rounded, unit_price in alloc_terms:
-                quantity = rounded * billable_time
-                total += quantity * unit_price
-                if kind is kind_cpu:
-                    billable_cpu += quantity
-                elif kind is kind_memory:
-                    billable_memory += quantity
-            for kind, quantity, unit_price in usage_terms:
-                total += quantity * unit_price
-                if kind is kind_cpu:
-                    billable_cpu += quantity
-                elif kind is kind_memory:
-                    billable_memory += quantity
-            if embedded_cpu_alloc is not None:
-                billable_cpu = embedded_cpu_alloc * billable_time
-            total += fee_charge
-            price_class = self._resolve_price_class(str(getattr(outcome, "sandbox_name", "")))
-            attempts = int(getattr(outcome, "attempts", 1))
-            self.num_requests += 1
-            if getattr(outcome, "cold_start", False):
-                self.num_cold_starts += 1
-            bucket = price_class if price_class is not None else "standard"
-            by_class[bucket] = by_class.get(bucket, 0.0) + total
-            self.cost_usd += total
-            by_attempt[attempts] = by_attempt.get(attempts, 0.0) + total
-            tenant = getattr(outcome, "tenant", "")
-            if tenant:
-                by_tenant[tenant] = by_tenant.get(tenant, 0.0) + total
-            self.billable_cpu_seconds += billable_cpu
-            self.billable_memory_gb_seconds += billable_memory
-            self.actual_cpu_seconds += used_cpu_seconds
-            self.actual_memory_gb_seconds += used_memory_gb * execution_s
-            self.invocation_fee_usd += fee_charge
-
-        return on_completed
 
     def attach_admissions(self, bus: EventBus) -> "CostMeter":
         """Start instance lifespans at fleet *admission* instead of cold start.
@@ -378,6 +258,25 @@ class CostMeter:
         self.cost_usd_by_class[bucket] = self.cost_usd_by_class.get(bucket, 0.0) + amount_usd
         self.cost_usd += amount_usd
 
+    def _book(
+        self, total: float, fee: float, billable_cpu: float, billable_memory: float,
+        actual_cpu: float, actual_memory: float, cold_start: bool, price_class: Optional[str],
+        attempts: int, tenant: str,
+    ) -> None:
+        """Fold one billed request into the running totals and their buckets."""
+        self.num_requests += 1
+        if cold_start:
+            self.num_cold_starts += 1
+        self._add_cost(price_class, total)
+        self.cost_usd_by_attempt[attempts] = self.cost_usd_by_attempt.get(attempts, 0.0) + total
+        if tenant:
+            self.cost_usd_by_tenant[tenant] = self.cost_usd_by_tenant.get(tenant, 0.0) + total
+        self.billable_cpu_seconds += billable_cpu
+        self.billable_memory_gb_seconds += billable_memory
+        self.actual_cpu_seconds += actual_cpu
+        self.actual_memory_gb_seconds += actual_memory
+        self.invocation_fee_usd += fee
+
     def _calculator_for(self, price_class: Optional[str]) -> BillingCalculator:
         """The per-price-class calculator (the base one when pricing is flat).
 
@@ -409,28 +308,24 @@ class CostMeter:
         tenant: str = "",
     ) -> BilledInvocation:
         """Bill one invocation (at its zone's price class) into the running totals."""
-        calculator = self._calculator_for(price_class)
-        billed = calculator.bill(inputs, include_invocation_fee=self.include_invocation_fee)
-        self.num_requests += 1
-        if cold_start:
-            self.num_cold_starts += 1
-        self._add_cost(price_class, billed.invoice.total)
-        self.cost_usd_by_attempt[attempts] = (
-            self.cost_usd_by_attempt.get(attempts, 0.0) + billed.invoice.total
-        )
-        if tenant:
-            self.cost_usd_by_tenant[tenant] = (
-                self.cost_usd_by_tenant.get(tenant, 0.0) + billed.invoice.total
-            )
-        self.billable_cpu_seconds += billed.billable_cpu_seconds
-        self.billable_memory_gb_seconds += billed.billable_memory_gb_seconds
-        self.actual_cpu_seconds += billed.actual_cpu_seconds
-        self.actual_memory_gb_seconds += billed.actual_memory_gb_seconds
-        self.invocation_fee_usd += billed.invoice.charge_for("invocation_fee")
+        billed = self._calculator_for(price_class).bill(inputs, self.include_invocation_fee)
+        invoice = billed.invoice
+        self._book(invoice.total, invoice.charge_for(FEE_LABEL), billed.billable_cpu_seconds,
+                   billed.billable_memory_gb_seconds, billed.actual_cpu_seconds,
+                   billed.actual_memory_gb_seconds, cold_start, price_class, attempts, tenant)
         return billed
 
     def meter_outcome(self, outcome: object, resources: Optional[RequestResources] = None) -> None:
         """Meter a ``RequestCompleted`` payload: a trace record or a simulator outcome."""
+        self._meter(outcome, resources, {})
+
+    def _meter(self, outcome: object, resources: Optional[RequestResources],
+               prices: Dict[Optional[str], Callable]) -> None:
+        """:meth:`meter_outcome`, reusing ``prices``: Equation 1 compiled per price class.
+
+        With a fixed ``resources`` context only the durations vary from one
+        simulator outcome to the next, so each bus compiles once per class.
+        """
         is_record = isinstance(outcome, RequestRecord)
         execution_s = getattr(outcome, "execution_duration_s", None)
         if not is_record and execution_s is None:
@@ -461,20 +356,22 @@ class CostMeter:
                 "metering simulator outcomes needs a RequestResources context "
                 "(allocations and per-request usage are not part of the outcome)"
             )
-        self.meter_request(
-            InvocationBillingInput(
-                execution_s=float(execution_s),
-                init_s=float(getattr(outcome, "init_duration_s", 0.0)),
-                alloc_vcpus=resources.alloc_vcpus,
-                alloc_memory_gb=resources.alloc_memory_gb,
-                used_cpu_seconds=resources.used_cpu_seconds,
-                used_memory_gb=resources.used_memory_gb,
-            ),
-            cold,
-            price_class,
-            attempts,
-            tenant,
-        )
+        price = prices.get(price_class)
+        if price is None:
+            price = prices[price_class] = self._calculator_for(price_class).compile(
+                InvocationBillingInput(0.0, 0.0, resources.alloc_vcpus, resources.alloc_memory_gb,
+                                       resources.used_cpu_seconds, resources.used_memory_gb),
+                self.include_invocation_fee,
+            )
+        execution_s = float(execution_s)
+        rows, cpu, memory = price(execution_s, float(getattr(outcome, "init_duration_s", 0.0)))
+        total = fee = 0.0  # Invoice.total and charge_for(FEE_LABEL), without the invoice
+        for label, _, _, _, charge in rows:
+            total += charge
+            if label == FEE_LABEL:
+                fee += charge
+        self._book(total, fee, cpu, memory, resources.used_cpu_seconds,
+                   resources.used_memory_gb * execution_s, cold, price_class, attempts, tenant)
 
     # ------------------------------------------------------------------
     # Instance metering (sandbox lifecycle events)
@@ -532,25 +429,15 @@ class CostMeter:
             # (the meter closes instances before the fleet releases capacity).
             price_class = self._resolve_price_class(name)
             model = self._calculator_for(price_class).model
-            invoice = model.invoice(
-                execution_s=0.0,
-                allocations={
-                    ResourceKind.CPU: instance.alloc_vcpus,
-                    ResourceKind.MEMORY: instance.alloc_memory_gb,
-                },
-                usages={},
-                instance_s=lifespan,
-                include_invocation_fee=False,
+            allocations = {
+                ResourceKind.CPU: instance.alloc_vcpus,
+                ResourceKind.MEMORY: instance.alloc_memory_gb,
+            }
+            rows = model.compile(allocations, include_invocation_fee=False)(
+                model.billable_seconds(0.0, instance_s=lifespan)
             )
-            self._add_cost(price_class, invoice.total)
-            billable = model.billable_resources(
-                execution_s=0.0,
-                allocations={
-                    ResourceKind.CPU: instance.alloc_vcpus,
-                    ResourceKind.MEMORY: instance.alloc_memory_gb,
-                },
-                instance_s=lifespan,
-            )
+            self._add_cost(price_class, fold(row[4] for row in rows))
+            billable = billable_quantities(rows)
             self.billable_cpu_seconds += billable.get(ResourceKind.CPU, 0.0)
             self.billable_memory_gb_seconds += billable.get(ResourceKind.MEMORY, 0.0)
 

@@ -20,14 +20,17 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.billing.units import ResourceKind, apply_minimum, round_up
+from repro.billing.units import ResourceKind, apply_minimum, fold, round_up
 
 __all__ = [
     "BillableTime",
     "AllocationBilledResource",
     "UsageBilledResource",
+    "FEE_LABEL",
+    "BillRow",
+    "billable_quantities",
     "BillLineItem",
     "Invoice",
     "BillingModel",
@@ -86,6 +89,24 @@ class UsageBilledResource:
         return round_up(usage, self.granularity)
 
 
+#: Label of the per-invocation fee's line item.
+FEE_LABEL = "invocation_fee"
+
+
+#: One priced line of Equation 1, as :meth:`BillingModel.compile` emits it:
+#: ``(label, kind, quantity, unit_price, charge)``; the fee's kind is ``None``.
+BillRow = Tuple[str, Optional[ResourceKind], float, float, float]
+
+
+def billable_quantities(rows: Sequence[BillRow]) -> Dict[ResourceKind, float]:
+    """Sum the rows' billable quantities by resource kind (the fee has none)."""
+    out: Dict[ResourceKind, float] = {}
+    for _, kind, quantity, _, _ in rows:
+        if kind is not None:
+            out[kind] = out.get(kind, 0.0) + quantity
+    return out
+
+
 @dataclass(frozen=True)
 class BillLineItem:
     """One line of an invoice: a billable quantity and its monetary charge."""
@@ -104,13 +125,22 @@ class Invoice:
     platform: str
     line_items: Sequence[BillLineItem]
 
+    @classmethod
+    def from_rows(cls, platform: str, rows: Sequence[BillRow]) -> "Invoice":
+        """The invoice of one :meth:`BillingModel.compile` evaluation."""
+        return cls(platform, tuple(
+            BillLineItem(label, quantity, "requests" if kind is None else f"{kind.value}-seconds",
+                         unit_price, charge)
+            for label, kind, quantity, unit_price, charge in rows
+        ))
+
     @property
     def total(self) -> float:
-        return sum(item.charge for item in self.line_items)
+        return fold(item.charge for item in self.line_items)
 
     def charge_for(self, label_prefix: str) -> float:
         """Sum the charges of line items whose label starts with ``label_prefix``."""
-        return sum(item.charge for item in self.line_items if item.label.startswith(label_prefix))
+        return fold(item.charge for item in self.line_items if item.label.startswith(label_prefix))
 
     def as_dict(self) -> Dict[str, float]:
         result = {item.label: item.charge for item in self.line_items}
@@ -149,14 +179,14 @@ class BillingModel:
     # Billable time
     # ------------------------------------------------------------------
 
-    def billable_seconds(
+    def raw_billable_seconds(
         self,
         execution_s: float,
         init_s: float = 0.0,
         instance_s: Optional[float] = None,
         cpu_time_s: float = 0.0,
     ) -> float:
-        """Compute the billable duration after granularity rounding and cutoffs.
+        """The duration this model bills for, before rounding and cutoffs.
 
         Args:
             execution_s: request execution wall-clock duration.
@@ -165,23 +195,67 @@ class BillingModel:
             cpu_time_s: consumed CPU time, for CPU-time-billed platforms.
         """
         if self.billable_time is BillableTime.EXECUTION:
-            raw = execution_s
-        elif self.billable_time is BillableTime.TURNAROUND:
-            raw = execution_s + init_s
-        elif self.billable_time is BillableTime.INSTANCE:
+            return execution_s
+        if self.billable_time is BillableTime.TURNAROUND:
+            return execution_s + init_s
+        if self.billable_time is BillableTime.INSTANCE:
             if instance_s is None:
                 raise ValueError("instance_s is required for instance-based billing")
-            raw = instance_s
-        elif self.billable_time is BillableTime.CPU_TIME:
-            raw = cpu_time_s
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown billable time {self.billable_time}")
-        rounded = round_up(raw, self.time_granularity_s)
-        return apply_minimum(rounded, self.minimum_time_s)
+            return instance_s
+        if self.billable_time is BillableTime.CPU_TIME:
+            return cpu_time_s
+        raise ValueError(f"unknown billable time {self.billable_time}")
+
+    def billable_seconds(
+        self,
+        execution_s: float,
+        init_s: float = 0.0,
+        instance_s: Optional[float] = None,
+        cpu_time_s: float = 0.0,
+    ) -> float:
+        """:meth:`raw_billable_seconds` after granularity rounding and the minimum cutoff."""
+        raw = self.raw_billable_seconds(execution_s, init_s, instance_s, cpu_time_s)
+        return apply_minimum(round_up(raw, self.time_granularity_s), self.minimum_time_s)
 
     # ------------------------------------------------------------------
-    # Billable resources (paper Figure 2's quantities)
+    # Equation 1: billable resources (Figure 2's quantities) and invoices
     # ------------------------------------------------------------------
+
+    def compile(
+        self,
+        allocations: Mapping[ResourceKind, float],
+        usages: Optional[Mapping[ResourceKind, float]] = None,
+        include_invocation_fee: bool = True,
+    ) -> Callable[[float], List[BillRow]]:
+        """Equation 1 for fixed allocations and usages, as a function of billable time.
+
+        The billed amounts (allocation, or consumption under ``use_consumption``),
+        their rounding, the unit prices and the fee are folded once; the
+        returned function prices one :meth:`billable_seconds` as one
+        :data:`BillRow` per line item.  This is the only evaluation of Equation 1.
+        """
+        usages = usages or {}
+        scaled = []  # (label, kind, rounded amount, unit price); quantity = amount x time
+        for resource in self.allocation_resources:
+            amount = (usages if resource.use_consumption else allocations).get(resource.kind, 0.0)
+            scaled.append((f"alloc:{resource.kind.value}", resource.kind,
+                           resource.billable_amount(amount), resource.unit_price))
+        fixed = []  # usage-billed rows and the fee do not depend on billable time
+        for resource in self.usage_resources:
+            quantity = resource.billable_amount(usages.get(resource.kind, 0.0))
+            fixed.append((f"usage:{resource.kind.value}", resource.kind, quantity,
+                          resource.unit_price, quantity * resource.unit_price))
+        if include_invocation_fee and self.invocation_fee > 0:
+            fixed.append((FEE_LABEL, None, 1.0, self.invocation_fee, self.invocation_fee))
+
+        def rows(billable_time: float) -> List[BillRow]:
+            out = []
+            for label, kind, amount, unit_price in scaled:
+                quantity = amount * billable_time
+                out.append((label, kind, quantity, unit_price, quantity * unit_price))
+            return out + fixed
+
+        return rows
 
     def billable_resources(
         self,
@@ -200,27 +274,10 @@ class BillingModel:
         both groups are summed (no current platform does that, but the model
         allows it).
         """
-        usages = usages or {}
-        billable_time = self.billable_seconds(
-            execution_s=execution_s, init_s=init_s, instance_s=instance_s, cpu_time_s=cpu_time_s
+        rows = self.compile(allocations, usages, include_invocation_fee=False)
+        return billable_quantities(
+            rows(self.billable_seconds(execution_s, init_s, instance_s, cpu_time_s))
         )
-        out: Dict[ResourceKind, float] = {}
-        for resource in self.allocation_resources:
-            if resource.use_consumption:
-                allocation = usages.get(resource.kind, 0.0)
-            else:
-                allocation = allocations.get(resource.kind, 0.0)
-            quantity = resource.billable_amount(allocation) * billable_time
-            out[resource.kind] = out.get(resource.kind, 0.0) + quantity
-        for resource in self.usage_resources:
-            usage = usages.get(resource.kind, 0.0)
-            quantity = resource.billable_amount(usage)
-            out[resource.kind] = out.get(resource.kind, 0.0) + quantity
-        return out
-
-    # ------------------------------------------------------------------
-    # Monetary cost (Equation 1 in full)
-    # ------------------------------------------------------------------
 
     def invoice(
         self,
@@ -237,50 +294,11 @@ class BillingModel:
         ``include_invocation_fee`` can be disabled to model instance-based
         billing where the fixed per-request fee usually does not apply.
         """
-        usages = usages or {}
-        billable_time = self.billable_seconds(
-            execution_s=execution_s, init_s=init_s, instance_s=instance_s, cpu_time_s=cpu_time_s
+        rows = self.compile(allocations, usages, include_invocation_fee)
+        return Invoice.from_rows(
+            self.platform,
+            rows(self.billable_seconds(execution_s, init_s, instance_s, cpu_time_s)),
         )
-        items: List[BillLineItem] = []
-        for resource in self.allocation_resources:
-            if resource.use_consumption:
-                allocation = usages.get(resource.kind, 0.0)
-            else:
-                allocation = allocations.get(resource.kind, 0.0)
-            rounded_alloc = resource.billable_amount(allocation)
-            quantity = rounded_alloc * billable_time
-            items.append(
-                BillLineItem(
-                    label=f"alloc:{resource.kind.value}",
-                    quantity=quantity,
-                    unit=f"{resource.kind.value}-seconds",
-                    unit_price=resource.unit_price,
-                    charge=quantity * resource.unit_price,
-                )
-            )
-        for resource in self.usage_resources:
-            usage = usages.get(resource.kind, 0.0)
-            quantity = resource.billable_amount(usage)
-            items.append(
-                BillLineItem(
-                    label=f"usage:{resource.kind.value}",
-                    quantity=quantity,
-                    unit=f"{resource.kind.value}-seconds",
-                    unit_price=resource.unit_price,
-                    charge=quantity * resource.unit_price,
-                )
-            )
-        if include_invocation_fee and self.invocation_fee > 0:
-            items.append(
-                BillLineItem(
-                    label="invocation_fee",
-                    quantity=1.0,
-                    unit="requests",
-                    unit_price=self.invocation_fee,
-                    charge=self.invocation_fee,
-                )
-            )
-        return Invoice(platform=self.platform, line_items=tuple(items))
 
     # ------------------------------------------------------------------
     # Zone-aware pricing

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
     "GB",
@@ -14,6 +15,7 @@ __all__ = [
     "Resource",
     "round_up",
     "apply_minimum",
+    "fold",
 ]
 
 #: One gigabyte expressed in GB (the canonical memory unit used throughout).
@@ -80,3 +82,14 @@ def apply_minimum(value: float, minimum: float) -> float:
     if value <= 0:
         return 0.0
     return max(value, minimum)
+
+
+def fold(values: Iterable[float]) -> float:
+    """Sum floats left to right from ``0.0``, giving the same bits on every interpreter.
+
+    The builtin ``sum`` compensates rounding error from Python 3.12 on.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total

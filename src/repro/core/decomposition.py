@@ -95,17 +95,9 @@ def _cost_without_rounding(
     allocations = calculator.effective_allocations(inputs)
     usages = calculator.effective_usages(inputs)
     model = calculator.model
-    # Billable time without rounding: raw execution / turnaround / CPU time.
-    from repro.billing.models import BillableTime
-
-    if model.billable_time is BillableTime.EXECUTION:
-        raw_time = inputs.execution_s
-    elif model.billable_time is BillableTime.TURNAROUND:
-        raw_time = inputs.execution_s + inputs.init_s
-    elif model.billable_time is BillableTime.CPU_TIME:
-        raw_time = inputs.used_cpu_seconds
-    else:
-        raw_time = inputs.instance_s or inputs.execution_s
+    raw_time = model.raw_billable_seconds(
+        inputs.execution_s, inputs.init_s, inputs.instance_s, inputs.used_cpu_seconds
+    )
     cost = 0.0
     for resource in model.allocation_resources:
         amount = usages.get(resource.kind, 0.0) if resource.use_consumption else allocations.get(resource.kind, 0.0)

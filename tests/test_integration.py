@@ -76,6 +76,11 @@ class TestCostModelCrossChecks:
             report = model.invocation_cost(PYAES_FUNCTION, 0.5, 1.0)
             assert decomposition.total == pytest.approx(report.cost_per_invocation, rel=1e-9)
 
+    def test_decomposition_rejects_instance_billing(self):
+        """Instance-billed platforms have no per-invocation billable time to decompose."""
+        with pytest.raises(ValueError, match="instance_s is required"):
+            decompose_invocation_cost(PYAES_FUNCTION, 0.5, 1.0, PlatformName.GCP_RUN_INSTANCE)
+
     def test_serverless_more_expensive_than_ideal_usage(self):
         """§1/§2: the full bill is a multiple of the perfect pay-per-use baseline."""
         decomposition = decompose_invocation_cost(
