@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.billing.calculator import BillingCalculator, InvocationBillingInput
 from repro.billing.catalog import PlatformName
-from repro.billing.units import ResourceKind, fold
+from repro.billing.units import ResourceKind
+from repro.numeric import fold
 from repro.traces.schema import RequestRecord, Trace
 
 __all__ = ["InflationResult", "InflationAnalyzer", "FIGURE2_PLATFORMS"]

@@ -56,7 +56,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.billing.calculator import BilledInvocation, BillingCalculator, InvocationBillingInput
 from repro.billing.models import FEE_LABEL, BillableTime, BillingModel, billable_quantities
-from repro.billing.units import ResourceKind, fold
+from repro.billing.units import ResourceKind
+from repro.numeric import fold
 from repro.sim.events import (
     EventBus,
     RequestCompleted,
@@ -436,7 +437,7 @@ class CostMeter:
             rows = model.compile(allocations, include_invocation_fee=False)(
                 model.billable_seconds(0.0, instance_s=lifespan)
             )
-            self._add_cost(price_class, fold(row[4] for row in rows))
+            self._add_cost(price_class, fold((row[4] for row in rows), 0.0))
             billable = billable_quantities(rows)
             self.billable_cpu_seconds += billable.get(ResourceKind.CPU, 0.0)
             self.billable_memory_gb_seconds += billable.get(ResourceKind.MEMORY, 0.0)

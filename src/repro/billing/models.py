@@ -22,7 +22,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.billing.units import ResourceKind, apply_minimum, fold, round_up
+from repro.billing.units import ResourceKind, apply_minimum, round_up
+from repro.numeric import fold
 
 __all__ = [
     "BillableTime",
@@ -136,11 +137,13 @@ class Invoice:
 
     @property
     def total(self) -> float:
-        return fold(item.charge for item in self.line_items)
+        return fold((item.charge for item in self.line_items), 0.0)
 
     def charge_for(self, label_prefix: str) -> float:
         """Sum the charges of line items whose label starts with ``label_prefix``."""
-        return fold(item.charge for item in self.line_items if item.label.startswith(label_prefix))
+        return fold(
+            (item.charge for item in self.line_items if item.label.startswith(label_prefix)), 0.0
+        )
 
     def as_dict(self) -> Dict[str, float]:
         result = {item.label: item.charge for item in self.line_items}

@@ -35,6 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.billing.meter import CostMeter, RequestResources
 from repro.cluster.fleet import Fleet, FleetConfig
+from repro.numeric import fold
 from repro.obs import Observability
 from repro.platform.config import FunctionConfig, PlatformConfig
 from repro.platform.invoker import PlatformSimulator
@@ -50,7 +51,10 @@ from repro.tenancy import AdmissionController, TenancyReport, TenantConfig, Tena
 
 __all__ = ["FunctionDeployment", "ClusterResult", "ClusterSimulator"]
 
-_EPS = 1e-9
+#: How far past the horizon :meth:`ClusterSimulator.run` keeps the shared
+#: kernel running, so an event the float arithmetic lands a hair beyond the
+#: horizon still fires.
+_HORIZON_SLACK_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ class ClusterResult:
             # same completion order the old per-request walk summed in, so
             # the combined value is bit-identical.
             floor_s += m.service_floor_sum_s
-        latency_s = sum(latencies)
+        latency_s = fold(latencies)
         row: Dict[str, float] = {
             "num_functions": float(len(self.metrics)),
             "num_requests": float(num_requests),
@@ -120,7 +124,7 @@ class ClusterResult:
                 sum(m.pending_requests for m in self.metrics.values())
             ),
             "cold_start_rate": cold_starts / num_requests if num_requests else 0.0,
-            "mean_duration_ms": (sum(durations) / len(durations) * 1e3) if durations else 0.0,
+            "mean_duration_ms": (fold(durations) / len(durations) * 1e3) if durations else 0.0,
             "mean_latency_ms": (latency_s / len(latencies) * 1e3) if latencies else 0.0,
             # Aggregate end-to-end latency above the uncontended service
             # floor: 0 = every request at its floor, 1 = latency doubled.
@@ -175,12 +179,12 @@ class ClusterResult:
             row["sched_tasks"] = float(len(self.scheduler.tasks))
             row["sched_finished"] = float(len(finished))
             row["sched_mean_duration_s"] = (
-                sum(t.duration_s for t in finished) / len(finished) if finished else 0.0
+                fold(t.duration_s for t in finished) / len(finished) if finished else 0.0
             )
-            row["sched_cpu_consumed_s"] = sum(
+            row["sched_cpu_consumed_s"] = fold(
                 t.cpu_consumed_s for t in self.scheduler.tasks.values()
             )
-            row["sched_throttle_time_s"] = sum(
+            row["sched_throttle_time_s"] = fold(
                 duration
                 for t in self.scheduler.tasks.values()
                 for _, duration in t.throttle_segments
@@ -458,7 +462,7 @@ class ClusterSimulator:
             horizon = max(horizon, self.scheduler.config.horizon_s)
         if horizon_s is not None:
             horizon = horizon_s
-        self.kernel.run(until=horizon + _EPS)
+        self.kernel.run(until=horizon + _HORIZON_SLACK_S)
         for simulator in self.simulators.values():
             simulator.metrics.pending_requests = simulator.pending_request_count
         if self.meter is not None:

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.host import Host, HostSpec
 from repro.cluster.placement import PlacementPolicy, SandboxRequirement, choose_host
+from repro.numeric import fold
 from repro.sim.events import (
     EventBus,
     SandboxAdmitted,
@@ -231,7 +232,7 @@ class Fleet:
         registry.gauge(
             "fleet_mean_cpu_utilization",
             fn=lambda: (
-                sum(h.cpu_utilization for h in self.hosts) / len(self.hosts)
+                fold(h.cpu_utilization for h in self.hosts) / len(self.hosts)
                 if self.hosts
                 else 0.0
             ),
@@ -440,11 +441,11 @@ class Fleet:
     @property
     def hourly_cost_usd(self) -> float:
         """Current provider-side spend rate: the price of every open host."""
-        return sum(host.spec.hourly_cost_usd for host in self.hosts)
+        return fold(host.spec.hourly_cost_usd for host in self.hosts)
 
     def provider_cost_usd(self, now_s: float) -> float:
         """Provider spend accrued by ``now_s``: each host's price x open time."""
-        return sum(
+        return fold(
             host.spec.hourly_cost_usd * max(now_s - self._opened_at.get(host.name, 0.0), 0.0) / 3600.0
             for host in self.hosts
         )
@@ -485,10 +486,10 @@ class Fleet:
             "queue_depth": float(len(self.queue)),
             "deployment_density": placed / num_hosts if num_hosts else 0.0,
             "mean_cpu_utilization": (
-                sum(h.cpu_utilization for h in hosts) / num_hosts if num_hosts else 0.0
+                fold(h.cpu_utilization for h in hosts) / num_hosts if num_hosts else 0.0
             ),
             "mean_memory_utilization": (
-                sum(h.memory_utilization for h in hosts) / num_hosts if num_hosts else 0.0
+                fold(h.memory_utilization for h in hosts) / num_hosts if num_hosts else 0.0
             ),
             "stranded_vcpus": stranded_vcpus,
             "stranded_memory_gb": stranded_memory_gb,
@@ -512,7 +513,7 @@ class Fleet:
         rows = self.timeline or [self.sample(0.0)]
 
         def _mean(key: str) -> float:
-            return sum(row[key] for row in rows) / len(rows)
+            return fold(row[key] for row in rows) / len(rows)
 
         # Provider spend accrues to the latest admission/release/sample time,
         # not just the last sampler tick -- with sampling disabled the

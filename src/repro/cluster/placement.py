@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.host import Host, HostSpec
+from repro.numeric import fold
 
 __all__ = [
     "SandboxRequirement",
@@ -73,21 +74,21 @@ class PlacementResult:
     def mean_cpu_utilization(self) -> float:
         if not self.hosts:
             return 0.0
-        return sum(h.cpu_utilization for h in self.hosts) / len(self.hosts)
+        return fold(h.cpu_utilization for h in self.hosts) / len(self.hosts)
 
     @property
     def mean_memory_utilization(self) -> float:
         if not self.hosts:
             return 0.0
-        return sum(h.memory_utilization for h in self.hosts) / len(self.hosts)
+        return fold(h.memory_utilization for h in self.hosts) / len(self.hosts)
 
     @property
     def stranded_vcpus(self) -> float:
-        return sum(h.stranded_capacity()["vcpus"] for h in self.hosts)
+        return fold(h.stranded_capacity()["vcpus"] for h in self.hosts)
 
     @property
     def stranded_memory_gb(self) -> float:
-        return sum(h.stranded_capacity()["memory_gb"] for h in self.hosts)
+        return fold(h.stranded_capacity()["memory_gb"] for h in self.hosts)
 
     def summary(self) -> dict:
         return {

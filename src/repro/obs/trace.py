@@ -274,7 +274,10 @@ class TraceCollector:
         for span in self.spans:
             if span.end_s is None:
                 span.outcome = CENSORED
-                span.end_s = max(horizon_s, span.arrival_s, span.exec_start_s or 0.0)
+                end_s = max(horizon_s, span.arrival_s)
+                if span.exec_start_s is not None:
+                    end_s = max(end_s, span.exec_start_s)
+                span.end_s = end_s
         for sandbox in self.sandbox_spans:
             if sandbox.end_s is None:
                 sandbox.end_s = max(horizon_s, sandbox.cold_start_s)

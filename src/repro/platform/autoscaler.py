@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Tuple
 
+from repro.numeric import fold
 from repro.sim.kernel import PeriodicProcess
 
 __all__ = ["AutoscalerConfig", "Autoscaler", "AutoscalerProcess"]
@@ -105,8 +106,8 @@ class Autoscaler:
         window = [s for s in self._samples if s[0] >= now_s - cfg.metric_window_s]
         if not window:
             return max(current_instances, cfg.min_instances)
-        avg_active = sum(s[1] for s in window) / len(window)
-        avg_busy_vcpus = sum(s[2] for s in window) / len(window)
+        avg_active = fold(s[1] for s in window) / len(window)
+        avg_busy_vcpus = fold(s[2] for s in window) / len(window)
 
         # Concurrency-based desired count: keep per-instance concurrency below
         # target_concurrency_fraction * max_concurrency.
@@ -127,7 +128,7 @@ class Autoscaler:
         if cfg.panic_threshold > 0 and cfg.panic_window_s > 0:
             panic_samples = [s for s in window if s[0] >= now_s - cfg.panic_window_s]
             if panic_samples:
-                panic_active = sum(s[1] for s in panic_samples) / len(panic_samples)
+                panic_active = fold(s[1] for s in panic_samples) / len(panic_samples)
                 capacity = max(current_instances, 1) * per_instance_target
                 if capacity > 0 and panic_active > cfg.panic_threshold * capacity:
                     desired = max(desired, panic_active / per_instance_target)

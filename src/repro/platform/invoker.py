@@ -33,8 +33,9 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.numeric import fold
 from repro.platform.config import FunctionConfig, PlatformConfig
-from repro.platform.metrics import FailedRequest, RequestOutcome, SimulationMetrics
+from repro.platform.metrics import Attempt, FailedRequest, RequestOutcome, SimulationMetrics
 from repro.platform.autoscaler import Autoscaler, AutoscalerProcess
 from repro.platform.sandbox import ActiveRequest, Sandbox, SandboxState
 from repro.sim.arrivals import ArrivalSource, ArrivalStream
@@ -65,7 +66,14 @@ __all__ = ["PlatformSimulator", "RequestOutcome", "SimulationMetrics"]
 _ADMIT = AdmissionDecision.ADMIT
 _DENY = AdmissionDecision.DENY
 
-_EPS = 1e-9
+#: How far past the horizon :meth:`PlatformSimulator.run` keeps the kernel
+#: running, so an event the float arithmetic lands a hair beyond the horizon
+#: still fires.
+_HORIZON_SLACK_S = 1e-9
+#: Largest gap between an expiry check's armed keep-alive deadline and the
+#: sandbox's current one that still counts as the same deadline; a larger
+#: gap means the sandbox served requests since the check was armed.
+_KEEPALIVE_MATCH_S = 1e-6
 _INF = float("inf")
 
 #: Event kinds the simulator schedules on the kernel; the autoscaler is a
@@ -159,12 +167,10 @@ class PlatformSimulator:
         #: on readiness and on discard.
         self._routable: List[Tuple[int, str]] = []
         self._max_concurrency = platform.concurrency.max_concurrency
-        #: Ingress FIFO: (arrival time, request id, attempts, retry wait,
-        #: first-attempt arrival time).
-        self._queue: Deque[Tuple[float, str, int, float, float]] = deque()
-        #: sandbox -> waiting (arrival time, request id, attempts, retry
-        #: wait, first-attempt arrival time).
-        self._pending_cold: Dict[str, List[Tuple[float, str, int, float, float]]] = {}
+        #: Ingress FIFO of attempts waiting for a sandbox with free capacity.
+        self._queue: Deque[Attempt] = deque()
+        #: sandbox -> attempts waiting for its cold start to finish.
+        self._pending_cold: Dict[str, List[Attempt]] = {}
         self._completion_version: Dict[str, int] = {}
         #: sandbox -> fire time of its single pending keep-alive expiry check.
         self._keepalive_pending: Dict[str, float] = {}
@@ -251,7 +257,7 @@ class PlatformSimulator:
     def run(self, arrivals: Sequence[float], horizon_s: Optional[float] = None) -> SimulationMetrics:
         """Simulate the given request arrival times; returns collected metrics."""
         horizon_s = self.schedule_arrivals(arrivals, horizon_s)
-        self._kernel.run(until=horizon_s + _EPS)
+        self._kernel.run(until=horizon_s + _HORIZON_SLACK_S)
         self.metrics.pending_requests = self.pending_request_count
         if self._obs is not None:
             self._obs.finalize(horizon_s)
@@ -321,38 +327,33 @@ class PlatformSimulator:
     def _handle_arrival(self, event: Event) -> None:
         request_id = f"{self._id_prefix}req-{next(self._request_counter):07d}"
         # Organic arrivals have an empty payload (the hot path skips every
-        # dict lookup); retry re-injections (inject_retry) carry their attempt
-        # metadata, and chunk-boundary arrivals from a streamed source carry
-        # the stream to refill.
+        # dict lookup); retry re-injections (inject_retry) carry the next
+        # attempt's metadata, and chunk-boundary arrivals from a streamed
+        # source carry the stream to refill.
         data = event.data
         now = self._now
-        if data:
-            attempts = int(data.get("attempts", 1))
-            retry_wait_s = float(data.get("retry_wait_s", 0.0))
-            # Retry re-injections carry the logical request's first-attempt
-            # arrival time; organic and chunk-boundary arrivals start here.
-            origin_s = float(data.get("origin_s", 0.0)) or now
-            stream = data.get("stream")
-            if stream is not None:
+        if data and "attempts" in data:
+            attempt = Attempt(
+                request_id, now, data["origin_s"], data["attempts"], data["retry_wait_s"]
+            )
+        else:
+            attempt = Attempt(request_id, now, now)
+            if data:
                 # Refill synchronously, inside this event: the next chunk is
                 # on the heap before the kernel can pop anything after it,
                 # which is what keeps streaming byte-identical to eager
                 # scheduling.
-                stream.push_next_chunk()
-        else:
-            attempts = 1
-            retry_wait_s = 0.0
-            origin_s = now
-        self.metrics.record_arrival(attempts)
+                data["stream"].push_next_chunk()
+        self.metrics.record_arrival(attempt.attempts)
         if self._emit_spans:
             self.bus.publish(
                 RequestArrived(
                     now,
                     request_id,
                     function_name=self.function.name,
-                    attempts=attempts,
-                    retry_wait_s=retry_wait_s,
-                    parent_id=str(data.get("parent_id", "")),
+                    attempts=attempt.attempts,
+                    retry_wait_s=attempt.retry_wait_s,
+                    parent_id=data.get("parent_id", ""),
                     tenant=self._tenant,
                 )
             )
@@ -361,36 +362,22 @@ class PlatformSimulator:
             # denial is terminal (a throttling response, never retried); a
             # queued arrival parks in the controller and re-enters through
             # resume_admission() when the tenant's bucket refills.
-            decision = self._admission.admit(
-                self.name, now, (request_id, now, attempts, retry_wait_s, origin_s)
-            )
+            decision = self._admission.admit(self.name, now, attempt)
             if decision is not _ADMIT:
                 if decision is _DENY:
                     self._deny_request(request_id)
                 return
-        self._route(
-            request_id, now, attempts=attempts, retry_wait_s=retry_wait_s, origin_s=origin_s
-        )
+        self._route(attempt)
 
-    def resume_admission(
-        self,
-        request_id: str,
-        arrival_s: float,
-        attempts: int,
-        retry_wait_s: float,
-        origin_s: float,
-    ) -> None:
-        """Route a credit-released request with its original arrival metadata.
+    def resume_admission(self, attempt: Attempt) -> None:
+        """Route a credit-released attempt with its original arrival metadata.
 
         Called by the :class:`~repro.tenancy.admission.AdmissionController`
-        from inside its credit-release kernel event.  ``arrival_s`` is the
-        arrival that was parked, so the credit wait is visible in the
+        from inside its credit-release kernel event.  ``attempt.arrival_s``
+        is the arrival that was parked, so the credit wait is visible in the
         request's latency (and SLO attainment) like any other queueing delay.
         """
-        self._route(
-            request_id, arrival_s, attempts=attempts, retry_wait_s=retry_wait_s,
-            origin_s=origin_s,
-        )
+        self._route(attempt)
 
     def _deny_request(self, request_id: str) -> None:
         """Record and publish a credit denial (terminal; nothing was routed)."""
@@ -405,50 +392,36 @@ class PlatformSimulator:
             )
         )
 
-    def inject_retry(
-        self,
-        delay_s: float,
-        attempts: int,
-        retry_wait_s: float,
-        parent_id: str = "",
-        origin_s: float = 0.0,
-    ) -> None:
-        """Re-inject a failed request as a fresh arrival ``delay_s`` from now.
+    def inject_retry(self, delay_s: float, failed: FailedRequest) -> None:
+        """Re-inject a failed attempt as a fresh arrival ``delay_s`` from now.
 
         Called by the :class:`~repro.sim.retry.RetryLoop` from inside the
-        failing event's bus publish.  The arrival gets a new request id from
-        the same counter as organic traffic and re-enters the full routing /
-        cold-start / fleet-admission path, so retry load experiences -- and
-        adds to -- the same backpressure that failed it.  ``parent_id`` (the
-        failed attempt's request id) rides on the kernel event so the trace
-        layer can link the retry chain; it does not affect simulation state.
-        ``origin_s`` (the first attempt's arrival time) rides along so
+        failing event's bus publish.  This is the one place the next attempt
+        is derived from the failed one: attempt number plus one, cumulative
+        backoff plus ``delay_s``, the same first-arrival ``origin_s`` (so
         deadline-bounded retries and SLO attainment measure from the logical
-        request's birth.
+        request's birth).  The arrival gets a new request id from the same
+        counter as organic traffic and re-enters the full routing /
+        cold-start / fleet-admission path, so retry load experiences -- and
+        adds to -- the same backpressure that failed it.  The failed
+        attempt's id rides along as ``parent_id`` so the trace layer can link
+        the retry chain; it does not affect simulation state.
         """
         self._kernel.schedule_in(
             delay_s,
             self._kind_arrival,
             {
-                "attempts": attempts,
-                "retry_wait_s": retry_wait_s,
-                "parent_id": parent_id,
-                "origin_s": origin_s,
+                "attempts": failed.attempts + 1,
+                "retry_wait_s": failed.retry_wait_s + delay_s,
+                "parent_id": failed.request_id,
+                "origin_s": failed.origin_s,
             },
         )
 
-    def _route(
-        self,
-        request_id: str,
-        arrival_s: float,
-        attempts: int = 1,
-        retry_wait_s: float = 0.0,
-        origin_s: float = 0.0,
-    ) -> None:
+    def _route(self, attempt: Attempt) -> None:
         sandbox = self._pick_sandbox()
         if sandbox is not None:
-            self._admit(sandbox, request_id, arrival_s, cold=False,
-                        attempts=attempts, retry_wait_s=retry_wait_s, origin_s=origin_s)
+            self._admit(sandbox, attempt, cold=False)
             return
         if self._max_concurrency == 1 or not self._sandboxes:
             # Single-concurrency platforms provision a fresh sandbox per excess
@@ -459,20 +432,14 @@ class PlatformSimulator:
                 # The feedback layer reported the fleet rejected this sandbox's
                 # admission; the request it was provisioned for fails instead
                 # of waiting for a readiness that will never come.
-                self._fail_request(
-                    request_id, arrival_s, reason="admission_rejected",
-                    sandbox_name=sandbox.name, attempts=attempts, retry_wait_s=retry_wait_s,
-                    origin_s=origin_s,
-                )
+                self._fail_request(attempt, "admission_rejected", sandbox.name)
                 return
-            self._pending_cold.setdefault(sandbox.name, []).append(
-                (arrival_s, request_id, attempts, retry_wait_s, origin_s)
-            )
+            self._pending_cold.setdefault(sandbox.name, []).append(attempt)
             return
         # Multi-concurrency: all instances are at their concurrency limit; the
         # request queues at the ingress until capacity frees or the autoscaler
         # adds instances.
-        self._queue.append((arrival_s, request_id, attempts, retry_wait_s, origin_s))
+        self._queue.append(attempt)
 
     def _pick_sandbox(self) -> Optional[Sandbox]:
         """Choose a ready sandbox with available concurrency (fewest active requests).
@@ -569,11 +536,8 @@ class PlatformSimulator:
         # handle it: tear the sandbox down, fail everything waiting on it.
         waiting = self._pending_cold.pop(name, [])
         self._abort_sandbox(sandbox)
-        for arrival_s, request_id, attempts, retry_wait_s, origin_s in waiting:
-            self._fail_request(
-                request_id, arrival_s, reason="admission_rejected", sandbox_name=name,
-                attempts=attempts, retry_wait_s=retry_wait_s, origin_s=origin_s,
-            )
+        for attempt in waiting:
+            self._fail_request(attempt, "admission_rejected", name)
         self._publish_instance_count()
 
     def _discard_sandbox(self, sandbox: Sandbox) -> None:
@@ -602,16 +566,7 @@ class PlatformSimulator:
         self._discard_sandbox(sandbox)
         self.bus.publish(SandboxEvicted(self._now, sandbox.name, reason="admission_rejected"))
 
-    def _fail_request(
-        self,
-        request_id: str,
-        arrival_s: float,
-        reason: str,
-        sandbox_name: str = "",
-        attempts: int = 1,
-        retry_wait_s: float = 0.0,
-        origin_s: float = 0.0,
-    ) -> None:
+    def _fail_request(self, attempt: Attempt, reason: str, sandbox_name: str = "") -> None:
         # The retry loop is a downstream bus subscriber, but the gave_up flag
         # must already be on the record metrics capture first -- so the
         # publisher asks the loop's policy.  Bus dispatch is synchronous, so
@@ -621,9 +576,8 @@ class PlatformSimulator:
         # publisher and the loop compute it from the same stamps, so they
         # always agree.
         now = self._now
-        origin = origin_s or arrival_s
         gave_up = self._retry is not None and not self._retry.will_retry(
-            self.name, attempts, now - origin
+            self.name, attempt.attempts, now - attempt.origin_s
         )
         # Fleet-issued backpressure hint for the sandbox that rejected us; the
         # retry loop stretches its backoff to honour it.  Zero when the fleet
@@ -635,16 +589,16 @@ class PlatformSimulator:
             RequestFailed(
                 now,
                 FailedRequest(
-                    request_id=request_id,
-                    arrival_s=arrival_s,
+                    request_id=attempt.request_id,
+                    arrival_s=attempt.arrival_s,
+                    origin_s=attempt.origin_s,
                     failed_s=now,
                     reason=reason,
                     sandbox_name=sandbox_name,
-                    attempts=attempts,
-                    retry_wait_s=retry_wait_s,
+                    attempts=attempt.attempts,
+                    retry_wait_s=attempt.retry_wait_s,
                     gave_up=gave_up,
                     tenant=self._tenant,
-                    origin_s=origin,
                     retry_after_s=retry_after,
                 ),
             )
@@ -657,38 +611,22 @@ class PlatformSimulator:
         sandbox.mark_ready(self._now)
         insort(self._routable, (sandbox.concurrency, sandbox.name))
         waiting = self._pending_cold.pop(sandbox.name, [])
-        for index, (arrival_s, request_id, attempts, retry_wait_s, origin_s) in enumerate(waiting):
+        for attempt in waiting:
             # The request(s) that waited for this sandbox experienced the cold start.
-            self._admit(sandbox, request_id, arrival_s, cold=True,
-                        attempts=attempts, retry_wait_s=retry_wait_s, origin_s=origin_s)
+            self._admit(sandbox, attempt, cold=True)
         self._drain_queue()
         self._maybe_schedule_keepalive(sandbox)
 
-    def _admit(
-        self,
-        sandbox: Sandbox,
-        request_id: str,
-        arrival_s: float,
-        cold: bool,
-        attempts: int = 1,
-        retry_wait_s: float = 0.0,
-        origin_s: float = 0.0,
-    ) -> None:
+    def _admit(self, sandbox: Sandbox, attempt: Attempt, cold: bool) -> None:
         now = self._now
         overhead = self.platform.serving.sample_overhead_s(self.function.alloc_vcpus, self._rng)
         request = ActiveRequest(
-            request_id=request_id,
-            arrival_s=arrival_s,
-            admitted_s=now,
+            attempt=attempt,
             remaining_cpu_s=self.function.cpu_time_s,
             io_remaining_s=self.function.io_time_s + overhead,
             overhead_s=overhead,
             cold_start=cold,
-            init_wait_s=(now - arrival_s) if cold else 0.0,
-            attempts=attempts,
-            retry_wait_s=retry_wait_s,
-            tenant=self._tenant,
-            origin_s=origin_s,
+            init_wait_s=(now - attempt.arrival_s) if cold else 0.0,
         )
         was_busy = sandbox.state is SandboxState.BUSY
         concurrency = sandbox.concurrency
@@ -699,7 +637,7 @@ class PlatformSimulator:
             self.bus.publish(
                 RequestExecuting(
                     now,
-                    request_id,
+                    attempt.request_id,
                     sandbox_name=sandbox.name,
                     cold_start=cold,
                     rate_factor=sandbox.rate_factor,
@@ -754,26 +692,26 @@ class PlatformSimulator:
             concurrency = sandbox.concurrency
             sandbox.remove(request_id, now)
             self._reindex(sandbox, concurrency)
-            exec_start = request.exec_start_s if request.exec_start_s is not None else request.admitted_s
-            execution_duration = now - exec_start
+            attempt = request.attempt
+            exec_start = request.exec_start_s
             self.bus.publish(
                 RequestCompleted(
                     now,
                     RequestOutcome(
                         request_id=request_id,
-                        arrival_s=request.arrival_s,
+                        arrival_s=attempt.arrival_s,
+                        origin_s=attempt.origin_s,
                         start_s=exec_start,
                         completion_s=now,
-                        execution_duration_s=execution_duration,
+                        execution_duration_s=now - exec_start,
                         cold_start=request.cold_start,
                         init_duration_s=request.init_wait_s,
-                        queue_delay_s=max(exec_start - request.arrival_s - request.init_wait_s, 0.0),
+                        queue_delay_s=max(exec_start - attempt.arrival_s - request.init_wait_s, 0.0),
                         sandbox_name=sandbox.name,
                         service_floor_s=self.function.service_time_s + request.overhead_s,
-                        attempts=request.attempts,
-                        retry_wait_s=request.retry_wait_s,
-                        tenant=request.tenant,
-                        origin_s=request.origin_s,
+                        attempts=attempt.attempts,
+                        retry_wait_s=attempt.retry_wait_s,
+                        tenant=self._tenant,
                     ),
                 )
             )
@@ -789,9 +727,7 @@ class PlatformSimulator:
             sandbox = self._pick_sandbox()
             if sandbox is None:
                 return
-            arrival_s, request_id, attempts, retry_wait_s, origin_s = self._queue.popleft()
-            self._admit(sandbox, request_id, arrival_s, cold=False,
-                        attempts=attempts, retry_wait_s=retry_wait_s, origin_s=origin_s)
+            self._admit(sandbox, self._queue.popleft(), cold=False)
 
     # ------------------------------------------------------------------
     # Keep-alive and termination
@@ -832,7 +768,7 @@ class PlatformSimulator:
         if sandbox is None or sandbox.state is not SandboxState.IDLE:
             return
         deadline = sandbox.keep_alive_deadline_s
-        if abs(deadline - checked) > 1e-6:
+        if abs(deadline - checked) > _KEEPALIVE_MATCH_S:
             # The sandbox served more requests since this check was armed.
             # If its current deadline lies beyond this check and nothing else
             # is pending, re-arm at that deadline -- the check this handler
@@ -869,7 +805,7 @@ class PlatformSimulator:
             active_requests += queue_weight * self._feedback.admission_queue_depth(
                 self._id_prefix
             )
-        busy_vcpus = sum(
+        busy_vcpus = fold(
             min(float(s.concurrency), s.alloc_vcpus) for s in alive if s.state is SandboxState.BUSY
         )
         self._autoscaler.observe(self._now, active_requests, busy_vcpus, len(alive))

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["FailedRequest", "RequestOutcome", "SimulationMetrics"]
+__all__ = ["Attempt", "FailedRequest", "RequestOutcome", "SimulationMetrics"]
 
 #: ``slots=True`` shrinks the per-request records (one ``RequestOutcome`` per
 #: completed request is hot-path allocation), but the dataclass flag only
@@ -40,12 +40,38 @@ _SLOTS: Dict[str, bool] = {"slots": True} if sys.version_info >= (3, 10) else {}
 _INITIAL_CAPACITY = 1024
 
 
+@dataclass(**_SLOTS)
+class Attempt:
+    """One client attempt of a logical request, from arrival to outcome.
+
+    The platform simulator builds exactly one per arrival event and carries
+    it unchanged through credit admission, cold-start waits, the ingress
+    queue and the sandbox, until it becomes a :class:`RequestOutcome` or a
+    :class:`FailedRequest`.  ``origin_s`` is the first attempt's arrival
+    time: ``arrival_s`` itself for organic traffic, inherited from the
+    failed parent for retries.  Not frozen on purpose: one is built per
+    arrival on the hot path, and a frozen slotted init costs several times
+    more.
+    """
+
+    request_id: str
+    arrival_s: float
+    origin_s: float
+    #: Client attempt number (1 = original; >1 = retry-loop re-injection).
+    attempts: int = 1
+    #: Cumulative client backoff spent before this attempt arrived.
+    retry_wait_s: float = 0.0
+
+
 @dataclass(frozen=True, **_SLOTS)
 class RequestOutcome:
     """The outcome of one simulated invocation, as the provider would report it."""
 
     request_id: str
     arrival_s: float
+    #: Arrival time of the *first* attempt of this logical request (equals
+    #: ``arrival_s`` for attempt-1 traffic; earlier for retries).
+    origin_s: float
     start_s: float
     completion_s: float
     execution_duration_s: float
@@ -67,10 +93,6 @@ class RequestOutcome:
     retry_wait_s: float = 0.0
     #: Tenant that issued the request (empty without the tenancy layer).
     tenant: str = ""
-    #: Arrival time of the *first* attempt of this logical request (equals
-    #: ``arrival_s`` for attempt-1 traffic; earlier for retries).  ``0.0`` on
-    #: records that predate the tenancy layer.
-    origin_s: float = 0.0
 
     @property
     def end_to_end_latency_s(self) -> float:
@@ -81,10 +103,9 @@ class RequestOutcome:
         """Latency the client perceived: completion minus first-attempt arrival.
 
         Includes every failed attempt's wait and all client-side backoff --
-        the latency SLO attainment is judged against.  Falls back to the
-        per-attempt latency on records without an origin timestamp.
+        the latency SLO attainment is judged against.
         """
-        return self.completion_s - (self.origin_s or self.arrival_s)
+        return self.completion_s - self.origin_s
 
     @property
     def turnaround_s(self) -> float:
@@ -104,6 +125,9 @@ class FailedRequest:
 
     request_id: str
     arrival_s: float
+    #: Arrival time of the first attempt of this logical request; the retry
+    #: loop's deadline check measures elapsed time from here.
+    origin_s: float
     failed_s: float
     reason: str
     sandbox_name: str = ""
@@ -118,10 +142,6 @@ class FailedRequest:
     gave_up: bool = False
     #: Tenant that issued the request (empty without the tenancy layer).
     tenant: str = ""
-    #: Arrival time of the first attempt of this logical request (``0.0`` on
-    #: pre-tenancy records); the retry loop's deadline check measures elapsed
-    #: time from here.
-    origin_s: float = 0.0
     #: The fleet's load-shedding hint attached to this failure: how long the
     #: client should wait before retrying (0.0 when no hint was issued).  The
     #: retry loop stretches its backoff to at least this value.
@@ -203,10 +223,8 @@ class SimulationMetrics:
         self._completed_attempts_sum += outcome.attempts
         if outcome.cold_start:
             self.cold_starts += 1
-        if self.slo_latency_s is not None:
-            client_latency = outcome.completion_s - (outcome.origin_s or outcome.arrival_s)
-            if client_latency <= self.slo_latency_s:
-                self.slo_attained += 1
+        if self.slo_latency_s is not None and outcome.client_latency_s <= self.slo_latency_s:
+            self.slo_attained += 1
 
     def record_failure(self, failure: FailedRequest) -> None:
         self.failures.append(failure)

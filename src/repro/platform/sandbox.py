@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.platform.concurrency import ContentionModel
+from repro.platform.metrics import Attempt
 
 __all__ = ["SandboxState", "ActiveRequest", "Sandbox"]
 
@@ -31,7 +32,12 @@ __all__ = ["SandboxState", "ActiveRequest", "Sandbox"]
 _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 _sandbox_counter = itertools.count()
-_EPS = 1e-12
+#: Remaining CPU or IO seconds at or below this count as done: it absorbs
+#: the rounding left over when processor-sharing progress is subtracted.
+_WORK_DONE_S = 1e-12
+#: How far :meth:`Sandbox.advance` may be asked to step back in time before
+#: it raises; a smaller step is float noise in event times and does nothing.
+_CLOCK_SKEW_S = 1e-9
 
 
 class SandboxState(str, enum.Enum):
@@ -47,24 +53,16 @@ class SandboxState(str, enum.Enum):
 class ActiveRequest:
     """A request admitted into a sandbox (executing or waiting for a runtime worker)."""
 
-    request_id: str
-    arrival_s: float
-    admitted_s: float
+    #: The client attempt this execution serves (id, arrival, origin, retry state).
+    attempt: Attempt
     remaining_cpu_s: float
     io_remaining_s: float
     overhead_s: float
     cold_start: bool
     init_wait_s: float = 0.0
+    #: When a runtime worker picked the request up; ``None`` while it waits
+    #: in :attr:`Sandbox.waiting`.
     exec_start_s: Optional[float] = None
-    #: Client attempt number (1 = original; >1 = retry-loop re-injection).
-    attempts: int = 1
-    #: Cumulative client backoff spent before this attempt arrived.
-    retry_wait_s: float = 0.0
-    #: Tenant that issued the request (empty without the tenancy layer).
-    tenant: str = ""
-    #: Arrival time of the first attempt of this logical request (``0.0``
-    #: means unknown: pre-tenancy construction paths).
-    origin_s: float = 0.0
 
 
 @dataclass(**_SLOTS)
@@ -145,7 +143,7 @@ class Sandbox:
 
     def advance(self, now_s: float) -> None:
         """Advance executing requests' progress to ``now_s`` under processor sharing."""
-        if now_s < self._last_progress_update_s - 1e-9:
+        if now_s < self._last_progress_update_s - _CLOCK_SKEW_S:
             raise ValueError("time went backwards in sandbox advance")
         elapsed = max(now_s - self._last_progress_update_s, 0.0)
         self._last_progress_update_s = now_s
@@ -159,7 +157,7 @@ class Sandbox:
                 # IO only starts after the CPU phase finishes; leftover elapsed
                 # time beyond the CPU completion counts toward IO.
                 leftover = elapsed - (consumed / rate if rate > 0 else 0.0)
-                if request.remaining_cpu_s <= _EPS and leftover > 0:
+                if request.remaining_cpu_s <= _WORK_DONE_S and leftover > 0:
                     request.io_remaining_s = max(request.io_remaining_s - leftover, 0.0)
             else:
                 request.io_remaining_s = max(request.io_remaining_s - elapsed, 0.0)
@@ -177,7 +175,7 @@ class Sandbox:
         self.advance(now_s)
         if len(self.executing) < self.runtime_workers:
             request.exec_start_s = now_s
-            self.executing[request.request_id] = request
+            self.executing[request.attempt.request_id] = request
         else:
             self.waiting.append(request)
         self.concurrency += 1
@@ -189,7 +187,7 @@ class Sandbox:
         return {
             rid: req
             for rid, req in self.executing.items()
-            if req.remaining_cpu_s <= _EPS and req.io_remaining_s <= _EPS
+            if req.remaining_cpu_s <= _WORK_DONE_S and req.io_remaining_s <= _WORK_DONE_S
         }
 
     def remove(self, request_id: str, now_s: float) -> ActiveRequest:
@@ -200,7 +198,7 @@ class Sandbox:
         if self.waiting and len(self.executing) < self.runtime_workers:
             promoted = self.waiting.pop(0)
             promoted.exec_start_s = now_s
-            self.executing[promoted.request_id] = promoted
+            self.executing[promoted.attempt.request_id] = promoted
         if not self.executing and not self.waiting:
             self.state = SandboxState.IDLE
             self.last_busy_s = now_s
@@ -213,7 +211,7 @@ class Sandbox:
         rate = self._per_request_rate() * self.rate_factor
         best: Optional[float] = None
         for request in self.executing.values():
-            if request.remaining_cpu_s > _EPS:
+            if request.remaining_cpu_s > _WORK_DONE_S:
                 if rate <= 0:
                     continue
                 t = now_s + request.remaining_cpu_s / rate + request.io_remaining_s

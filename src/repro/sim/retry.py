@@ -37,12 +37,15 @@ default) no loop exists and simulators take byte-identical pre-retry paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.sim.events import EventBus, RequestFailed, RetryScheduled
 from repro.sim.rng import RngStreams
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; sim does not import platform
+    from repro.platform.metrics import FailedRequest
 
 __all__ = ["RetryPolicy", "RetryLoop", "RetryInjector", "resolve_retry"]
 
@@ -69,18 +72,13 @@ def resolve_retry(
 class RetryInjector(Protocol):
     """Anything a :class:`RetryLoop` can re-inject an arrival into.
 
-    Implemented by :class:`repro.platform.invoker.PlatformSimulator`; kept as
-    a protocol so the sim layer does not import the platform layer.
+    The loop hands over the backoff delay and the failed record; the
+    injector derives the next attempt from it.  Implemented by
+    :class:`repro.platform.invoker.PlatformSimulator`; kept as a protocol so
+    the sim layer does not import the platform layer.
     """
 
-    def inject_retry(
-        self,
-        delay_s: float,
-        attempts: int,
-        retry_wait_s: float,
-        parent_id: str = "",
-        origin_s: float = 0.0,
-    ) -> None:
+    def inject_retry(self, delay_s: float, failed: "FailedRequest") -> None:
         ...
 
 
@@ -271,39 +269,27 @@ class RetryLoop:
         return request_id.split("/", 1)[0] if "/" in request_id else ""
 
     def _on_failed(self, event: RequestFailed) -> None:
-        failure = event.outcome
-        if getattr(failure, "gave_up", False):
+        failure: FailedRequest = event.outcome
+        if failure.gave_up:
             self.gave_up += 1
             return
-        name = self._function_of(str(getattr(failure, "request_id", "")))
+        name = self._function_of(failure.request_id)
         simulator = self._simulators.get(name)
         if simulator is None:
             return  # a failure this loop was never asked to own
-        attempts = int(getattr(failure, "attempts", 1))
-        origin_s = float(getattr(failure, "origin_s", 0.0)) or float(
-            getattr(failure, "arrival_s", 0.0)
-        )
-        elapsed_s = float(getattr(failure, "failed_s", 0.0)) - origin_s
-        if not self.will_retry(name, attempts, elapsed_s):
+        attempts = failure.attempts
+        if not self.will_retry(name, attempts, failure.failed_s - failure.origin_s):
             # Defensive: a publisher that did not consult will_retry() (so
             # gave_up stayed False) must not push the loop past its policy.
             return
         delay = self.policy.backoff_s(attempts, self._streams.stream("retry", name))
         # Honour the fleet's retry-after hint: back off at least that long,
         # so clients shed load from a cluster that told them it is saturated.
-        retry_after = float(getattr(failure, "retry_after_s", 0.0))
-        if retry_after > delay:
-            delay = retry_after
+        if failure.retry_after_s > delay:
+            delay = failure.retry_after_s
         self._budget_spent[name] = self._budget_spent.get(name, 0) + 1
         self.retries_scheduled += 1
-        parent_id = str(getattr(failure, "request_id", ""))
-        simulator.inject_retry(
-            delay,
-            attempts + 1,
-            float(getattr(failure, "retry_wait_s", 0.0)) + delay,
-            parent_id=parent_id,
-            origin_s=origin_s,
-        )
+        simulator.inject_retry(delay, failure)
         if self._bus is not None:
             # Trace/telemetry marker for the re-injection decision.  Published
             # unconditionally once attached (failures are rare); subscribers
@@ -312,7 +298,7 @@ class RetryLoop:
             self._bus.publish(
                 RetryScheduled(
                     event.time_s,
-                    parent_id,
+                    failure.request_id,
                     function_name=name,
                     next_attempt=attempts + 1,
                     delay_s=delay,

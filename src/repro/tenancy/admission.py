@@ -20,7 +20,7 @@ Decisions, by tenant policy (:attr:`~repro.tenancy.model.TenantConfig.on_exhaust
   instant the refill covers the *head* request, and re-arms it each time it
   fires with work left over -- at most one pending event per tenant, so the
   heap stays bounded.  On release, the owning simulator's
-  ``resume_admission`` re-enters routing with the original arrival metadata:
+  ``resume_admission`` re-enters routing with the parked attempt record:
   the credit wait is visible in the request's latency (and SLO attainment),
   exactly like any other queueing delay.
 
@@ -34,11 +34,14 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import Event, SimulationKernel
 from repro.tenancy.credits import CreditAccount
 from repro.tenancy.model import TenantConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.platform.metrics import Attempt
 
 __all__ = ["AdmissionController", "AdmissionDecision"]
 
@@ -74,8 +77,10 @@ class AdmissionController:
             )
             for c in configs
         }
-        #: tenant -> FIFO of (owner name, request args) awaiting credits.
-        self._queues: Dict[str, Deque[Tuple[str, tuple]]] = {c.name: deque() for c in configs}
+        #: tenant -> FIFO of (owner name, attempt) awaiting credits.
+        self._queues: Dict[str, Deque[Tuple[str, "Attempt"]]] = {
+            c.name: deque() for c in configs
+        }
         self._kernel: Optional[SimulationKernel] = None
         self._tenant_of: Dict[str, str] = {}
         self._resumers: Dict[str, object] = {}
@@ -113,9 +118,9 @@ class AdmissionController:
     def register(self, owner: str, tenant: str, resumer) -> None:
         """Meter the simulator named ``owner`` against ``tenant``'s account.
 
-        ``resumer`` must expose ``resume_admission(*request_args)`` -- the
+        ``resumer`` must expose ``resume_admission(attempt)`` -- the
         platform simulator re-enters routing there when a credit-parked
-        request is released.
+        attempt is released.
         """
         if tenant not in self._configs:
             raise ValueError(f"unknown tenant {tenant!r} (have {list(self._configs)})")
@@ -131,12 +136,12 @@ class AdmissionController:
     # The admission gate
     # ------------------------------------------------------------------
 
-    def admit(self, owner: str, now_s: float, request_args: tuple) -> AdmissionDecision:
+    def admit(self, owner: str, now_s: float, attempt: "Attempt") -> AdmissionDecision:
         """Decide one arrival of ``owner`` at ``now_s``.
 
-        ``request_args`` are held verbatim for ``QUEUE`` decisions and passed
-        back to the owner's ``resume_admission`` when credits free up; they
-        are ignored for ``ADMIT``/``DENY``.
+        ``attempt`` is held unchanged for ``QUEUE`` decisions and passed back
+        to the owner's ``resume_admission`` when credits free up; it is
+        ignored for ``ADMIT``/``DENY``.
         """
         tenant = self._tenant_of[owner]
         config = self._configs[tenant]
@@ -155,7 +160,7 @@ class AdmissionController:
             self.denied[tenant] += 1
             return AdmissionDecision.DENY
         was_empty = not queue
-        queue.append((owner, request_args))
+        queue.append((owner, attempt))
         self._queued_by_owner[owner] += 1
         self.queued_total[tenant] += 1
         if was_empty:
@@ -183,12 +188,12 @@ class AdmissionController:
         cost = self._configs[tenant].request_cost
         now_s = event.time
         while queue and account.try_spend(now_s, cost):
-            owner, request_args = queue.popleft()
+            owner, attempt = queue.popleft()
             self._queued_by_owner[owner] -= 1
             self.admitted[tenant] += 1
             self.resumed[tenant] += 1
             self.credits_spent[tenant] += cost
-            self._resumers[owner].resume_admission(*request_args)
+            self._resumers[owner].resume_admission(attempt)
         if queue:
             self._arm_release(tenant, now_s, account, cost)
 

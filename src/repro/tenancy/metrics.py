@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.numeric import fold
+
 __all__ = ["TenantReport", "TenancyReport", "jain_fairness"]
 
 
@@ -41,8 +43,8 @@ def jain_fairness(values: Sequence[float]) -> float:
     xs = [float(v) for v in values]
     if not xs:
         return float("nan")
-    total = sum(xs)
-    squares = sum(x * x for x in xs)
+    total = fold(xs)
+    squares = fold(x * x for x in xs)
     if squares == 0.0:
         return 1.0
     return (total * total) / (len(xs) * squares)

@@ -121,6 +121,7 @@ def _outcomes(seed: int, function: str):
         yield RequestOutcome(
             request_id=f"{function}-{index:03d}",
             arrival_s=t,
+            origin_s=t,
             start_s=t + init_s,
             completion_s=t + init_s + duration,
             execution_duration_s=duration,

@@ -569,7 +569,7 @@ class TestConfigValidationAndMetricsEdges:
         no_floor = SimulationMetrics()
         no_floor.record(
             RequestOutcome(
-                request_id="r0", arrival_s=0.0, start_s=0.0, completion_s=1.0,
+                request_id="r0", arrival_s=0.0, origin_s=0.0, start_s=0.0, completion_s=1.0,
                 execution_duration_s=1.0, cold_start=False, init_duration_s=0.0,
                 queue_delay_s=0.0, sandbox_name="s",
             )

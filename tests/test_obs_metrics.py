@@ -49,6 +49,7 @@ class TestSimulationMetricsPercentiles:
         return RequestOutcome(
             request_id="req-0",
             arrival_s=arrival,
+            origin_s=arrival,
             start_s=arrival,
             completion_s=completion if completion is not None else arrival + duration,
             execution_duration_s=duration,

@@ -6,6 +6,7 @@ import pytest
 from repro.platform.autoscaler import Autoscaler, AutoscalerConfig
 from repro.platform.concurrency import ConcurrencyModel, ContentionModel
 from repro.platform.keepalive import KeepAlivePolicy, KeepAliveResourceBehavior
+from repro.platform.metrics import Attempt
 from repro.platform.sandbox import ActiveRequest, Sandbox, SandboxState
 from repro.platform.serving import ServingArchitecture, ServingOverheadModel
 
@@ -316,9 +317,7 @@ class TestSandbox:
 
     def _request(self, request_id, cpu=0.1, io=0.0):
         return ActiveRequest(
-            request_id=request_id,
-            arrival_s=0.0,
-            admitted_s=0.0,
+            attempt=Attempt(request_id, arrival_s=0.0, origin_s=0.0),
             remaining_cpu_s=cpu,
             io_remaining_s=io,
             overhead_s=0.0,

@@ -108,8 +108,8 @@ class _Recorder:
     def __init__(self):
         self.injected = []
 
-    def inject_retry(self, delay_s, attempts, retry_wait_s, parent_id="", origin_s=0.0):
-        self.injected.append((delay_s, attempts, retry_wait_s))
+    def inject_retry(self, delay_s, failed):
+        self.injected.append((delay_s, failed.attempts + 1, failed.retry_wait_s + delay_s))
 
 
 def _failed(request_id, attempts=1, retry_wait_s=0.0, gave_up=False, time_s=1.0):
@@ -119,7 +119,7 @@ def _failed(request_id, attempts=1, retry_wait_s=0.0, gave_up=False, time_s=1.0)
     return RequestFailed(
         time_s,
         FailedRequest(
-            request_id=request_id, arrival_s=0.0, failed_s=time_s,
+            request_id=request_id, arrival_s=0.0, origin_s=0.0, failed_s=time_s,
             reason="admission_rejected", attempts=attempts,
             retry_wait_s=retry_wait_s, gave_up=gave_up,
         ),
@@ -205,8 +205,12 @@ def _deterministic_platform():
 
 
 class TestPlatformRetryCycle:
-    def _always_rejecting_simulator(self, policy):
-        """A platform whose every cold start is synchronously rejected."""
+    def _rejecting_simulator(self, policy, rejections=None):
+        """A platform whose cold starts are synchronously rejected.
+
+        ``rejections=None`` rejects every cold start; an integer rejects only
+        that many, after which sandboxes become ready normally.
+        """
         fleet_bus = EventBus()
         channel = FeedbackChannel().attach(fleet_bus)
         loop = RetryLoop(policy, seed=3)
@@ -219,18 +223,22 @@ class TestPlatformRetryCycle:
         )
         loop.register("", simulator)
         loop.attach(simulator.bus)
-        simulator.bus.subscribe(
-            SandboxColdStart,
-            lambda event: fleet_bus.publish(
-                SandboxRejected(event.time_s, event.sandbox_name, reason="no_capacity")
-            ),
-        )
+        rejected = []
+
+        def reject(event):
+            if rejections is None or len(rejected) < rejections:
+                rejected.append(event.sandbox_name)
+                fleet_bus.publish(
+                    SandboxRejected(event.time_s, event.sandbox_name, reason="no_capacity")
+                )
+
+        simulator.bus.subscribe(SandboxColdStart, reject)
         return simulator, loop
 
     def test_request_retries_until_attempts_exhausted(self):
         policy = RetryPolicy(max_attempts=3, base_backoff_s=1.0,
                              backoff_multiplier=2.0, jitter=0.0)
-        simulator, loop = self._always_rejecting_simulator(policy)
+        simulator, loop = self._rejecting_simulator(policy)
         simulator.run([0.0], horizon_s=60.0)
         m = simulator.metrics
         # one organic arrival + two re-injections, every attempt failed
@@ -248,7 +256,7 @@ class TestPlatformRetryCycle:
     def test_budget_caps_total_retries(self):
         policy = RetryPolicy(max_attempts=5, base_backoff_s=1.0, jitter=0.0,
                              retry_budget=1)
-        simulator, loop = self._always_rejecting_simulator(policy)
+        simulator, loop = self._rejecting_simulator(policy)
         simulator.run([0.0, 0.1], horizon_s=60.0)
         m = simulator.metrics
         # two organic arrivals share one budget unit: exactly one retry fires
@@ -258,12 +266,47 @@ class TestPlatformRetryCycle:
 
     def test_late_backoff_is_censored_by_the_horizon(self):
         policy = RetryPolicy(max_attempts=2, base_backoff_s=50.0, max_backoff_s=50.0, jitter=0.0)
-        simulator, loop = self._always_rejecting_simulator(policy)
+        simulator, loop = self._rejecting_simulator(policy)
         simulator.run([0.0], horizon_s=10.0)
         m = simulator.metrics
         assert loop.retries_scheduled == 1
         assert m.retry_arrivals == 0  # scheduled beyond the horizon: never fired
         assert m.arrivals == m.num_requests + m.failed_requests + simulator.pending_request_count
+
+    @pytest.mark.parametrize("arrival_s", [0.0, 0.5])
+    def test_retries_keep_the_first_arrival_as_origin(self, arrival_s):
+        """The retry deadline counts from the first arrival, even at t=0.
+
+        A request born at ``t=0.0`` used to have its origin reset to the
+        first retry's arrival time, which bought it an extra attempt.
+        """
+        policy = RetryPolicy(max_attempts=5, base_backoff_s=1.0, backoff_multiplier=1.0,
+                             jitter=0.0, deadline_s=2.5)
+        simulator, loop = self._rejecting_simulator(policy)
+        simulator.run([arrival_s], horizon_s=60.0)
+        failures = simulator.metrics.failures
+        # attempts arrive 0, 1, 2 and 3 s after the first; the fourth fails
+        # past the 2.5-s deadline and is terminal
+        assert [f.attempts for f in failures] == [1, 2, 3, 4]
+        assert [f.gave_up for f in failures] == [False, False, False, True]
+        assert [f.origin_s for f in failures] == [arrival_s] * 4
+        assert loop.retries_scheduled == 3
+
+    def test_completed_retry_latency_counts_from_the_first_arrival(self):
+        """SLO latency of a retried t=0 request includes the failed attempt."""
+        policy = RetryPolicy(max_attempts=3, base_backoff_s=1.0, jitter=0.0)
+        simulator, _ = self._rejecting_simulator(policy, rejections=1)
+        simulator.metrics.slo_latency_s = 1.0
+        simulator.run([0.0], horizon_s=60.0)
+        m = simulator.metrics
+        assert [f.attempts for f in m.failures] == [1]
+        (outcome,) = m.requests
+        assert outcome.attempts == 2 and outcome.arrival_s == 1.0
+        assert outcome.origin_s == 0.0
+        assert outcome.client_latency_s == outcome.completion_s
+        # ~0.75 s after the retry arrived, but ~1.75 s after the first arrival
+        assert outcome.end_to_end_latency_s < 1.0 < outcome.client_latency_s
+        assert m.slo_attained == 0
 
 
 # ----------------------------------------------------------------------

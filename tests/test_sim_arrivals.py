@@ -433,6 +433,7 @@ class TestMeterFastPathIdentity:
                 RequestOutcome(
                     request_id=f"req-{index:04d}",
                     arrival_s=t,
+                    origin_s=t,
                     start_s=t + init_s,
                     completion_s=t + init_s + duration,
                     execution_duration_s=duration,
