@@ -103,7 +103,10 @@ class BillingCalculator:
     # ------------------------------------------------------------------
 
     def effective_allocations(self, inputs: InvocationBillingInput) -> Dict[ResourceKind, float]:
-        """Map a request's resource allocation onto this platform's control knobs."""
+        """Map a request's resource allocation onto this platform's control knobs.
+
+        Only ``inputs.alloc_vcpus`` and ``inputs.alloc_memory_gb`` are read.
+        """
         vcpus = inputs.alloc_vcpus
         memory_gb = inputs.alloc_memory_gb
         if self.model.cpu_embedded_in_memory and self.platform is PlatformName.AWS_LAMBDA:
@@ -132,39 +135,37 @@ class BillingCalculator:
     # ------------------------------------------------------------------
 
     def compile(
-        self, inputs: InvocationBillingInput, include_invocation_fee: bool = True
+        self, flavor: "InvocationBillingInput | RequestRecord", include_invocation_fee: bool = True
     ) -> Callable[..., Tuple[List[BillRow], float, float]]:
-        """This platform's Equation 1 for one invocation's allocations and usages.
+        """This platform's Equation 1 for one flavor (a vCPU and memory allocation).
 
-        Returns ``price(execution_s, init_s, instance_s) -> (rows, billable_cpu,
-        billable_memory)``: the model's :meth:`BillingModel.compile` rows for
-        those durations (by default the ones in ``inputs``) and the billable
-        vCPU-seconds and GB-seconds.  For memory-based-billing platforms the
-        billable *CPU* time is the vCPU allocation implied by the billed memory
-        times the billable duration, matching the paper's treatment ("CPU
-        pricing is usually embedded for platforms with memory-based billing;
-        therefore, we include billable vCPU time for AWS").
+        ``flavor`` is anything with ``alloc_vcpus`` and ``alloc_memory_gb``.
+        Returns ``price(execution_s, init_s, used_cpu_seconds, used_memory_gb,
+        instance_s=None) -> (rows, billable_cpu, billable_memory)``: the
+        model's :meth:`BillingModel.compile` rows and the billable vCPU-seconds
+        and GB-seconds of one invocation -- or, given float ``np.ndarray``
+        columns, of each invocation of the flavor.  For memory-based-billing
+        platforms the billable *CPU* time is the vCPU allocation implied by the
+        billed memory times the billable duration, matching the paper's
+        treatment ("CPU pricing is usually embedded for platforms with
+        memory-based billing; therefore, we include billable vCPU time for AWS").
         """
         model = self.model
-        allocations = self.effective_allocations(inputs)
-        rows_at = model.compile(allocations, self.effective_usages(inputs), include_invocation_fee)
+        allocations = self.effective_allocations(flavor)
+        rows_at = model.compile(allocations, include_invocation_fee)
         embedded_cpu = None  # the CPU share of the billed memory, when CPU is not billed
         if model.cpu_embedded_in_memory and all(
             r.kind is not ResourceKind.CPU
             for r in (*model.allocation_resources, *model.usage_resources)
         ):
             embedded_cpu = allocations[ResourceKind.CPU]
-        cpu_time_s = inputs.used_cpu_seconds
         billable_seconds = model.billable_seconds
         cpu_kind, memory_kind = ResourceKind.CPU, ResourceKind.MEMORY
 
-        def price(
-            execution_s: float = inputs.execution_s,
-            init_s: float = inputs.init_s,
-            instance_s: Optional[float] = inputs.instance_s,
-        ) -> Tuple[List[BillRow], float, float]:
-            billable_time = billable_seconds(execution_s, init_s, instance_s, cpu_time_s)
-            rows = rows_at(billable_time)
+        def price(execution_s, init_s, used_cpu_seconds, used_memory_gb, instance_s=None):
+            billable_time = billable_seconds(execution_s, init_s, instance_s, used_cpu_seconds)
+            # Usages in effective_usages' units: consumed vCPU-seconds, average GB.
+            rows = rows_at(billable_time, {cpu_kind: used_cpu_seconds, memory_kind: used_memory_gb})
             cpu = memory = 0.0
             for _, kind, quantity, _, _ in rows:
                 if kind is cpu_kind:
@@ -179,7 +180,10 @@ class BillingCalculator:
 
     def billable_resources(self, inputs: InvocationBillingInput) -> Dict[ResourceKind, float]:
         """Billable vCPU-seconds / GB-seconds (and any other billed kind) for one invocation."""
-        rows, cpu, _ = self.compile(inputs, include_invocation_fee=False)()
+        rows, cpu, _ = self.compile(inputs, include_invocation_fee=False)(
+            inputs.execution_s, inputs.init_s, inputs.used_cpu_seconds, inputs.used_memory_gb,
+            inputs.instance_s,
+        )
         billable = billable_quantities(rows)
         if self.model.cpu_embedded_in_memory:
             billable.setdefault(ResourceKind.CPU, cpu)
@@ -187,7 +191,10 @@ class BillingCalculator:
 
     def bill(self, inputs: InvocationBillingInput, include_invocation_fee: bool = True) -> BilledInvocation:
         """Bill one invocation: billable resources plus the monetary invoice."""
-        rows, cpu, memory = self.compile(inputs, include_invocation_fee)()
+        rows, cpu, memory = self.compile(inputs, include_invocation_fee)(
+            inputs.execution_s, inputs.init_s, inputs.used_cpu_seconds, inputs.used_memory_gb,
+            inputs.instance_s,
+        )
         return BilledInvocation(
             platform=self.model.platform,
             billable_cpu_seconds=cpu,

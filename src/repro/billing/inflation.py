@@ -10,13 +10,13 @@ billable vCPU time exceeding actual usage by 1.01x (Cloudflare) up to 3.63x
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.billing.calculator import BillingCalculator, InvocationBillingInput
+from repro.billing.calculator import BillingCalculator
 from repro.billing.catalog import PlatformName
-from repro.billing.units import ResourceKind
+from repro.billing.models import BillableTime
 from repro.numeric import fold
 from repro.traces.schema import RequestRecord, Trace
 
@@ -93,32 +93,44 @@ class InflationAnalyzer:
     """Computes Figure 2's billable-resource distributions for a trace."""
 
     def __init__(self, platforms: Optional[Sequence[PlatformName]] = None) -> None:
-        self.platforms = list(platforms or FIGURE2_PLATFORMS)
+        self.platforms = list(FIGURE2_PLATFORMS if platforms is None else platforms)
         self._calculators = {p: BillingCalculator(p) for p in self.platforms}
+        for platform, calculator in self._calculators.items():
+            if calculator.model.billable_time is BillableTime.INSTANCE:
+                raise ValueError(f"{platform.value} bills instance lifespans, not requests")
 
     def analyze(self, trace_or_requests: "Trace | Iterable[RequestRecord]") -> Dict[PlatformName, InflationResult]:
         """Bill every request under every platform model and collect the distributions.
 
         Requests reporting zero CPU usage are excluded, matching the paper's
-        trace pre-processing.
+        trace pre-processing.  Each platform's Equation 1 is compiled once per
+        flavor (vCPU and memory allocation) and priced over that flavor's
+        requests as numpy columns; the results are in request order.
         """
         if isinstance(trace_or_requests, Trace):
             requests = trace_or_requests.exclude_zero_cpu().requests
         else:
             requests = [r for r in trace_or_requests if r.usage.cpu_seconds > 0]
 
-        results = {p: InflationResult(platform=p.value) for p in self.platforms}
-        for record in requests:
-            inputs = InvocationBillingInput.from_request(record)
-            actual_cpu = record.actual_cpu_seconds
-            actual_mem = record.actual_memory_gb_seconds
-            for platform in self.platforms:
-                billable = self._calculators[platform].billable_resources(inputs)
-                result = results[platform]
-                result.billable_cpu_seconds.append(billable.get(ResourceKind.CPU, 0.0))
-                result.billable_memory_gb_seconds.append(billable.get(ResourceKind.MEMORY, 0.0))
-                result.actual_cpu_seconds.append(actual_cpu)
-                result.actual_memory_gb_seconds.append(actual_mem)
+        flavors: Dict[Tuple[float, float], List[int]] = {}
+        for index, record in enumerate(requests):
+            flavors.setdefault((record.alloc_vcpus, record.alloc_memory_gb), []).append(index)
+        # One row per price() argument: execution, init, used CPU, used memory.
+        columns = np.array(
+            [(r.duration_s, r.init_duration_s, r.usage.cpu_seconds, r.usage.memory_gb)
+             for r in requests], dtype=float,
+        ).reshape(-1, 4).T
+        actual_cpu, actual_memory = columns[2].tolist(), (columns[3] * columns[0]).tolist()
+        results = {}
+        for platform, calculator in self._calculators.items():
+            billable_cpu, billable_memory = np.zeros(len(requests)), np.zeros(len(requests))
+            for index in flavors.values():
+                price = calculator.compile(requests[index[0]], include_invocation_fee=False)
+                _, billable_cpu[index], billable_memory[index] = price(*columns[:, index])
+            results[platform] = InflationResult(
+                platform.value, billable_cpu.tolist(), billable_memory.tolist(),
+                list(actual_cpu), list(actual_memory),
+            )
         return results
 
     def inflation_table(self, trace: "Trace | Iterable[RequestRecord]") -> List[Dict[str, float]]:

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.billing.calculator import BilledInvocation, BillingCalculator, InvocationBillingInput
+from repro.billing.calculator import BillingCalculator, InvocationBillingInput
 from repro.billing.models import FEE_LABEL, BillableTime, BillingModel, billable_quantities
 from repro.billing.units import ResourceKind
 from repro.numeric import fold
@@ -198,7 +198,7 @@ class CostMeter:
 
     def attach(self, bus: EventBus, resources: Optional[RequestResources] = None) -> "CostMeter":
         """Subscribe to a bus; ``resources`` fills in what outcomes don't carry."""
-        prices: Dict[Optional[str], Callable] = {}  # this bus's compiled Equation 1
+        prices: Dict[object, Callable] = {}  # this bus's compiled Equation 1, per flavor
         bus.subscribe(RequestCompleted, lambda event: self._meter(event.outcome, resources, prices))
         bus.subscribe(SandboxColdStart, self._on_cold_start)
         bus.subscribe(SandboxBusy, self._on_busy)
@@ -260,11 +260,19 @@ class CostMeter:
         self.cost_usd += amount_usd
 
     def _book(
-        self, total: float, fee: float, billable_cpu: float, billable_memory: float,
-        actual_cpu: float, actual_memory: float, cold_start: bool, price_class: Optional[str],
-        attempts: int, tenant: str,
+        self, price: Callable, execution_s: float, init_s: float, used_cpu_seconds: float,
+        used_memory_gb: float, cold_start: bool, price_class: Optional[str], attempts: int,
+        tenant: str,
     ) -> None:
-        """Fold one billed request into the running totals and their buckets."""
+        """Price one request with a compiled Equation 1 and fold it into the totals."""
+        rows, billable_cpu, billable_memory = price(
+            execution_s, init_s, used_cpu_seconds, used_memory_gb
+        )
+        total = fee = 0.0  # Invoice.total and charge_for(FEE_LABEL), without the invoice
+        for label, _, _, _, charge in rows:
+            total += charge
+            if label == FEE_LABEL:
+                fee += charge
         self.num_requests += 1
         if cold_start:
             self.num_cold_starts += 1
@@ -274,8 +282,8 @@ class CostMeter:
             self.cost_usd_by_tenant[tenant] = self.cost_usd_by_tenant.get(tenant, 0.0) + total
         self.billable_cpu_seconds += billable_cpu
         self.billable_memory_gb_seconds += billable_memory
-        self.actual_cpu_seconds += actual_cpu
-        self.actual_memory_gb_seconds += actual_memory
+        self.actual_cpu_seconds += used_cpu_seconds
+        self.actual_memory_gb_seconds += used_memory_gb * execution_s
         self.invocation_fee_usd += fee
 
     def _calculator_for(self, price_class: Optional[str]) -> BillingCalculator:
@@ -307,28 +315,27 @@ class CostMeter:
         price_class: Optional[str] = None,
         attempts: int = 1,
         tenant: str = "",
-    ) -> BilledInvocation:
+    ) -> None:
         """Bill one invocation (at its zone's price class) into the running totals."""
-        billed = self._calculator_for(price_class).bill(inputs, self.include_invocation_fee)
-        invoice = billed.invoice
-        self._book(invoice.total, invoice.charge_for(FEE_LABEL), billed.billable_cpu_seconds,
-                   billed.billable_memory_gb_seconds, billed.actual_cpu_seconds,
-                   billed.actual_memory_gb_seconds, cold_start, price_class, attempts, tenant)
-        return billed
+        price = self._calculator_for(price_class).compile(inputs, self.include_invocation_fee)
+        self._book(price, inputs.execution_s, inputs.init_s, inputs.used_cpu_seconds,
+                   inputs.used_memory_gb, cold_start, price_class, attempts, tenant)
 
     def meter_outcome(self, outcome: object, resources: Optional[RequestResources] = None) -> None:
         """Meter a ``RequestCompleted`` payload: a trace record or a simulator outcome."""
         self._meter(outcome, resources, {})
 
     def _meter(self, outcome: object, resources: Optional[RequestResources],
-               prices: Dict[Optional[str], Callable]) -> None:
-        """:meth:`meter_outcome`, reusing ``prices``: Equation 1 compiled per price class.
+               prices: Dict[object, Callable]) -> None:
+        """:meth:`meter_outcome`, reusing ``prices``: Equation 1 compiled per flavor.
 
-        With a fixed ``resources`` context only the durations vary from one
-        simulator outcome to the next, so each bus compiles once per class.
+        A simulator outcome's flavor is the bus's fixed ``resources`` context,
+        so ``prices`` is keyed by price class alone; a trace record carries its
+        own, keyed by ``(price_class, alloc_vcpus, alloc_memory_gb)``.  Either
+        way each bus compiles once per price class and flavor.
         """
         is_record = isinstance(outcome, RequestRecord)
-        execution_s = getattr(outcome, "execution_duration_s", None)
+        execution_s = None if is_record else getattr(outcome, "execution_duration_s", None)
         if not is_record and execution_s is None:
             raise TypeError(
                 f"cannot meter outcome of type {type(outcome).__name__}: expected a "
@@ -344,35 +351,28 @@ class CostMeter:
                 self.num_cold_starts += 1
             return
         price_class = self._resolve_price_class(str(getattr(outcome, "sandbox_name", "")))
-        attempts = int(getattr(outcome, "attempts", 1))
-        tenant = str(getattr(outcome, "tenant", ""))
         if is_record:
-            self.meter_request(
-                InvocationBillingInput.from_request(outcome), cold, price_class, attempts,
-                tenant,
-            )
-            return
-        if resources is None:
+            flavor, key = outcome, (price_class, outcome.alloc_vcpus, outcome.alloc_memory_gb)
+            execution_s, init_s = outcome.duration_s, outcome.init_duration_s
+            used_cpu_seconds, used_memory_gb = outcome.usage.cpu_seconds, outcome.usage.memory_gb
+        elif resources is None:
             raise ValueError(
                 "metering simulator outcomes needs a RequestResources context "
                 "(allocations and per-request usage are not part of the outcome)"
             )
-        price = prices.get(price_class)
+        else:
+            flavor, key = resources, price_class
+            execution_s = float(execution_s)
+            init_s = float(getattr(outcome, "init_duration_s", 0.0))
+            used_cpu_seconds, used_memory_gb = resources.used_cpu_seconds, resources.used_memory_gb
+        price = prices.get(key)
         if price is None:
-            price = prices[price_class] = self._calculator_for(price_class).compile(
-                InvocationBillingInput(0.0, 0.0, resources.alloc_vcpus, resources.alloc_memory_gb,
-                                       resources.used_cpu_seconds, resources.used_memory_gb),
-                self.include_invocation_fee,
+            price = prices[key] = self._calculator_for(price_class).compile(
+                flavor, self.include_invocation_fee
             )
-        execution_s = float(execution_s)
-        rows, cpu, memory = price(execution_s, float(getattr(outcome, "init_duration_s", 0.0)))
-        total = fee = 0.0  # Invoice.total and charge_for(FEE_LABEL), without the invoice
-        for label, _, _, _, charge in rows:
-            total += charge
-            if label == FEE_LABEL:
-                fee += charge
-        self._book(total, fee, cpu, memory, resources.used_cpu_seconds,
-                   resources.used_memory_gb * execution_s, cold, price_class, attempts, tenant)
+        self._book(price, execution_s, init_s, used_cpu_seconds, used_memory_gb, cold,
+                   price_class, int(getattr(outcome, "attempts", 1)),
+                   str(getattr(outcome, "tenant", "")))
 
     # ------------------------------------------------------------------
     # Instance metering (sandbox lifecycle events)
@@ -435,7 +435,7 @@ class CostMeter:
                 ResourceKind.MEMORY: instance.alloc_memory_gb,
             }
             rows = model.compile(allocations, include_invocation_fee=False)(
-                model.billable_seconds(0.0, instance_s=lifespan)
+                model.billable_seconds(0.0, instance_s=lifespan), {}
             )
             self._add_cost(price_class, fold((row[4] for row in rows), 0.0))
             billable = billable_quantities(rows)

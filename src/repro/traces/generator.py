@@ -226,6 +226,16 @@ class TraceGenerator:
                 durations_all * (cfg.mean_duration_s / mean_now), cfg.duration_floor_s
             )
 
+        # Per-request utilisations: the population-level draw scaled by the
+        # function's own mean, so distinct functions keep distinct profiles.
+        means = np.array([(f.mean_cpu_utilization, f.mean_memory_utilization) for f in functions])
+        scales = (means / [cfg.mean_cpu_utilization, cfg.mean_memory_utilization])[function_choices]
+        cpu_utils = np.clip(cpu_util_all * scales[:, 0], 0.01, 1.0).tolist()
+        mem_utils = np.clip(mem_util_all * scales[:, 1], 0.01, 1.0).tolist()
+        durations = durations_all.tolist()
+        arrival_times = arrivals.tolist()
+        cold_list = cold_flags.tolist()
+
         requests: List[RequestRecord] = []
         cold_starts: List[ColdStartRecord] = []
         pod_counter = 0
@@ -234,10 +244,9 @@ class TraceGenerator:
         active_pod: Dict[int, str] = {}
         cold_start_index: Dict[str, int] = {}
 
-        for i in range(cfg.num_requests):
-            fn_index = int(function_choices[i])
+        for i, fn_index in enumerate(function_choices.tolist()):
             profile = functions[fn_index]
-            is_cold = bool(cold_flags[i]) or fn_index not in active_pod
+            is_cold = cold_list[i] or fn_index not in active_pod
             if is_cold:
                 pod_id = f"pod-{pod_counter:07d}"
                 pod_counter += 1
@@ -260,21 +269,15 @@ class TraceGenerator:
                 init_duration = 0.0
             pod_id = active_pod[fn_index]
 
-            duration = float(durations_all[i])
-            # Scale the population-level utilisation draw by the function's own
-            # mean so distinct functions keep distinct utilisation profiles.
-            cpu_scale = profile.mean_cpu_utilization / cfg.mean_cpu_utilization
-            mem_scale = profile.mean_memory_utilization / cfg.mean_memory_utilization
-            cpu_util = float(np.clip(cpu_util_all[i] * cpu_scale, 0.01, 1.0))
-            mem_util = float(np.clip(mem_util_all[i] * mem_scale, 0.01, 1.0))
-            cpu_seconds = cpu_util * profile.alloc_vcpus * duration
-            memory_gb = mem_util * profile.alloc_memory_gb
+            duration = durations[i]
+            cpu_seconds = cpu_utils[i] * profile.alloc_vcpus * duration
+            memory_gb = mem_utils[i] * profile.alloc_memory_gb
 
             record = RequestRecord(
                 request_id=f"req-{i:08d}",
                 function_id=profile.function_id,
                 pod_id=pod_id,
-                arrival_s=float(arrivals[i]),
+                arrival_s=arrival_times[i],
                 duration_s=duration,
                 usage=ResourceUsage(cpu_seconds=cpu_seconds, memory_gb=memory_gb),
                 alloc_vcpus=profile.alloc_vcpus,

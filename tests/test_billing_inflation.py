@@ -85,3 +85,13 @@ class TestInflationAnalyzer:
         requests = small_trace.requests[:100]
         results = InflationAnalyzer([PlatformName.AWS_LAMBDA]).analyze(requests)
         assert len(results[PlatformName.AWS_LAMBDA].billable_cpu_seconds) <= 100
+
+    def test_empty_platform_list_analyzes_nothing(self, small_trace):
+        assert InflationAnalyzer([]).analyze(small_trace) == {}
+
+    @pytest.mark.parametrize(
+        "platform", [PlatformName.GCP_RUN_INSTANCE, PlatformName.AZURE_PREMIUM]
+    )
+    def test_instance_billed_platform_rejected_up_front(self, platform):
+        with pytest.raises(ValueError, match=platform.value):
+            InflationAnalyzer([PlatformName.AWS_LAMBDA, platform])
