@@ -115,12 +115,13 @@ class InflationAnalyzer:
         flavors: Dict[Tuple[float, float], List[int]] = {}
         for index, record in enumerate(requests):
             flavors.setdefault((record.alloc_vcpus, record.alloc_memory_gb), []).append(index)
+        actual_cpu = [r.usage.cpu_seconds for r in requests]
         # One row per price() argument: execution, init, used CPU, used memory.
-        columns = np.array(
-            [(r.duration_s, r.init_duration_s, r.usage.cpu_seconds, r.usage.memory_gb)
-             for r in requests], dtype=float,
-        ).reshape(-1, 4).T
-        actual_cpu, actual_memory = columns[2].tolist(), (columns[3] * columns[0]).tolist()
+        columns = np.array([
+            [r.duration_s for r in requests], [r.init_duration_s for r in requests],
+            actual_cpu, [r.usage.memory_gb for r in requests],
+        ], dtype=float)
+        actual_memory = (columns[3] * columns[0]).tolist()
         results = {}
         for platform, calculator in self._calculators.items():
             billable_cpu, billable_memory = np.zeros(len(requests)), np.zeros(len(requests))

@@ -226,12 +226,17 @@ class TraceGenerator:
                 durations_all * (cfg.mean_duration_s / mean_now), cfg.duration_floor_s
             )
 
-        # Per-request utilisations: the population-level draw scaled by the
-        # function's own mean, so distinct functions keep distinct profiles.
-        means = np.array([(f.mean_cpu_utilization, f.mean_memory_utilization) for f in functions])
-        scales = (means / [cfg.mean_cpu_utilization, cfg.mean_memory_utilization])[function_choices]
-        cpu_utils = np.clip(cpu_util_all * scales[:, 0], 0.01, 1.0).tolist()
-        mem_utils = np.clip(mem_util_all * scales[:, 1], 0.01, 1.0).tolist()
+        # Per-request usage: the population-level utilisation draw scaled by
+        # the function's own mean (so distinct functions keep distinct
+        # profiles), times the function's allocation.
+        profiles = np.array([
+            (f.mean_cpu_utilization, f.mean_memory_utilization, f.alloc_vcpus, f.alloc_memory_gb)
+            for f in functions
+        ])[function_choices]
+        cpu_util = np.clip(cpu_util_all * (profiles[:, 0] / cfg.mean_cpu_utilization), 0.01, 1.0)
+        mem_util = np.clip(mem_util_all * (profiles[:, 1] / cfg.mean_memory_utilization), 0.01, 1.0)
+        cpu_seconds_all = (cpu_util * profiles[:, 2] * durations_all).tolist()
+        memory_gb_all = (mem_util * profiles[:, 3]).tolist()
         durations = durations_all.tolist()
         arrival_times = arrivals.tolist()
         cold_list = cold_flags.tolist()
@@ -269,17 +274,13 @@ class TraceGenerator:
                 init_duration = 0.0
             pod_id = active_pod[fn_index]
 
-            duration = durations[i]
-            cpu_seconds = cpu_utils[i] * profile.alloc_vcpus * duration
-            memory_gb = mem_utils[i] * profile.alloc_memory_gb
-
             record = RequestRecord(
                 request_id=f"req-{i:08d}",
                 function_id=profile.function_id,
                 pod_id=pod_id,
                 arrival_s=arrival_times[i],
-                duration_s=duration,
-                usage=ResourceUsage(cpu_seconds=cpu_seconds, memory_gb=memory_gb),
+                duration_s=durations[i],
+                usage=ResourceUsage(cpu_seconds=cpu_seconds_all[i], memory_gb=memory_gb_all[i]),
                 alloc_vcpus=profile.alloc_vcpus,
                 alloc_memory_gb=profile.alloc_memory_gb,
                 cold_start=is_cold,
