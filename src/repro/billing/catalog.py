@@ -3,9 +3,10 @@
 Each entry instantiates :class:`repro.billing.models.BillingModel` with the
 billable-time notion, billable resources, granularities, minimum cutoffs and
 invocation fee the paper reports for that platform (snapshot of 2025-05-15).
-Per-unit prices come from :mod:`repro.billing.pricing` and are attached to the
-resource definitions here so that an invoice can be produced directly from a
-catalog entry.
+The per-unit prices below are attached to the resource definitions so that an
+invoice can be produced directly from a catalog entry.  This is the only place
+a unit price is written down: Figure 1's table (:mod:`repro.billing.pricing`)
+and the cost decomposition read them from here.
 
 Unit conventions throughout: CPU in vCPUs, memory in GB, time in seconds.
 """

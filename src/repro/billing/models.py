@@ -316,7 +316,7 @@ class BillingModel:
         )
 
     # ------------------------------------------------------------------
-    # Zone-aware pricing
+    # Derived models: zone-aware pricing and the rounding-free twin
     # ------------------------------------------------------------------
 
     def with_price_multiplier(self, multiplier: float) -> "BillingModel":
@@ -333,16 +333,28 @@ class BillingModel:
             raise ValueError("price multiplier must be >= 0")
         if multiplier == 1.0:
             return self
+        return self._replace_resources(lambda r: {"unit_price": r.unit_price * multiplier})
+
+    def without_rounding(self) -> "BillingModel":
+        """This model with every time and resource granularity and the minimum cutoff zeroed.
+
+        Its compiled rows bill raw amounts over raw billable time (the §5
+        cost ladder's rounding-free rungs): :func:`round_up` and
+        :func:`apply_minimum` return their input unchanged at granularity 0.
+        """
+        return self._replace_resources(
+            lambda r: {"granularity": 0.0}, time_granularity_s=0.0, minimum_time_s=0.0
+        )
+
+    def _replace_resources(self, update: Callable[..., dict], **changes) -> "BillingModel":
+        """A copy with ``update(resource)``'s fields replaced on every resource."""
         return dataclasses.replace(
             self,
             allocation_resources=tuple(
-                dataclasses.replace(r, unit_price=r.unit_price * multiplier)
-                for r in self.allocation_resources
+                dataclasses.replace(r, **update(r)) for r in self.allocation_resources
             ),
-            usage_resources=tuple(
-                dataclasses.replace(r, unit_price=r.unit_price * multiplier)
-                for r in self.usage_resources
-            ),
+            usage_resources=tuple(dataclasses.replace(r, **update(r)) for r in self.usage_resources),
+            **changes,
         )
 
     # ------------------------------------------------------------------

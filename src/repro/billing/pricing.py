@@ -2,38 +2,24 @@
 
 The paper plots each platform's effective vCPU-second and GB-second prices and
 observes (I1) that per-unit prices are broadly similar across providers and a
-factor ~2-2.5x above VM / container-hosting prices for the same hardware.  For
-memory-based-billing platforms (AWS, Huawei, Azure Consumption, Oracle, Vercel)
-the CPU cost is embedded in the memory price; this module also provides a
-decomposition that splits the embedded price using the industry-consensus
-CPU:memory value ratio of ~9.1-9.64 the paper derives in §2.2.
+factor ~2-2.5x above VM / container-hosting prices for the same hardware.
+:data:`PLATFORM_PRICES` is read off the Table 1 catalog
+(:mod:`repro.billing.catalog`), the only place a unit price is written down.
+For memory-based-billing platforms (AWS, Huawei, Azure Consumption and Flex,
+Oracle, Vercel) the CPU cost is embedded in the memory price;
+:meth:`PlatformPrice.implied_unit_prices` splits it using the
+industry-consensus CPU:memory value ratio of ~9.1-9.64 the paper derives in
+§2.2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.billing.catalog import (
-    ALIBABA_CPU_PRICE,
-    ALIBABA_MEMORY_PRICE,
-    AWS_LAMBDA_MEMORY_PRICE,
-    AZURE_CONSUMPTION_MEMORY_PRICE,
-    AZURE_FLEX_MEMORY_PRICE,
-    AZURE_PREMIUM_CPU_PRICE,
-    AZURE_PREMIUM_MEMORY_PRICE,
-    CLOUDFLARE_CPU_PRICE,
-    GCP_CPU_PRICE,
-    GCP_INSTANCE_CPU_PRICE,
-    GCP_INSTANCE_MEMORY_PRICE,
-    GCP_MEMORY_PRICE,
-    HUAWEI_MEMORY_PRICE,
-    IBM_CPU_PRICE,
-    IBM_MEMORY_PRICE,
-    ORACLE_MEMORY_PRICE,
-    PlatformName,
-    VERCEL_MEMORY_PRICE,
-)
+from repro.billing.catalog import PlatformName, get_billing_model
+from repro.billing.models import BillingModel
+from repro.billing.units import ResourceKind
 
 __all__ = [
     "PlatformPrice",
@@ -60,7 +46,7 @@ class PlatformPrice:
     """Effective per-unit prices of one platform (Figure 1 data point).
 
     ``cpu_per_vcpu_second`` is zero for platforms that embed CPU in the memory
-    price; use :func:`decompose_memory_embedded_price` to split it.
+    price; :meth:`implied_unit_prices` splits it.
     """
 
     platform: PlatformName
@@ -76,44 +62,32 @@ class PlatformPrice:
             return self.memory_per_gb_second * VCPU_EQUIVALENT_MEMORY_GB
         return self.cpu_per_vcpu_second * 1.0 + self.memory_per_gb_second * VCPU_EQUIVALENT_MEMORY_GB
 
+    def implied_unit_prices(self) -> Tuple[float, float]:
+        """The (vCPU-second, GB-second) prices, splitting a memory-embedded one."""
+        if self.memory_based_billing:
+            implied = decompose_memory_embedded_price(self.memory_per_gb_second)
+            return implied["implied_cpu_per_vcpu_second"], implied["implied_memory_per_gb_second"]
+        return self.cpu_per_vcpu_second, self.memory_per_gb_second
 
+
+def _unit_price(model: BillingModel, kind: ResourceKind) -> float:
+    """The first ``kind`` unit price, allocation before usage resources (0 if unbilled)."""
+    resources = (*model.allocation_resources, *model.usage_resources)
+    return next((r.unit_price for r in resources if r.kind is kind), 0.0)
+
+
+#: Figure 1's price table, read off the Table 1 catalog in its order.  A
+#: platform is memory-based when it bills no CPU resource at all.
 PLATFORM_PRICES: Dict[PlatformName, PlatformPrice] = {
-    PlatformName.AWS_LAMBDA: PlatformPrice(
-        PlatformName.AWS_LAMBDA, 0.0, AWS_LAMBDA_MEMORY_PRICE, 2.0e-7, True
-    ),
-    PlatformName.GCP_RUN_REQUEST: PlatformPrice(
-        PlatformName.GCP_RUN_REQUEST, GCP_CPU_PRICE, GCP_MEMORY_PRICE, 4.0e-7, False
-    ),
-    PlatformName.GCP_RUN_INSTANCE: PlatformPrice(
-        PlatformName.GCP_RUN_INSTANCE, GCP_INSTANCE_CPU_PRICE, GCP_INSTANCE_MEMORY_PRICE, 0.0, False
-    ),
-    PlatformName.AZURE_CONSUMPTION: PlatformPrice(
-        PlatformName.AZURE_CONSUMPTION, 0.0, AZURE_CONSUMPTION_MEMORY_PRICE, 2.0e-7, True
-    ),
-    PlatformName.AZURE_PREMIUM: PlatformPrice(
-        PlatformName.AZURE_PREMIUM, AZURE_PREMIUM_CPU_PRICE, AZURE_PREMIUM_MEMORY_PRICE, 0.0, False
-    ),
-    PlatformName.AZURE_FLEX: PlatformPrice(
-        PlatformName.AZURE_FLEX, 0.0, AZURE_FLEX_MEMORY_PRICE, 4.0e-7, True
-    ),
-    PlatformName.IBM_CODE_ENGINE: PlatformPrice(
-        PlatformName.IBM_CODE_ENGINE, IBM_CPU_PRICE, IBM_MEMORY_PRICE, 0.0, False
-    ),
-    PlatformName.HUAWEI_FUNCTIONGRAPH: PlatformPrice(
-        PlatformName.HUAWEI_FUNCTIONGRAPH, 0.0, HUAWEI_MEMORY_PRICE, 2.0e-7, True
-    ),
-    PlatformName.ALIBABA_FC: PlatformPrice(
-        PlatformName.ALIBABA_FC, ALIBABA_CPU_PRICE, ALIBABA_MEMORY_PRICE, 1.5e-7, False
-    ),
-    PlatformName.ORACLE_FUNCTIONS: PlatformPrice(
-        PlatformName.ORACLE_FUNCTIONS, 0.0, ORACLE_MEMORY_PRICE, 2.0e-7, True
-    ),
-    PlatformName.VERCEL_FUNCTIONS: PlatformPrice(
-        PlatformName.VERCEL_FUNCTIONS, 0.0, VERCEL_MEMORY_PRICE, 6.0e-7, True
-    ),
-    PlatformName.CLOUDFLARE_WORKERS: PlatformPrice(
-        PlatformName.CLOUDFLARE_WORKERS, CLOUDFLARE_CPU_PRICE, 0.0, 3.0e-7, False
-    ),
+    platform: PlatformPrice(
+        platform,
+        _unit_price(model, ResourceKind.CPU),
+        _unit_price(model, ResourceKind.MEMORY),
+        model.invocation_fee,
+        all(r.kind is not ResourceKind.CPU
+            for r in (*model.allocation_resources, *model.usage_resources)),
+    )
+    for platform, model in ((platform, get_billing_model(platform)) for platform in PlatformName)
 }
 
 
@@ -162,7 +136,7 @@ def aws_lambda_price_per_second(memory_gb: float, arm: bool = False) -> float:
     """
     if memory_gb <= 0:
         raise ValueError("memory_gb must be positive")
-    price = AWS_LAMBDA_MEMORY_PRICE * (0.8 if arm else 1.0)
+    price = PLATFORM_PRICES[PlatformName.AWS_LAMBDA].memory_per_gb_second * (0.8 if arm else 1.0)
     return memory_gb * price
 
 
@@ -213,13 +187,7 @@ def figure1_series() -> List[Dict[str, float]]:
     """The (cpu price, memory price) points of Figure 1, one row per platform."""
     rows: List[Dict[str, float]] = []
     for platform, price in PLATFORM_PRICES.items():
-        if price.memory_based_billing:
-            implied = decompose_memory_embedded_price(price.memory_per_gb_second)
-            cpu_price = implied["implied_cpu_per_vcpu_second"]
-            memory_price = implied["implied_memory_per_gb_second"]
-        else:
-            cpu_price = price.cpu_per_vcpu_second
-            memory_price = price.memory_per_gb_second
+        cpu_price, memory_price = price.implied_unit_prices()
         rows.append(
             {
                 "platform": platform.value,

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.billing.calculator import BillingCalculator, InvocationBillingInput
 from repro.billing.catalog import PlatformName
+from repro.billing.meter import CostMeter
+from repro.billing.models import BillableTime
 from repro.core.cost_model import CostModel
+from repro.numeric import fold
 from repro.platform.config import PlatformConfig
 from repro.platform.presets import PLATFORM_PRESETS
 from repro.traces.schema import Trace
@@ -114,33 +116,31 @@ class PlatformSelectionAdvisor:
     ) -> List[PlatformRanking]:
         """Rank platforms using a trace's empirical request mix instead of a single workload.
 
-        Each request is billed under each platform's model (via
-        :class:`BillingCalculator`), which captures duration rounding and fee
-        effects for the trace's real duration distribution.
+        Each request is metered under each platform's model (via
+        :class:`CostMeter`), which captures duration rounding and fee effects
+        for the trace's real duration distribution.
         """
         requests = trace.exclude_zero_cpu().requests
         if not requests:
             raise ValueError("trace has no CPU-reporting requests")
         volume = requests_per_month if requests_per_month is not None else float(len(requests))
+        mean_duration = fold((record.duration_s for record in requests), 0.0) / len(requests)
         rankings: List[PlatformRanking] = []
         for platform in self.deployments:
-            calculator = BillingCalculator(platform)
-            total = 0.0
-            total_duration = 0.0
-            total_fee = 0.0
+            meter = CostMeter(platform)
+            if meter.model.billable_time is BillableTime.INSTANCE:
+                raise ValueError(f"{platform.value} bills instance lifespans, not requests")
             for record in requests:
-                billed = calculator.bill(InvocationBillingInput.from_request(record))
-                total += billed.invoice.total
-                total_fee += billed.invoice.charge_for("invocation_fee")
-                total_duration += record.duration_s
+                meter.meter_outcome(record)
+            total = meter.cost_usd
             per_invocation = total / len(requests)
             rankings.append(
                 PlatformRanking(
                     platform=platform.value,
                     cost_per_invocation=per_invocation,
                     monthly_cost=per_invocation * volume,
-                    execution_duration_s=total_duration / len(requests),
-                    invocation_fee_share=(total_fee / total) if total > 0 else 0.0,
+                    execution_duration_s=mean_duration,
+                    invocation_fee_share=(meter.invocation_fee_usd / total) if total > 0 else 0.0,
                 )
             )
         return sorted(rankings, key=lambda r: r.monthly_cost)

@@ -20,6 +20,7 @@ from typing import Dict, Optional
 
 from repro.billing.calculator import BillingCalculator, InvocationBillingInput
 from repro.billing.catalog import PlatformName
+from repro.billing.models import FEE_LABEL
 from repro.platform.config import PlatformConfig
 from repro.sched.analytical import theoretical_duration
 from repro.sched.presets import PROVIDER_SCHED_PRESETS
@@ -128,6 +129,8 @@ class CostModel:
         init_duration_s: float = 0.0,
     ) -> WorkloadCostReport:
         """Bill one invocation of the workload on this model's platform."""
+        if alloc_memory_gb <= 0:
+            raise ValueError("alloc_memory_gb must be positive")
         duration = self.execution_duration_s(workload, alloc_vcpus, concurrent_requests)
         inputs = InvocationBillingInput(
             execution_s=duration,
@@ -139,7 +142,7 @@ class CostModel:
         )
         billed = self.calculator.bill(inputs)
         total = billed.invoice.total
-        fee = billed.invoice.charge_for("invocation_fee")
+        fee = billed.invoice.charge_for(FEE_LABEL)
         return WorkloadCostReport(
             platform=self.calculator.model.platform,
             alloc_vcpus=alloc_vcpus,

@@ -24,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.billing.calculator import BillingCalculator, InvocationBillingInput
+from repro.billing.calculator import BillingCalculator
 from repro.billing.catalog import PlatformName
-from repro.billing.units import ResourceKind
+from repro.billing.models import FEE_LABEL
+from repro.billing.pricing import PLATFORM_PRICES
 from repro.core.cost_model import CostModel
+from repro.numeric import fold
 from repro.platform.config import PlatformConfig
 from repro.workloads.functions import WorkloadSpec
 
@@ -78,35 +80,6 @@ class CostDecomposition:
         return [name for name, _ in sorted(shares.items(), key=lambda kv: kv[1], reverse=True)]
 
 
-def _resource_unit_prices(calculator: BillingCalculator) -> Dict[ResourceKind, float]:
-    """Per-unit prices of the platform's billable resources (for the usage baseline)."""
-    prices: Dict[ResourceKind, float] = {}
-    for resource in calculator.model.allocation_resources:
-        prices[resource.kind] = resource.unit_price
-    for resource in calculator.model.usage_resources:
-        prices.setdefault(resource.kind, resource.unit_price)
-    return prices
-
-
-def _cost_without_rounding(
-    calculator: BillingCalculator, inputs: InvocationBillingInput
-) -> float:
-    """Allocation-based cost with no granularity rounding, cutoffs, or fees."""
-    allocations = calculator.effective_allocations(inputs)
-    usages = calculator.effective_usages(inputs)
-    model = calculator.model
-    raw_time = model.raw_billable_seconds(
-        inputs.execution_s, inputs.init_s, inputs.instance_s, inputs.used_cpu_seconds
-    )
-    cost = 0.0
-    for resource in model.allocation_resources:
-        amount = usages.get(resource.kind, 0.0) if resource.use_consumption else allocations.get(resource.kind, 0.0)
-        cost += amount * raw_time * resource.unit_price
-    for resource in model.usage_resources:
-        cost += usages.get(resource.kind, 0.0) * resource.unit_price
-    return cost
-
-
 def decompose_invocation_cost(
     workload: WorkloadSpec,
     alloc_vcpus: float,
@@ -121,76 +94,44 @@ def decompose_invocation_cost(
     The decomposition is constructed by evaluating a ladder of increasingly
     realistic cost models and attributing each increment to the layer that was
     added.  Negative increments (e.g. scheduling overallocation *reducing*
-    duration-based charges) are preserved as negative contributions.
+    duration-based charges) are preserved as negative contributions.  Rungs
+    1-3 are one compiled Equation 1 of the platform's rounding-free model
+    (:meth:`BillingModel.without_rounding`) at three durations; rung 4 is the
+    full bill.
     """
-    calculator = BillingCalculator(billing_platform)
-    prices = _resource_unit_prices(calculator)
-
-    # Rung 0: ideal usage-based cost (perfect pay-per-use).
-    usage_cost = (
-        workload.cpu_time_s * prices.get(ResourceKind.CPU, 0.0)
-        + workload.used_memory_gb
-        * (workload.cpu_time_s / min(alloc_vcpus, 1.0) + workload.io_time_s)
-        * prices.get(ResourceKind.MEMORY, 0.0)
-    )
-
-    # Rung 1: allocation-based billing over the ideal (reciprocal) duration,
-    # no serving overhead, no rounding, no fee.
-    ideal_model = CostModel(billing_platform, serving_platform=None, scheduling_provider=None)
-    ideal_duration = ideal_model.execution_duration_s(workload, alloc_vcpus)
-    rung1 = _cost_without_rounding(
-        calculator,
-        InvocationBillingInput(
-            execution_s=ideal_duration,
-            init_s=0.0,
-            alloc_vcpus=alloc_vcpus,
-            alloc_memory_gb=alloc_memory_gb,
-            used_cpu_seconds=workload.cpu_time_s,
-            used_memory_gb=workload.used_memory_gb,
-        ),
-    )
-
-    # Rung 2: + scheduling effects (Equation 2 duration instead of reciprocal).
-    sched_model = CostModel(billing_platform, serving_platform=None, scheduling_provider=scheduling_provider)
-    sched_duration = sched_model.execution_duration_s(workload, alloc_vcpus)
-    rung2 = _cost_without_rounding(
-        calculator,
-        InvocationBillingInput(
-            execution_s=sched_duration,
-            init_s=0.0,
-            alloc_vcpus=alloc_vcpus,
-            alloc_memory_gb=alloc_memory_gb,
-            used_cpu_seconds=workload.cpu_time_s,
-            used_memory_gb=workload.used_memory_gb,
-        ),
-    )
-
-    # Rung 3: + serving overhead and contention.
+    # Rung 1's ideal (reciprocal) duration: no serving overhead, no scheduling.
+    ideal_duration = CostModel(billing_platform).execution_duration_s(workload, alloc_vcpus)
+    # Rung 4: the full bill (serving overhead, contention, rounding, cutoffs, fee).
     serving_model = CostModel(
         billing_platform, serving_platform=serving_platform, scheduling_provider=scheduling_provider
     )
-    serving_duration = serving_model.execution_duration_s(
-        workload, alloc_vcpus, concurrent_requests=concurrent_requests
-    )
-    rung3 = _cost_without_rounding(
-        calculator,
-        InvocationBillingInput(
-            execution_s=serving_duration,
-            init_s=0.0,
-            alloc_vcpus=alloc_vcpus,
-            alloc_memory_gb=alloc_memory_gb,
-            used_cpu_seconds=workload.cpu_time_s,
-            used_memory_gb=workload.used_memory_gb,
-        ),
-    )
-
-    # Rung 4: + billing granularity, cutoffs and the invocation fee (full bill).
     report = serving_model.invocation_cost(
         workload, alloc_vcpus, alloc_memory_gb, concurrent_requests=concurrent_requests
     )
-    full = report.cost_per_invocation
-    fee = report.breakdown.get("invocation_fee", 0.0)
-    rounding = full - fee - rung3
+    calculator = serving_model.calculator
+    price = BillingCalculator(calculator.model.without_rounding()).compile(
+        report, include_invocation_fee=False
+    )
+
+    def unrounded(duration_s: float) -> float:
+        rows, _, _ = price(duration_s, 0.0, workload.cpu_time_s, workload.used_memory_gb)
+        return fold((charge for *_, charge in rows), 0.0)
+
+    # Rung 0: ideal usage-based cost (perfect pay-per-use).
+    unit_prices = PLATFORM_PRICES[calculator.platform]
+    usage_cost = (
+        workload.cpu_time_s * unit_prices.cpu_per_vcpu_second
+        + workload.used_memory_gb * ideal_duration * unit_prices.memory_per_gb_second
+    )
+    # Rung 1: allocation-based billing over the ideal duration.
+    rung1 = unrounded(ideal_duration)
+    # Rung 2: + scheduling effects (Equation 2 duration instead of reciprocal).
+    sched_model = CostModel(billing_platform, scheduling_provider=scheduling_provider)
+    rung2 = unrounded(sched_model.execution_duration_s(workload, alloc_vcpus))
+    # Rung 3: + serving overhead and contention.
+    rung3 = unrounded(report.execution_duration_s)
+    fee = report.breakdown.get(FEE_LABEL, 0.0)
+    rounding = report.cost_per_invocation - fee - rung3
 
     return CostDecomposition(
         platform=calculator.model.platform,

@@ -19,7 +19,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.billing.pricing import PLATFORM_PRICES, PlatformPrice, decompose_memory_embedded_price
+from repro.billing.pricing import PLATFORM_PRICES
 from repro.billing.catalog import PlatformName
 from repro.platform.keepalive import KeepAlivePolicy
 
@@ -48,17 +48,6 @@ class KeepAliveCostEstimate:
         }
 
 
-def _unit_prices(platform: PlatformName) -> Dict[str, float]:
-    price: PlatformPrice = PLATFORM_PRICES[platform]
-    if price.memory_based_billing:
-        implied = decompose_memory_embedded_price(price.memory_per_gb_second)
-        return {
-            "cpu": implied["implied_cpu_per_vcpu_second"],
-            "memory": implied["implied_memory_per_gb_second"],
-        }
-    return {"cpu": price.cpu_per_vcpu_second, "memory": price.memory_per_gb_second}
-
-
 def estimate_keepalive_cost(
     policy: KeepAlivePolicy,
     idle_gaps_s: Sequence[float],
@@ -79,7 +68,7 @@ def estimate_keepalive_cost(
     if alloc_vcpus <= 0 or alloc_memory_gb <= 0:
         raise ValueError("allocations must be positive")
     idle_cpu, idle_memory = policy.idle_resources(alloc_vcpus, alloc_memory_gb)
-    prices = _unit_prices(pricing_platform)
+    cpu_price, memory_price = PLATFORM_PRICES[pricing_platform].implied_unit_prices()
 
     held_durations = []
     cold = 0
@@ -95,7 +84,7 @@ def estimate_keepalive_cost(
     mean_idle = float(np.mean(held_durations))
     idle_vcpu_seconds = idle_cpu * mean_idle
     idle_gb_seconds = idle_memory * mean_idle
-    implied_cost = idle_vcpu_seconds * prices["cpu"] + idle_gb_seconds * prices["memory"]
+    implied_cost = idle_vcpu_seconds * cpu_price + idle_gb_seconds * memory_price
     return KeepAliveCostEstimate(
         policy_label=policy_label,
         mean_idle_s_per_request=mean_idle,

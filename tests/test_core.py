@@ -64,6 +64,12 @@ class TestCostModel:
         with pytest.raises(ValueError):
             model.invocation_cost(PYAES_FUNCTION, 1.0, 1.0).monthly_cost(-1)
 
+    @pytest.mark.parametrize("memory_gb", [0.0, -1.0])
+    def test_invocation_cost_rejects_non_positive_memory(self, memory_gb):
+        model = CostModel(PlatformName.GCP_RUN_REQUEST)
+        with pytest.raises(ValueError, match="alloc_memory_gb must be positive"):
+            model.invocation_cost(PYAES_FUNCTION, 1.0, memory_gb)
+
 
 class TestDecomposition:
     @pytest.fixture(scope="class")
@@ -102,6 +108,14 @@ class TestDecomposition:
         drivers = decomposition.ranked_drivers()
         assert "usage_baseline" not in drivers
         assert len(drivers) == 5
+
+    def test_rejects_zero_vcpus(self):
+        with pytest.raises(ValueError, match="alloc_vcpus must be positive"):
+            decompose_invocation_cost(PYAES_FUNCTION, 0.0, 1.0, PlatformName.GCP_RUN_REQUEST)
+
+    def test_rejects_negative_memory(self):
+        with pytest.raises(ValueError, match="alloc_memory_gb must be positive"):
+            decompose_invocation_cost(PYAES_FUNCTION, 0.5, -1.0, PlatformName.GCP_RUN_REQUEST)
 
 
 class TestExploits:

@@ -10,8 +10,10 @@ import math
 
 import pytest
 
+from repro.billing.calculator import BillingCalculator
 from repro.billing.catalog import PlatformName
 from repro.billing.instance_billing import break_even_utilization, compare_request_vs_instance_billing
+from repro.billing.models import FEE_LABEL
 from repro.core.advisor import (
     PlatformSelectionAdvisor,
     evaluate_function_decomposition,
@@ -114,6 +116,24 @@ class TestPlatformSelectionAdvisor:
         assert all(r.cost_per_invocation > 0 for r in rankings)
         # Usage-based billing bills the least for the low-utilisation trace.
         assert rankings[0].platform == "cloudflare_workers"
+
+    def test_rank_for_trace_matches_per_record_invoices(self, advisor, small_trace):
+        """The metered totals equal left-to-right sums of per-record invoices, bit for bit."""
+        requests = small_trace.exclude_zero_cpu().requests
+        for ranking in advisor.rank_for_trace(small_trace):
+            calculator = BillingCalculator(ranking.platform)
+            total = fee = 0.0
+            for record in requests:
+                invoice = calculator.bill_request(record).invoice
+                total += invoice.total
+                fee += invoice.charge_for(FEE_LABEL)
+            assert ranking.cost_per_invocation == total / len(requests)
+            assert ranking.invocation_fee_share == fee / total
+
+    def test_rank_for_trace_rejects_instance_billed_platforms(self, small_trace):
+        advisor = PlatformSelectionAdvisor({PlatformName.GCP_RUN_INSTANCE: {"serving": None, "sched": None}})
+        with pytest.raises(ValueError, match="instance"):
+            advisor.rank_for_trace(small_trace)
 
     def test_rank_for_empty_trace_rejected(self, advisor):
         from repro.traces.schema import Trace
