@@ -199,18 +199,11 @@ def backpressure_sweep(
     axes: Optional[Mapping[str, Sequence[object]]] = None,
     common: Optional[Mapping[str, object]] = None,
     base_seed: int = 2026,
-    processes: Optional[int] = None,
-    ordered: bool = True,
     first_point_extra: Optional[Mapping[str, object]] = None,
     backend: Optional[object] = None,
     checkpoint: Optional[str] = None,
 ) -> ResultStore:
     """Run the backpressure grid through the sweep orchestrator.
-
-    ``ordered=False`` enables work-stealing execution: co-simulation grid
-    points vary widely in cost (queue depth and heterogeneity change event
-    counts), which is exactly where unordered pools beat fixed chunking.  The
-    collected rows are identical either way.
 
     ``backend`` / ``checkpoint`` pass through to
     :func:`repro.sim.sweep.run_sweep`: any execution backend (including the
@@ -231,8 +224,6 @@ def backpressure_sweep(
         axes or DEFAULT_AXES,
         common=common,
         base_seed=base_seed,
-        processes=processes,
-        ordered=ordered,
         first_point_extra=first_point_extra,
         backend=backend,
         checkpoint=checkpoint,
@@ -243,8 +234,6 @@ def retry_amplification_sweep(
     axes: Optional[Mapping[str, Sequence[object]]] = None,
     common: Optional[Mapping[str, object]] = None,
     base_seed: int = 2026,
-    processes: Optional[int] = None,
-    ordered: bool = True,
     backend: Optional[object] = None,
     checkpoint: Optional[str] = None,
 ) -> ResultStore:
@@ -268,8 +257,6 @@ def retry_amplification_sweep(
         axes=dict(axes or RETRY_AXES),
         common=merged,
         base_seed=base_seed,
-        processes=processes,
-        ordered=ordered,
         backend=backend,
         checkpoint=checkpoint,
     )

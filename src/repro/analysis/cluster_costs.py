@@ -95,16 +95,11 @@ def cluster_cost_sweep(
     axes: Optional[Mapping[str, Sequence[object]]] = None,
     common: Optional[Mapping[str, object]] = None,
     base_seed: int = 2026,
-    processes: Optional[int] = None,
-    ordered: bool = True,
     first_point_extra: Optional[Mapping[str, object]] = None,
     backend: Optional[object] = None,
     checkpoint: Optional[str] = None,
 ) -> ResultStore:
     """Run the cluster-cost grid through the sweep orchestrator.
-
-    ``ordered=False`` uses work-stealing pool execution (identical rows,
-    better worker utilisation on heterogeneous grids).
 
     ``backend`` / ``checkpoint`` pass through to
     :func:`repro.sim.sweep.run_sweep`: any execution backend (including the
@@ -123,8 +118,6 @@ def cluster_cost_sweep(
         axes or DEFAULT_AXES,
         common=common,
         base_seed=base_seed,
-        processes=processes,
-        ordered=ordered,
         first_point_extra=first_point_extra,
         backend=backend,
         checkpoint=checkpoint,

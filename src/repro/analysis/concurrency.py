@@ -65,13 +65,13 @@ def figure6_burst_sweep(
     alloc_vcpus: float = 1.0,
     alloc_memory_gb: float = 2.0,
     seed: int = 1,
-    processes: Optional[int] = None,
+    backend: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Figure 6 (left): mean/median execution duration versus request rate per platform.
 
     The (platform x rps) grid runs through the :mod:`repro.sim.sweep`
-    orchestrator; pass ``processes`` to fan the points out across cores
-    (results are identical to the sequential run).
+    orchestrator; pass a ``backend`` spec (e.g. ``"multiprocessing"``) to fan
+    the points out across cores (results are identical to the serial run).
     """
     if platforms is None:
         platforms = {
@@ -96,7 +96,7 @@ def figure6_burst_sweep(
         for label, preset in platforms.items()
         for rps in rps_sweep
     ]
-    return [dict(row) for row in run_sweep(scenarios, processes=processes)]
+    return [dict(row) for row in run_sweep(scenarios, backend=backend)]
 
 
 def figure6_slowdown_summary(rows: List[Dict[str, float]]) -> List[Dict[str, float]]:

@@ -88,7 +88,7 @@ def figure9_probe_simulation(
     probes_per_idle_time: int = 30,
     workload: WorkloadSpec = MINIMAL_FUNCTION,
     seed: int = 11,
-    processes: Optional[int] = None,
+    backend: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Empirically measure cold-start probability by probing the platform simulator.
 
@@ -96,7 +96,7 @@ def figure9_probe_simulation(
     idle intervals, count how many are cold) rather than reading the policy
     directly, and therefore validates that the simulator's keep-alive expiry
     produces the configured probability curve.  Each idle time is one scenario
-    of a :mod:`repro.sim.sweep` run; pass ``processes`` to parallelise.
+    of a :mod:`repro.sim.sweep` run; pass a ``backend`` spec to parallelise.
     """
     scenarios = [
         Scenario(
@@ -112,7 +112,7 @@ def figure9_probe_simulation(
         )
         for idle in idle_times_s
     ]
-    return [dict(row) for row in run_sweep(scenarios, processes=processes)]
+    return [dict(row) for row in run_sweep(scenarios, backend=backend)]
 
 
 def table2_keepalive_behavior(

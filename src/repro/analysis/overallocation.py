@@ -103,7 +103,7 @@ def figure10_allocation_sweep(
     vcpu_fractions: Optional[Sequence[float]] = None,
     samples_per_point: int = 20,
     seed: int = 3,
-    processes: Optional[int] = None,
+    backend: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Figure 10: empirical versus expected duration across fractional allocations.
 
@@ -111,7 +111,7 @@ def figure10_allocation_sweep(
     The default CPU time of ~16 ms reproduces the harmonic jump positions the
     paper observes on AWS (~1,400 MB x {1, 1/2, 1/3, ...}).  Each allocation
     is one scenario of a :mod:`repro.sim.sweep` run (seeded ``seed + index``
-    as before); pass ``processes`` to fan the points out across cores.
+    as before); pass a ``backend`` spec to fan the points out across cores.
     """
     if vcpu_fractions is None:
         if provider == "aws_lambda":
@@ -132,7 +132,7 @@ def figure10_allocation_sweep(
         )
         for index, fraction in enumerate(vcpu_fractions)
     ]
-    return [dict(row) for row in run_sweep(scenarios, processes=processes)]
+    return [dict(row) for row in run_sweep(scenarios, backend=backend)]
 
 
 def figure10_summary(rows: List[Dict[str, float]]) -> Dict[str, float]:

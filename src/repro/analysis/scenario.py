@@ -136,8 +136,6 @@ def run_cluster_grid(
     axes: Mapping[str, Sequence[object]],
     common: Optional[Mapping[str, object]] = None,
     base_seed: int = 2026,
-    processes: Optional[int] = None,
-    ordered: bool = True,
     first_point_extra: Optional[Mapping[str, object]] = None,
     backend: Optional[object] = None,
     checkpoint: Optional[str] = None,
@@ -154,6 +152,4 @@ def run_cluster_grid(
         scenarios[0] = dataclasses.replace(
             scenarios[0], params={**scenarios[0].params, **first_point_extra}
         )
-    return run_sweep(
-        scenarios, processes=processes, ordered=ordered, backend=backend, checkpoint=checkpoint
-    )
+    return run_sweep(scenarios, backend=backend, checkpoint=checkpoint)

@@ -7,14 +7,14 @@ Usage::
     repro-serverless-costs run all --format markdown
     repro-serverless-costs trace --requests 50000 --output trace.csv
     repro-serverless-costs trace --simulate backpressure --retry on --trace-out run_trace.json
-    repro-serverless-costs sweep --processes 4 --output sweep.csv
-    repro-serverless-costs sweep --backend multiprocessing --unordered --checkpoint sweep.jsonl
+    repro-serverless-costs sweep --backend multiprocessing:4 --output sweep.csv
+    repro-serverless-costs sweep --backend multiprocessing --checkpoint sweep.jsonl
     repro-serverless-costs sweep --backend socket-queue:0.0.0.0:7077 --output sweep.csv
     repro-serverless-costs sweep-worker --connect head-node:7077
     repro-serverless-costs cluster --fleet-sizes 8,16 --policies best_fit,worst_fit --output cluster.csv
     repro-serverless-costs cluster --trace-out cluster_trace.json --telemetry-out cluster_tel.csv
     repro-serverless-costs backpressure --queue-depths 0,8 --policies best_fit,cost_fit --output bp.csv
-    repro-serverless-costs backpressure --feedback on --unordered --processes 4 --output bp_fb.csv
+    repro-serverless-costs backpressure --feedback on --backend multiprocessing:4 --output bp_fb.csv
     repro-serverless-costs backpressure --feedback on --retry off,on --output bp_retry.csv
     repro-serverless-costs cluster --tenants 2 --tenant-on-exhausted deny --output tenants.csv
     repro-serverless-costs sweep --checkpoint sweep.jsonl --compact-checkpoint
@@ -40,27 +40,16 @@ def _add_sweep_execution_flags(parser: argparse.ArgumentParser) -> None:
     """Execution flags shared by every sweeping subcommand.
 
     ``sweep``, ``cluster`` and ``backpressure`` all fan a grid out through
-    :func:`repro.sim.sweep.run_sweep`, so they expose the same knobs: worker
-    count, completion order, execution backend, and checkpoint journal.
+    :func:`repro.sim.sweep.run_sweep`, so they expose the same knobs:
+    execution backend and checkpoint journal.
     """
     parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="Worker processes (default: sequential; -1 uses every core)",
-    )
-    parser.add_argument(
-        "--unordered",
-        action="store_true",
-        help="Work-stealing execution (identical rows, better utilisation on uneven grids)",
-    )
-    parser.add_argument(
         "--backend",
-        default=None,
+        default="serial",
         help=(
-            "Execution backend: serial, multiprocessing, or "
-            "socket-queue[:host][:port] (a TCP work-queue server that 'sweep-worker' "
-            "processes on any machine connect to; default: pick from --processes)"
+            "Execution backend: serial (default), multiprocessing[:N] (a pool of N "
+            "workers; every core without N), or socket-queue[:host]:port (a TCP "
+            "work-queue server that 'sweep-worker' processes on any machine connect to)"
         ),
     )
     parser.add_argument(
@@ -606,13 +595,7 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
     return _run_and_print(
         args,
         "sweep",
-        lambda: run_sweep(
-            scenarios,
-            processes=args.processes,
-            ordered=not args.unordered,
-            backend=args.backend,
-            checkpoint=args.checkpoint,
-        ),
+        lambda: run_sweep(scenarios, backend=args.backend, checkpoint=args.checkpoint),
     )
 
 
@@ -665,8 +648,6 @@ def _run_cluster_grid(
             axes=axes,
             common=common,
             base_seed=args.seed,
-            processes=args.processes,
-            ordered=not args.unordered,
             first_point_extra=_obs_first_point_extra(args),
             backend=args.backend,
             checkpoint=args.checkpoint,

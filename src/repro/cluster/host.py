@@ -9,6 +9,9 @@ from typing import Dict, List
 __all__ = ["HostSpec", "Host", "DEFAULT_VCPU_HOUR_USD", "DEFAULT_GB_HOUR_USD"]
 
 _host_counter = itertools.count()
+#: vCPUs or GB by which a sandbox may exceed a host's free capacity and still
+#: fit: float residue of repeated place/release arithmetic.
+_FIT_SLACK = 1e-9
 
 #: Default provider-side capacity prices used when a spec does not set its own
 #: hourly cost: roughly the on-demand VM decomposition the paper's Figure 1
@@ -82,7 +85,10 @@ class Host:
 
     def fits(self, vcpus: float, memory_gb: float) -> bool:
         """Whether a sandbox with the given allocation fits on this host."""
-        return vcpus <= self.free_vcpus + 1e-9 and memory_gb <= self.free_memory_gb + 1e-9
+        return (
+            vcpus <= self.free_vcpus + _FIT_SLACK
+            and memory_gb <= self.free_memory_gb + _FIT_SLACK
+        )
 
     def place(self, sandbox_id: str, vcpus: float, memory_gb: float) -> None:
         """Allocate a sandbox on this host (caller must have checked :meth:`fits`)."""

@@ -36,6 +36,8 @@ __all__ = [
     "evaluate_function_decomposition",
 ]
 
+#: How far the decomposition's piece CPU fractions may sum away from 1.
+_FRACTION_SUM_TOL = 1e-6
 #: Billing platform matched with its §3 serving preset and §4 scheduling provider.
 _DEFAULT_DEPLOYMENTS: Dict[PlatformName, Dict[str, Optional[str]]] = {
     PlatformName.AWS_LAMBDA: {"serving": "aws_lambda_like", "sched": "aws_lambda"},
@@ -245,7 +247,7 @@ def evaluate_function_decomposition(
 
     if len(piece_allocations_vcpus) != len(piece_cpu_fractions):
         raise ValueError("piece allocation and fraction lists must have the same length")
-    if abs(sum(piece_cpu_fractions) - 1.0) > 1e-6:
+    if abs(sum(piece_cpu_fractions) - 1.0) > _FRACTION_SUM_TOL:
         raise ValueError("piece_cpu_fractions must sum to 1")
     if piece_memory_gb is not None and len(piece_memory_gb) != len(piece_allocations_vcpus):
         raise ValueError("piece_memory_gb must match piece_allocations_vcpus in length")

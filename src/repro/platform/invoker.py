@@ -791,8 +791,6 @@ class PlatformSimulator:
     # ------------------------------------------------------------------
 
     def _autoscale_tick(self, now_s: float) -> None:
-        if self._autoscaler is None:
-            return
         alive = self._sandboxes.values()
         active_requests: float = sum(s.concurrency for s in alive) + len(self._queue)
         queue_weight = self._autoscaler.config.admission_queue_weight

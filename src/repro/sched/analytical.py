@@ -28,6 +28,11 @@ __all__ = [
     "quantization_jump_allocations",
 ]
 
+#: CPU time left after the last full quota at or below this many seconds
+#: counts as none: the task then ends with that period's quota, not one
+#: period later.
+_REMAINDER_EPS_S = 1e-12
+
 
 def theoretical_duration(cpu_time_s: float, period_s: float, quota_s: float) -> float:
     """Equation (2): wall-clock duration of a CPU-bound task under ideal accounting."""
@@ -42,7 +47,7 @@ def theoretical_duration(cpu_time_s: float, period_s: float, quota_s: float) -> 
         return cpu_time_s
     full_periods = math.floor(cpu_time_s / quota_s)
     remainder = cpu_time_s - full_periods * quota_s
-    if remainder > 1e-12:
+    if remainder > _REMAINDER_EPS_S:
         return full_periods * period_s + remainder
     return (full_periods - 1) * period_s + quota_s
 

@@ -26,6 +26,12 @@ __all__ = ["BandwidthConfig", "BandwidthController", "CpuLocalPool"]
 
 #: Kernel default for sched_cfs_bandwidth_slice_us (5 ms).
 DEFAULT_BANDWIDTH_SLICE_S = 0.005
+#: Local runtime at or below this many seconds counts as exhausted: it absorbs
+#: the rounding left when consumed CPU time is charged against the pool.
+EXHAUSTED_RUNTIME_S = 1e-9
+#: How far above zero a refill lifts a throttled pool's runtime, so the pool
+#: comes back (slightly) positive as the kernel's distribute_cfs_runtime does.
+_REFILL_HEADROOM_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,9 @@ class BandwidthController:
     def is_throttled(self, cpu_id: int) -> bool:
         return self.local[cpu_id].throttled
 
-    def throttle_if_exhausted(self, cpu_id: int, now_s: float, threshold_s: float = 1e-9) -> bool:
+    def throttle_if_exhausted(
+        self, cpu_id: int, now_s: float, threshold_s: float = EXHAUSTED_RUNTIME_S
+    ) -> bool:
         """Throttle the CPU when its usable runtime is (effectively) zero.
 
         Used by event-driven quota enforcement, which must be able to throttle
@@ -181,9 +189,9 @@ class BandwidthController:
         for pool in self.local.values():
             if not pool.throttled:
                 continue
-            needed = -pool.runtime_remaining_s + 1e-9
+            needed = -pool.runtime_remaining_s + _REFILL_HEADROOM_S
             if needed <= 0:
-                needed = 1e-9
+                needed = _REFILL_HEADROOM_S
             grant = min(needed, self.global_runtime_s)
             pool.runtime_remaining_s += grant
             self.global_runtime_s -= grant

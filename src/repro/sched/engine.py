@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sched.cgroup import BandwidthConfig, BandwidthController
+from repro.sched.cgroup import EXHAUSTED_RUNTIME_S, BandwidthConfig, BandwidthController
 from repro.sched.policies import PolicyParameters, SchedulingPolicy, max_burst_s, pick_next
 from repro.sched.task import PhaseKind, SimTask, TaskState
 from repro.sim.feedback import FeedbackChannel, PublishedRate
@@ -32,7 +32,17 @@ from repro.sim.kernel import SimulationKernel
 
 __all__ = ["QuotaEnforcement", "SchedulerConfig", "SchedulerSim", "SimulationResult", "TaskResult"]
 
-_EPS = 1e-12
+#: Seconds within which two event times count as equal and remaining work,
+#: demand or elapsed time counts as none: float residue of time arithmetic.
+_TIME_EPS_S = 1e-12
+#: Fraction of a grid interval by which the clock may fall short of a grid
+#: point and still count as on it, so the next grid point is the one after.
+_GRID_SNAP = 1e-9
+#: Fraction of a grid interval within which the clock counts as on the grid.
+_ON_GRID_TOL = 1e-7
+#: Seconds by which a running burst may fall short of the EEVDF slice and
+#: still count as expired.
+_SLICE_EXPIRY_SLACK_S = 1e-9
 
 
 class QuotaEnforcement(str, enum.Enum):
@@ -315,7 +325,7 @@ class SchedulerSim:
 
     def _next_grid_point(self, phase: float, interval: float) -> float:
         """The first grid point strictly after the current time."""
-        k = math.floor((self._now - phase) / interval + 1e-9) + 1
+        k = math.floor((self._now - phase) / interval + _GRID_SNAP) + 1
         return phase + k * interval
 
     def _next_event_time(self) -> Optional[float]:
@@ -365,7 +375,7 @@ class SchedulerSim:
 
     def _advance_running(self, new_time: float) -> None:
         delta = new_time - self._now
-        if delta < -_EPS:
+        if delta < -_TIME_EPS_S:
             raise RuntimeError(f"time went backwards: {self._now} -> {new_time}")
         delta = max(delta, 0.0)
         for cpu in self._cpus:
@@ -393,12 +403,12 @@ class SchedulerSim:
 
     def _on_grid(self, phase: float, interval: float) -> bool:
         offset = (self._now - phase) / interval
-        return abs(offset - round(offset)) < 1e-7
+        return abs(offset - round(offset)) < _ON_GRID_TOL
 
     def _handle_events(self) -> None:
         now = self._now
         # 1. Arrivals.
-        while self._pending and self._pending[0].arrival_s <= now + _EPS:
+        while self._pending and self._pending[0].arrival_s <= now + _TIME_EPS_S:
             task = self._pending.pop(0)
             task.state = TaskState.RUNNABLE
             cpu_id = self._least_loaded_cpu()
@@ -407,7 +417,7 @@ class SchedulerSim:
 
         # 2. IO wake-ups.
         for name, wake_time in list(self._wakeups.items()):
-            if wake_time <= now + _EPS:
+            if wake_time <= now + _TIME_EPS_S:
                 del self._wakeups[name]
                 task = self._task_by_name(name)
                 task.advance_phase()
@@ -416,7 +426,7 @@ class SchedulerSim:
         # 3. Compute-phase completions (account consumed runtime at the switch).
         for cpu in self._cpus:
             task = cpu.running
-            if task is None or task.phase_remaining_s > _EPS:
+            if task is None or task.phase_remaining_s > _TIME_EPS_S:
                 continue
             self._account_cpu(cpu)
             self._stop_running(cpu, record_throttle_wait=False)
@@ -454,7 +464,7 @@ class SchedulerSim:
                 if cpu.running is None:
                     continue
                 budget = self._remaining_budget(cpu)
-                if budget is not None and budget <= 1e-9:
+                if budget is not None and budget <= EXHAUSTED_RUNTIME_S:
                     self._account_cpu(cpu)
                     if self.controller.throttle_if_exhausted(cpu.cpu_id, self._now) and cpu.running is not None:
                         task = cpu.running
@@ -468,7 +478,7 @@ class SchedulerSim:
                 task = cpu.running
                 if task is None:
                     continue
-                if now - cpu.burst_start >= burst_limit - 1e-9:
+                if now - cpu.burst_start >= burst_limit - _SLICE_EXPIRY_SLACK_S:
                     self._account_and_maybe_throttle(cpu)
                     if cpu.running is not None:
                         cpu.burst_start = now
@@ -510,7 +520,7 @@ class SchedulerSim:
         """
         if self._fb_rate is None:
             return
-        if self._fb_demanded_s > _EPS:
+        if self._fb_demanded_s > _TIME_EPS_S:
             factor = min(self._fb_delivered_s / self._fb_demanded_s, 1.0)
         else:
             factor = 1.0
@@ -548,7 +558,7 @@ class SchedulerSim:
         task = cpu.running
         if task is None:
             return
-        if self._now > cpu.segment_start + _EPS:
+        if self._now > cpu.segment_start + _TIME_EPS_S:
             task.run_segments.append((cpu.segment_start, self._now))
         if record_throttle_wait:
             self._throttle_wait_since[task.name] = self._now
@@ -614,12 +624,12 @@ class SchedulerSim:
 
     def _close_open_segments(self) -> None:
         for cpu in self._cpus:
-            if cpu.running is not None and self._now > cpu.segment_start + _EPS:
+            if cpu.running is not None and self._now > cpu.segment_start + _TIME_EPS_S:
                 cpu.running.run_segments.append((cpu.segment_start, self._now))
                 cpu.running = None
         for name, started in list(self._throttle_wait_since.items()):
             task = self._task_by_name(name)
-            if self._now > started + _EPS:
+            if self._now > started + _TIME_EPS_S:
                 task.throttle_segments.append((started, self._now - started))
             del self._throttle_wait_since[name]
 

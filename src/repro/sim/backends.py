@@ -11,11 +11,9 @@ only has to implement work distribution.
 
 Backends:
 
-- ``serial`` -- in-process loop, no pool (the historical ``processes<=1``
-  execution shape).
-- ``multiprocessing`` -- ``multiprocessing.Pool`` fan-out (the historical
-  default for ``processes>1``): ``imap`` when ordered, ``imap_unordered``
-  work-stealing otherwise.
+- ``serial`` -- in-process loop, no pool (the default).
+- ``multiprocessing[:N]`` -- a ``multiprocessing.Pool`` of ``N`` workers
+  (every core without ``N``) pulling one point at a time.
 - ``socket-queue`` -- a stdlib TCP work-queue server for multi-node sweeps:
   remote workers started with ``repro-serverless-costs sweep-worker
   --connect host:port`` pull pickled ``(index, Scenario)`` items and push
@@ -78,8 +76,8 @@ __all__ = [
 WorkItem = Tuple[int, "Scenario"]
 Rows = List[Dict[str, object]]
 
-#: The backend names :func:`resolve_backend` accepts (socket-queue also takes
-#: an optional ``[:host]:port`` suffix).
+#: The backend names :func:`resolve_backend` accepts (multiprocessing also
+#: takes an optional ``:N`` suffix, socket-queue an optional ``[:host]:port``).
 BACKEND_NAMES: Tuple[str, ...] = ("serial", "multiprocessing", "socket-queue")
 
 
@@ -171,50 +169,40 @@ class SweepBackend(Protocol):
 
     name: str
 
-    def run(self, items: Iterable[WorkItem], ordered: bool = True) -> Iterator[PointOutcome]:
+    def run(self, items: Iterable[WorkItem]) -> Iterator[PointOutcome]:
         ...  # pragma: no cover - protocol
 
 
-def _normalize_processes(processes: Optional[int]) -> int:
-    """Worker count for pool backends: ``None``/``<=0`` means every core."""
-    if processes is None or processes <= 0:
-        return multiprocessing.cpu_count()
-    return processes
-
-
 class SerialBackend:
-    """In-process, one point at a time -- the ``processes<=1`` execution shape."""
+    """In-process, one point at a time (the default backend)."""
 
     name = "serial"
 
-    def run(self, items: Iterable[WorkItem], ordered: bool = True) -> Iterator[PointOutcome]:
+    def run(self, items: Iterable[WorkItem]) -> Iterator[PointOutcome]:
         for item in items:
             yield execute_point(item, keep_cause=True)
 
 
 class MultiprocessingBackend:
-    """``multiprocessing.Pool`` fan-out (the historical ``run_sweep`` pool).
+    """``multiprocessing.Pool`` fan-out over ``processes`` workers (``None``: every core).
 
-    ``ordered=True`` streams results back in submission order (``imap``);
-    ``ordered=False`` is work-stealing (``imap_unordered``): workers pull the
-    next scenario the moment they finish their current one, so heterogeneous
-    grids do not leave workers idle behind fixed chunking.  Either way the
-    sweep layer reassembles rows by grid index, so results are identical.
+    Each worker pulls the next point when it finishes one, and every outcome
+    is yielded the moment it completes (``imap_unordered``), so the sweep
+    layer journals it straight away; rows are reassembled by grid index, so
+    the results match the serial backend's.
     """
 
     name = "multiprocessing"
 
     def __init__(self, processes: Optional[int] = None) -> None:
-        self.processes = _normalize_processes(processes)
+        self.processes = multiprocessing.cpu_count() if processes is None else processes
 
-    def run(self, items: Iterable[WorkItem], ordered: bool = True) -> Iterator[PointOutcome]:
+    def run(self, items: Iterable[WorkItem]) -> Iterator[PointOutcome]:
         items = list(items)
         if not items:
             return
         with multiprocessing.Pool(processes=min(self.processes, len(items))) as pool:
-            mapper = pool.imap if ordered else pool.imap_unordered
-            for outcome in mapper(execute_point, items, chunksize=1):
-                yield outcome
+            yield from pool.imap_unordered(execute_point, items, chunksize=1)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +288,7 @@ class SocketQueueBackend:
         except OSError:  # pragma: no cover - close is best-effort
             pass
 
-    def run(self, items: Iterable[WorkItem], ordered: bool = True) -> Iterator[PointOutcome]:
+    def run(self, items: Iterable[WorkItem]) -> Iterator[PointOutcome]:
         if self._used:
             raise RuntimeError(
                 "SocketQueueBackend instances are single-use (the listener closes "
@@ -432,30 +420,36 @@ def run_sweep_worker(
     return completed
 
 
+def _spec_int(backend: str, text: str, low: int, high: Optional[int], what: str) -> int:
+    """The integer ``text`` of a backend spec, or a ``ValueError`` naming the spec."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if value < low or (high is not None and value > high):
+        bound = f"{low}-{high}" if high is not None else f">= {low}"
+        raise ValueError(
+            f"invalid {what} in backend spec {backend!r} (expected an integer {bound})"
+        )
+    return value
+
+
 def resolve_backend(
     backend: Union[str, SweepBackend, None],
-    processes: Optional[int] = None,
-    grid_size: Optional[int] = None,
     announce: Optional[Callable[[str], None]] = None,
 ) -> SweepBackend:
-    """A backend instance from a name/spec string, an instance, or ``None``.
+    """A backend instance from a spec string, an instance, or ``None`` (serial).
 
-    ``None`` reproduces the historical ``run_sweep`` defaults byte-for-byte:
-    serial when ``processes`` is unset/``<=1`` or the grid has at most one
-    point, the multiprocessing pool otherwise (``-1`` = every core).
-
-    String specs: ``"serial"``, ``"multiprocessing"``, ``"socket-queue"``
-    (ephemeral port on localhost), ``"socket-queue:PORT"`` (all interfaces)
-    or ``"socket-queue:HOST:PORT"`` to choose the bind address workers
-    connect to.  ``announce`` is called with the socket
-    server's listening address once the sweep starts.
+    Spec grammar: ``"serial"``; ``"multiprocessing[:N]"`` -- a pool of ``N >=
+    1`` workers, every core without ``N``; ``"socket-queue"`` (ephemeral
+    port on localhost), ``"socket-queue:PORT"`` (all interfaces) or
+    ``"socket-queue:HOST:PORT"`` to choose the bind address workers connect
+    to, with ``PORT`` in 0-65535.  A malformed spec raises ``ValueError``
+    naming it.  ``announce`` is called with the socket server's listening
+    address once the sweep starts.
     """
     if backend is None:
-        if processes is not None and processes < 0:
-            processes = multiprocessing.cpu_count()
-        if processes is None or processes <= 1 or (grid_size is not None and grid_size <= 1):
-            return SerialBackend()
-        return MultiprocessingBackend(processes)
+        return SerialBackend()
     if not isinstance(backend, str):
         return backend
     name, _, spec = backend.partition(":")
@@ -463,18 +457,16 @@ def resolve_backend(
     if name == "serial":
         return SerialBackend()
     if name == "multiprocessing":
-        return MultiprocessingBackend(processes)
+        if not spec:
+            return MultiprocessingBackend()
+        return MultiprocessingBackend(
+            _spec_int(backend, spec, 1, None, "multiprocessing worker count")
+        )
     if name == "socket-queue":
         host, port = "127.0.0.1", 0
         if spec:
             bind_host, _, bind_port = spec.rpartition(":")
             host = bind_host or "0.0.0.0"
-            try:
-                port = int(bind_port)
-            except ValueError:
-                raise ValueError(
-                    f"invalid socket-queue port in backend spec {backend!r} "
-                    "(expected socket-queue[:host]:port)"
-                ) from None
+            port = _spec_int(backend, bind_port, 0, 65535, "socket-queue port")
         return SocketQueueBackend(host=host, port=port, announce=announce)
     raise ValueError(f"unknown sweep backend {backend!r}; choose from: {', '.join(BACKEND_NAMES)}")

@@ -142,33 +142,20 @@ def build_grid(
 
 def run_sweep(
     scenarios: Sequence[Scenario],
-    processes: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    ordered: bool = True,
     backend: Union[str, SweepBackend, None] = None,
     checkpoint: Optional[str] = None,
+    store: Optional[ResultStore] = None,
 ) -> ResultStore:
     """Run all scenarios and collect their rows, in scenario order.
 
-    Execution is delegated to a pluggable :mod:`repro.sim.backends` backend.
-    With ``backend=None`` the historical defaults apply byte-for-byte:
-    ``processes=None``/``0``/``1`` runs sequentially in-process,
-    ``processes=N`` fans out over a multiprocessing pool of N workers, and
-    ``processes=-1`` uses every available core.  ``backend`` may also be a
-    name/spec string (``"serial"``, ``"multiprocessing"``, or
+    Execution is delegated to a pluggable :mod:`repro.sim.backends` backend:
+    ``backend`` is a spec string (``"serial"``, the default;
+    ``"multiprocessing[:N]"``, a pool of ``N`` workers or every core; or
     ``"socket-queue[:host]:port"`` -- a TCP work-queue server that remote
     ``repro-serverless-costs sweep-worker`` processes connect to) or any
     object implementing :class:`~repro.sim.backends.SweepBackend`.  Results
     are identical across all of them because each scenario is self-contained
     (runner path + params + seed) and rows are reassembled into grid order.
-
-    ``ordered=False`` requests work-stealing execution where the backend
-    distinguishes (the multiprocessing pool's ``imap_unordered``): workers
-    pull the next scenario the moment they finish their current one, so a
-    heterogeneous grid -- a few expensive co-simulations among many cheap
-    points -- no longer leaves workers idle behind fixed chunking.  The
-    resulting :class:`ResultStore` (and any CSV written from it) is
-    byte-identical to the ordered mode.
 
     ``checkpoint`` names a :class:`~repro.sim.checkpoint.SweepJournal` JSONL
     file: every point's rows are journaled the moment they arrive, and
@@ -183,12 +170,7 @@ def run_sweep(
     failing point.
     """
     store = store if store is not None else ResultStore()
-    resolved = resolve_backend(
-        backend,
-        processes=processes,
-        grid_size=len(scenarios),
-        announce=lambda message: print(message, file=sys.stderr),
-    )
+    resolved = resolve_backend(backend, announce=lambda message: print(message, file=sys.stderr))
     collected: List[Optional[List[Dict[str, object]]]] = [None] * len(scenarios)
     journal = SweepJournal(checkpoint) if checkpoint is not None else None
     pending: List[Tuple[int, Scenario]] = list(enumerate(scenarios))
@@ -211,7 +193,7 @@ def run_sweep(
                 )
             pending = fresh
     failure: Optional[PointOutcome] = None
-    outcomes = resolved.run(pending, ordered=ordered)
+    outcomes = resolved.run(pending)
     try:
         for outcome in outcomes:
             if outcome.failed:

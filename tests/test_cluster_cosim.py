@@ -183,7 +183,9 @@ class TestClusterCostSweep:
         from repro.analysis.cluster_costs import cluster_cost_sweep
 
         sequential = cluster_cost_sweep(axes=self.AXES, common=self.COMMON, base_seed=5)
-        parallel = cluster_cost_sweep(axes=self.AXES, common=self.COMMON, base_seed=5, processes=2)
+        parallel = cluster_cost_sweep(
+            axes=self.AXES, common=self.COMMON, base_seed=5, backend="multiprocessing:2"
+        )
         assert sequential == parallel
         # Acceptance criterion: byte-identical CSV exports.
         seq_path, par_path = tmp_path / "seq.csv", tmp_path / "par.csv"

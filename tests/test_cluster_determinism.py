@@ -95,8 +95,8 @@ class TestSweepDeterminism:
             common=self.COMMON,
             base_seed=17,
         )
-        sequential = run_sweep(grid, processes=None)
-        parallel = run_sweep(grid, processes=2)
+        sequential = run_sweep(grid)
+        parallel = run_sweep(grid, backend="multiprocessing:2")
         assert sequential == parallel
         seq_path, par_path = tmp_path / "seq.csv", tmp_path / "par.csv"
         sequential.to_csv(str(seq_path))

@@ -126,8 +126,8 @@ class TestParallelSweep:
         )
 
     def test_parallel_equals_sequential(self, grid):
-        sequential = run_sweep(grid, processes=None)
-        parallel = run_sweep(grid, processes=2)
+        sequential = run_sweep(grid)
+        parallel = run_sweep(grid, backend="multiprocessing:2")
         assert sequential.rows == parallel.rows
 
     def test_sequential_rerun_is_reproducible(self, grid):
@@ -137,7 +137,9 @@ class TestParallelSweep:
         from repro.analysis.concurrency import figure6_burst_sweep
 
         sequential = figure6_burst_sweep(rps_sweep=(1, 10), burst_duration_s=20.0)
-        parallel = figure6_burst_sweep(rps_sweep=(1, 10), burst_duration_s=20.0, processes=2)
+        parallel = figure6_burst_sweep(
+            rps_sweep=(1, 10), burst_duration_s=20.0, backend="multiprocessing:2"
+        )
         assert sequential == parallel
         assert [row["platform"] for row in sequential] == ["aws", "aws", "gcp", "gcp"]
 
@@ -145,16 +147,17 @@ class TestParallelSweep:
         from repro.analysis.overallocation import figure10_allocation_sweep
 
         kwargs = dict(vcpu_fractions=(0.25, 0.5), samples_per_point=3)
-        assert figure10_allocation_sweep(**kwargs) == figure10_allocation_sweep(processes=2, **kwargs)
+        parallel = figure10_allocation_sweep(backend="multiprocessing:2", **kwargs)
+        assert figure10_allocation_sweep(**kwargs) == parallel
 
 
 class TestWorkStealingSweep:
-    """run_sweep(ordered=False): imap_unordered with order-stable collection."""
+    """The pool's imap_unordered completion order never reaches the rows."""
 
     @pytest.fixture(scope="class")
     def heterogeneous_grid(self):
         # Deliberately uneven point costs (rps and duration vary 10x) so the
-        # unordered pool genuinely completes scenarios out of order.
+        # pool genuinely completes scenarios out of order.
         grid = []
         for duration in (2.0, 20.0):
             grid.extend(
@@ -171,8 +174,8 @@ class TestWorkStealingSweep:
         return grid
 
     def test_unordered_csv_is_byte_identical_to_ordered(self, heterogeneous_grid, tmp_path):
-        ordered = run_sweep(heterogeneous_grid, processes=2, ordered=True)
-        unordered = run_sweep(heterogeneous_grid, processes=2, ordered=False)
+        ordered = run_sweep(heterogeneous_grid, backend="serial")
+        unordered = run_sweep(heterogeneous_grid, backend="multiprocessing:2")
         assert ordered == unordered
         ordered_path, unordered_path = tmp_path / "ordered.csv", tmp_path / "unordered.csv"
         ordered.to_csv(str(ordered_path))
@@ -180,9 +183,10 @@ class TestWorkStealingSweep:
         assert ordered_path.read_bytes() == unordered_path.read_bytes()
 
     def test_unordered_sequential_fallback_matches(self, heterogeneous_grid):
-        # Without a pool, ordered is the only execution shape; the flag must
-        # not change results there either.
-        assert run_sweep(heterogeneous_grid, ordered=False) == run_sweep(heterogeneous_grid)
+        # A one-worker pool runs the points one at a time; it must still
+        # match the in-process run.
+        single = run_sweep(heterogeneous_grid, backend="multiprocessing:1")
+        assert single == run_sweep(heterogeneous_grid)
 
 
 class TestResultStore:
@@ -244,8 +248,8 @@ class TestSweepCli:
                 "1,2",
                 "--duration-s",
                 "5",
-                "--processes",
-                "2",
+                "--backend",
+                "multiprocessing:2",
             ]
         )
         out = capsys.readouterr().out
@@ -339,7 +343,7 @@ class TestTraceReplayRunner:
             base_seed=3,
         )
         sequential = run_sweep(grid)
-        parallel = run_sweep(grid, processes=2)
+        parallel = run_sweep(grid, backend="multiprocessing:2")
         assert sequential == parallel
         assert len(sequential) >= 2  # at least one replayed function per platform
         assert set(row["platform"] for row in sequential) == {"aws_lambda_like", "gcp_run_like"}

@@ -1,8 +1,8 @@
 """Tests for pluggable sweep backends, checkpoint/resume, and the sweep-layer bugfixes.
 
 The tentpole invariant: every backend (serial, multiprocessing pool,
-multi-node socket queue) produces *byte-identical* sweep CSVs, in
-ordered and work-stealing mode, across kill/resume boundaries, because each
+multi-node socket queue) produces *byte-identical* sweep CSVs, with or
+without a checkpoint journal, across kill/resume boundaries, because each
 scenario is self-contained (runner path + params + derived seed) and the
 sweep layer reassembles rows by grid index.
 """
@@ -62,7 +62,7 @@ class _RecordingSerial(SerialBackend):
     def __init__(self):
         self.ran = []
 
-    def run(self, items, ordered=True):
+    def run(self, items):
         for item in items:
             self.ran.append(item[0])
             yield execute_point(item, keep_cause=True)
@@ -135,10 +135,13 @@ class TestBackendEquivalence:
         store = run_sweep(_grid(), backend="serial")
         return _csv_bytes(store, tmp_path_factory.mktemp("ref") / "ref.csv")
 
-    @pytest.mark.parametrize("backend", ["serial", "multiprocessing"])
-    @pytest.mark.parametrize("ordered", [True, False])
-    def test_in_process_backends_byte_identical(self, backend, ordered, reference_bytes, tmp_path):
-        store = run_sweep(_grid(), backend=backend, processes=2, ordered=ordered)
+    @pytest.mark.parametrize("backend", ["serial", "multiprocessing:2"])
+    @pytest.mark.parametrize("journaled", [True, False])
+    def test_in_process_backends_byte_identical(
+        self, backend, journaled, reference_bytes, tmp_path
+    ):
+        checkpoint = str(tmp_path / "sweep.jsonl") if journaled else None
+        store = run_sweep(_grid(), backend=backend, checkpoint=checkpoint)
         assert _csv_bytes(store, tmp_path / "out.csv") == reference_bytes
 
     def test_socket_queue_backend_byte_identical(self, reference_bytes, tmp_path):
@@ -150,7 +153,7 @@ class TestBackendEquivalence:
         ]
         for worker in workers:
             worker.start()
-        store = run_sweep(_grid(), backend=backend, ordered=False)
+        store = run_sweep(_grid(), backend=backend)
         for worker in workers:
             worker.join(timeout=10.0)
         assert _csv_bytes(store, tmp_path / "sq.csv") == reference_bytes
@@ -165,7 +168,7 @@ class TestBackendEquivalence:
     def test_property_serial_equals_workstealing_pool(self, rates, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("prop")
         serial = run_sweep(_grid(rates), backend="serial")
-        stolen = run_sweep(_grid(rates), backend="multiprocessing", processes=2, ordered=False)
+        stolen = run_sweep(_grid(rates), backend="multiprocessing:2")
         assert _csv_bytes(serial, tmp / "a.csv") == _csv_bytes(stolen, tmp / "b.csv")
 
 
@@ -229,7 +232,7 @@ class TestSweepPointError:
     def test_pool_failure_carries_worker_traceback(self):
         grid = [_broken(s) for s in _grid(rates=(1.0, 2.0))]
         with pytest.raises(SweepPointError) as excinfo:
-            run_sweep(grid, backend="multiprocessing", processes=2)
+            run_sweep(grid, backend="multiprocessing:2")
         assert "KeyError" in (excinfo.value.traceback_text or "")
 
     def test_completed_rows_are_journaled_before_the_raise(self, tmp_path):
@@ -249,31 +252,25 @@ class TestSweepPointError:
 
 
 # ----------------------------------------------------------------------
-# Backend resolution (incl. the legacy processes= mapping)
+# Backend resolution: the spec grammar
 # ----------------------------------------------------------------------
 
 
 class TestBackendResolution:
-    def test_legacy_default_mapping(self):
-        assert isinstance(resolve_backend(None), SerialBackend)
-        assert isinstance(resolve_backend(None, processes=1, grid_size=8), SerialBackend)
-        assert isinstance(resolve_backend(None, processes=4, grid_size=1), SerialBackend)
-        pool = resolve_backend(None, processes=4, grid_size=8)
-        assert isinstance(pool, MultiprocessingBackend)
-        assert pool.processes == 4
+    def test_spec_grammar(self):
         import multiprocessing
 
-        every_core = resolve_backend(None, processes=-1, grid_size=8)
-        if multiprocessing.cpu_count() > 1:
-            assert isinstance(every_core, MultiprocessingBackend)
-            assert every_core.processes == multiprocessing.cpu_count()
-        else:
-            assert isinstance(every_core, SerialBackend)  # one core -> no pool
+        assert isinstance(resolve_backend(None), SerialBackend)
+        assert isinstance(resolve_backend("serial"), SerialBackend)
+        every_core = resolve_backend("multiprocessing")
+        assert isinstance(every_core, MultiprocessingBackend)
+        assert every_core.processes == multiprocessing.cpu_count()
+        assert resolve_backend("multiprocessing:3").processes == 3
 
     def test_backend_names_resolve(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("multiprocessing", processes=3), MultiprocessingBackend)
-        assert resolve_backend("multiprocessing", processes=3).processes == 3
+        assert isinstance(resolve_backend("multiprocessing"), MultiprocessingBackend)
+        assert isinstance(resolve_backend("multiprocessing:3"), MultiprocessingBackend)
 
     def test_socket_queue_specs(self):
         default = resolve_backend("socket-queue")
@@ -304,6 +301,22 @@ class TestBackendResolution:
         for name in BACKEND_NAMES:
             if name != "socket-queue":
                 assert resolve_backend(name).name == name
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "socket-queue:127.0.0.1:70000",
+            "socket-queue:127.0.0.1:-1",
+            "multiprocessing:0",
+            "multiprocessing:x",
+        ],
+    )
+    def test_out_of_range_specs_raise_naming_the_spec(self, spec):
+        # A port past 65535 used to reach socket.create_server and crash
+        # with an OverflowError instead of a ValueError.
+        with pytest.raises(ValueError, match="invalid .* in backend spec") as excinfo:
+            resolve_backend(spec)
+        assert repr(spec) in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +454,7 @@ class TestSocketQueueFaultTolerance:
 
         worker = threading.Thread(target=flaky_then_healthy, daemon=True)
         worker.start()
-        store = run_sweep(_grid(), backend=backend, ordered=False)
+        store = run_sweep(_grid(), backend=backend)
         worker.join(timeout=10.0)
         reference = run_sweep(_grid())
         assert store.rows == reference.rows  # the sweep outlived the dead worker
@@ -459,7 +472,7 @@ class TestSocketQueueFaultTolerance:
 
     def test_duplicate_outcomes_are_deduplicated(self):
         class Duplicating(SerialBackend):
-            def run(self, items, ordered=True):
+            def run(self, items):
                 for item in items:
                     outcome = execute_point(item)
                     yield outcome
@@ -482,7 +495,7 @@ class TestSocketQueueFaultTolerance:
 
 
 # ----------------------------------------------------------------------
-# Satellite: CLI parity (--unordered/--backend/--checkpoint everywhere)
+# Satellite: CLI parity (--backend/--checkpoint everywhere)
 # ----------------------------------------------------------------------
 
 _CLI_SWEEP = [
@@ -501,21 +514,30 @@ _CLI_SWEEP = [
 class TestCliParity:
     @pytest.mark.parametrize("command", ["sweep", "cluster", "backpressure"])
     def test_every_sweeping_subcommand_has_the_execution_flags(self, command):
+        assert build_parser().parse_args([command]).backend == "serial"
         args = build_parser().parse_args(
-            [command, "--processes", "2", "--unordered", "--backend", "serial", "--checkpoint", "x"]
+            [command, "--backend", "multiprocessing:2", "--checkpoint", "x"]
         )
-        assert args.processes == 2
-        assert args.unordered is True
-        assert args.backend == "serial"
+        assert args.backend == "multiprocessing:2"
         assert args.checkpoint == "x"
+        for removed in ("--processes", "--unordered"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, removed, "2"])
 
     def test_cli_backends_write_byte_identical_csvs(self, tmp_path):
         serial = tmp_path / "serial.csv"
         pooled = tmp_path / "pooled.csv"
         assert main(_CLI_SWEEP + ["--output", str(serial)]) == 0
-        pool_flags = ["--backend", "multiprocessing", "--processes", "2", "--unordered"]
+        pool_flags = ["--backend", "multiprocessing:2"]
         assert main(_CLI_SWEEP + pool_flags + ["--output", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
+
+    @pytest.mark.parametrize("command", ["sweep", "cluster", "backpressure"])
+    def test_malformed_backend_spec_exits_2_with_one_line(self, command, capsys):
+        assert main([command, "--backend", "socket-queue:127.0.0.1:70000"]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.count("\n") == 1
+        assert "'socket-queue:127.0.0.1:70000'" in stderr
 
     def test_cli_checkpoint_resume(self, tmp_path, capsys):
         journal = tmp_path / "sweep.jsonl"
@@ -543,7 +565,7 @@ class TestCliParity:
         outcome = {}
 
         def server():
-            outcome["store"] = run_sweep(_grid(), backend=backend, ordered=False)
+            outcome["store"] = run_sweep(_grid(), backend=backend)
 
         thread = threading.Thread(target=server, daemon=True)
         thread.start()

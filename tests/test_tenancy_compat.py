@@ -84,23 +84,19 @@ def _csv_bytes(store, path) -> bytes:
 
 
 def _cluster_sweep_bytes(tmp) -> bytes:
-    store = cluster_cost_sweep(
-        axes=CLUSTER_AXES, common=CLUSTER_COMMON, base_seed=BASE_SEED, processes=1
-    )
+    store = cluster_cost_sweep(axes=CLUSTER_AXES, common=CLUSTER_COMMON, base_seed=BASE_SEED)
     return _csv_bytes(store, tmp / "cluster.csv")
 
 
 def _backpressure_sweep_bytes(tmp) -> bytes:
     store = backpressure_sweep(
-        axes=BACKPRESSURE_AXES, common=BACKPRESSURE_COMMON, base_seed=BASE_SEED, processes=1
+        axes=BACKPRESSURE_AXES, common=BACKPRESSURE_COMMON, base_seed=BASE_SEED
     )
     return _csv_bytes(store, tmp / "backpressure.csv")
 
 
 def _retry_sweep_bytes(tmp) -> bytes:
-    store = retry_amplification_sweep(
-        axes=RETRY_AXES, common=RETRY_COMMON, base_seed=BASE_SEED, processes=1
-    )
+    store = retry_amplification_sweep(axes=RETRY_AXES, common=RETRY_COMMON, base_seed=BASE_SEED)
     return _csv_bytes(store, tmp / "retry.csv")
 
 
