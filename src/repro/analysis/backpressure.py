@@ -18,7 +18,7 @@ identity, so sequential and parallel sweeps produce identical rows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.results import ResultStore
 from repro.sim.rng import named_generator
@@ -28,8 +28,12 @@ __all__ = [
     "backpressure_sweep",
     "retry_amplification_sweep",
     "DEFAULT_AXES",
+    "HETEROGENEITIES",
     "RETRY_AXES",
 ]
+
+#: The fleet shapes a grid point can take (the ``heterogeneity`` param).
+HETEROGENEITIES: Tuple[str, ...] = ("homogeneous", "two_tier")
 
 #: Default sweep axes: admission-queue bound x placement policy x fleet
 #: heterogeneity ("homogeneous" = one zone, "two_tier" = a cheap economy
@@ -37,7 +41,7 @@ __all__ = [
 DEFAULT_AXES: Dict[str, Sequence[object]] = {
     "queue_depth": (0, 4, 32),
     "placement_policy": ("best_fit", "cost_fit"),
-    "heterogeneity": ("homogeneous", "two_tier"),
+    "heterogeneity": HETEROGENEITIES,
 }
 
 #: Retry-amplification axes: the same capacity-bound points with client
@@ -85,7 +89,7 @@ def _zones(heterogeneity: str, host_vcpus: float, host_memory_gb: float, max_hos
             ZoneConfig(name="economy", host_spec=economy, max_hosts=split),
             ZoneConfig(name="premium", host_spec=premium, max_hosts=max_hosts - split),
         )
-    raise ValueError(f"unknown heterogeneity {heterogeneity!r}")
+    raise ValueError(f"unknown heterogeneity {heterogeneity!r}; choose from {HETEROGENEITIES}")
 
 
 def _scheduler(seed: int, horizon_s: float):
@@ -206,10 +210,9 @@ def backpressure_sweep(
     """Run the backpressure grid through the sweep orchestrator.
 
     ``backend`` / ``checkpoint`` pass through to
-    :func:`repro.sim.sweep.run_sweep`: any execution backend (including the
-    multi-node ``socket-queue`` server) and an optional JSONL journal that
-    makes the sweep kill/resume-safe.  Rows are byte-identical across all of
-    them.
+    :func:`repro.sim.sweep.run_sweep`: any execution backend and an optional
+    JSONL journal that makes the sweep kill/resume-safe.  Rows are
+    byte-identical across all of them.
 
     ``first_point_extra`` merges extra params into the *first* grid point
     only -- how the CLI attaches ``trace_out``/``telemetry_out`` artifact
@@ -267,7 +270,7 @@ def backpressure_experiment() -> List[Dict[str, object]]:
     axes = {
         "queue_depth": (0, 16),
         "placement_policy": ("best_fit", "cost_fit"),
-        "heterogeneity": ("homogeneous", "two_tier"),
+        "heterogeneity": HETEROGENEITIES,
     }
     store = backpressure_sweep(axes=axes, common={"duration_s": 20.0})
     return store.rows

@@ -102,9 +102,9 @@ def cluster_cost_sweep(
     """Run the cluster-cost grid through the sweep orchestrator.
 
     ``backend`` / ``checkpoint`` pass through to
-    :func:`repro.sim.sweep.run_sweep`: any execution backend (including the
-    multi-node ``socket-queue`` server) and an optional JSONL journal that
-    makes the sweep kill/resume-safe.  Rows are byte-identical across all.
+    :func:`repro.sim.sweep.run_sweep`: any execution backend and an optional
+    JSONL journal that makes the sweep kill/resume-safe.  Rows are
+    byte-identical across all.
 
     ``first_point_extra`` merges extra params into the *first* grid point
     only -- how the CLI attaches ``trace_out``/``telemetry_out`` artifact

@@ -9,8 +9,6 @@ Usage::
     repro-serverless-costs trace --simulate backpressure --retry on --trace-out run_trace.json
     repro-serverless-costs sweep --backend multiprocessing:4 --output sweep.csv
     repro-serverless-costs sweep --backend multiprocessing --checkpoint sweep.jsonl
-    repro-serverless-costs sweep --backend socket-queue:0.0.0.0:7077 --output sweep.csv
-    repro-serverless-costs sweep-worker --connect head-node:7077
     repro-serverless-costs cluster --fleet-sizes 8,16 --policies best_fit,worst_fit --output cluster.csv
     repro-serverless-costs cluster --trace-out cluster_trace.json --telemetry-out cluster_tel.csv
     repro-serverless-costs backpressure --queue-depths 0,8 --policies best_fit,cost_fit --output bp.csv
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.analysis.experiments import EXPERIMENTS, list_experiments, run_experiment
@@ -34,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.sim.results import ResultStore
 
 __all__ = ["main", "build_parser"]
+
+#: The values of every on/off switch (``--feedback``, ``--retry``).
+_SWITCH = ("off", "on")
 
 
 def _add_sweep_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -47,9 +48,8 @@ def _add_sweep_execution_flags(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default="serial",
         help=(
-            "Execution backend: serial (default), multiprocessing[:N] (a pool of N "
-            "workers; every core without N), or socket-queue[:host]:port (a TCP "
-            "work-queue server that 'sweep-worker' processes on any machine connect to)"
+            "Execution backend: serial (default) or multiprocessing[:N] (a pool of N "
+            "workers; every core without N)"
         ),
     )
     parser.add_argument(
@@ -115,7 +115,7 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--feedback",
-        choices=("off", "on"),
+        choices=_SWITCH,
         default="off",
         help=(
             "Close the state loop: fleet admission outcomes delay/fail serving "
@@ -236,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--profile-out", help="Kernel profile JSON path")
     trace_parser.add_argument(
         "--feedback",
-        choices=("off", "on"),
+        choices=_SWITCH,
         default="on",
         help="Close the state loop in the simulated run (default: on, so traces show failures)",
     )
     trace_parser.add_argument(
         "--retry",
-        choices=("off", "on"),
+        choices=_SWITCH,
         default="off",
         help="Client retry loop in the simulated run (retried spans link to their parents)",
     )
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument(
         "--policies",
         default="first_fit,best_fit,worst_fit",
-        help="Comma-separated placement policies (first_fit, best_fit, worst_fit)",
+        help="Comma-separated placement policies (first_fit, best_fit, worst_fit, cost_fit)",
     )
     cluster_parser.add_argument(
         "--keep-alive-s",
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_parser.add_argument(
         "--retry",
-        choices=("off", "on"),
+        choices=_SWITCH,
         default="off",
         help=(
             "Client retry loop: failed requests are re-injected with exponential "
@@ -390,33 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cluster_flags(backpressure_parser)
 
-    worker_parser = subparsers.add_parser(
-        "sweep-worker",
-        help="Join a socket-queue sweep as a remote worker process",
-        description=(
-            "Connect to a sweep running with --backend socket-queue[:host]:port "
-            "(on this machine or another) and execute grid points from its work "
-            "queue until the sweep finishes.  Start as many workers on as many "
-            "machines as you like; results are byte-identical regardless of how "
-            "the work lands.  Only connect to sweep servers you trust: the work "
-            "protocol is pickle over TCP."
-        ),
-    )
-    worker_parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="Address of the sweep's socket-queue server (a bare port implies 127.0.0.1)",
-    )
-    worker_parser.add_argument(
-        "--retry-window-s",
-        type=float,
-        default=30.0,
-        help="Keep retrying the initial connection for this long (seconds)",
-    )
-    worker_parser.add_argument(
-        "--quiet", action="store_true", help="Suppress per-point progress lines"
-    )
     return parser
 
 
@@ -456,6 +429,31 @@ def _obs_first_point_extra(args: "argparse.Namespace"):
         file=sys.stderr,
     )
     return extra
+
+
+def _print_invalid(flag: str, value: str, allowed: Sequence[str]) -> None:
+    print(f"invalid {flag} value {value!r}; choose from: {', '.join(allowed)}", file=sys.stderr)
+
+
+def _check_grid_values(*checks: Tuple[str, List[str], Sequence[str]]) -> bool:
+    """Check comma-list flag values before any grid point runs.
+
+    Each check is ``(flag, values, allowed)``; the first value outside its
+    ``allowed`` set is reported as one line naming the flag, and the result
+    is ``False``.
+    """
+    for flag, values, allowed in checks:
+        for value in values:
+            if value not in allowed:
+                _print_invalid(flag, value, allowed)
+                return False
+    return True
+
+
+def _placement_policies() -> List[str]:
+    from repro.cluster.placement import PlacementPolicy
+
+    return [policy.value for policy in PlacementPolicy]
 
 
 def _cmd_list() -> int:
@@ -613,12 +611,12 @@ def _run_cluster_grid(
     and ``common``, gates the tenancy axis, and runs ``sweep`` (a
     ``*_sweep`` function of :mod:`repro.analysis`) with the execution flags.
     """
-    items = [item.strip() for item in args.tenants.split(",") if item.strip()]
-    try:
-        tenants = [item if item == "off" else int(item) for item in items]
-    except ValueError:
-        print(f"invalid --tenants list: {args.tenants!r}", file=sys.stderr)
-        return 2
+    tenants: List[object] = []
+    for item in filter(None, (item.strip() for item in args.tenants.split(","))):
+        if item != "off" and not (item.isdecimal() and int(item) >= 1):
+            _print_invalid("--tenants", item, ("off", "an integer >= 1"))
+            return 2
+        tenants.append(item if item == "off" else int(item))
     code = _compact_checkpoint_if_requested(args)
     if code is not None:
         return code
@@ -671,6 +669,8 @@ def _cmd_cluster(args: "argparse.Namespace") -> int:
     if not fleet_sizes or not policies or not keep_alive:
         print("cluster needs at least one fleet size, policy, and keep-alive value", file=sys.stderr)
         return 2
+    if not _check_grid_values(("--policies", policies, _placement_policies())):
+        return 2
     common: Dict[str, object] = {
         "host_vcpus": args.host_vcpus,
         "host_memory_gb": args.host_memory_gb,
@@ -690,7 +690,7 @@ def _cmd_cluster(args: "argparse.Namespace") -> int:
 
 
 def _cmd_backpressure(args: "argparse.Namespace") -> int:
-    from repro.analysis.backpressure import backpressure_sweep
+    from repro.analysis.backpressure import HETEROGENEITIES, backpressure_sweep
 
     try:
         queue_depths = [int(value) for value in args.queue_depths.split(",") if value.strip()]
@@ -705,6 +705,12 @@ def _cmd_backpressure(args: "argparse.Namespace") -> int:
             "backpressure needs at least one queue depth, policy, heterogeneity and retry value",
             file=sys.stderr,
         )
+        return 2
+    if not _check_grid_values(
+        ("--policies", policies, _placement_policies()),
+        ("--heterogeneity", heterogeneity, HETEROGENEITIES),
+        ("--retry", retries, _SWITCH),
+    ):
         return 2
     axes: Dict[str, List[object]] = {
         "queue_depth": queue_depths,
@@ -726,32 +732,6 @@ def _cmd_backpressure(args: "argparse.Namespace") -> int:
     )
 
 
-def _cmd_sweep_worker(args: "argparse.Namespace") -> int:
-    from repro.sim.backends import run_sweep_worker
-
-    host, _, port_text = args.connect.rpartition(":")
-    if not host:
-        # A bare port means "the sweep runs on this machine".
-        host = "127.0.0.1"
-    try:
-        port = int(port_text)
-    except ValueError:
-        port = -1
-    if not 0 < port < 65536:
-        print(f"invalid --connect address {args.connect!r}: expected HOST:PORT", file=sys.stderr)
-        return 2
-    log = None if args.quiet else (lambda message: print(message, file=sys.stderr))
-    try:
-        completed = run_sweep_worker(
-            host, port, retry_window_s=args.retry_window_s, log=log
-        )
-    except OSError as error:
-        print(f"could not reach sweep server at {host}:{port}: {error}", file=sys.stderr)
-        return 2
-    print(f"sweep worker done: completed {completed} points")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -768,8 +748,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_cluster(args)
     if args.command == "backpressure":
         return _cmd_backpressure(args)
-    if args.command == "sweep-worker":
-        return _cmd_sweep_worker(args)
     parser.print_help()
     return 1
 

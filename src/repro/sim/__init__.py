@@ -33,10 +33,8 @@ scheduler (`repro.sched.engine`) into one reusable layer:
   structured result store the rows land in.
 - :mod:`repro.sim.backends` / :mod:`repro.sim.checkpoint` -- the sweep
   execution seam (:class:`~repro.sim.backends.SweepBackend`: in-process
-  serial, multiprocessing pool, or a multi-node TCP work queue served to
-  ``sweep-worker`` processes) and the
-  append-only JSONL checkpoint journal that makes 10k+-point grids
-  kill/resume-safe.  Every backend yields byte-identical results because
+  serial or a multiprocessing pool) and the append-only JSONL checkpoint
+  journal that makes 10k+-point grids kill/resume-safe.  Every backend yields byte-identical results because
   rows are reassembled by grid index from per-point derived seeds.
 
 Layering: ``kernel``/``events``/``rng``/``results`` depend only on the
@@ -49,11 +47,9 @@ from repro.sim.backends import (
     MultiprocessingBackend,
     PointOutcome,
     SerialBackend,
-    SocketQueueBackend,
     SweepBackend,
     SweepPointError,
     resolve_backend,
-    run_sweep_worker,
 )
 from repro.sim.checkpoint import SweepJournal
 from repro.sim.events import (
@@ -113,7 +109,6 @@ __all__ = [
     "SimEvent",
     "SimProcess",
     "SimulationKernel",
-    "SocketQueueBackend",
     "StaticSlowdown",
     "SweepBackend",
     "SweepJournal",
@@ -125,5 +120,4 @@ __all__ = [
     "resolve_retry",
     "run_scenario",
     "run_sweep",
-    "run_sweep_worker",
 ]

@@ -14,48 +14,23 @@ Backends:
 - ``serial`` -- in-process loop, no pool (the default).
 - ``multiprocessing[:N]`` -- a ``multiprocessing.Pool`` of ``N`` workers
   (every core without ``N``) pulling one point at a time.
-- ``socket-queue`` -- a stdlib TCP work-queue server for multi-node sweeps:
-  remote workers started with ``repro-serverless-costs sweep-worker
-  --connect host:port`` pull pickled ``(index, Scenario)`` items and push
-  back pickled outcomes.  Items whose worker dies mid-point are re-queued to
-  the survivors, so the sweep outlives individual workers.
+
+A remote transport (e.g. a multi-node work queue) would plug in as another
+:class:`SweepBackend`; every grid in the reproduction fits on one host.
 
 Failures never abort a backend mid-stream: :func:`execute_point` captures
 worker exceptions as *data* on the outcome (type name, message, formatted
 traceback), so the parent can journal every completed point before failing
 the sweep, and transports never ship live exception objects -- which may not
-pickle -- across process or network boundaries.
-
-The socket backend's wire protocol is pickle over a length-prefixed TCP
-stream between mutually trusting hosts (a sweep worker executes arbitrary
-registered runner functions *by design*); run it on a private network, like
-any work queue.
+pickle -- across process boundaries.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
-import queue
-import socket
-import struct
-import threading
-import time
 import traceback
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Protocol, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.sim.sweep import Scenario
@@ -65,20 +40,18 @@ __all__ = [
     "MultiprocessingBackend",
     "PointOutcome",
     "SerialBackend",
-    "SocketQueueBackend",
     "SweepBackend",
     "SweepPointError",
     "execute_point",
     "resolve_backend",
-    "run_sweep_worker",
 ]
 
 WorkItem = Tuple[int, "Scenario"]
 Rows = List[Dict[str, object]]
 
 #: The backend names :func:`resolve_backend` accepts (multiprocessing also
-#: takes an optional ``:N`` suffix, socket-queue an optional ``[:host]:port``).
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "multiprocessing", "socket-queue")
+#: takes an optional ``:N`` suffix).
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "multiprocessing")
 
 
 class SweepPointError(RuntimeError):
@@ -205,248 +178,12 @@ class MultiprocessingBackend:
             yield from pool.imap_unordered(execute_point, items, chunksize=1)
 
 
-# ----------------------------------------------------------------------
-# Multi-node backend: a TCP work queue plus the worker loop behind the
-# ``repro-serverless-costs sweep-worker`` subcommand.
-# ----------------------------------------------------------------------
-
-_HEADER = struct.Struct(">Q")
-
-
-def _send(connection: socket.socket, payload: object) -> None:
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    connection.sendall(_HEADER.pack(len(data)) + data)
-
-
-def _recv_exact(connection: socket.socket, length: int) -> Optional[bytes]:
-    chunks: List[bytes] = []
-    while length:
-        chunk = connection.recv(min(length, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        length -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv(connection: socket.socket) -> Optional[Tuple[object, ...]]:
-    """One length-prefixed pickled message, or ``None`` on a clean hang-up."""
-    header = _recv_exact(connection, _HEADER.size)
-    if header is None:
-        return None
-    data = _recv_exact(connection, _HEADER.unpack(header)[0])
-    if data is None:
-        return None
-    return pickle.loads(data)
-
-
-class SocketQueueBackend:
-    """Multi-node work queue over a plain TCP socket (stdlib only).
-
-    The backend is the *server*: it binds at construction (so the address is
-    known before the sweep starts -- pass ``port=0`` for an ephemeral port
-    and read :attr:`address`), queues ``(index, Scenario)`` items, and hands
-    one item at a time to each connected worker: a remote process started
-    with ``repro-serverless-costs sweep-worker --connect host:port``.
-    Outcomes stream back as they finish, which is inherently work-stealing
-    -- a worker pulls its next item the moment it returns one.
-
-    Fault tolerance: if a worker dies mid-point its in-flight item is
-    re-queued to the survivors, so the sweep outlives individual workers.  A
-    late duplicate (the first worker finished but its result was lost in the
-    hang-up) is harmless -- the sweep layer deduplicates by grid index, and
-    per-point derived seeds make both executions byte-identical anyway.
-
-    ``timeout_s`` is an *idle* bound: the sweep fails if no outcome arrives
-    for that long (e.g. no worker ever connects).  One sweep per instance;
-    the listening socket closes when ``run`` finishes.
-    """
-
-    name = "socket-queue"
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        timeout_s: Optional[float] = None,
-        announce: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        self.timeout_s = timeout_s
-        self.announce = announce
-        self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)
-        self._used = False
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The ``(host, port)`` workers should connect to."""
-        return self._listener.getsockname()[:2]
-
-    def close(self) -> None:
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-
-    def run(self, items: Iterable[WorkItem]) -> Iterator[PointOutcome]:
-        if self._used:
-            raise RuntimeError(
-                "SocketQueueBackend instances are single-use (the listener closes "
-                "with the sweep); construct a new one per run_sweep call"
-            )
-        self._used = True
-        items = list(items)
-        if not items:
-            self.close()
-            return
-        work: "queue.Queue[WorkItem]" = queue.Queue()
-        for item in items:
-            work.put(item)
-        results: "queue.Queue[PointOutcome]" = queue.Queue()
-        done = threading.Event()
-        handlers: List[threading.Thread] = []
-
-        def serve(connection: socket.socket) -> None:
-            in_flight: Optional[WorkItem] = None
-            try:
-                _recv(connection)  # worker hello (hostname, pid); identification only
-                while not done.is_set():
-                    try:
-                        item = work.get(timeout=0.1)
-                    except queue.Empty:
-                        continue
-                    in_flight = item
-                    _send(connection, ("item", item))
-                    reply = _recv(connection)
-                    if reply is None:
-                        raise ConnectionError("worker hung up mid-point")
-                    results.put(reply[1])
-                    in_flight = None
-            except (OSError, ConnectionError, EOFError, pickle.UnpicklingError):
-                if in_flight is not None:
-                    work.put(in_flight)  # re-queue: the sweep outlives the worker
-            finally:
-                try:
-                    _send(connection, ("shutdown",))
-                except OSError:
-                    pass
-                connection.close()
-
-        def accept() -> None:
-            while not done.is_set():
-                try:
-                    connection, _ = self._listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                handler = threading.Thread(target=serve, args=(connection,), daemon=True)
-                handler.start()
-                handlers.append(handler)
-
-        acceptor = threading.Thread(target=accept, daemon=True)
-        acceptor.start()
-        if self.announce is not None:
-            host, port = self.address
-            self.announce(
-                f"sweep server listening on {host}:{port} ({len(items)} points); start "
-                f"workers with: repro-serverless-costs sweep-worker --connect <host>:{port}"
-            )
-        seen: set = set()
-        idle_deadline = None if self.timeout_s is None else time.monotonic() + self.timeout_s
-        try:
-            while len(seen) < len(items):
-                try:
-                    outcome = results.get(timeout=0.2)
-                except queue.Empty:
-                    if idle_deadline is not None and time.monotonic() > idle_deadline:
-                        raise RuntimeError(
-                            f"socket-queue sweep idle for {self.timeout_s}s with "
-                            f"{len(items) - len(seen)} of {len(items)} points outstanding "
-                            "-- are any sweep workers connected?"
-                        )
-                    continue
-                if outcome.index in seen:
-                    continue  # late duplicate from a re-queued item
-                seen.add(outcome.index)
-                if idle_deadline is not None:
-                    idle_deadline = time.monotonic() + self.timeout_s
-                yield outcome
-        finally:
-            done.set()
-            self.close()
-            acceptor.join(timeout=2.0)
-            for handler in handlers:
-                handler.join(timeout=2.0)
-
-
-def run_sweep_worker(
-    host: str,
-    port: int,
-    retry_window_s: float = 30.0,
-    log: Optional[Callable[[str], None]] = None,
-) -> int:
-    """Serve one socket-queue sweep: pull items, run them, push outcomes back.
-
-    Connects to ``host:port`` -- retrying for ``retry_window_s``, so workers
-    may be started before the server -- then executes each received
-    ``(index, Scenario)`` item via :func:`execute_point` until the server
-    sends shutdown or hangs up.  Returns the number of completed points.
-    """
-    deadline = time.monotonic() + max(retry_window_s, 0.0)
-    connection: Optional[socket.socket] = None
-    while connection is None:
-        try:
-            connection = socket.create_connection((host, port))
-        except OSError:
-            if time.monotonic() >= deadline:
-                raise
-            time.sleep(0.2)
-    completed = 0
-    try:
-        _send(connection, ("hello", socket.gethostname(), os.getpid()))
-        while True:
-            message = _recv(connection)
-            if message is None or message[0] == "shutdown":
-                break
-            outcome = execute_point(message[1])
-            _send(connection, ("result", outcome))
-            completed += 1
-            if log is not None:
-                status = "failed" if outcome.failed else "completed"
-                log(f"{status} {outcome.scenario_id!r} ({completed} points so far)")
-    finally:
-        connection.close()
-    return completed
-
-
-def _spec_int(backend: str, text: str, low: int, high: Optional[int], what: str) -> int:
-    """The integer ``text`` of a backend spec, or a ``ValueError`` naming the spec."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = low - 1
-    if value < low or (high is not None and value > high):
-        bound = f"{low}-{high}" if high is not None else f">= {low}"
-        raise ValueError(
-            f"invalid {what} in backend spec {backend!r} (expected an integer {bound})"
-        )
-    return value
-
-
-def resolve_backend(
-    backend: Union[str, SweepBackend, None],
-    announce: Optional[Callable[[str], None]] = None,
-) -> SweepBackend:
+def resolve_backend(backend: Union[str, SweepBackend, None]) -> SweepBackend:
     """A backend instance from a spec string, an instance, or ``None`` (serial).
 
-    Spec grammar: ``"serial"``; ``"multiprocessing[:N]"`` -- a pool of ``N >=
-    1`` workers, every core without ``N``; ``"socket-queue"`` (ephemeral
-    port on localhost), ``"socket-queue:PORT"`` (all interfaces) or
-    ``"socket-queue:HOST:PORT"`` to choose the bind address workers connect
-    to, with ``PORT`` in 0-65535.  A malformed spec raises ``ValueError``
-    naming it.  ``announce`` is called with the socket server's listening
-    address once the sweep starts.
+    Spec grammar: ``"serial"`` or ``"multiprocessing[:N]"`` -- a pool of ``N
+    >= 1`` workers, every core without ``N``.  A malformed spec raises
+    ``ValueError`` naming it.
     """
     if backend is None:
         return SerialBackend()
@@ -459,14 +196,14 @@ def resolve_backend(
     if name == "multiprocessing":
         if not spec:
             return MultiprocessingBackend()
-        return MultiprocessingBackend(
-            _spec_int(backend, spec, 1, None, "multiprocessing worker count")
-        )
-    if name == "socket-queue":
-        host, port = "127.0.0.1", 0
-        if spec:
-            bind_host, _, bind_port = spec.rpartition(":")
-            host = bind_host or "0.0.0.0"
-            port = _spec_int(backend, bind_port, 0, 65535, "socket-queue port")
-        return SocketQueueBackend(host=host, port=port, announce=announce)
+        try:
+            processes = int(spec)
+        except ValueError:
+            processes = 0
+        if processes < 1:
+            raise ValueError(
+                f"invalid multiprocessing worker count in backend spec {backend!r} "
+                "(expected an integer >= 1)"
+            )
+        return MultiprocessingBackend(processes)
     raise ValueError(f"unknown sweep backend {backend!r}; choose from: {', '.join(BACKEND_NAMES)}")

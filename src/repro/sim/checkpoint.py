@@ -77,8 +77,7 @@ class SweepJournal:
     def compact(self) -> Dict[str, int]:
         """Rewrite the journal with one line per key, dropping garbage.
 
-        Journals of repeatedly resumed (or multi-writer distributed) sweeps
-        accumulate duplicate entries for the same ``(scenario_id, seed)`` key
+        Journals of repeatedly resumed sweeps accumulate duplicate entries for the same ``(scenario_id, seed)`` key
         plus the occasional torn line from a kill mid-write; every resume
         then re-parses all of it.  Compaction keeps the *last* record of each
         key (last-wins, matching what :meth:`load` returns, which overwrites

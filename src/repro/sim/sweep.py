@@ -3,10 +3,10 @@
 A *scenario* is one fully specified simulation run: a picklable reference to
 a top-level runner function (``"package.module:function"``), a parameter
 mapping, and a seed.  The orchestrator fans a list of scenarios out across a
-pluggable execution backend (:mod:`repro.sim.backends`: in-process serial, a
-``multiprocessing`` pool, or a multi-node TCP work queue) and collects the
-returned rows -- always reassembled into scenario order, so every backend
-produces identical :class:`~repro.sim.results.ResultStore` contents.
+pluggable execution backend (:mod:`repro.sim.backends`: in-process serial or
+a ``multiprocessing`` pool) and collects the returned rows -- always
+reassembled into scenario order, so every backend produces identical
+:class:`~repro.sim.results.ResultStore` contents.
 Completed points can be journaled to a checkpoint (:mod:`repro.sim.checkpoint`)
 as they finish and skipped on resume, so huge grids survive mid-sweep failures.
 
@@ -149,10 +149,8 @@ def run_sweep(
     """Run all scenarios and collect their rows, in scenario order.
 
     Execution is delegated to a pluggable :mod:`repro.sim.backends` backend:
-    ``backend`` is a spec string (``"serial"``, the default;
-    ``"multiprocessing[:N]"``, a pool of ``N`` workers or every core; or
-    ``"socket-queue[:host]:port"`` -- a TCP work-queue server that remote
-    ``repro-serverless-costs sweep-worker`` processes connect to) or any
+    ``backend`` is a spec string (``"serial"``, the default, or
+    ``"multiprocessing[:N]"``, a pool of ``N`` workers or every core) or any
     object implementing :class:`~repro.sim.backends.SweepBackend`.  Results
     are identical across all of them because each scenario is self-contained
     (runner path + params + seed) and rows are reassembled into grid order.
@@ -165,12 +163,12 @@ def run_sweep(
 
     A failing grid point raises :class:`SweepPointError` naming the point's
     ``scenario_id`` and ``seed`` (with the worker traceback attached when it
-    ran remotely) -- *after* all rows completed so far have been flushed to
-    the checkpoint, so with a journal attached a crash only ever costs the
-    failing point.
+    ran in another process) -- *after* all rows completed so far have been
+    flushed to the checkpoint, so with a journal attached a crash only ever
+    costs the failing point.
     """
     store = store if store is not None else ResultStore()
-    resolved = resolve_backend(backend, announce=lambda message: print(message, file=sys.stderr))
+    resolved = resolve_backend(backend)
     collected: List[Optional[List[Dict[str, object]]]] = [None] * len(scenarios)
     journal = SweepJournal(checkpoint) if checkpoint is not None else None
     pending: List[Tuple[int, Scenario]] = list(enumerate(scenarios))
@@ -199,8 +197,6 @@ def run_sweep(
             if outcome.failed:
                 failure = outcome
                 break
-            if collected[outcome.index] is not None:
-                continue  # duplicate delivery (a re-queued socket-queue item)
             collected[outcome.index] = outcome.rows if outcome.rows is not None else []
             if journal is not None:
                 journal.record(outcome.scenario_id, outcome.seed, collected[outcome.index])

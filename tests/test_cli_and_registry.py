@@ -152,3 +152,36 @@ class TestCli:
         # The recording rides along without changing a byte of the rows.
         assert rows_out.read_bytes() == plain_rows.read_bytes()
         assert "first grid point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["cluster", "--fleet-sizes", "2", "--policies", "best_fit,nope"],
+                "invalid --policies value 'nope'; choose from: "
+                "first_fit, best_fit, worst_fit, cost_fit",
+            ),
+            (
+                ["backpressure", "--heterogeneity", "homogeneous,nope"],
+                "invalid --heterogeneity value 'nope'; choose from: homogeneous, two_tier",
+            ),
+            (
+                ["backpressure", "--retry", "off,maybe"],
+                "invalid --retry value 'maybe'; choose from: off, on",
+            ),
+            (
+                ["cluster", "--tenants", "0"],
+                "invalid --tenants value '0'; choose from: off, an integer >= 1",
+            ),
+        ],
+        ids=["policies", "heterogeneity", "retry", "tenants"],
+    )
+    def test_bad_grid_value_exits_2_before_any_point(self, argv, message, tmp_path, capsys):
+        # Each of these used to run the valid points first and then fail
+        # inside a grid point, naming the internal param instead of the flag.
+        journal = tmp_path / "grid.jsonl"
+        assert main(argv + ["--checkpoint", str(journal)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        assert not journal.exists()

@@ -1,7 +1,7 @@
 """Tests for pluggable sweep backends, checkpoint/resume, and the sweep-layer bugfixes.
 
-The tentpole invariant: every backend (serial, multiprocessing pool,
-multi-node socket queue) produces *byte-identical* sweep CSVs, with or
+The tentpole invariant: every backend (serial, multiprocessing pool, or any
+``SweepBackend`` instance) produces *byte-identical* sweep CSVs, with or
 without a checkpoint journal, across kill/resume boundaries, because each
 scenario is self-contained (runner path + params + derived seed) and the
 sweep layer reassembles rows by grid index.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -25,11 +24,9 @@ from repro.sim.backends import (
     MultiprocessingBackend,
     PointOutcome,
     SerialBackend,
-    SocketQueueBackend,
     SweepPointError,
     execute_point,
     resolve_backend,
-    run_sweep_worker,
 )
 from repro.sim.checkpoint import SweepJournal
 from repro.sim.rng import derive_seed
@@ -143,20 +140,6 @@ class TestBackendEquivalence:
         checkpoint = str(tmp_path / "sweep.jsonl") if journaled else None
         store = run_sweep(_grid(), backend=backend, checkpoint=checkpoint)
         assert _csv_bytes(store, tmp_path / "out.csv") == reference_bytes
-
-    def test_socket_queue_backend_byte_identical(self, reference_bytes, tmp_path):
-        backend = SocketQueueBackend(port=0, timeout_s=60.0)
-        host, port = backend.address
-        workers = [
-            threading.Thread(target=run_sweep_worker, args=(host, port), daemon=True)
-            for _ in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        store = run_sweep(_grid(), backend=backend)
-        for worker in workers:
-            worker.join(timeout=10.0)
-        assert _csv_bytes(store, tmp_path / "sq.csv") == reference_bytes
 
     def test_explicit_backend_instances_byte_identical(self, reference_bytes, tmp_path):
         for backend in (SerialBackend(), MultiprocessingBackend(2)):
@@ -272,20 +255,6 @@ class TestBackendResolution:
         assert isinstance(resolve_backend("multiprocessing"), MultiprocessingBackend)
         assert isinstance(resolve_backend("multiprocessing:3"), MultiprocessingBackend)
 
-    def test_socket_queue_specs(self):
-        default = resolve_backend("socket-queue")
-        try:
-            assert isinstance(default, SocketQueueBackend)
-            assert default.address[0] == "127.0.0.1"
-            assert default.address[1] > 0  # ephemeral port was bound
-        finally:
-            default.close()
-        bound = resolve_backend("socket-queue:127.0.0.1:0")
-        try:
-            assert bound.address[0] == "127.0.0.1"
-        finally:
-            bound.close()
-
     def test_backend_instances_pass_through(self):
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
@@ -296,24 +265,20 @@ class TestBackendResolution:
         # The concurrent.futures backend was folded into the multiprocessing pool.
         with pytest.raises(ValueError, match="unknown sweep backend 'futures'"):
             resolve_backend("futures")
-        with pytest.raises(ValueError, match="socket-queue port"):
-            resolve_backend("socket-queue:not-a-port")
+        # The multi-node TCP work-queue backend was removed: one process pool remains.
+        for spec in ("socket-queue", "socket-queue:127.0.0.1:7077"):
+            with pytest.raises(
+                ValueError, match="unknown sweep backend .* choose from: serial, multiprocessing"
+            ):
+                resolve_backend(spec)
         for name in BACKEND_NAMES:
-            if name != "socket-queue":
-                assert resolve_backend(name).name == name
+            assert resolve_backend(name).name == name
 
     @pytest.mark.parametrize(
         "spec",
-        [
-            "socket-queue:127.0.0.1:70000",
-            "socket-queue:127.0.0.1:-1",
-            "multiprocessing:0",
-            "multiprocessing:x",
-        ],
+        ["multiprocessing:0", "multiprocessing:x"],
     )
     def test_out_of_range_specs_raise_naming_the_spec(self, spec):
-        # A port past 65535 used to reach socket.create_server and crash
-        # with an OverflowError instead of a ValueError.
         with pytest.raises(ValueError, match="invalid .* in backend spec") as excinfo:
             resolve_backend(spec)
         assert repr(spec) in str(excinfo.value)
@@ -430,71 +395,6 @@ class TestSweepJournal:
 
 
 # ----------------------------------------------------------------------
-# Socket-queue fault tolerance
-# ----------------------------------------------------------------------
-
-
-class TestSocketQueueFaultTolerance:
-    def test_dead_worker_item_is_requeued(self, tmp_path):
-        import socket as socket_module
-
-        from repro.sim.backends import _recv, _send
-
-        backend = SocketQueueBackend(port=0, timeout_s=60.0)
-        host, port = backend.address
-
-        def flaky_then_healthy():
-            # A worker that takes one item and dies mid-point...
-            connection = socket_module.create_connection((host, port))
-            _send(connection, ("hello", "flaky", 0))
-            assert _recv(connection)[0] == "item"
-            connection.close()  # hang up without replying
-            # ...then a healthy worker that drains the (re-queued) work.
-            run_sweep_worker(host, port)
-
-        worker = threading.Thread(target=flaky_then_healthy, daemon=True)
-        worker.start()
-        store = run_sweep(_grid(), backend=backend)
-        worker.join(timeout=10.0)
-        reference = run_sweep(_grid())
-        assert store.rows == reference.rows  # the sweep outlived the dead worker
-
-    def test_announce_reports_the_listening_address(self):
-        messages = []
-        backend = resolve_backend("socket-queue:127.0.0.1:0", announce=messages.append)
-        host, port = backend.address
-        worker = threading.Thread(target=run_sweep_worker, args=(host, port), daemon=True)
-        worker.start()  # connects (with retries) once the server starts serving
-        store = run_sweep(_grid(rates=(1.0,)), backend=backend)
-        worker.join(timeout=10.0)
-        assert messages and f"--connect <host>:{port}" in messages[0]
-        assert len(store) == 1
-
-    def test_duplicate_outcomes_are_deduplicated(self):
-        class Duplicating(SerialBackend):
-            def run(self, items):
-                for item in items:
-                    outcome = execute_point(item)
-                    yield outcome
-                    yield outcome  # a re-queued item whose first result also landed
-
-        store = run_sweep(_grid(rates=(1.0,)), backend=Duplicating())
-        assert len(store) == 1
-
-    def test_idle_timeout_without_workers(self):
-        backend = SocketQueueBackend(port=0, timeout_s=0.3)
-        with pytest.raises(RuntimeError, match="sweep workers connected"):
-            run_sweep(_grid(rates=(1.0,)), backend=backend)
-
-    def test_backend_is_single_use(self):
-        backend = SocketQueueBackend(port=0, timeout_s=0.3)
-        with pytest.raises(RuntimeError):
-            run_sweep(_grid(rates=(1.0,)), backend=backend)
-        with pytest.raises(RuntimeError, match="single-use"):
-            list(backend.run([(0, _grid(rates=(1.0,))[0])]))
-
-
-# ----------------------------------------------------------------------
 # Satellite: CLI parity (--backend/--checkpoint everywhere)
 # ----------------------------------------------------------------------
 
@@ -523,6 +423,8 @@ class TestCliParity:
         for removed in ("--processes", "--unordered"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, removed, "2"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep-worker", "--connect", "127.0.0.1:7077"])
 
     def test_cli_backends_write_byte_identical_csvs(self, tmp_path):
         serial = tmp_path / "serial.csv"
@@ -534,10 +436,10 @@ class TestCliParity:
 
     @pytest.mark.parametrize("command", ["sweep", "cluster", "backpressure"])
     def test_malformed_backend_spec_exits_2_with_one_line(self, command, capsys):
-        assert main([command, "--backend", "socket-queue:127.0.0.1:70000"]) == 2
+        assert main([command, "--backend", "multiprocessing:0"]) == 2
         stderr = capsys.readouterr().err
         assert stderr.count("\n") == 1
-        assert "'socket-queue:127.0.0.1:70000'" in stderr
+        assert "'multiprocessing:0'" in stderr
 
     def test_cli_checkpoint_resume(self, tmp_path, capsys):
         journal = tmp_path / "sweep.jsonl"
@@ -552,27 +454,6 @@ class TestCliParity:
         assert main(["sweep", "--platforms", "no_such", "--workloads", "minimal", "--rps", "1"]) == 2
         stderr = capsys.readouterr().err
         assert "platform=no_such" in stderr  # the failing point, not a bare traceback
-
-    def test_sweep_worker_rejects_bad_addresses(self, capsys):
-        assert main(["sweep-worker", "--connect", "nope"]) == 2
-        assert "invalid --connect" in capsys.readouterr().err
-        assert main(["sweep-worker", "--connect", "127.0.0.1:1", "--retry-window-s", "0"]) == 2
-        assert "could not reach" in capsys.readouterr().err
-
-    def test_sweep_worker_serves_a_socket_queue_sweep(self, tmp_path, capsys):
-        backend = SocketQueueBackend(port=0, timeout_s=60.0)
-        host, port = backend.address
-        outcome = {}
-
-        def server():
-            outcome["store"] = run_sweep(_grid(), backend=backend)
-
-        thread = threading.Thread(target=server, daemon=True)
-        thread.start()
-        assert main(["sweep-worker", "--connect", f"{host}:{port}", "--quiet"]) == 0
-        thread.join(timeout=30.0)
-        assert "sweep worker done: completed 2 points" in capsys.readouterr().out
-        assert outcome["store"].rows == run_sweep(_grid()).rows
 
     def test_backpressure_cli_accepts_backend_and_checkpoint(self, tmp_path, capsys):
         journal = tmp_path / "bp.jsonl"
