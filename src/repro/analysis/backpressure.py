@@ -215,8 +215,8 @@ def backpressure_sweep(
     byte-identical across all of them.
 
     ``first_point_extra`` merges extra params into the *first* grid point
-    only -- how the CLI attaches ``trace_out``/``telemetry_out`` artifact
-    paths to a single representative point without every worker racing to
+    only -- how the CLI attaches ``trace_out``/``telemetry_out``/``profile_out``
+    artifact paths to a single representative point without every worker racing to
     write the same files.  Scenario seeds derive from grid identity, not
     params, so the extra keys leave every row byte-identical.
     """

@@ -107,8 +107,8 @@ def cluster_cost_sweep(
     byte-identical across all.
 
     ``first_point_extra`` merges extra params into the *first* grid point
-    only -- how the CLI attaches ``trace_out``/``telemetry_out`` artifact
-    paths to a single representative point.  Seeds derive from grid
+    only -- how the CLI attaches ``trace_out``/``telemetry_out``/``profile_out``
+    artifact paths to a single representative point.  Seeds derive from grid
     identity, not params, so the rows are unchanged.
     """
     from repro.analysis.scenario import run_cluster_grid

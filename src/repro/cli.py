@@ -6,11 +6,11 @@ Usage::
     repro-serverless-costs run figure2
     repro-serverless-costs run all --format markdown
     repro-serverless-costs trace --requests 50000 --output trace.csv
-    repro-serverless-costs trace --simulate backpressure --retry on --trace-out run_trace.json
     repro-serverless-costs sweep --backend multiprocessing:4 --output sweep.csv
     repro-serverless-costs sweep --backend multiprocessing --checkpoint sweep.jsonl
     repro-serverless-costs cluster --fleet-sizes 8,16 --policies best_fit,worst_fit --output cluster.csv
     repro-serverless-costs cluster --trace-out cluster_trace.json --telemetry-out cluster_tel.csv
+    repro-serverless-costs backpressure --feedback on --retry on --trace-out run_trace.json --profile-out run_profile.json
     repro-serverless-costs backpressure --queue-depths 0,8 --policies best_fit,cost_fit --output bp.csv
     repro-serverless-costs backpressure --feedback on --backend multiprocessing:4 --output bp_fb.csv
     repro-serverless-costs backpressure --feedback on --retry off,on --output bp_retry.csv
@@ -178,6 +178,10 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
         help="Record the first grid point's sampled time-series to this CSV; rows are unchanged",
     )
     parser.add_argument(
+        "--profile-out",
+        help="Record the first grid point's kernel profile to this JSON path; rows are unchanged",
+    )
+    parser.add_argument(
         "--format", choices=("text", "markdown"), default="text", help="Output table format"
     )
 
@@ -205,53 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_parser = subparsers.add_parser(
         "trace",
-        help="Generate a synthetic trace, or record an execution trace of one simulation",
+        help="Generate a synthetic Huawei-like request trace CSV",
         description=(
-            "Two modes.  Default: generate a synthetic Huawei-like request trace CSV "
-            "(requires --output).  With --simulate: run one observed cluster or "
-            "backpressure co-simulation and export its request spans / telemetry / "
-            "kernel profile (requires at least one of --trace-out, --telemetry-out, "
-            "--profile-out).  Observers only read, so the simulated run is "
-            "byte-identical to the same seed without them."
+            "Generate a synthetic Huawei-like request trace CSV (requires --output).  "
+            "To record an execution trace of a simulated run, pass --trace-out / "
+            "--telemetry-out / --profile-out to cluster or backpressure."
         ),
     )
     trace_parser.add_argument("--requests", type=int, default=50_000, help="Number of requests")
     trace_parser.add_argument("--functions", type=int, default=200, help="Number of functions")
     trace_parser.add_argument("--seed", type=int, default=2026, help="PRNG seed")
-    trace_parser.add_argument(
-        "--output", help="Output CSV path (required in trace-generation mode)"
-    )
-    trace_parser.add_argument(
-        "--simulate",
-        choices=("cluster", "backpressure"),
-        help="Record one co-simulation instead of generating a synthetic trace",
-    )
-    trace_parser.add_argument(
-        "--trace-out",
-        help="Request-span export path (.jsonl for span lines, else Chrome trace JSON)",
-    )
-    trace_parser.add_argument(
-        "--telemetry-out", help="Sampled time-series CSV path (queue depth, cost, utilisation)"
-    )
-    trace_parser.add_argument("--profile-out", help="Kernel profile JSON path")
-    trace_parser.add_argument(
-        "--feedback",
-        choices=_SWITCH,
-        default="on",
-        help="Close the state loop in the simulated run (default: on, so traces show failures)",
-    )
-    trace_parser.add_argument(
-        "--retry",
-        choices=_SWITCH,
-        default="off",
-        help="Client retry loop in the simulated run (retried spans link to their parents)",
-    )
-    trace_parser.add_argument(
-        "--queue-depth", type=int, default=4, help="Admission-queue bound (backpressure mode)"
-    )
-    trace_parser.add_argument(
-        "--duration-s", type=float, default=30.0, help="Traffic duration of the simulated run"
-    )
+    trace_parser.add_argument("--output", help="Output CSV path (required)")
 
     sweep_parser = subparsers.add_parser(
         "sweep",
@@ -410,17 +378,18 @@ def _warn_inert_retry(feedback: str, retry_active: bool) -> None:
 
 
 def _obs_first_point_extra(args: "argparse.Namespace"):
-    """Artifact params for the first grid point, from --trace-out/--telemetry-out.
+    """Artifact params for the first grid point, from the ``--*-out`` flags.
 
-    Returns ``None`` when neither flag was given (no obs attached anywhere);
-    otherwise prints where the recording lands, because the artifacts cover
-    one representative point, not the whole grid.
+    Returns ``None`` when no ``--trace-out``/``--telemetry-out``/``--profile-out``
+    was given (no obs attached anywhere); otherwise prints where the
+    recording lands, because the artifacts cover one representative point,
+    not the whole grid.
     """
-    extra = {}
-    if getattr(args, "trace_out", None):
-        extra["trace_out"] = args.trace_out
-    if getattr(args, "telemetry_out", None):
-        extra["telemetry_out"] = args.telemetry_out
+    extra = {
+        key: getattr(args, key)
+        for key in ("trace_out", "telemetry_out", "profile_out")
+        if getattr(args, key)
+    }
     if not extra:
         return None
     print(
@@ -456,6 +425,12 @@ def _placement_policies() -> List[str]:
     return [policy.value for policy in PlacementPolicy]
 
 
+def _platform_presets() -> List[str]:
+    from repro.platform.presets import PLATFORM_PRESETS
+
+    return list(PLATFORM_PRESETS)
+
+
 def _cmd_list() -> int:
     rows = [
         {"experiment": e.experiment_id, "title": e.title, "modules": e.modules}
@@ -486,10 +461,8 @@ def _cmd_run(experiment: str, output_format: str) -> int:
 
 
 def _cmd_trace(args: "argparse.Namespace") -> int:
-    if args.simulate:
-        return _cmd_trace_simulate(args)
     if not args.output:
-        print("trace generation needs --output (or pass --simulate to record a run)", file=sys.stderr)
+        print("trace generation needs --output", file=sys.stderr)
         return 2
 
     from repro.traces.generator import TraceGenerator, TraceGeneratorConfig
@@ -501,48 +474,6 @@ def _cmd_trace(args: "argparse.Namespace") -> int:
     trace = TraceGenerator(config).generate()
     count = write_requests_csv(args.output, trace.requests)
     print(f"wrote {count} requests to {args.output}")
-    return 0
-
-
-def _cmd_trace_simulate(args: "argparse.Namespace") -> int:
-    """Run one observed co-simulation point and export its obs artifacts."""
-    artifacts = {
-        "trace_out": args.trace_out,
-        "telemetry_out": args.telemetry_out,
-        "profile_out": args.profile_out,
-    }
-    if not any(artifacts.values()):
-        print(
-            "trace --simulate needs at least one of --trace-out/--telemetry-out/--profile-out",
-            file=sys.stderr,
-        )
-        return 2
-    _warn_inert_retry(args.feedback, args.retry == "on")
-    params = {
-        "duration_s": args.duration_s,
-        "feedback": args.feedback,
-        **{key: value for key, value in artifacts.items() if value},
-    }
-    if args.retry != "off":
-        params["retry"] = args.retry
-    if args.simulate == "backpressure":
-        from repro.analysis.backpressure import backpressure_point as runner
-
-        params.update(
-            queue_depth=args.queue_depth,
-            placement_policy="best_fit",
-            heterogeneity="homogeneous",
-        )
-    else:
-        from repro.analysis.cluster_costs import cluster_point as runner
-
-        params.update(num_functions=4, placement_policy="best_fit", keep_alive_s=60.0)
-    row = runner(params, seed=args.seed)
-    print(f"== trace --simulate {args.simulate} (seed {args.seed}) ==")
-    print(render_table([row]))
-    for key, value in sorted(artifacts.items()):
-        if value:
-            print(f"wrote {key.replace('_out', '')} artifact to {value}")
     return 0
 
 
@@ -581,6 +512,13 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
     if not platforms or not workloads or not rates:
         print("sweep needs at least one platform, workload, and rps value", file=sys.stderr)
         return 2
+    from repro.workloads.functions import WORKLOAD_CATALOG
+
+    if not _check_grid_values(
+        ("--platforms", platforms, _platform_presets()),
+        ("--workloads", workloads, list(WORKLOAD_CATALOG)),
+    ):
+        return 2
     code = _compact_checkpoint_if_requested(args)
     if code is not None:
         return code
@@ -617,6 +555,13 @@ def _run_cluster_grid(
             _print_invalid("--tenants", item, ("off", "an integer >= 1"))
             return 2
         tenants.append(item if item == "off" else int(item))
+    from repro.billing.catalog import PlatformName
+
+    if not _check_grid_values(
+        ("--platform", [args.platform], _platform_presets()),
+        ("--billing", [args.billing], [name.value for name in PlatformName]),
+    ):
+        return 2
     code = _compact_checkpoint_if_requested(args)
     if code is not None:
         return code

@@ -92,10 +92,6 @@ class ClusterResult:
     meter: Optional[CostMeter]
     scheduler: Optional[SimulationResult] = None
     retry: Optional[RetryLoop] = None
-    #: The observability bundle attached to the run (None when untraced).
-    #: Deliberately not part of summary(): rows stay byte-identical with obs
-    #: on or off, which is the layer's core guarantee.
-    obs: Optional[Observability] = None
     #: Per-tenant fairness/SLO report (None without tenants, keeping
     #: tenant-less summary rows byte-identical to the pre-tenancy output).
     tenancy: Optional[TenancyReport] = None
@@ -363,18 +359,6 @@ class ClusterSimulator:
                 # time, against the owning tenant's latency target.
                 simulator.metrics.slo_latency_s = self.admission.config(tenant).slo_latency_s
             self.simulators[name] = simulator
-        if self.admission is not None and self.feedback is not None:
-            # Per-tenant backpressure signals: the feedback channel can then
-            # aggregate fleet admission-queue depth over each tenant's own
-            # sandbox namespaces.
-            self.feedback.set_tenant_prefixes(
-                {
-                    tenant: tuple(
-                        f"{owner}/" for owner, t in self._tenant_of.items() if t == tenant
-                    )
-                    for tenant in self.admission.tenant_names
-                }
-            )
         if obs is not None:
             self._register_gauges(obs)
 
@@ -476,7 +460,6 @@ class ClusterSimulator:
             meter=self.meter,
             scheduler=self.scheduler.finalize() if self.scheduler is not None else None,
             retry=self.retry,
-            obs=self.obs,
             tenancy=self._build_tenancy_report() if self.admission is not None else None,
         )
 

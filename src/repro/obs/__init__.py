@@ -1,7 +1,10 @@
 """`repro.obs`: passive, bus-fed observability for the simulation stack.
 
 Three windows into a run, all attached *beside* the simulators rather than
-inside them:
+inside them, at one seam: ``ClusterSimulator(obs=)``
+(:class:`~repro.cluster.cosim.ClusterSimulator`; the CLI's ``cluster`` and
+``backpressure`` ``--trace-out`` / ``--telemetry-out`` / ``--profile-out``
+flags reach it through :func:`obs_from_params` for the first grid point):
 
 - **request tracing** (:mod:`repro.obs.trace`): a bus subscriber stitching
   per-attempt spans -- arrival, cold start / admission, execution,
@@ -21,7 +24,7 @@ a periodic kernel process whose handler reads gauges (its tick ranks by
 registration and takes no event sequence number).  A run with an
 :class:`Observability` attached is therefore byte-identical -- same CSVs,
 same golden invoices, same replay fingerprints -- to the same seed without
-one, and ``obs=None`` (every entry point's default) does not even subscribe.
+one, and ``obs=None`` (the default) does not even subscribe.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class Observability:
     """One run's observability bundle: trace + telemetry + kernel profile.
 
     Construct, pass as ``obs=`` to a :class:`~repro.cluster.cosim.ClusterSimulator`
-    (or :class:`~repro.platform.invoker.PlatformSimulator`), run, then export::
+    (the one place it attaches), run, then export::
 
         obs = Observability()
         result = ClusterSimulator(deployments, ..., obs=obs).run()

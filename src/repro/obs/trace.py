@@ -283,9 +283,6 @@ class TraceCollector:
                 sandbox.end_s = max(horizon_s, sandbox.cold_start_s)
                 sandbox.end_reason = sandbox.end_reason or "alive_at_horizon"
 
-    def root_spans(self) -> List[RequestSpan]:
-        return [s for s in self.spans if s.is_root]
-
     def children_of(self, request_id: str) -> List[RequestSpan]:
         return [s for s in self.spans if s.parent_id == request_id]
 

@@ -100,7 +100,8 @@ class PlatformSimulator:
     outcome -- a queued cold start defers ``sandbox_ready`` by its measured
     queue wait, and a rejected one fails its pending request with a typed
     :class:`~repro.platform.metrics.FailedRequest`.  Without a channel (the
-    default), behaviour is byte-identical to the pre-feedback simulator.
+    default) the simulator holds an unattached one, and behaviour is
+    byte-identical to the pre-feedback simulator.
 
     Pass a :class:`~repro.sim.retry.RetryLoop` to model clients that retry:
     the simulator then stamps every failure's ``gave_up`` flag from the
@@ -119,6 +120,10 @@ class PlatformSimulator:
     burned), credit-queued arrivals park in the controller until refill and
     re-enter routing via :meth:`resume_admission`.  Without a controller (the
     default) arrivals take exactly the pre-tenancy path.
+
+    Observers attach to a :class:`~repro.cluster.cosim.ClusterSimulator`,
+    never here: its host sets ``emit_spans`` so this simulator publishes the
+    request-span markers the shared-bus trace collector reads.
     """
 
     def __init__(
@@ -131,7 +136,6 @@ class PlatformSimulator:
         name: str = "",
         feedback: Optional[FeedbackChannel] = None,
         retry: Optional[RetryLoop] = None,
-        obs=None,
         emit_spans: bool = False,
         retain_outcomes: bool = True,
         tenant: str = "",
@@ -175,29 +179,27 @@ class PlatformSimulator:
         #: sandbox -> fire time of its single pending keep-alive expiry check.
         self._keepalive_pending: Dict[str, float] = {}
         self.metrics = SimulationMetrics(retain_outcomes=retain_outcomes)
-        # Each simulator owns its instrumentation bus, so its metrics only ever
-        # see its own events.  A caller-supplied bus becomes a downstream
-        # observer: every event is forwarded to it (delivered in the same
-        # publish), letting one external bus watch several co-simulated
-        # simulators without cross-contaminating their metrics.
-        self._feedback = feedback
+        # Feedback off is an unattached channel: rate 1.0, no admission
+        # state, no retry-after hints and an empty admission queue.
+        self._feedback = feedback if feedback is not None else FeedbackChannel()
         self._retry = retry
         self._tenant = tenant
         self._admission = admission
         # Span emission (RequestArrived / RequestExecuting markers) is gated:
         # without an observer these per-request publishes are pure overhead.
-        # A co-simulation host sets emit_spans for its shared-bus collector;
-        # a standalone obs= attaches to this simulator's own kernel and bus.
-        self._obs = obs
-        self._emit_spans = emit_spans or obs is not None
+        # The co-simulation host sets it when its shared-bus collector listens.
+        self._emit_spans = emit_spans
+        # Each simulator owns its instrumentation bus, so its metrics only ever
+        # see its own events.  A caller-supplied bus becomes a downstream
+        # observer: every event is forwarded to it (delivered in the same
+        # publish), letting one external bus watch several co-simulated
+        # simulators without cross-contaminating their metrics.
         self.bus = EventBus()
         self.bus.subscribe(RequestCompleted, self._record_outcome)
         self.bus.subscribe(RequestFailed, self._record_failure)
         self.bus.subscribe(InstanceCountChanged, self._record_instances)
         if bus is not None:
             self.bus.forward_to(bus)
-        if obs is not None:
-            obs.attach(self._kernel, self.bus)
         self._autoscaler: Optional[Autoscaler] = None
         if platform.autoscaler is not None:
             self._autoscaler = Autoscaler(
@@ -259,8 +261,6 @@ class PlatformSimulator:
         horizon_s = self.schedule_arrivals(arrivals, horizon_s)
         self._kernel.run(until=horizon_s + _HORIZON_SLACK_S)
         self.metrics.pending_requests = self.pending_request_count
-        if self._obs is not None:
-            self._obs.finalize(horizon_s)
         return self.metrics
 
     @property
@@ -480,10 +480,6 @@ class PlatformSimulator:
         )
         self._sandboxes[sandbox.name] = sandbox
         self._completion_version[sandbox.name] = 0
-        if self._feedback is None:
-            self._kernel.schedule_in(
-                init_duration, self._kind_sandbox_ready, {"sandbox": sandbox.name}
-            )
         self.bus.publish(
             SandboxColdStart(
                 self._now,
@@ -494,11 +490,10 @@ class PlatformSimulator:
                 init_duration_s=init_duration,
             )
         )
-        if self._feedback is not None:
-            # The fleet (subscribed downstream of the publish above) has
-            # synchronously decided this sandbox's admission by now; gate
-            # readiness on the outcome instead of scheduling it blindly.
-            self._resolve_admission(sandbox)
+        # An attached fleet (subscribed downstream of the publish above) has
+        # synchronously decided this sandbox's admission by now; gate
+        # readiness on the outcome instead of scheduling it blindly.
+        self._resolve_admission(sandbox)
         self._publish_instance_count()
         return sandbox
 
@@ -582,9 +577,7 @@ class PlatformSimulator:
         # Fleet-issued backpressure hint for the sandbox that rejected us; the
         # retry loop stretches its backoff to honour it.  Zero when the fleet
         # does not issue hints (the default) or no sandbox was involved.
-        retry_after = 0.0
-        if self._feedback is not None and sandbox_name:
-            retry_after = self._feedback.retry_after_s(sandbox_name)
+        retry_after = self._feedback.retry_after_s(sandbox_name)
         self.bus.publish(
             RequestFailed(
                 now,
@@ -653,12 +646,11 @@ class PlatformSimulator:
         Called *after* the sandbox advanced its requests to ``now`` (so the
         interval just closed used the factor it was scheduled under) and
         *before* the next completion check is scheduled (so the projection and
-        the eventual :meth:`Sandbox.advance` agree on the new rate).  Without
-        a channel the factor stays at exactly ``1.0`` -- the float-identical
-        pre-feedback behaviour.
+        the eventual :meth:`Sandbox.advance` agree on the new rate).  With
+        feedback off the channel has no modifiers and the factor stays at
+        exactly ``1.0`` -- the float-identical pre-feedback behaviour.
         """
-        if self._feedback is not None:
-            sandbox.rate_factor = self._feedback.service_rate(self._now)
+        sandbox.rate_factor = self._feedback.service_rate(self._now)
 
     # ------------------------------------------------------------------
     # Completion handling
@@ -794,7 +786,7 @@ class PlatformSimulator:
         alive = self._sandboxes.values()
         active_requests: float = sum(s.concurrency for s in alive) + len(self._queue)
         queue_weight = self._autoscaler.config.admission_queue_weight
-        if self._feedback is not None and queue_weight > 0:
+        if queue_weight > 0:
             # Queue-aware autoscaling: cold starts stuck in the fleet's
             # admission queue are demand the concurrency/CPU metrics cannot
             # see (their requests are parked in _pending_cold, not executing).

@@ -147,11 +147,6 @@ class FailedRequest:
     #: retry loop stretches its backoff to at least this value.
     retry_after_s: float = 0.0
 
-    @property
-    def waiting_s(self) -> float:
-        """How long the request waited before the platform failed it."""
-        return self.failed_s - self.arrival_s
-
 
 @dataclass
 class SimulationMetrics:

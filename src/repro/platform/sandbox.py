@@ -118,10 +118,6 @@ class Sandbox:
     # State transitions
     # ------------------------------------------------------------------
 
-    @property
-    def is_available(self) -> bool:
-        return self.state in (SandboxState.BUSY, SandboxState.IDLE)
-
     def mark_ready(self, now_s: float) -> None:
         """Initialisation finished; the sandbox can accept requests."""
         if self.state is not SandboxState.INITIALIZING:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.sim.results import json_default
 
@@ -53,6 +53,15 @@ class SweepJournal:
         entries: Dict[Key, Rows] = {}
         if not os.path.exists(self.path):
             return entries
+        for _, entry in self._entries():
+            if entry is not None:
+                entries[(entry["scenario_id"], entry["seed"])] = [
+                    dict(row) for row in entry["rows"]
+                ]
+        return entries
+
+    def _entries(self) -> Iterator[Tuple[str, Optional[Dict[str, object]]]]:
+        """Each non-blank line with its entry (``None`` if not a journal entry)."""
         with open(self.path, "r") as handle:
             for line in handle:
                 line = line.strip()
@@ -61,18 +70,15 @@ class SweepJournal:
                 try:
                     entry = json.loads(line)
                 except ValueError:
-                    continue
+                    entry = None
                 if (
                     not isinstance(entry, dict)
                     or not isinstance(entry.get("scenario_id"), str)
                     or not isinstance(entry.get("seed"), int)
                     or not isinstance(entry.get("rows"), list)
                 ):
-                    continue
-                entries[(entry["scenario_id"], entry["seed"])] = [
-                    dict(row) for row in entry["rows"]
-                ]
-        return entries
+                    entry = None
+                yield line, entry
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the journal with one line per key, dropping garbage.
@@ -96,31 +102,17 @@ class SweepJournal:
         if not os.path.exists(self.path):
             return stats
         latest: Dict[Key, str] = {}
-        with open(self.path, "r") as handle:
-            for line in handle:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    entry = json.loads(stripped)
-                except ValueError:
-                    stats["dropped_garbage"] += 1
-                    continue
-                if (
-                    not isinstance(entry, dict)
-                    or not isinstance(entry.get("scenario_id"), str)
-                    or not isinstance(entry.get("seed"), int)
-                    or not isinstance(entry.get("rows"), list)
-                ):
-                    stats["dropped_garbage"] += 1
-                    continue
-                key = (entry["scenario_id"], entry["seed"])
-                if key in latest:
-                    stats["dropped_duplicates"] += 1
-                # Keep the raw line: rows already round-tripped through json
-                # when they were recorded, so rewriting them verbatim cannot
-                # perturb float formatting.
-                latest[key] = stripped
+        for line, entry in self._entries():
+            if entry is None:
+                stats["dropped_garbage"] += 1
+                continue
+            key = (entry["scenario_id"], entry["seed"])
+            if key in latest:
+                stats["dropped_duplicates"] += 1
+            # Keep the raw line: rows already round-tripped through json
+            # when they were recorded, so rewriting them verbatim cannot
+            # perturb float formatting.
+            latest[key] = line
         stats["kept"] = len(latest)
         tmp_path = self.path + ".compact.tmp"
         with open(tmp_path, "w") as handle:

@@ -27,9 +27,10 @@ The channel is deliberately passive: it never schedules kernel events itself.
 Every effect happens inside an existing event's handler (publish, gate
 callback, or a consumer reading :meth:`FeedbackChannel.service_rate`), which
 keeps the shared kernel's event order -- and therefore determinism --
-unchanged.  With no channel attached (``feedback="off"``, the default for
-every existing entry point), simulators take exactly the pre-feedback code
-paths and reproduce PR-3 outputs byte-for-byte.
+unchanged.  With ``feedback="off"`` (the default for every entry point) each
+simulator holds an unattached channel: no modifiers (rate exactly ``1.0``),
+no admission outcomes and an empty queue, so the outputs are the
+pre-feedback ones byte-for-byte.
 """
 
 from __future__ import annotations
@@ -144,9 +145,6 @@ class FeedbackChannel:
         self._gates: Dict[str, Callable[[SimEvent], None]] = {}
         #: sandbox -> retry-after hint (seconds) its rejection carried.
         self._retry_after_s: Dict[str, float] = {}
-        #: tenant -> simulator id prefixes owned by that tenant (set by the
-        #: co-simulation host when the tenancy layer is active).
-        self._tenant_prefixes: Dict[str, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # Service-time side
@@ -269,27 +267,3 @@ class FeedbackChannel:
         if not prefix:
             return len(self._queued)
         return sum(1 for name in self._queued if name.startswith(prefix))
-
-    def set_tenant_prefixes(self, prefixes: Dict[str, Tuple[str, ...]]) -> None:
-        """Declare which simulator id prefixes each tenant owns.
-
-        Set once by the co-simulation host when the tenancy layer is active;
-        makes the admission-queue signal readable per *tenant* rather than
-        per simulator (:meth:`tenant_admission_queue_depth`).
-        """
-        self._tenant_prefixes = {
-            tenant: tuple(owned) for tenant, owned in prefixes.items()
-        }
-
-    def tenant_admission_queue_depth(self, tenant: str) -> int:
-        """One tenant's share of the fleet admission queue.
-
-        The sum of :meth:`admission_queue_depth` over every simulator prefix
-        the tenant owns -- the per-tenant backpressure signal (who is being
-        queued-out under saturation).  ``0`` for unknown tenants or when
-        :meth:`set_tenant_prefixes` was never called.
-        """
-        total = 0
-        for prefix in self._tenant_prefixes.get(tenant, ()):
-            total += self.admission_queue_depth(prefix)
-        return total

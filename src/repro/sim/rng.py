@@ -71,7 +71,3 @@ class RngStreams:
         if key not in self._streams:
             self._streams[key] = named_generator(self.root_seed, *names)
         return self._streams[key]
-
-    def seed_for(self, *names: Name) -> int:
-        """Integer seed derived for the named stream (see :func:`derive_seed`)."""
-        return derive_seed(self.root_seed, *names)

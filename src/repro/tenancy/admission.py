@@ -128,10 +128,6 @@ class AdmissionController:
         self._resumers[owner] = resumer
         self._queued_by_owner.setdefault(owner, 0)
 
-    def tenant_of(self, owner: str) -> str:
-        """Which tenant a registered simulator is metered against."""
-        return self._tenant_of[owner]
-
     # ------------------------------------------------------------------
     # The admission gate
     # ------------------------------------------------------------------

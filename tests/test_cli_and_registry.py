@@ -90,19 +90,16 @@ class TestCli:
         assert main(["trace"]) == 2
         assert "--output" in capsys.readouterr().err
 
-    def test_trace_simulate_without_artifact_flags_fails(self, capsys):
-        assert main(["trace", "--simulate", "backpressure"]) == 2
-        assert "--trace-out" in capsys.readouterr().err
-
-    def test_trace_simulate_backpressure_writes_artifacts(self, tmp_path, capsys):
+    def test_backpressure_writes_obs_artifacts(self, tmp_path, capsys):
         trace_out = tmp_path / "trace.json"
         telemetry_out = tmp_path / "telemetry.csv"
         profile_out = tmp_path / "profile.json"
         assert (
             main(
                 [
-                    "trace", "--simulate", "backpressure", "--duration-s", "10",
-                    "--retry", "on",
+                    "backpressure", "--queue-depths", "0", "--policies", "best_fit",
+                    "--heterogeneity", "homogeneous", "--duration-s", "10",
+                    "--feedback", "on", "--retry", "on",
                     "--trace-out", str(trace_out),
                     "--telemetry-out", str(telemetry_out),
                     "--profile-out", str(profile_out),
@@ -118,40 +115,64 @@ class TestCli:
         assert validate_chrome_trace(document["traceEvents"]) > 0
         assert telemetry_out.read_text().startswith("time_s")
         assert json.loads(profile_out.read_text())["events_total"] > 0
-        assert "wrote trace artifact" in capsys.readouterr().out
+        assert f"profile_out={profile_out}" in capsys.readouterr().err
 
     def test_trace_simulate_cluster_jsonl(self, tmp_path, capsys):
+        # A traced cluster simulation writes span JSONL when the trace path
+        # ends in .jsonl.
+        import json
+
         trace_out = tmp_path / "spans.jsonl"
         assert (
             main(
                 [
-                    "trace", "--simulate", "cluster", "--duration-s", "10",
-                    "--trace-out", str(trace_out),
+                    "cluster", "--fleet-sizes", "4", "--policies", "best_fit",
+                    "--duration-s", "10", "--trace-out", str(trace_out),
                 ]
             )
             == 0
         )
-        import json
-
         lines = [json.loads(line) for line in trace_out.read_text().splitlines()]
         assert lines and all("kind" in line for line in lines)
 
     def test_cluster_trace_out_records_first_point_only(self, tmp_path, capsys):
-        trace_out = tmp_path / "cluster_trace.json"
-        rows_out = tmp_path / "rows.csv"
-        plain_rows = tmp_path / "plain.csv"
-        args = [
-            "cluster", "--fleet-sizes", "4", "--policies", "first_fit,best_fit",
-            "--keep-alive-s", "60", "--duration-s", "10",
-        ]
-        assert main(args + ["--output", str(plain_rows)]) == 0
-        assert (
-            main(args + ["--output", str(rows_out), "--trace-out", str(trace_out)]) == 0
-        )
-        assert trace_out.exists()
-        # The recording rides along without changing a byte of the rows.
-        assert rows_out.read_bytes() == plain_rows.read_bytes()
-        assert "first grid point" in capsys.readouterr().err
+        import json
+
+        grids = {
+            "cluster": [
+                "cluster", "--fleet-sizes", "4", "--policies", "first_fit,best_fit",
+                "--keep-alive-s", "60", "--duration-s", "10",
+            ],
+            "backpressure": [
+                "backpressure", "--queue-depths", "0,4", "--policies", "best_fit",
+                "--heterogeneity", "homogeneous", "--duration-s", "10",
+            ],
+        }
+        for command, args in grids.items():
+            trace_out = tmp_path / f"{command}_trace.jsonl"
+            telemetry_out = tmp_path / f"{command}_telemetry.csv"
+            profile_out = tmp_path / f"{command}_profile.json"
+            rows_out = tmp_path / f"{command}_rows.csv"
+            plain_rows = tmp_path / f"{command}_plain.csv"
+            assert main(args + ["--output", str(plain_rows)]) == 0
+            assert (
+                main(
+                    args
+                    + [
+                        "--output", str(rows_out),
+                        "--trace-out", str(trace_out),
+                        "--telemetry-out", str(telemetry_out),
+                        "--profile-out", str(profile_out),
+                    ]
+                )
+                == 0
+            )
+            assert telemetry_out.exists() and profile_out.exists()
+            spans = [json.loads(line) for line in trace_out.read_text().splitlines()]
+            assert spans and all("kind" in span for span in spans)
+            # The recording rides along without changing a byte of the rows.
+            assert rows_out.read_bytes() == plain_rows.read_bytes(), command
+            assert "first grid point" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -173,8 +194,35 @@ class TestCli:
                 ["cluster", "--tenants", "0"],
                 "invalid --tenants value '0'; choose from: off, an integer >= 1",
             ),
+            (
+                ["cluster", "--platform", "nope"],
+                "invalid --platform value 'nope'; choose from: aws_lambda_like, "
+                "gcp_run_like, azure_consumption_like, ibm_code_engine_like, "
+                "cloudflare_workers_like",
+            ),
+            (
+                ["backpressure", "--billing", "nope"],
+                "invalid --billing value 'nope'; choose from: aws_lambda, gcp_run_request, "
+                "gcp_run_instance, azure_consumption, azure_premium, azure_flex, "
+                "ibm_code_engine, huawei_functiongraph, alibaba_fc, oracle_functions, "
+                "vercel_functions, cloudflare_workers",
+            ),
+            (
+                ["sweep", "--platforms", "gcp_run_like,nope"],
+                "invalid --platforms value 'nope'; choose from: aws_lambda_like, "
+                "gcp_run_like, azure_consumption_like, ibm_code_engine_like, "
+                "cloudflare_workers_like",
+            ),
+            (
+                ["sweep", "--workloads", "pyaes,nope"],
+                "invalid --workloads value 'nope'; choose from: minimal, pyaes, "
+                "pyaes_short, video_processing, io_bound",
+            ),
         ],
-        ids=["policies", "heterogeneity", "retry", "tenants"],
+        ids=[
+            "policies", "heterogeneity", "retry", "tenants",
+            "platform", "billing", "platforms", "workloads",
+        ],
     )
     def test_bad_grid_value_exits_2_before_any_point(self, argv, message, tmp_path, capsys):
         # Each of these used to run the valid points first and then fail

@@ -1,12 +1,14 @@
-"""Byte pin of the ``cluster`` / ``backpressure`` / ``trace --simulate`` CLI.
+"""Byte pin of the ``cluster`` / ``backpressure`` CLI, untraced and traced.
 
 Each case runs :func:`repro.cli.main` in-process and hashes every artifact
 it leaves behind: the result CSV, the span JSONL, the telemetry CSV, and
-the printed table (with the temporary directory masked).  The sha256
-manifest in ``tests/golden/cli/manifest.json`` was recorded before the two
-cluster subcommands were folded onto one shared flag group and grid tail,
-so any drift in param forwarding, scenario ids (and therefore seeds), row
-columns or table printing fails here.
+the printed table (with the temporary directory masked).  The untraced
+entries of the sha256 manifest in ``tests/golden/cli/manifest.json`` were
+recorded before the two cluster subcommands were folded onto one shared
+flag group and grid tail, so any drift in param forwarding, scenario ids
+(and therefore seeds), row columns or table printing fails here.  The
+``*_traced`` entries pin the first grid point's recordings; their
+``out.csv`` must hash like the untraced run's, since observers only read.
 
 ``--profile-out`` is left out on purpose: the kernel profile records wall
 clock time.  Regenerating the manifest is only legitimate for an
@@ -33,6 +35,8 @@ TMP = "<tmp>"
 
 _CLUSTER = ["cluster", "--fleet-sizes", "2,3", "--policies", "best_fit,worst_fit",
             "--keep-alive-s", "15", "--duration-s", "8"]
+#: The first grid point's span and telemetry recordings.
+_TRACED = ["--trace-out", f"{TMP}/spans.jsonl", "--telemetry-out", f"{TMP}/telemetry.csv"]
 
 #: case id -> (argv with ``<tmp>`` placeholders, artifact files to hash).
 CASES = {
@@ -55,15 +59,15 @@ CASES = {
          "--duration-s", "8", "--output", f"{TMP}/out.csv"],
         ["out.csv"],
     ),
-    "trace_simulate_backpressure_retry": (
-        ["trace", "--simulate", "backpressure", "--retry", "on",
-         "--trace-out", f"{TMP}/spans.jsonl", "--telemetry-out", f"{TMP}/telemetry.csv"],
-        ["spans.jsonl", "telemetry.csv"],
+    "backpressure_traced": (
+        ["backpressure", "--queue-depths", "0,4", "--policies", "best_fit",
+         "--heterogeneity", "homogeneous", "--feedback", "on", "--retry", "on",
+         "--duration-s", "8", "--output", f"{TMP}/out.csv"] + _TRACED,
+        ["out.csv", "spans.jsonl", "telemetry.csv"],
     ),
-    "trace_simulate_cluster": (
-        ["trace", "--simulate", "cluster",
-         "--trace-out", f"{TMP}/spans.jsonl", "--telemetry-out", f"{TMP}/telemetry.csv"],
-        ["spans.jsonl", "telemetry.csv"],
+    "cluster_traced": (
+        _CLUSTER + ["--output", f"{TMP}/out.csv"] + _TRACED,
+        ["out.csv", "spans.jsonl", "telemetry.csv"],
     ),
 }
 

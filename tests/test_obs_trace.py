@@ -152,23 +152,6 @@ class TestChromeExport:
         assert len(sandboxes) == len(obs.trace.sandbox_spans)
 
 
-class TestStandalonePlatformSimulator:
-    def test_obs_attaches_without_a_cluster(self):
-        """A lone PlatformSimulator carries its own obs (no shared kernel)."""
-        from repro.platform.invoker import PlatformSimulator
-        from repro.workloads.traffic import constant_rate_arrivals
-
-        preset = get_platform_preset("gcp_run_like")
-        function = PYAES_FUNCTION.to_function_config(1.0, 2.0, init_duration_s=0.5)
-        obs = Observability()
-        simulator = PlatformSimulator(preset, function, seed=5, obs=obs)
-        metrics = simulator.run(constant_rate_arrivals(3.0, 10.0))
-        assert len(obs.trace.spans) == metrics.arrivals > 0
-        assert obs.summary()["spans"]["completed"] == metrics.num_requests
-        assert obs.kernel_profile().events_total > 0
-        assert obs.telemetry.samples_taken > 0
-
-
 class TestObservabilityLifecycle:
     def test_attach_refuses_reuse(self):
         _, obs = _traced_cluster(3)

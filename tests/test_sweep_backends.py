@@ -451,9 +451,11 @@ class TestCliParity:
         assert first.read_bytes() == second.read_bytes()
 
     def test_cli_failure_names_the_point(self, capsys):
-        assert main(["sweep", "--platforms", "no_such", "--workloads", "minimal", "--rps", "1"]) == 2
+        # Unknown names are rejected before any point runs; a non-positive
+        # rate is only rejected by the point itself.
+        assert main(["sweep", "--platforms", "gcp_run_like", "--workloads", "minimal", "--rps", "0"]) == 2
         stderr = capsys.readouterr().err
-        assert "platform=no_such" in stderr  # the failing point, not a bare traceback
+        assert "rps=0.0" in stderr  # the failing point, not a bare traceback
 
     def test_backpressure_cli_accepts_backend_and_checkpoint(self, tmp_path, capsys):
         journal = tmp_path / "bp.jsonl"
