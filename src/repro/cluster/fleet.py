@@ -90,13 +90,6 @@ class FleetConfig:
         sample_interval_s: period of the utilisation timeline samples taken
             when the fleet is registered as a kernel process; ``None``
             disables periodic sampling.
-        retry_after_hint_s: when set, every rejection carries a retry-after
-            hint on its :class:`~repro.sim.events.SandboxRejected` event:
-            the base hint scaled by the current admission-queue congestion
-            (``hint * (1 + queue depth)``), so a deeply backed-up fleet tells
-            clients to back off proportionally longer.  The retry loop floors
-            its backoff at the hint.  ``None`` (the default) issues no hints
-            -- the pre-tenancy behaviour, byte-identical events.
     """
 
     host_spec: HostSpec = field(default_factory=HostSpec)
@@ -106,7 +99,6 @@ class FleetConfig:
     queue_depth: int = 0
     queue_discipline: str = "fifo"
     sample_interval_s: Optional[float] = 10.0
-    retry_after_hint_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_hosts < 0:
@@ -123,8 +115,6 @@ class FleetConfig:
             raise ValueError(f"unknown queue discipline {self.queue_discipline!r}")
         if self.sample_interval_s is not None and self.sample_interval_s <= 0:
             raise ValueError("sample_interval_s must be positive (or None)")
-        if self.retry_after_hint_s is not None and self.retry_after_hint_s <= 0:
-            raise ValueError("retry_after_hint_s must be positive (or None)")
 
     def effective_zones(self) -> Tuple[ZoneConfig, ...]:
         """The declared zones, or the implicit single homogeneous zone."""
@@ -348,17 +338,7 @@ class Fleet:
     def _reject(self, time_s: float, sandbox_name: str, reason: str) -> None:
         self.unplaceable.append((time_s, sandbox_name))
         self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
-        hint = self.config.retry_after_hint_s
-        if hint is None:
-            self._publish(SandboxRejected(time_s, sandbox_name, reason=reason))
-            return
-        # Congestion-scaled load shedding: the deeper the admission queue,
-        # the longer rejected clients are told to stay away.  Deterministic
-        # (pure function of queue depth at rejection time).
-        retry_after = hint * (1.0 + len(self.queue))
-        self._publish(
-            SandboxRejected(time_s, sandbox_name, reason=reason, retry_after_s=retry_after)
-        )
+        self._publish(SandboxRejected(time_s, sandbox_name, reason=reason))
 
     def _drain_order(self) -> List[_QueuedSandbox]:
         if self.config.queue_discipline == "smallest_first":

@@ -123,20 +123,17 @@ class Observability:
     def __init__(
         self,
         telemetry_interval_s: Optional[float] = 1.0,
-        telemetry_capacity: int = 4096,
         trace: bool = True,
         profile: bool = True,
-        histogram_capacity: int = 4096,
     ) -> None:
         self.registry = MetricsRegistry()
         self.trace: Optional[TraceCollector] = TraceCollector() if trace else None
         self.profiler: Optional[KernelProfiler] = KernelProfiler() if profile else None
         self.telemetry: Optional[TelemetryProcess] = (
-            TelemetryProcess(self.registry, telemetry_interval_s, telemetry_capacity)
+            TelemetryProcess(self.registry, telemetry_interval_s)
             if telemetry_interval_s is not None
             else None
         )
-        self._histogram_capacity = histogram_capacity
         self._attached = False
         self._finalized_at: Optional[float] = None
 
@@ -174,9 +171,9 @@ class Observability:
         queued = reg.counter("sandboxes_queued")
         admitted = reg.counter("sandboxes_admitted")
         rejected = reg.counter("sandboxes_rejected")
-        latency = reg.histogram("latency_s", self._histogram_capacity)
-        execution = reg.histogram("execution_s", self._histogram_capacity)
-        queue_wait = reg.histogram("admission_wait_s", self._histogram_capacity)
+        latency = reg.histogram("latency_s")
+        execution = reg.histogram("execution_s")
+        queue_wait = reg.histogram("admission_wait_s")
 
         def on_arrived(event: RequestArrived) -> None:
             arrivals.inc()
@@ -244,6 +241,7 @@ class Observability:
                 "roots": sum(1 for s in spans if s.is_root),
                 "completed": sum(1 for s in spans if s.outcome == "completed"),
                 "failed": sum(1 for s in spans if s.outcome == "failed"),
+                "denied": sum(1 for s in spans if s.outcome == "denied"),
                 "censored": sum(1 for s in spans if s.outcome == "censored"),
             }
         if self.profiler is not None:

@@ -8,6 +8,7 @@ on -- and stitches them into one :class:`RequestSpan` per *attempt*:
 
     arrival -> (cold start / admission queue / ingress queue) -> executing
             -> completed | failed | censored-at-horizon
+    arrival -> denied (tenant out of credits; nothing was routed)
 
 Attempts are linked: a retry re-injected by the
 :class:`~repro.sim.retry.RetryLoop` carries its failed parent's request id,
@@ -37,19 +38,20 @@ from repro.sim.events import (
     EventBus,
     RequestArrived,
     RequestCompleted,
+    RequestDenied,
     RequestExecuting,
     RequestFailed,
     SandboxAdmitted,
     SandboxColdStart,
-    SandboxQueued,
     SandboxRejected,
     SandboxTerminated,
 )
 
 __all__ = ["RequestSpan", "SandboxSpan", "TraceCollector", "validate_chrome_trace"]
 
-#: Span outcomes. ``censored`` = still open when the run's horizon ended.
-COMPLETED, FAILED, CENSORED, OPEN = "completed", "failed", "censored", "open"
+#: Span outcomes. ``denied`` = refused by tenant admission control before
+#: routing; ``censored`` = still open when the run's horizon ended.
+COMPLETED, FAILED, DENIED, CENSORED, OPEN = "completed", "failed", "denied", "censored", "open"
 
 #: Sandbox lanes sit above request lanes inside a function's trace process.
 _SANDBOX_TID_BASE = 1_000_000
@@ -170,8 +172,8 @@ class TraceCollector:
         bus.subscribe(RequestExecuting, self._on_executing)
         bus.subscribe(RequestCompleted, self._on_completed)
         bus.subscribe(RequestFailed, self._on_failed)
+        bus.subscribe(RequestDenied, self._on_denied)
         bus.subscribe(SandboxColdStart, self._on_cold_start)
-        bus.subscribe(SandboxQueued, self._on_sandbox_queued)
         bus.subscribe(SandboxAdmitted, self._on_sandbox_admitted)
         bus.subscribe(SandboxRejected, self._on_sandbox_rejected)
         bus.subscribe(SandboxTerminated, self._on_sandbox_terminated)
@@ -226,6 +228,14 @@ class TraceCollector:
         if not span.sandbox_name:
             span.sandbox_name = str(getattr(failure, "sandbox_name", ""))
 
+    def _on_denied(self, event: RequestDenied) -> None:
+        span = self._by_request.get(event.request_id)
+        if span is None:
+            return
+        span.outcome = DENIED
+        span.end_s = event.time_s
+        span.fail_reason = event.reason
+
     def _on_cold_start(self, event: SandboxColdStart) -> None:
         span = SandboxSpan(
             sandbox_name=event.sandbox_name,
@@ -234,11 +244,6 @@ class TraceCollector:
         )
         self.sandbox_spans.append(span)
         self._by_sandbox[event.sandbox_name] = span
-
-    def _on_sandbox_queued(self, event: SandboxQueued) -> None:
-        # Queue entry is implied by a later admission's queue_wait_s; nothing
-        # to record here beyond the span already opened by the cold start.
-        pass
 
     def _on_sandbox_admitted(self, event: SandboxAdmitted) -> None:
         span = self._by_sandbox.get(event.sandbox_name)
@@ -260,7 +265,7 @@ class TraceCollector:
             return
         span.end_s = event.time_s
         if not span.end_reason:
-            span.end_reason = str(getattr(event, "reason", "")) or "terminated"
+            span.end_reason = event.reason or "terminated"
 
     # ------------------------------------------------------------------
     # Finalisation and queries

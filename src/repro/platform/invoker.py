@@ -19,7 +19,7 @@ instrumentation flows over a :class:`repro.sim.events.EventBus`, so metrics
 collection is just the default subscriber -- tracers and custom probes can
 subscribe to the same bus without touching the simulator.  The simulator
 publishes the full typed sandbox lifecycle (cold start, busy, idle,
-keep-alive expiry, eviction), which is what the fleet placement layer
+termination with its reason), which is what the fleet placement layer
 (:mod:`repro.cluster.fleet`) and the live cost meter
 (:mod:`repro.billing.meter`) consume.
 """
@@ -42,7 +42,6 @@ from repro.sim.arrivals import ArrivalSource, ArrivalStream
 from repro.sim.events import (
     EventBus,
     InstanceCountChanged,
-    KeepAliveExpired,
     RequestArrived,
     RequestCompleted,
     RequestDenied,
@@ -51,8 +50,8 @@ from repro.sim.events import (
     SandboxAdmitted,
     SandboxBusy,
     SandboxColdStart,
-    SandboxEvicted,
     SandboxIdle,
+    SandboxTerminated,
     SimEvent,
 )
 from repro.sim.feedback import AdmissionState, FeedbackChannel
@@ -180,7 +179,7 @@ class PlatformSimulator:
         self._keepalive_pending: Dict[str, float] = {}
         self.metrics = SimulationMetrics(retain_outcomes=retain_outcomes)
         # Feedback off is an unattached channel: rate 1.0, no admission
-        # state, no retry-after hints and an empty admission queue.
+        # state and an empty admission queue.
         self._feedback = feedback if feedback is not None else FeedbackChannel()
         self._retry = retry
         self._tenant = tenant
@@ -559,7 +558,7 @@ class PlatformSimulator:
         """Tear down a sandbox whose fleet admission was rejected."""
         sandbox.terminate(self._now)
         self._discard_sandbox(sandbox)
-        self.bus.publish(SandboxEvicted(self._now, sandbox.name, reason="admission_rejected"))
+        self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="admission_rejected"))
 
     def _fail_request(self, attempt: Attempt, reason: str, sandbox_name: str = "") -> None:
         # The retry loop is a downstream bus subscriber, but the gave_up flag
@@ -574,10 +573,6 @@ class PlatformSimulator:
         gave_up = self._retry is not None and not self._retry.will_retry(
             self.name, attempt.attempts, now - attempt.origin_s
         )
-        # Fleet-issued backpressure hint for the sandbox that rejected us; the
-        # retry loop stretches its backoff to honour it.  Zero when the fleet
-        # does not issue hints (the default) or no sandbox was involved.
-        retry_after = self._feedback.retry_after_s(sandbox_name)
         self.bus.publish(
             RequestFailed(
                 now,
@@ -592,7 +587,6 @@ class PlatformSimulator:
                     retry_wait_s=attempt.retry_wait_s,
                     gave_up=gave_up,
                     tenant=self._tenant,
-                    retry_after_s=retry_after,
                 ),
             )
         )
@@ -774,8 +768,7 @@ class PlatformSimulator:
             return
         sandbox.terminate(self._now)
         self._discard_sandbox(sandbox)
-        self.bus.publish(KeepAliveExpired(self._now, sandbox.name))
-        self.bus.publish(SandboxEvicted(self._now, sandbox.name, reason="keepalive_expire"))
+        self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="keepalive_expire"))
         self._publish_instance_count()
 
     # ------------------------------------------------------------------
@@ -809,6 +802,6 @@ class PlatformSimulator:
             for sandbox in removable[: current - desired]:
                 sandbox.terminate(self._now)
                 self._discard_sandbox(sandbox)
-                self.bus.publish(SandboxEvicted(self._now, sandbox.name, reason="scale_down"))
+                self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="scale_down"))
         self._publish_instance_count()
         self._drain_queue()

@@ -142,10 +142,6 @@ class FailedRequest:
     gave_up: bool = False
     #: Tenant that issued the request (empty without the tenancy layer).
     tenant: str = ""
-    #: The fleet's load-shedding hint attached to this failure: how long the
-    #: client should wait before retrying (0.0 when no hint was issued).  The
-    #: retry loop stretches its backoff to at least this value.
-    retry_after_s: float = 0.0
 
 
 @dataclass

@@ -98,7 +98,6 @@ class Sandbox:
     #: because routing and the autoscaler read it on every decision.
     concurrency: int = field(default=0, init=False)
     _last_progress_update_s: float = field(default=0.0, init=False)
-    served_requests: int = field(default=0, init=False)
     #: Memo of the contention model's per-request rate for the last executing
     #: count: :meth:`advance` and :meth:`next_completion_time` both need it at
     #: every event, and the count rarely changes between the two.
@@ -190,7 +189,6 @@ class Sandbox:
         """Remove a finished request and promote the oldest waiting request, if any."""
         request = self.executing.pop(request_id)
         self.concurrency -= 1
-        self.served_requests += 1
         if self.waiting and len(self.executing) < self.runtime_workers:
             promoted = self.waiting.pop(0)
             promoted.exec_start_s = now_s

@@ -192,35 +192,24 @@ class SchedulerSim:
     def run(self) -> SimulationResult:
         """Run the simulation to completion (all tasks done) or to the horizon.
 
-        The engine registers itself as a process on a private
-        :class:`repro.sim.kernel.SimulationKernel` and lets the kernel drive
-        it: after every :meth:`handle` the kernel asks :meth:`next_event_time`
-        when the next tick/refill/arrival/completion is due and re-arms the
-        engine's tick there.
+        The engine attaches itself (:meth:`attach`) to a private
+        :class:`repro.sim.kernel.SimulationKernel`, lets the kernel drive it
+        to the horizon, and returns :meth:`finalize`.  An engine attached to
+        a shared kernel cannot also run on its own.
         """
-        if self._attached:
-            raise RuntimeError(
-                "this engine is attached to a shared kernel; drive that kernel "
-                "and call finalize() instead of run()"
-            )
         kernel = SimulationKernel(start_s=self._now)
-        kernel.add_process(self)
-        self._kernel = kernel
+        self.attach(kernel)
         max_events = self.config.max_events
         executed = kernel.run(until=self.config.horizon_s, max_events=max_events,
                               stop=self._all_done)
-        if not self._all_done():
-            if executed >= max_events:  # pragma: no cover - safety valve
-                raise RuntimeError("simulation exceeded max_events; possible event-loop bug")
-            self._advance_running(self.config.horizon_s)
-        self._close_open_segments()
-        return self._collect()
+        if executed >= max_events and not self._all_done():  # pragma: no cover - safety valve
+            raise RuntimeError("simulation exceeded max_events; possible event-loop bug")
+        return self.finalize()
 
     def attach(
         self,
         kernel: SimulationKernel,
         feedback: Optional[FeedbackChannel] = None,
-        feedback_key: str = "sched",
     ) -> "SchedulerSim":
         """Register this engine as a process on a *shared* kernel.
 
@@ -238,7 +227,7 @@ class SchedulerSim:
         shared clock alone cannot: at every bandwidth-period boundary it
         publishes the period's *effective-bandwidth factor* -- CPU time
         actually delivered over CPU time the runnable tasks demanded (time
-        running plus time parked throttled) -- under ``feedback_key``.  The
+        running plus time parked throttled) -- under the key ``"sched"``.  The
         platform layer reads the combined factor at event-schedule time and
         stretches request busy times by it, so cgroup throttling becomes
         visible in end-to-end latency and in the (stretched) durations the
@@ -251,7 +240,7 @@ class SchedulerSim:
         self._kernel = kernel
         if feedback is not None:
             self._fb_rate = PublishedRate()
-            feedback.set_modifier(feedback_key, self._fb_rate)
+            feedback.set_modifier("sched", self._fb_rate)
         kernel.add_process(self)
         return self
 
@@ -282,10 +271,10 @@ class SchedulerSim:
     def finalize(self) -> SimulationResult:
         """Collect results after a shared-kernel run (idempotent).
 
-        Mirrors the tail of :meth:`run`: unfinished tasks are advanced to the
-        engine's horizon, open run/throttle segments are closed, and the
-        per-task results plus bandwidth statistics are returned.  Call it once
-        the shared kernel has stopped driving the engine.
+        Unfinished tasks are advanced to the engine's horizon, open
+        run/throttle segments are closed, and the per-task results plus
+        bandwidth statistics are returned.  Call it once the kernel has
+        stopped driving the engine (:meth:`run` ends with it).
         """
         if not self._finalized:
             self._finalized = True

@@ -55,14 +55,11 @@ from repro.sim.checkpoint import SweepJournal
 from repro.sim.events import (
     EventBus,
     InstanceCountChanged,
-    KeepAliveExpired,
     RequestCompleted,
     RequestFailed,
     SandboxBusy,
     SandboxColdStart,
-    SandboxEvicted,
     SandboxIdle,
-    SandboxProvisioned,
     SandboxTerminated,
     SimEvent,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "EventBus",
     "FeedbackChannel",
     "InstanceCountChanged",
-    "KeepAliveExpired",
     "MultiprocessingBackend",
     "PeriodicProcess",
     "PointOutcome",
@@ -99,9 +95,7 @@ __all__ = [
     "RngStreams",
     "SandboxBusy",
     "SandboxColdStart",
-    "SandboxEvicted",
     "SandboxIdle",
-    "SandboxProvisioned",
     "SandboxTerminated",
     "Scenario",
     "SerialBackend",

@@ -42,7 +42,6 @@ _SLOTS: Dict[str, bool] = {"slots": True} if sys.version_info >= (3, 10) else {}
 __all__ = [
     "EventBus",
     "InstanceCountChanged",
-    "KeepAliveExpired",
     "RequestArrived",
     "RequestCompleted",
     "RequestDenied",
@@ -52,9 +51,7 @@ __all__ = [
     "SandboxAdmitted",
     "SandboxBusy",
     "SandboxColdStart",
-    "SandboxEvicted",
     "SandboxIdle",
-    "SandboxProvisioned",
     "SandboxQueued",
     "SandboxRejected",
     "SandboxTerminated",
@@ -159,21 +156,14 @@ class RequestDenied(SimEvent):
 
 
 @dataclass(frozen=True, **_SLOTS)
-class SandboxProvisioned(SimEvent):
-    """A new sandbox started cold-initialising."""
+class SandboxColdStart(SimEvent):
+    """A new sandbox started cold-initialising, with its demand on the fleet.
 
-    sandbox_name: str
-
-
-@dataclass(frozen=True, **_SLOTS)
-class SandboxColdStart(SandboxProvisioned):
-    """A sandbox cold start, with the resource demand it places on the fleet.
-
-    Subclasses :class:`SandboxProvisioned` so existing subscribers keep
-    working; fleet placement and cost metering need the function identity,
-    the resource allocation, and the expected initialisation duration.
+    Fleet placement and cost metering need the function identity, the
+    resource allocation, and the expected initialisation duration.
     """
 
+    sandbox_name: str
     function_name: str = ""
     alloc_vcpus: float = 0.0
     alloc_memory_gb: float = 0.0
@@ -196,27 +186,15 @@ class SandboxIdle(SimEvent):
 
 
 @dataclass(frozen=True, **_SLOTS)
-class KeepAliveExpired(SimEvent):
-    """A sandbox's keep-alive window elapsed without a new request."""
-
-    sandbox_name: str
-
-
-@dataclass(frozen=True, **_SLOTS)
 class SandboxTerminated(SimEvent):
-    """A sandbox was torn down (keep-alive expiry or scale-down)."""
+    """A sandbox was torn down, with the reason.
 
-    sandbox_name: str
-
-
-@dataclass(frozen=True, **_SLOTS)
-class SandboxEvicted(SandboxTerminated):
-    """A sandbox was evicted, with the reason (``keepalive_expire``, ``scale_down``).
-
-    Subclasses :class:`SandboxTerminated` so subscribers that only care about
-    teardown keep working.
+    ``reason`` is ``"keepalive_expire"`` (its keep-alive window elapsed
+    without a new request), ``"scale_down"`` (the autoscaler removed it
+    while idle) or ``"admission_rejected"`` (the fleet refused it for good).
     """
 
+    sandbox_name: str
     reason: str = ""
 
 
@@ -255,17 +233,10 @@ class SandboxRejected(SimEvent):
     ``reason`` is ``"oversized"`` (the demand exceeds every zone's host
     shape), ``"no_capacity"`` (no host fits and queueing is disabled), or
     ``"queue_full"`` (the bounded admission queue is at its depth limit).
-
-    ``retry_after_s`` is the fleet's load-shedding hint: how long a client
-    should wait before retrying (0.0 when the fleet is not configured to
-    issue hints).  The feedback channel records it per sandbox so the
-    platform can stamp it onto the failure record and the retry loop can
-    stretch its backoff to honour it.
     """
 
     sandbox_name: str
     reason: str = ""
-    retry_after_s: float = 0.0
 
 
 @dataclass(frozen=True, **_SLOTS)

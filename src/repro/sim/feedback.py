@@ -94,8 +94,8 @@ class PublishedRate:
     tests (it is tiny: one entry per period).
     """
 
-    def __init__(self, initial_rate: float = 1.0) -> None:
-        self._rate = float(initial_rate)
+    def __init__(self) -> None:
+        self._rate = 1.0
         #: (time published, rate) history, in publish order.
         self.history: List[Tuple[float, float]] = []
 
@@ -143,8 +143,6 @@ class FeedbackChannel:
         self._queued: List[str] = []
         #: sandbox -> one-shot callback fired when its admission resolves.
         self._gates: Dict[str, Callable[[SimEvent], None]] = {}
-        #: sandbox -> retry-after hint (seconds) its rejection carried.
-        self._retry_after_s: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Service-time side
@@ -200,9 +198,6 @@ class FeedbackChannel:
 
     def _on_rejected(self, event: SandboxRejected) -> None:
         self._admission[event.sandbox_name] = AdmissionState.REJECTED
-        retry_after = getattr(event, "retry_after_s", 0.0)
-        if retry_after > 0.0:
-            self._retry_after_s[event.sandbox_name] = retry_after
         if event.sandbox_name in self._queued:
             self._queued.remove(event.sandbox_name)
         self._resolve_gate(event.sandbox_name, event)
@@ -223,18 +218,6 @@ class FeedbackChannel:
     def queue_wait_s(self, sandbox_name: str) -> float:
         """How long an admitted sandbox waited in the admission queue."""
         return self._queue_wait_s.get(sandbox_name, 0.0)
-
-    def retry_after_s(self, sandbox_name: str) -> float:
-        """The retry-after hint a rejected sandbox's rejection carried.
-
-        ``0.0`` when the fleet issues no hints
-        (:attr:`~repro.cluster.fleet.FleetConfig.retry_after_hint_s` unset)
-        or the sandbox was never rejected.  The platform simulator stamps
-        this onto the :class:`~repro.platform.metrics.FailedRequest` of every
-        request that was waiting on the sandbox, and the retry loop floors
-        its backoff at the hint.
-        """
-        return self._retry_after_s.get(sandbox_name, 0.0)
 
     def gate_readiness(self, sandbox_name: str, callback: Callable[[SimEvent], None]) -> None:
         """Call ``callback`` (once) when the sandbox's queued admission resolves.

@@ -283,10 +283,6 @@ class RetryLoop:
             # gave_up stayed False) must not push the loop past its policy.
             return
         delay = self.policy.backoff_s(attempts, self._streams.stream("retry", name))
-        # Honour the fleet's retry-after hint: back off at least that long,
-        # so clients shed load from a cluster that told them it is saturated.
-        if failure.retry_after_s > delay:
-            delay = failure.retry_after_s
         self._budget_spent[name] = self._budget_spent.get(name, 0) + 1
         self.retries_scheduled += 1
         simulator.inject_retry(delay, failure)

@@ -60,7 +60,7 @@ class AdmissionController:
     #: Kernel event kind of the deferred credit-release wake-ups.
     EVENT_KIND = "tenancy:credit_release"
 
-    def __init__(self, tenants: Sequence[TenantConfig], start_s: float = 0.0) -> None:
+    def __init__(self, tenants: Sequence[TenantConfig]) -> None:
         configs = list(tenants)
         if not configs:
             raise ValueError("at least one tenant is required")
@@ -69,13 +69,7 @@ class AdmissionController:
             raise ValueError(f"tenant names must be unique, got {names}")
         self._configs: Dict[str, TenantConfig] = {c.name: c for c in configs}
         self._accounts: Dict[str, CreditAccount] = {
-            c.name: CreditAccount(
-                c.credit_capacity,
-                c.credit_refill_per_s,
-                initial=c.initial_credits,
-                start_s=start_s,
-            )
-            for c in configs
+            c.name: CreditAccount(c.credit_capacity, c.credit_refill_per_s) for c in configs
         }
         #: tenant -> FIFO of (owner name, attempt) awaiting credits.
         self._queues: Dict[str, Deque[Tuple[str, "Attempt"]]] = {

@@ -41,8 +41,8 @@ class TenantConfig:
             default) makes the tenant unmetered: admission always succeeds
             and the run's timings are identical to an untenanted one.
         credit_refill_per_s: bucket refill rate in credits per simulated
-            second (lazy refill, clamped at capacity).
-        initial_credits: starting balance; ``None`` starts the bucket full.
+            second (lazy refill, clamped at capacity).  The bucket starts
+            full.
         request_cost: credits one admission spends.
         on_exhausted: ``"deny"`` fails an unaffordable arrival immediately
             with a typed :class:`~repro.sim.events.RequestDenied` (a
@@ -62,7 +62,6 @@ class TenantConfig:
     name: str
     credit_capacity: float = math.inf
     credit_refill_per_s: float = 0.0
-    initial_credits: Optional[float] = None
     request_cost: float = 1.0
     on_exhausted: str = "deny"
     max_queued: Optional[int] = None
@@ -78,8 +77,6 @@ class TenantConfig:
             raise ValueError("credit_capacity must be > 0 (inf for unmetered)")
         if self.credit_refill_per_s < 0:
             raise ValueError("credit_refill_per_s must be >= 0")
-        if self.initial_credits is not None and self.initial_credits < 0:
-            raise ValueError("initial_credits must be >= 0 (or None for full)")
         if not self.request_cost > 0:
             raise ValueError("request_cost must be > 0")
         if self.on_exhausted not in _EXHAUSTION_POLICIES:

@@ -3,8 +3,9 @@
 The acceptance contract of the observability PR: on a traced run with
 retries on, the span census must match the domain metrics exactly --
 ``total == arrivals``, ``roots == arrivals - retry_arrivals``, outcomes
-partition into completed / failed / censored, every retry child links to a
-failed parent attempt, and timestamps are monotone within each span.
+partition into completed / failed / denied / censored, every retry child
+links to a failed parent attempt, and timestamps are monotone within each
+span.
 """
 
 import dataclasses
@@ -17,16 +18,18 @@ from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import FleetConfig
 from repro.cluster.host import HostSpec
 from repro.obs import Observability, validate_chrome_trace
-from repro.obs.trace import CENSORED, COMPLETED, FAILED
+from repro.obs.trace import CENSORED, COMPLETED, DENIED, FAILED
 from repro.platform.presets import get_platform_preset
 from repro.sim.retry import RetryPolicy
+from repro.tenancy import TenantConfig
 from repro.workloads.functions import PYAES_FUNCTION
 
 
 def _traced_cluster(seed, *, retry=None, feedback="on", max_hosts=1, rps=6.0,
-                    duration_s=6.0, num_functions=2, queue_depth=0):
+                    duration_s=6.0, num_functions=2, queue_depth=0,
+                    platform="aws_lambda_like", tenants=None):
     """A small, saturated cluster run with an Observability attached."""
-    preset = get_platform_preset("aws_lambda_like")
+    preset = get_platform_preset(platform)
     deployments = []
     for index in range(num_functions):
         function = dataclasses.replace(
@@ -50,6 +53,7 @@ def _traced_cluster(seed, *, retry=None, feedback="on", max_hosts=1, rps=6.0,
         feedback=feedback,
         retry=retry,
         obs=obs,
+        tenants=tenants,
     )
     return simulator.run(), obs
 
@@ -169,3 +173,23 @@ class TestObservabilityLifecycle:
         assert census["total"] == sum(m.arrivals for m in metrics)
         assert census["completed"] == sum(m.num_requests for m in metrics)
         assert census["failed"] == sum(m.failed_requests for m in metrics)
+
+
+class TestDeniedSpans:
+    def test_credit_denials_close_as_denied_spans(self):
+        tenants = [
+            TenantConfig("tenant-00", credit_capacity=5.0, credit_refill_per_s=2.0,
+                         on_exhausted="deny")
+        ]
+        result, obs = _traced_cluster(
+            3, platform="gcp_run_like", rps=20.0, duration_s=10.0, max_hosts=8,
+            tenants=tenants,
+        )
+        denied = sum(m.denied_requests for m in result.metrics.values())
+        assert denied > 0
+        spans = [s for s in obs.trace.spans if s.outcome == DENIED]
+        assert len(spans) == denied
+        assert all(s.end_s == s.arrival_s for s in spans)
+        assert all(s.fail_reason == "credits" for s in spans)
+        assert not any(s.outcome == CENSORED for s in obs.trace.spans)
+        assert obs.summary()["spans"]["denied"] == denied

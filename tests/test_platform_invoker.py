@@ -157,12 +157,9 @@ class TestSandboxLifecycleEvents:
     def _run_with_listener(self, arrivals, platform="aws_lambda_like", horizon_s=None):
         from repro.sim.events import (
             EventBus,
-            KeepAliveExpired,
             SandboxBusy,
             SandboxColdStart,
-            SandboxEvicted,
             SandboxIdle,
-            SandboxProvisioned,
             SandboxTerminated,
         )
 
@@ -170,36 +167,28 @@ class TestSandboxLifecycleEvents:
         function = MINIMAL_FUNCTION.to_function_config(1.0, 0.5, init_duration_s=0.5)
         bus = EventBus()
         log = []
-        for event_type in (SandboxColdStart, SandboxBusy, SandboxIdle, KeepAliveExpired, SandboxEvicted):
+        for event_type in (SandboxColdStart, SandboxBusy, SandboxIdle, SandboxTerminated):
             bus.subscribe(event_type, lambda e, kind=event_type.__name__: log.append((kind, e)))
-        base = {"provisioned": [], "terminated": []}
-        bus.subscribe(SandboxProvisioned, lambda e: base["provisioned"].append(e))
-        bus.subscribe(SandboxTerminated, lambda e: base["terminated"].append(e))
         simulator = PlatformSimulator(preset, function, seed=5, bus=bus)
         simulator.run(arrivals, horizon_s=horizon_s)
-        return log, base
+        return log
 
     def test_cold_start_busy_idle_sequence(self):
-        log, base = self._run_with_listener([0.0])
+        log = self._run_with_listener([0.0])
         kinds = [kind for kind, _ in log]
         assert kinds[:3] == ["SandboxColdStart", "SandboxBusy", "SandboxIdle"]
         cold = log[0][1]
         assert cold.function_name == "minimal"
         assert cold.alloc_vcpus == pytest.approx(1.0)
         assert cold.init_duration_s == pytest.approx(0.55)  # placement delay + init
-        # Cold starts still reach legacy SandboxProvisioned subscribers.
-        assert len(base["provisioned"]) == 1
 
-    def test_keepalive_expiry_publishes_expire_then_evict(self):
+    def test_keepalive_expiry_terminates_once(self):
         # Horizon past the AWS max keep-alive (360 s) so the expiry fires.
-        log, base = self._run_with_listener([0.0], horizon_s=500.0)
-        kinds = [kind for kind, _ in log]
-        assert "KeepAliveExpired" in kinds
-        assert kinds.index("KeepAliveExpired") < kinds.index("SandboxEvicted")
-        evict = next(event for kind, event in log if kind == "SandboxEvicted")
-        assert evict.reason == "keepalive_expire"
-        # Evictions still reach legacy SandboxTerminated subscribers.
-        assert len(base["terminated"]) == 1
+        log = self._run_with_listener([0.0], horizon_s=500.0)
+        terminations = [event for kind, event in log if kind == "SandboxTerminated"]
+        assert len(terminations) == 1
+        assert terminations[0].reason == "keepalive_expire"
+        assert [kind for kind, _ in log][-1] == "SandboxTerminated"
 
     def test_named_simulator_namespaces_sandboxes(self):
         from repro.sim.events import EventBus, SandboxColdStart

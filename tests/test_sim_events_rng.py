@@ -10,7 +10,7 @@ from repro.sim.events import (
     EventBus,
     InstanceCountChanged,
     RequestCompleted,
-    SandboxProvisioned,
+    SandboxColdStart,
     SimEvent,
 )
 from repro.sim.rng import RngStreams, derive_seed, named_generator
@@ -27,7 +27,7 @@ class TestEventBus:
         seen = []
         bus.subscribe(RequestCompleted, lambda e: seen.append(e))
         bus.publish(RequestCompleted(1.0, outcome="ok"))
-        bus.publish(SandboxProvisioned(2.0, sandbox_name="sb-1"))
+        bus.publish(SandboxColdStart(2.0, sandbox_name="sb-1"))
         assert len(seen) == 1
         assert seen[0].outcome == "ok"
 
