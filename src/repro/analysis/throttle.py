@@ -27,7 +27,6 @@ __all__ = [
     "profile_configuration",
     "figure12_provider_profiles",
     "figure12_cfs_vs_eevdf",
-    "infer_scheduling_parameters",
     "infer_scheduling_parameters_by_matching",
     "table3_inference",
     "PAPER_TABLE3",
@@ -224,31 +223,6 @@ def _infer_base_interval_ms(
     return min(errors, key=lambda candidate: errors[candidate])
 
 
-def infer_scheduling_parameters(
-    profile: "ThrottleProfile | ThrottleProfileSet",
-    period_candidates_ms: Sequence[float] = (5.0, 10.0, 20.0, 25.0, 50.0, 100.0),
-    tick_candidates_hz: Sequence[int] = (100, 250, 1000),
-) -> Dict[str, float]:
-    """Infer the bandwidth-control period and timer frequency from a throttle profile.
-
-    The throttle *intervals* are integer multiples of the enforcement period
-    (runtime is only refilled at period boundaries).  The *differences* between
-    consecutive obtained-CPU values within an invocation are multiples of the
-    scheduler tick, because runtime accounting (and therefore the point at
-    which a task is cut off) only happens at ticks.
-    """
-    intervals_ms = [v * 1e3 for v in profile.throttle_intervals_s()]
-    period_ms = _infer_base_interval_ms(intervals_ms, period_candidates_ms)
-    if hasattr(profile, "obtained_cpu_diffs_s"):
-        tick_signal_ms = [v * 1e3 for v in profile.obtained_cpu_diffs_s()]
-    else:
-        tick_signal_ms = [v * 1e3 for v in profile.obtained_cpu_times_s()]
-    tick_candidates_ms = [1e3 / hz for hz in tick_candidates_hz]
-    tick_ms = _infer_base_interval_ms(tick_signal_ms, tick_candidates_ms, min_value_ms=0.25)
-    tick_hz = float(round(1e3 / tick_ms)) if tick_ms == tick_ms and tick_ms > 0 else float("nan")
-    return {"period_ms": period_ms, "tick_hz": tick_hz}
-
-
 def _ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     """Two-sample Kolmogorov-Smirnov statistic (no scipy dependency)."""
     a = np.sort(np.asarray(sample_a, dtype=float))
@@ -275,8 +249,10 @@ def infer_scheduling_parameters_by_matching(
     This mirrors the paper's methodology: the observed throttle-interval and
     obtained-CPU distributions are compared (KS distance) against local runs
     with known (period, CONFIG_HZ) settings, and the best-matching setting is
-    reported.  The period is first narrowed with the closed-form multiple-fit,
-    then every (period, tick) candidate pair is simulated as a reference.
+    reported.  The period is first narrowed with a closed-form fit (the
+    throttle intervals are integer multiples of the enforcement period,
+    because runtime is only refilled at period boundaries), then every
+    tick candidate is simulated as a reference at that period.
     """
     period_ms = _infer_base_interval_ms(
         [v * 1e3 for v in profile.throttle_intervals_s()], period_candidates_ms

@@ -213,14 +213,15 @@ class ClusterSimulator:
     sandbox landed on*, so heterogeneous multi-zone fleets bill by zone.
 
     ``retry`` (a :class:`~repro.sim.retry.RetryPolicy`) models clients that
-    retry failed requests: a :class:`~repro.sim.retry.RetryLoop` subscribed
-    to the cluster bus re-injects every non-terminal failure as a fresh
-    arrival after exponential seed-derived backoff, so rejected load comes
-    back and re-loads the fleet (visible in the ``retried_requests`` /
-    ``mean_attempts`` / ``gave_up_requests`` / ``retry_amplification``
-    summary columns).  Requests only *fail* when the feedback layer is on;
-    with ``feedback="off"`` a retry policy is inert.  ``retry=None`` (the
-    default) byte-reproduces the pre-retry outputs.
+    retry failed requests: every simulator asks one shared
+    :class:`~repro.sim.retry.RetryLoop` per failed attempt and re-schedules
+    each non-terminal failure as a fresh arrival after exponential
+    seed-derived backoff, so rejected load comes back and re-loads the fleet
+    (visible in the ``retried_requests`` / ``mean_attempts`` /
+    ``gave_up_requests`` / ``retry_amplification`` summary columns).
+    Requests only *fail* when the feedback layer is on; with
+    ``feedback="off"`` a retry policy is inert.  ``retry=None`` (the default)
+    byte-reproduces the pre-retry outputs.
 
     ``obs`` (an :class:`~repro.obs.Observability`) attaches the passive
     observability layer: a trace collector stitching per-request spans off
@@ -291,7 +292,7 @@ class ClusterSimulator:
         #: stream seed derives from the run seed, so retry timing replays
         #: byte-identically from the same seed.
         self.retry: Optional[RetryLoop] = (
-            RetryLoop(retry, seed=derive_seed(seed, "retry")).attach(self.bus)
+            RetryLoop(retry, seed=derive_seed(seed, "retry"))
             if retry is not None
             else None
         )
@@ -347,8 +348,6 @@ class ClusterSimulator:
                 tenant=tenant,
                 admission=self.admission,
             )
-            if self.retry is not None:
-                self.retry.register(name, simulator)
             if self.meter is not None:
                 # Per-function attachment: the meter needs each deployment's
                 # allocation/usage context, which the shared bus does not carry.

@@ -1,7 +1,8 @@
 """Event-driven fleet placement: the provider's host pool over simulated time.
 
 :func:`repro.cluster.placement.place_sandboxes` packs a *static* sandbox
-population once.  The :class:`Fleet` is its event-driven counterpart: it
+population once, by admitting all of it into a :class:`Fleet` at t=0.  The
+fleet itself is event-driven: it
 subscribes to the typed sandbox-lifecycle events platform simulators publish
 on the shared :class:`~repro.sim.events.EventBus` and maintains the host pool
 continuously -- admitting each cold-started sandbox onto a host under a

@@ -14,7 +14,6 @@ __all__ = [
     "PlacementPolicy",
     "PlacementResult",
     "choose_host",
-    "choose_or_open_host",
     "place_sandboxes",
 ]
 
@@ -132,8 +131,8 @@ def choose_host(
 
     Deterministic across runs and policies: score ties are broken by position
     in ``hosts`` (the order hosts were opened), never by dict/hash order.
-    Shared by the one-shot :func:`place_sandboxes` packer and the event-driven
-    :class:`repro.cluster.fleet.Fleet`.
+    The :class:`repro.cluster.fleet.Fleet` calls it for every admission and
+    opens a new host itself when it returns ``None``.
     """
     candidates = [
         (index, host)
@@ -147,32 +146,6 @@ def choose_host(
     return min(candidates, key=lambda pair: (_score(pair[1], requirement, policy), pair[0]))[1]
 
 
-def choose_or_open_host(
-    hosts: List[Host],
-    requirement: SandboxRequirement,
-    policy: PlacementPolicy,
-    host_spec: HostSpec,
-    max_hosts: int,
-) -> Optional[Host]:
-    """The policy's host for ``requirement``, opening a new one when nothing fits.
-
-    Returns ``None`` when the requirement is oversized for a whole host or
-    the host cap is reached.  A newly opened host is appended to ``hosts``
-    and named by open order (``host-00000``, ...), which keeps packings
-    deterministic across processes -- both the one-shot packer and the
-    event-driven fleet rely on this exact naming.
-    """
-    if requirement.vcpus > host_spec.vcpus or requirement.memory_gb > host_spec.memory_gb:
-        return None
-    chosen = choose_host(hosts, requirement, policy)
-    if chosen is None:
-        if len(hosts) >= max_hosts:
-            return None
-        chosen = Host(spec=host_spec, name=f"host-{len(hosts):05d}")
-        hosts.append(chosen)
-    return chosen
-
-
 def place_sandboxes(
     requirements: Sequence[SandboxRequirement],
     host_spec: Optional[HostSpec] = None,
@@ -182,15 +155,16 @@ def place_sandboxes(
     """Pack sandboxes onto hosts, opening a new host whenever nothing fits.
 
     Hosts are homogeneous (``host_spec``); a sandbox larger than a whole host
-    is reported as unplaced rather than raising.
+    is reported as unplaced rather than raising.  The packing is the
+    event-driven :class:`~repro.cluster.fleet.Fleet` admitting each
+    requirement at t=0, so the static and live placements cannot diverge.
     """
-    host_spec = host_spec or HostSpec()
-    hosts: List[Host] = []
-    unplaced: List[SandboxRequirement] = []
-    for requirement in requirements:
-        chosen = choose_or_open_host(hosts, requirement, policy, host_spec, max_hosts)
-        if chosen is None:
-            unplaced.append(requirement)
-            continue
-        chosen.place(requirement.sandbox_id, requirement.vcpus, requirement.memory_gb)
-    return PlacementResult(hosts=hosts, unplaced=unplaced)
+    from repro.cluster.fleet import Fleet, FleetConfig  # fleet imports this module
+
+    fleet = Fleet(FleetConfig(host_spec or HostSpec(), policy, max_hosts, sample_interval_s=None))
+    unplaced = [
+        requirement
+        for requirement in requirements
+        if fleet.admit(0.0, requirement.sandbox_id, requirement.vcpus, requirement.memory_gb) is None
+    ]
+    return PlacementResult(hosts=fleet.hosts, unplaced=unplaced)

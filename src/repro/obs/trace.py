@@ -10,12 +10,12 @@ on -- and stitches them into one :class:`RequestSpan` per *attempt*:
             -> completed | failed | censored-at-horizon
     arrival -> denied (tenant out of credits; nothing was routed)
 
-Attempts are linked: a retry re-injected by the
-:class:`~repro.sim.retry.RetryLoop` carries its failed parent's request id,
-so a retried request reads as a chain of spans (attempt 1 failed -> attempt
-2 failed -> attempt 3 completed).  Sandbox lifecycles (cold start ->
-admitted/queued/rejected -> terminated) are tracked alongside on their own
-lane.
+Attempts are linked: a retry the platform simulator re-schedules (when its
+:class:`~repro.sim.retry.RetryLoop` grants a backoff) carries its failed
+parent's request id, so a retried request reads as a chain of spans
+(attempt 1 failed -> attempt 2 failed -> attempt 3 completed).  Sandbox
+lifecycles (cold start -> admitted/queued/rejected -> terminated) are
+tracked alongside on their own lane.
 
 Export targets:
 

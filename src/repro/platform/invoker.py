@@ -14,14 +14,13 @@ pieces defined elsewhere in the package:
   rather than being called inline, so it co-simulates cleanly when several
   functions share one kernel.
 
-Event ordering and the clock live in :class:`repro.sim.kernel.SimulationKernel`;
-instrumentation flows over a :class:`repro.sim.events.EventBus`, so metrics
-collection is just the default subscriber -- tracers and custom probes can
-subscribe to the same bus without touching the simulator.  The simulator
-publishes the full typed sandbox lifecycle (cold start, busy, idle,
-termination with its reason), which is what the fleet placement layer
-(:mod:`repro.cluster.fleet`) and the live cost meter
-(:mod:`repro.billing.meter`) consume.
+Event ordering and the clock live in :class:`repro.sim.kernel.SimulationKernel`.
+The simulator records into its own metrics directly and publishes on a
+:class:`repro.sim.events.EventBus` only the facts other layers read: the
+full typed sandbox lifecycle (cold start, busy, idle, termination with its
+reason), which the fleet placement layer (:mod:`repro.cluster.fleet`) and
+the live cost meter (:mod:`repro.billing.meter`) consume, plus request
+completions, failures and retries for the meter and observers.
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ from repro.platform.sandbox import ActiveRequest, Sandbox, SandboxState
 from repro.sim.arrivals import ArrivalSource, ArrivalStream
 from repro.sim.events import (
     EventBus,
-    InstanceCountChanged,
     RequestArrived,
     RequestCompleted,
     RequestDenied,
     RequestExecuting,
     RequestFailed,
+    RetryScheduled,
     SandboxAdmitted,
     SandboxBusy,
     SandboxColdStart,
@@ -103,14 +102,14 @@ class PlatformSimulator:
     byte-identical to the pre-feedback simulator.
 
     Pass a :class:`~repro.sim.retry.RetryLoop` to model clients that retry:
-    the simulator then stamps every failure's ``gave_up`` flag from the
-    loop's policy (so metrics agree with what the loop re-injects), and the
-    loop feeds retries back in through :meth:`inject_retry` -- a fresh
-    ``arrival`` kernel event carrying the attempt count and cumulative
-    backoff, which re-enters routing, cold-start and fleet admission gating
-    exactly like an organic arrival.  Without a loop (the default) every
-    failure is terminal and behaviour is byte-identical to the pre-retry
-    simulator.
+    the simulator asks the loop once per failed attempt
+    (:meth:`~repro.sim.retry.RetryLoop.next_delay`), stamps the failure's
+    ``gave_up`` flag from the answer and, unless it gave up, schedules the
+    retry itself -- a fresh ``arrival`` kernel event carrying the attempt
+    count and cumulative backoff, which re-enters routing, cold-start and
+    fleet admission gating exactly like an organic arrival.  ``retry=`` is
+    the whole wiring.  Without a loop (the default) every failure is
+    terminal and behaviour is byte-identical to the pre-retry simulator.
 
     Pass an ``admission`` controller (plus the ``tenant`` this simulator's
     deployment belongs to) to meter arrivals against the tenancy layer's
@@ -188,15 +187,12 @@ class PlatformSimulator:
         # without an observer these per-request publishes are pure overhead.
         # The co-simulation host sets it when its shared-bus collector listens.
         self._emit_spans = emit_spans
-        # Each simulator owns its instrumentation bus, so its metrics only ever
-        # see its own events.  A caller-supplied bus becomes a downstream
-        # observer: every event is forwarded to it (delivered in the same
-        # publish), letting one external bus watch several co-simulated
-        # simulators without cross-contaminating their metrics.
+        # Each simulator owns its bus, so per-function subscribers (the cost
+        # meter) only ever see its own events.  A caller-supplied bus becomes
+        # a downstream observer: every event is forwarded to it (delivered in
+        # the same publish), letting one external bus watch several
+        # co-simulated simulators.
         self.bus = EventBus()
-        self.bus.subscribe(RequestCompleted, self._record_outcome)
-        self.bus.subscribe(RequestFailed, self._record_failure)
-        self.bus.subscribe(InstanceCountChanged, self._record_instances)
         if bus is not None:
             self.bus.forward_to(bus)
         self._autoscaler: Optional[Autoscaler] = None
@@ -295,24 +291,12 @@ class PlatformSimulator:
         return sum(s.concurrency for s in self._sandboxes.values())
 
     # ------------------------------------------------------------------
-    # Event plumbing and instrumentation
+    # Event plumbing
     # ------------------------------------------------------------------
 
     @property
     def _now(self) -> float:
         return self._kernel.now
-
-    def _record_outcome(self, event: RequestCompleted) -> None:
-        self.metrics.record(event.outcome)
-
-    def _record_failure(self, event: RequestFailed) -> None:
-        self.metrics.record_failure(event.outcome)
-
-    def _record_instances(self, event: InstanceCountChanged) -> None:
-        self.metrics.record_instances(event.time_s, event.count)
-
-    def _publish_instance_count(self) -> None:
-        self.bus.publish(InstanceCountChanged(self._now, self._instance_count()))
 
     def _instance_count(self) -> int:
         # The registry holds exactly the alive sandboxes (terminated ones are
@@ -326,7 +310,7 @@ class PlatformSimulator:
     def _handle_arrival(self, event: Event) -> None:
         request_id = f"{self._id_prefix}req-{next(self._request_counter):07d}"
         # Organic arrivals have an empty payload (the hot path skips every
-        # dict lookup); retry re-injections (inject_retry) carry the next
+        # dict lookup); retries (_fail_request) carry the next
         # attempt's metadata, and chunk-boundary arrivals from a streamed
         # source carry the stream to refill.
         data = event.data
@@ -389,32 +373,6 @@ class PlatformSimulator:
                 function_name=self.function.name,
                 reason="credits",
             )
-        )
-
-    def inject_retry(self, delay_s: float, failed: FailedRequest) -> None:
-        """Re-inject a failed attempt as a fresh arrival ``delay_s`` from now.
-
-        Called by the :class:`~repro.sim.retry.RetryLoop` from inside the
-        failing event's bus publish.  This is the one place the next attempt
-        is derived from the failed one: attempt number plus one, cumulative
-        backoff plus ``delay_s``, the same first-arrival ``origin_s`` (so
-        deadline-bounded retries and SLO attainment measure from the logical
-        request's birth).  The arrival gets a new request id from the same
-        counter as organic traffic and re-enters the full routing /
-        cold-start / fleet-admission path, so retry load experiences -- and
-        adds to -- the same backpressure that failed it.  The failed
-        attempt's id rides along as ``parent_id`` so the trace layer can link
-        the retry chain; it does not affect simulation state.
-        """
-        self._kernel.schedule_in(
-            delay_s,
-            self._kind_arrival,
-            {
-                "attempts": failed.attempts + 1,
-                "retry_wait_s": failed.retry_wait_s + delay_s,
-                "parent_id": failed.request_id,
-                "origin_s": failed.origin_s,
-            },
         )
 
     def _route(self, attempt: Attempt) -> None:
@@ -493,7 +451,7 @@ class PlatformSimulator:
         # synchronously decided this sandbox's admission by now; gate
         # readiness on the outcome instead of scheduling it blindly.
         self._resolve_admission(sandbox)
-        self._publish_instance_count()
+        self.metrics.record_instances(self._now, self._instance_count())
         return sandbox
 
     def _resolve_admission(self, sandbox: Sandbox) -> None:
@@ -532,7 +490,7 @@ class PlatformSimulator:
         self._abort_sandbox(sandbox)
         for attempt in waiting:
             self._fail_request(attempt, "admission_rejected", name)
-        self._publish_instance_count()
+        self.metrics.record_instances(self._now, self._instance_count())
 
     def _discard_sandbox(self, sandbox: Sandbox) -> None:
         """Forget a terminated sandbox.
@@ -547,6 +505,7 @@ class PlatformSimulator:
         self._sandboxes.pop(name, None)
         self._completion_version.pop(name, None)
         self._keepalive_pending.pop(name, None)
+        self._feedback.forget(name)
         # Only sandboxes that became ready have a routing key (an aborted one
         # never did); a terminated sandbox has no active requests.
         routable = self._routable
@@ -561,33 +520,57 @@ class PlatformSimulator:
         self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="admission_rejected"))
 
     def _fail_request(self, attempt: Attempt, reason: str, sandbox_name: str = "") -> None:
-        # The retry loop is a downstream bus subscriber, but the gave_up flag
-        # must already be on the record metrics capture first -- so the
-        # publisher asks the loop's policy.  Bus dispatch is synchronous, so
-        # no budget can be spent between this query and the loop's handling
-        # of the very event it stamps.  Elapsed time since the logical
-        # request's first attempt feeds the policy's retry deadline; the
-        # publisher and the loop compute it from the same stamps, so they
-        # always agree.
+        # One retry decision per failed attempt: the loop's answer stamps
+        # gave_up and drives the re-arrival, so the two always agree.
+        # Elapsed time since the logical request's first attempt feeds the
+        # policy's retry deadline.
         now = self._now
-        gave_up = self._retry is not None and not self._retry.will_retry(
-            self.name, attempt.attempts, now - attempt.origin_s
+        retry = self._retry
+        delay = (
+            retry.next_delay(self.name, attempt.attempts, now - attempt.origin_s)
+            if retry is not None
+            else None
+        )
+        failed = FailedRequest(
+            request_id=attempt.request_id,
+            arrival_s=attempt.arrival_s,
+            origin_s=attempt.origin_s,
+            failed_s=now,
+            reason=reason,
+            sandbox_name=sandbox_name,
+            attempts=attempt.attempts,
+            retry_wait_s=attempt.retry_wait_s,
+            gave_up=retry is not None and delay is None,
+            tenant=self._tenant,
+        )
+        self.metrics.record_failure(failed)
+        self.bus.publish(RequestFailed(now, failed))
+        if delay is None:
+            return
+        # The retry is a fresh arrival: attempt number plus one, cumulative
+        # backoff plus the delay, the same first-arrival origin_s (deadlines
+        # and SLO attainment measure from the logical request's birth).  It
+        # gets a new request id and re-enters routing, cold start and fleet
+        # admission, so retry load adds to the backpressure that failed it.
+        # The failed attempt's id rides along as parent_id for the trace
+        # layer's retry chains; it does not affect simulation state.
+        self._kernel.schedule_in(
+            delay,
+            self._kind_arrival,
+            {
+                "attempts": attempt.attempts + 1,
+                "retry_wait_s": attempt.retry_wait_s + delay,
+                "parent_id": attempt.request_id,
+                "origin_s": attempt.origin_s,
+            },
         )
         self.bus.publish(
-            RequestFailed(
+            RetryScheduled(
                 now,
-                FailedRequest(
-                    request_id=attempt.request_id,
-                    arrival_s=attempt.arrival_s,
-                    origin_s=attempt.origin_s,
-                    failed_s=now,
-                    reason=reason,
-                    sandbox_name=sandbox_name,
-                    attempts=attempt.attempts,
-                    retry_wait_s=attempt.retry_wait_s,
-                    gave_up=gave_up,
-                    tenant=self._tenant,
-                ),
+                attempt.request_id,
+                function_name=self.name,
+                next_attempt=attempt.attempts + 1,
+                delay_s=delay,
             )
         )
 
@@ -680,27 +663,24 @@ class PlatformSimulator:
             self._reindex(sandbox, concurrency)
             attempt = request.attempt
             exec_start = request.exec_start_s
-            self.bus.publish(
-                RequestCompleted(
-                    now,
-                    RequestOutcome(
-                        request_id=request_id,
-                        arrival_s=attempt.arrival_s,
-                        origin_s=attempt.origin_s,
-                        start_s=exec_start,
-                        completion_s=now,
-                        execution_duration_s=now - exec_start,
-                        cold_start=request.cold_start,
-                        init_duration_s=request.init_wait_s,
-                        queue_delay_s=max(exec_start - attempt.arrival_s - request.init_wait_s, 0.0),
-                        sandbox_name=sandbox.name,
-                        service_floor_s=self.function.service_time_s + request.overhead_s,
-                        attempts=attempt.attempts,
-                        retry_wait_s=attempt.retry_wait_s,
-                        tenant=self._tenant,
-                    ),
-                )
+            outcome = RequestOutcome(
+                request_id=request_id,
+                arrival_s=attempt.arrival_s,
+                origin_s=attempt.origin_s,
+                start_s=exec_start,
+                completion_s=now,
+                execution_duration_s=now - exec_start,
+                cold_start=request.cold_start,
+                init_duration_s=request.init_wait_s,
+                queue_delay_s=max(exec_start - attempt.arrival_s - request.init_wait_s, 0.0),
+                sandbox_name=sandbox.name,
+                service_floor_s=self.function.service_time_s + request.overhead_s,
+                attempts=attempt.attempts,
+                retry_wait_s=attempt.retry_wait_s,
+                tenant=self._tenant,
             )
+            self.metrics.record(outcome)
+            self.bus.publish(RequestCompleted(now, outcome))
         if finished:
             self._drain_queue()
             self._maybe_schedule_keepalive(sandbox)
@@ -769,7 +749,7 @@ class PlatformSimulator:
         sandbox.terminate(self._now)
         self._discard_sandbox(sandbox)
         self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="keepalive_expire"))
-        self._publish_instance_count()
+        self.metrics.record_instances(self._now, self._instance_count())
 
     # ------------------------------------------------------------------
     # Autoscaling (a periodic kernel process, registered in __init__)
@@ -803,5 +783,5 @@ class PlatformSimulator:
                 sandbox.terminate(self._now)
                 self._discard_sandbox(sandbox)
                 self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="scale_down"))
-        self._publish_instance_count()
+        self.metrics.record_instances(self._now, self._instance_count())
         self._drain_queue()

@@ -24,9 +24,10 @@ scheduler (`repro.sched.engine`) into one reusable layer:
 - :mod:`repro.sim.retry` -- the client retry loop: a
   :class:`~repro.sim.retry.RetryPolicy` (bounded attempts, exponential
   seed-derived backoff, optional per-function budget) executed by a
-  :class:`~repro.sim.retry.RetryLoop` bus subscriber that re-injects failed
-  requests as fresh arrivals, so backpressure-rejected load comes back and
-  re-loads the fleet instead of vanishing.
+  :class:`~repro.sim.retry.RetryLoop` the platform simulator asks once per
+  failed attempt; the simulator re-schedules each retried request as a fresh
+  arrival, so backpressure-rejected load comes back and re-loads the fleet
+  instead of vanishing.
 - :mod:`repro.sim.sweep` / :mod:`repro.sim.results` -- a scenario-sweep
   orchestrator that fans a grid of (platform x workload x config) runs out
   across a pluggable execution backend with per-run derived seeds, and the
@@ -54,7 +55,6 @@ from repro.sim.backends import (
 from repro.sim.checkpoint import SweepJournal
 from repro.sim.events import (
     EventBus,
-    InstanceCountChanged,
     RequestCompleted,
     RequestFailed,
     SandboxBusy,
@@ -68,11 +68,10 @@ from repro.sim.feedback import (
     FeedbackChannel,
     PublishedRate,
     ServiceTimeModifier,
-    StaticSlowdown,
 )
 from repro.sim.kernel import Event, PeriodicProcess, SimulationKernel, SimProcess
 from repro.sim.results import ResultStore
-from repro.sim.retry import RetryInjector, RetryLoop, RetryPolicy, resolve_retry
+from repro.sim.retry import RetryLoop, RetryPolicy, resolve_retry
 from repro.sim.rng import RngStreams, derive_seed, named_generator
 from repro.sim.sweep import Scenario, build_grid, run_scenario, run_sweep
 
@@ -81,7 +80,6 @@ __all__ = [
     "Event",
     "EventBus",
     "FeedbackChannel",
-    "InstanceCountChanged",
     "MultiprocessingBackend",
     "PeriodicProcess",
     "PointOutcome",
@@ -89,7 +87,6 @@ __all__ = [
     "RequestCompleted",
     "RequestFailed",
     "ResultStore",
-    "RetryInjector",
     "RetryLoop",
     "RetryPolicy",
     "RngStreams",
@@ -103,7 +100,6 @@ __all__ = [
     "SimEvent",
     "SimProcess",
     "SimulationKernel",
-    "StaticSlowdown",
     "SweepBackend",
     "SweepJournal",
     "SweepPointError",

@@ -41,7 +41,6 @@ _SLOTS: Dict[str, bool] = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 __all__ = [
     "EventBus",
-    "InstanceCountChanged",
     "RequestArrived",
     "RequestCompleted",
     "RequestDenied",
@@ -103,9 +102,10 @@ class RequestExecuting(SimEvent):
 
 @dataclass(frozen=True, **_SLOTS)
 class RetryScheduled(SimEvent):
-    """The client retry loop scheduled a failed request's re-injection.
+    """A platform simulator scheduled a failed request's retry.
 
-    ``request_id`` is the *failed* attempt (the parent of the upcoming
+    Published right after the :class:`RequestFailed` it answers, once the
+    client retry loop granted a backoff.  ``request_id`` is the *failed* attempt (the parent of the upcoming
     arrival); the re-injected arrival fires ``delay_s`` later and will carry
     ``next_attempt`` as its attempt number.
     """
@@ -237,13 +237,6 @@ class SandboxRejected(SimEvent):
 
     sandbox_name: str
     reason: str = ""
-
-
-@dataclass(frozen=True, **_SLOTS)
-class InstanceCountChanged(SimEvent):
-    """The alive-instance count was re-sampled after a pool change."""
-
-    count: int
 
 
 Subscriber = Callable[[SimEvent], None]

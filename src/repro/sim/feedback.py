@@ -8,12 +8,11 @@ failed requests.  This module closes that loop with two mechanisms:
 
 - **Service-time modifiers** (:class:`ServiceTimeModifier`): components that
   know about execution slowdown -- the CPU-bandwidth scheduler publishing its
-  per-period effective-bandwidth factor, or a static degradation injected by
-  an experiment -- register a modifier on the channel.  Consumers (the
-  platform simulator) read the *combined* rate at event-schedule time and
-  stretch busy times accordingly.  Factors are piecewise-constant between the
-  events that re-read them, so resolution is deterministic: the same seed
-  replays the same stretched timeline.
+  per-period effective-bandwidth factor -- register a modifier on the
+  channel.  Consumers (the platform simulator) read the *combined* rate at
+  event-schedule time and stretch busy times accordingly.  Factors are
+  piecewise-constant between the events that re-read them, so resolution is
+  deterministic: the same seed replays the same stretched timeline.
 - **Readiness gates**: the channel subscribes to the fleet's admission-outcome
   events (:class:`~repro.sim.events.SandboxQueued` /
   :class:`~repro.sim.events.SandboxAdmitted` /
@@ -36,7 +35,6 @@ pre-feedback ones byte-for-byte.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.sim.events import (
@@ -52,8 +50,10 @@ __all__ = [
     "FeedbackChannel",
     "PublishedRate",
     "ServiceTimeModifier",
-    "StaticSlowdown",
 ]
+
+#: Floor of the combined service rate (see :meth:`FeedbackChannel.service_rate`).
+MIN_SERVICE_RATE = 0.01
 
 
 @runtime_checkable
@@ -68,20 +68,6 @@ class ServiceTimeModifier(Protocol):
 
     def service_rate(self, now_s: float) -> float:
         ...
-
-
-@dataclass(frozen=True)
-class StaticSlowdown:
-    """A constant service-rate factor (experiment-injected degradation)."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError("rate must be in (0, 1]")
-
-    def service_rate(self, now_s: float) -> float:
-        return self.rate
 
 
 class PublishedRate:
@@ -131,14 +117,10 @@ class FeedbackChannel:
     outcomes so the platform simulator can gate sandbox readiness on them.
     """
 
-    def __init__(self, min_service_rate: float = 0.01) -> None:
-        if not 0.0 < min_service_rate <= 1.0:
-            raise ValueError("min_service_rate must be in (0, 1]")
-        self.min_service_rate = float(min_service_rate)
+    def __init__(self) -> None:
         #: key -> modifier, in registration order (deterministic product).
         self._modifiers: Dict[str, ServiceTimeModifier] = {}
         self._admission: Dict[str, AdmissionState] = {}
-        self._queue_wait_s: Dict[str, float] = {}
         #: sandboxes currently waiting in the fleet's admission queue.
         self._queued: List[str] = []
         #: sandbox -> one-shot callback fired when its admission resolves.
@@ -153,16 +135,12 @@ class FeedbackChannel:
         self._modifiers[key] = modifier
         return modifier
 
-    def remove_modifier(self, key: str) -> None:
-        """Drop a modifier (no-op if absent)."""
-        self._modifiers.pop(key, None)
-
     def service_rate(self, now_s: float) -> float:
         """The combined execution-rate factor at ``now_s``.
 
         Factors compose multiplicatively (two independent 50% slowdowns give
         25% of nominal speed) and the product is clamped to
-        ``[min_service_rate, 1]`` so a pathological producer can neither
+        ``[MIN_SERVICE_RATE, 1]`` so a pathological producer can neither
         stall the simulation nor speed it up.  With no modifiers registered
         the rate is exactly ``1.0``.
         """
@@ -172,7 +150,7 @@ class FeedbackChannel:
         rate = 1.0
         for modifier in self._modifiers.values():
             rate *= modifier.service_rate(now_s)
-        return min(max(rate, self.min_service_rate), 1.0)
+        return min(max(rate, MIN_SERVICE_RATE), 1.0)
 
     # ------------------------------------------------------------------
     # Admission side
@@ -191,7 +169,6 @@ class FeedbackChannel:
 
     def _on_admitted(self, event: SandboxAdmitted) -> None:
         self._admission[event.sandbox_name] = AdmissionState.ADMITTED
-        self._queue_wait_s[event.sandbox_name] = event.queue_wait_s
         if event.sandbox_name in self._queued:
             self._queued.remove(event.sandbox_name)
         self._resolve_gate(event.sandbox_name, event)
@@ -215,9 +192,14 @@ class FeedbackChannel:
         """
         return self._admission.get(sandbox_name)
 
-    def queue_wait_s(self, sandbox_name: str) -> float:
-        """How long an admitted sandbox waited in the admission queue."""
-        return self._queue_wait_s.get(sandbox_name, 0.0)
+    def forget(self, sandbox_name: str) -> None:
+        """Drop what the channel knows about a discarded sandbox.
+
+        The platform calls this when it discards a terminated sandbox, so the
+        channel's state stays bounded by the live sandboxes rather than
+        growing with every cold start a long run ever made.
+        """
+        self._admission.pop(sandbox_name, None)
 
     def gate_readiness(self, sandbox_name: str, callback: Callable[[SimEvent], None]) -> None:
         """Call ``callback`` (once) when the sandbox's queued admission resolves.

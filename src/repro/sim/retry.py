@@ -17,37 +17,34 @@ This module closes that last loop:
   an optional per-function retry *budget* -- the circuit-breaker pattern of
   production clients (give up early once a function has burnt its budget,
   instead of retrying a dying dependency forever).
-- :class:`RetryLoop` is the bus subscriber that executes the policy: it
-  catches :class:`~repro.sim.events.RequestFailed` events on the shared
-  co-simulation bus and re-injects each non-terminal failure as a *fresh
-  arrival* on the owning simulator's kernel after the backoff delay.  The
-  re-injected arrival takes the exact same path as an organic one -- routing,
-  cold start, fleet admission gating, possibly another rejection -- so retry
-  load is subject to the same backpressure that created it.  Attempt count
-  and cumulative backoff ride on the request: completed attempts surface them
-  in :class:`~repro.platform.metrics.RequestOutcome` and terminal failures
-  carry a ``gave_up`` flag.
+- :class:`RetryLoop` is the policy's bookkeeping: the platform simulator
+  asks it once per failed attempt (:meth:`RetryLoop.next_delay`) and gets
+  back either the backoff delay -- budget spent, retry counted -- or
+  ``None`` for a terminal failure.  The simulator then re-schedules the
+  attempt as a *fresh arrival* on its own kernel after that delay.  The
+  re-injected arrival takes the exact same path as an organic one --
+  routing, cold start, fleet admission gating, possibly another rejection --
+  so retry load is subject to the same backpressure that created it.
+  Attempt count and cumulative backoff ride on the request: completed
+  attempts surface them in :class:`~repro.platform.metrics.RequestOutcome`
+  and terminal failures carry a ``gave_up`` flag.
 
-Determinism: the loop never schedules anything outside an existing event's
-bus publish, every backoff draw comes from a named per-function stream
-consumed in kernel-event order, and with ``retry=None`` (every entry point's
-default) no loop exists and simulators take byte-identical pre-retry paths.
+Determinism: the loop never schedules anything itself, every backoff draw
+comes from a named per-function stream consumed in kernel-event order, and
+with ``retry=None`` (every entry point's default) no loop exists and
+simulators take byte-identical pre-retry paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.events import EventBus, RequestFailed, RetryScheduled
 from repro.sim.rng import RngStreams
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; sim does not import platform
-    from repro.platform.metrics import FailedRequest
-
-__all__ = ["RetryPolicy", "RetryLoop", "RetryInjector", "resolve_retry"]
+__all__ = ["RetryPolicy", "RetryLoop", "resolve_retry"]
 
 
 def resolve_retry(
@@ -66,20 +63,6 @@ def resolve_retry(
     if mode not in (None, "off", "on"):
         raise ValueError(f"retry must be 'off' or 'on', got {mode!r}")
     return mode, (RetryPolicy.from_params(params) if mode == "on" else None)
-
-
-@runtime_checkable
-class RetryInjector(Protocol):
-    """Anything a :class:`RetryLoop` can re-inject an arrival into.
-
-    The loop hands over the backoff delay and the failed record; the
-    injector derives the next attempt from it.  Implemented by
-    :class:`repro.platform.invoker.PlatformSimulator`; kept as a protocol so
-    the sim layer does not import the platform layer.
-    """
-
-    def inject_retry(self, delay_s: float, failed: "FailedRequest") -> None:
-        ...
 
 
 @dataclass(frozen=True)
@@ -101,10 +84,9 @@ class RetryPolicy:
         deadline_s: optional per-request retry deadline: once the elapsed
             time since the *first* attempt's arrival reaches it, a failure
             is terminal -- the load-shedding client of the tenancy layer.
-            Checked at failure time (never after the backoff draw), so the
-            publisher's ``gave_up`` stamp and the loop's action always
-            agree.  ``None`` (the default) retries regardless of elapsed
-            time -- the pre-deadline behaviour.
+            Checked at failure time, before any backoff draw.  ``None`` (the
+            default) retries regardless of elapsed time -- the pre-deadline
+            behaviour.
     """
 
     max_attempts: int = 3
@@ -173,44 +155,24 @@ class RetryPolicy:
 
 
 class RetryLoop:
-    """Executes a :class:`RetryPolicy` over a co-simulation's failure events.
+    """Executes a :class:`RetryPolicy`: one decision per failed attempt.
 
-    One loop serves one co-simulation (one shared bus).  The host registers
-    each platform simulator under its function name (:meth:`register`) and
-    attaches the loop to the shared bus (:meth:`attach`); from then on every
-    non-terminal :class:`~repro.sim.events.RequestFailed` is re-injected into
-    its owning simulator as a fresh arrival ``backoff`` seconds later.
-
-    The terminal/non-terminal split is decided *by the publisher*: the
-    platform simulator consults :meth:`will_retry` while building the
-    ``FailedRequest`` record, so the ``gave_up`` flag metrics collectors see
-    (they run before this subscriber) agrees with what the loop then does.
-    Both sides observe the same state because bus dispatch is synchronous:
-    nothing can spend budget between the publisher's query and this
-    subscriber's re-injection of the very same event.
+    One loop serves one co-simulation; every platform simulator holding it
+    asks :meth:`next_delay` when an attempt fails and uses the answer both
+    to stamp the failure's ``gave_up`` flag and to schedule the re-arrival,
+    so the two can never disagree.  Budgets and backoff streams are keyed by
+    the asking simulator's name.
     """
 
     def __init__(self, policy: RetryPolicy, seed: int = 0) -> None:
         self.policy = policy
         self._streams = RngStreams(seed)
-        self._simulators: Dict[str, RetryInjector] = {}
         self._budget_spent: Dict[str, int] = {}
-        self._bus: Optional[EventBus] = None
-        #: retries the loop re-injected (scheduled; late ones may fall beyond
-        #: the run horizon and never fire as arrivals).
+        #: retries the loop granted (scheduled; late ones may fall beyond the
+        #: run horizon and never fire as arrivals).
         self.retries_scheduled = 0
-        #: terminal failures observed (attempts exhausted or budget spent).
+        #: terminal failures (attempts exhausted, deadline passed or budget spent).
         self.gave_up = 0
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-
-    def attach(self, bus: EventBus) -> "RetryLoop":
-        """Catch ``RequestFailed`` events published on ``bus``."""
-        self._bus = bus
-        bus.subscribe(RequestFailed, self._on_failed)
-        return self
 
     def register_metrics(self, registry) -> "RetryLoop":
         """Expose the loop's live counters as observability gauges.
@@ -221,19 +183,6 @@ class RetryLoop:
         registry.gauge("retries_scheduled_total", fn=lambda: float(self.retries_scheduled))
         registry.gauge("retry_gave_up_total", fn=lambda: float(self.gave_up))
         return self
-
-    def register(self, name: str, simulator: RetryInjector) -> None:
-        """Own re-injection for requests of the simulator named ``name``.
-
-        ``name`` must match the simulator's id prefix (request ids look like
-        ``<name>/req-0000042``); failures from unregistered simulators are
-        ignored.
-        """
-        self._simulators[name] = simulator
-
-    # ------------------------------------------------------------------
-    # Policy queries (used by the publisher to stamp ``gave_up``)
-    # ------------------------------------------------------------------
 
     def budget_remaining(self, function: str) -> Optional[int]:
         """Retries the function may still spend (``None`` = unlimited)."""
@@ -246,7 +195,7 @@ class RetryLoop:
         return self._budget_spent.get(function, 0)
 
     def will_retry(self, function: str, attempts: int, elapsed_s: float = 0.0) -> bool:
-        """Whether a failure of attempt ``attempts`` would be re-injected.
+        """Whether a failure of attempt ``attempts`` would be retried.
 
         ``elapsed_s`` is the time since the logical request's first attempt
         arrived; under a :attr:`RetryPolicy.deadline_s` a failure at or past
@@ -259,44 +208,17 @@ class RetryLoop:
         remaining = self.budget_remaining(function)
         return remaining is None or remaining > 0
 
-    # ------------------------------------------------------------------
-    # The subscriber
-    # ------------------------------------------------------------------
+    def next_delay(self, function: str, attempts: int, elapsed_s: float = 0.0) -> Optional[float]:
+        """Decide one failed attempt: its backoff delay, or ``None`` to give up.
 
-    @staticmethod
-    def _function_of(request_id: str) -> str:
-        """The simulator name prefix of a namespaced request id."""
-        return request_id.split("/", 1)[0] if "/" in request_id else ""
-
-    def _on_failed(self, event: RequestFailed) -> None:
-        failure: FailedRequest = event.outcome
-        if failure.gave_up:
+        A retry spends one unit of the function's budget and draws its
+        jitter from the function's own stream; giving up is counted in
+        :attr:`gave_up`.
+        """
+        if not self.will_retry(function, attempts, elapsed_s):
             self.gave_up += 1
-            return
-        name = self._function_of(failure.request_id)
-        simulator = self._simulators.get(name)
-        if simulator is None:
-            return  # a failure this loop was never asked to own
-        attempts = failure.attempts
-        if not self.will_retry(name, attempts, failure.failed_s - failure.origin_s):
-            # Defensive: a publisher that did not consult will_retry() (so
-            # gave_up stayed False) must not push the loop past its policy.
-            return
-        delay = self.policy.backoff_s(attempts, self._streams.stream("retry", name))
-        self._budget_spent[name] = self._budget_spent.get(name, 0) + 1
+            return None
+        delay = self.policy.backoff_s(attempts, self._streams.stream("retry", function))
+        self._budget_spent[function] = self._budget_spent.get(function, 0) + 1
         self.retries_scheduled += 1
-        simulator.inject_retry(delay, failure)
-        if self._bus is not None:
-            # Trace/telemetry marker for the re-injection decision.  Published
-            # unconditionally once attached (failures are rare); subscribers
-            # only exist when an observability layer is listening, and the
-            # event itself mutates nothing, so un-observed runs are unchanged.
-            self._bus.publish(
-                RetryScheduled(
-                    event.time_s,
-                    failure.request_id,
-                    function_name=name,
-                    next_attempt=attempts + 1,
-                    delay_s=delay,
-                )
-            )
+        return delay

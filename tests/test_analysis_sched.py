@@ -13,7 +13,6 @@ from repro.analysis.quantization import figure11_series, figure11_summary
 from repro.analysis.throttle import (
     figure12_cfs_vs_eevdf,
     figure12_provider_profiles,
-    infer_scheduling_parameters,
     infer_scheduling_parameters_by_matching,
     profile_configuration,
     table3_inference,
@@ -132,11 +131,6 @@ class TestFigure12AndTable3:
         for row in rows:
             assert row["inferred_period_ms"] == pytest.approx(row["configured_period_ms"])
             assert row["inferred_tick_hz"] == pytest.approx(row["configured_tick_hz"])
-
-    def test_closed_form_inference_on_aws_profile(self):
-        profile = profile_configuration(0.25, 0.020, 250, exec_duration_s=2.0, invocations=4, seed=2)
-        inferred = infer_scheduling_parameters(profile)
-        assert inferred["period_ms"] == pytest.approx(20.0)
 
     def test_matching_inference_gcp(self):
         profile = profile_configuration(0.25, 0.100, 1000, exec_duration_s=3.0, invocations=6, seed=3)

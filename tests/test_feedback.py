@@ -11,7 +11,9 @@ invariants the rest of the repo relies on:
   the fleet's rejection count, and admission queueing defers sandbox
   readiness by the measured queue wait;
 - a static slowdown stretches every request's latency pointwise (hypothesis
-  property over traffic shapes, slowdown factors and seeds).
+  property over traffic shapes, slowdown factors and seeds);
+- the channel forgets every sandbox the platform discards, so its state
+  stays bounded by the live sandboxes.
 """
 
 import dataclasses
@@ -41,13 +43,14 @@ from repro.sim.events import (
     SandboxColdStart,
     SandboxQueued,
     SandboxRejected,
+    SandboxTerminated,
 )
 from repro.sim.feedback import (
+    MIN_SERVICE_RATE,
     AdmissionState,
     FeedbackChannel,
     PublishedRate,
     ServiceTimeModifier,
-    StaticSlowdown,
 )
 from repro.workloads.functions import PYAES_FUNCTION
 
@@ -86,6 +89,13 @@ def _deterministic_platform(keep_alive_s=1e6, autoscaler=None, max_concurrency=1
     )
 
 
+def _fixed_rate(rate):
+    """A constant slowdown: a published rate with a single publish."""
+    modifier = PublishedRate()
+    modifier.publish(0.0, rate)
+    return modifier
+
+
 def _function(cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5):
     return FunctionConfig(
         name="fn",
@@ -107,22 +117,15 @@ class TestFeedbackChannel:
         assert FeedbackChannel().service_rate(0.0) == 1.0
 
     def test_modifiers_compose_multiplicatively_and_clamp(self):
-        channel = FeedbackChannel(min_service_rate=0.1)
-        channel.set_modifier("a", StaticSlowdown(0.5))
+        channel = FeedbackChannel()
+        channel.set_modifier("a", _fixed_rate(0.5))
         assert channel.service_rate(0.0) == 0.5
-        channel.set_modifier("b", StaticSlowdown(0.5))
+        channel.set_modifier("b", _fixed_rate(0.5))
         assert channel.service_rate(0.0) == 0.25
-        channel.set_modifier("c", StaticSlowdown(0.01))
-        assert channel.service_rate(0.0) == 0.1  # floored at min_service_rate
-        channel.remove_modifier("b")
-        channel.remove_modifier("c")
-        assert channel.service_rate(0.0) == 0.5
-
-    def test_static_slowdown_rejects_bad_rates(self):
-        with pytest.raises(ValueError):
-            StaticSlowdown(0.0)
-        with pytest.raises(ValueError):
-            StaticSlowdown(1.5)
+        channel.set_modifier("c", _fixed_rate(0.01))
+        assert channel.service_rate(0.0) == MIN_SERVICE_RATE  # 0.0025, floored
+        channel.set_modifier("c", _fixed_rate(1.0))  # a key's modifier is replaced
+        assert channel.service_rate(0.0) == 0.25
 
     def test_published_rate_is_piecewise_and_floored(self):
         rate = PublishedRate()
@@ -145,7 +148,6 @@ class TestFeedbackChannel:
         assert channel.admission_queue_depth("fn-a/") == 1
         bus.publish(SandboxAdmitted(4.0, "fn-a/sandbox-0", host_name="h", queue_wait_s=3.0))
         assert channel.admission_state("fn-a/sandbox-0") is AdmissionState.ADMITTED
-        assert channel.queue_wait_s("fn-a/sandbox-0") == 3.0
         assert channel.admission_queue_depth() == 1
         bus.publish(SandboxRejected(5.0, "fn-b/sandbox-0", reason="queue_full"))
         assert channel.admission_state("fn-b/sandbox-0") is AdmissionState.REJECTED
@@ -189,7 +191,7 @@ class TestServiceTimeStretching:
 
         raw = run(None)
         channel = FeedbackChannel()
-        channel.set_modifier("static", StaticSlowdown(0.5))
+        channel.set_modifier("static", _fixed_rate(0.5))
         slow = run(channel)
         assert raw.num_requests == slow.num_requests == 3
         overhead = 1e-3  # jitter-free serving overhead at 1 vCPU
@@ -231,7 +233,7 @@ class TestServiceTimeStretching:
 
         raw = run(None)
         channel = FeedbackChannel()
-        channel.set_modifier("static", StaticSlowdown(rate))
+        channel.set_modifier("static", _fixed_rate(rate))
         stretched = run(channel)
         assert set(raw) == set(stretched)
         for request_id, raw_latency in raw.items():
@@ -399,15 +401,19 @@ class TestQueuedReadinessDeferral:
             seed=11,
             feedback="on",
         )
+        queue_wait_s = {}
+        simulator.bus.subscribe(
+            SandboxAdmitted,
+            lambda event: queue_wait_s.__setitem__(event.sandbox_name, event.queue_wait_s),
+        )
         result = simulator.run(horizon_s=60.0)
         fleet = result.fleet
         assert fleet.admitted_from_queue > 0
-        channel = simulator.feedback
         init_s = platform.placement_delay_s + function.init_duration_s
         outcomes = {r.sandbox_name: r for m in result.metrics.values() for r in m.requests}
         deferred = 0
         for name, outcome in outcomes.items():
-            wait = channel.queue_wait_s(name)
+            wait = queue_wait_s.get(name, 0.0)
             if wait <= 0 or not outcome.cold_start:
                 continue
             deferred += 1
@@ -434,6 +440,34 @@ class TestHorizonCensoredBackpressure:
         assert summary["failed_requests"] == 0.0
         assert summary["pending_requests"] > 0
         assert summary["pending_requests"] == summary["queued"] - summary["admitted_from_queue"]
+
+
+class TestChannelMemory:
+    def test_discarded_sandboxes_leave_no_admission_state(self):
+        """The channel's state is bounded by the live sandboxes, not by history."""
+        preset = get_platform_preset("aws_lambda_like")
+        keep_alive = dataclasses.replace(
+            preset.keep_alive, min_keep_alive_s=0.5, max_keep_alive_s=1.0
+        )
+        platform = dataclasses.replace(preset, keep_alive=keep_alive)
+        function = dataclasses.replace(
+            PYAES_FUNCTION.to_function_config(1.0, 2.0, init_duration_s=0.5), name="fn-00"
+        )
+        simulator = ClusterSimulator(
+            [FunctionDeployment(function=function, platform=platform, rps=10.0,
+                                duration_s=20.0, arrival_process="poisson")],
+            seed=5,
+            feedback="on",
+            retain_outcomes=False,
+        )
+        discarded = []
+        simulator.bus.subscribe(
+            SandboxTerminated, lambda event: discarded.append(event.sandbox_name)
+        )
+        simulator.run()
+        assert len(discarded) > 10
+        channel = simulator.feedback
+        assert all(channel.admission_state(name) is None for name in discarded)
 
 
 class TestInstanceBillingExcludesQueueWait:

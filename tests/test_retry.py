@@ -1,7 +1,7 @@
 """The client retry loop: unit, integration and hypothesis property tests.
 
-Covers the policy arithmetic, the loop's bus mechanics, and the invariants
-the rest of the repo relies on:
+Covers the policy arithmetic, the loop's one-decision-per-failure contract,
+and the invariants the rest of the repo relies on:
 
 - attempt counts never exceed ``max_attempts``, and ``gave_up`` implies the
   attempts were exhausted or the function's retry budget was spent;
@@ -33,9 +33,15 @@ from repro.platform.invoker import PlatformSimulator
 from repro.platform.keepalive import KeepAlivePolicy, KeepAliveResourceBehavior
 from repro.platform.presets import get_platform_preset
 from repro.platform.serving import ServingOverheadModel
-from repro.sim.events import EventBus, SandboxColdStart, SandboxRejected
+from repro.sim.events import (
+    EventBus,
+    RequestFailed,
+    RetryScheduled,
+    SandboxColdStart,
+    SandboxRejected,
+)
 from repro.sim.feedback import FeedbackChannel
-from repro.sim.retry import RetryInjector, RetryLoop, RetryPolicy
+from repro.sim.retry import RetryLoop, RetryPolicy
 from repro.workloads.functions import PYAES_FUNCTION
 
 RETRY_POLICY = RetryPolicy(max_attempts=3, base_backoff_s=0.3, jitter=0.1)
@@ -102,91 +108,6 @@ class TestRetryPolicy:
 # ----------------------------------------------------------------------
 
 
-class _Recorder:
-    """A stand-in injector that records what the loop re-injects."""
-
-    def __init__(self):
-        self.injected = []
-
-    def inject_retry(self, delay_s, failed):
-        self.injected.append((delay_s, failed.attempts + 1, failed.retry_wait_s + delay_s))
-
-
-def _failed(request_id, attempts=1, retry_wait_s=0.0, gave_up=False, time_s=1.0):
-    from repro.platform.metrics import FailedRequest
-    from repro.sim.events import RequestFailed
-
-    return RequestFailed(
-        time_s,
-        FailedRequest(
-            request_id=request_id, arrival_s=0.0, origin_s=0.0, failed_s=time_s,
-            reason="admission_rejected", attempts=attempts,
-            retry_wait_s=retry_wait_s, gave_up=gave_up,
-        ),
-    )
-
-
-class TestRetryLoop:
-    def test_recorder_satisfies_the_injector_protocol(self):
-        assert isinstance(_Recorder(), RetryInjector)
-
-    def test_reinjects_with_incremented_attempts_and_cumulative_wait(self):
-        bus = EventBus()
-        loop = RetryLoop(RetryPolicy(jitter=0.0, base_backoff_s=1.0), seed=0).attach(bus)
-        recorder = _Recorder()
-        loop.register("fn", recorder)
-        bus.publish(_failed("fn/req-0000000", attempts=1))
-        bus.publish(_failed("fn/req-0000001", attempts=2, retry_wait_s=1.0))
-        assert recorder.injected == [(1.0, 2, 1.0), (2.0, 3, 3.0)]
-        assert loop.retries_scheduled == 2
-
-    def test_gave_up_failures_are_counted_not_reinjected(self):
-        bus = EventBus()
-        loop = RetryLoop(RETRY_POLICY, seed=0).attach(bus)
-        recorder = _Recorder()
-        loop.register("fn", recorder)
-        bus.publish(_failed("fn/req-0000000", attempts=3, gave_up=True))
-        assert recorder.injected == []
-        assert loop.gave_up == 1
-
-    def test_unregistered_simulators_are_ignored(self):
-        bus = EventBus()
-        loop = RetryLoop(RETRY_POLICY, seed=0).attach(bus)
-        bus.publish(_failed("stranger/req-0000000"))
-        assert loop.retries_scheduled == 0
-
-    def test_will_retry_respects_attempts_and_budget(self):
-        loop = RetryLoop(RetryPolicy(max_attempts=3, retry_budget=1, jitter=0.0), seed=0)
-        recorder = _Recorder()
-        loop.register("fn", recorder)
-        assert loop.will_retry("fn", 1) and loop.will_retry("fn", 2)
-        assert not loop.will_retry("fn", 3)
-        bus = EventBus()
-        loop.attach(bus)
-        bus.publish(_failed("fn/req-0000000", attempts=1))
-        assert loop.budget_remaining("fn") == 0 and loop.budget_spent("fn") == 1
-        # budget spent: no further retries for fn, even below max_attempts
-        assert not loop.will_retry("fn", 1)
-        bus.publish(_failed("fn/req-0000001", attempts=1))
-        assert len(recorder.injected) == 1
-        # the budget is per function: another function still retries
-        loop.register("other", recorder)
-        assert loop.will_retry("other", 1)
-
-    def test_bare_request_ids_map_to_the_unnamed_simulator(self):
-        bus = EventBus()
-        loop = RetryLoop(RetryPolicy(jitter=0.0), seed=0).attach(bus)
-        recorder = _Recorder()
-        loop.register("", recorder)
-        bus.publish(_failed("req-0000000"))
-        assert len(recorder.injected) == 1
-
-
-# ----------------------------------------------------------------------
-# Platform-level integration: the full fail -> backoff -> re-arrival cycle
-# ----------------------------------------------------------------------
-
-
 def _deterministic_platform():
     return PlatformConfig(
         name="deterministic",
@@ -204,41 +125,114 @@ def _deterministic_platform():
     )
 
 
+def _rejecting_simulator(policy, rejections=None):
+    """A standalone platform whose cold starts are synchronously rejected.
+
+    ``rejections=None`` rejects every cold start; an integer rejects only
+    that many, after which sandboxes become ready normally.  ``retry=`` is
+    the only retry wiring.
+    """
+    fleet_bus = EventBus()
+    channel = FeedbackChannel().attach(fleet_bus)
+    loop = RetryLoop(policy, seed=3)
+    function = FunctionConfig(
+        name="fn", alloc_vcpus=1.0, alloc_memory_gb=1.0,
+        cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5,
+    )
+    simulator = PlatformSimulator(
+        _deterministic_platform(), function, seed=0, feedback=channel, retry=loop
+    )
+    rejected = []
+
+    def reject(event):
+        if rejections is None or len(rejected) < rejections:
+            rejected.append(event.sandbox_name)
+            fleet_bus.publish(
+                SandboxRejected(event.time_s, event.sandbox_name, reason="no_capacity")
+            )
+
+    simulator.bus.subscribe(SandboxColdStart, reject)
+    return simulator, loop
+
+
+class TestRetryLoop:
+    def test_reinjects_with_incremented_attempts_and_cumulative_wait(self):
+        simulator, loop = _rejecting_simulator(
+            RetryPolicy(max_attempts=3, base_backoff_s=1.0, jitter=0.0)
+        )
+        scheduled = []
+        simulator.bus.subscribe(RetryScheduled, scheduled.append)
+        simulator.run([0.0], horizon_s=60.0)
+        failures = simulator.metrics.failures
+        assert [f.attempts for f in failures] == [1, 2, 3]
+        assert [f.retry_wait_s for f in failures] == pytest.approx([0.0, 1.0, 3.0])
+        # each granted delay is announced once, naming the failed parent
+        assert [(e.request_id, e.next_attempt, e.delay_s) for e in scheduled] == [
+            (failures[0].request_id, 2, 1.0),
+            (failures[1].request_id, 3, 2.0),
+        ]
+        assert loop.retries_scheduled == 2
+
+    def test_gave_up_failures_are_counted_not_reinjected(self):
+        loop = RetryLoop(RETRY_POLICY, seed=0)
+        assert loop.next_delay("fn", 3) is None
+        assert loop.gave_up == 1
+        assert loop.retries_scheduled == 0 and loop.budget_spent("fn") == 0
+
+    def test_will_retry_respects_attempts_and_budget(self):
+        loop = RetryLoop(RetryPolicy(max_attempts=3, retry_budget=1, jitter=0.0), seed=0)
+        assert loop.will_retry("fn", 1) and loop.will_retry("fn", 2)
+        assert not loop.will_retry("fn", 3)
+        assert loop.next_delay("fn", 1) == 0.5
+        assert loop.budget_remaining("fn") == 0 and loop.budget_spent("fn") == 1
+        # budget spent: no further retries for fn, even below max_attempts
+        assert not loop.will_retry("fn", 1)
+        assert loop.next_delay("fn", 1) is None
+        assert loop.retries_scheduled == 1 and loop.gave_up == 1
+        # the budget is per function: another function still retries
+        assert loop.will_retry("other", 1)
+        assert loop.next_delay("other", 1) == 0.5
+
+    def test_deadline_makes_a_failure_terminal(self):
+        loop = RetryLoop(RetryPolicy(max_attempts=5, jitter=0.0, deadline_s=2.5), seed=0)
+        assert loop.next_delay("fn", 1, elapsed_s=2.4) == 0.5
+        assert loop.next_delay("fn", 2, elapsed_s=2.5) is None
+        assert loop.retries_scheduled == 1 and loop.gave_up == 1
+
+    def test_backoff_jitter_is_drawn_per_function(self):
+        policy = RetryPolicy(base_backoff_s=1.0, jitter=0.5)
+        busy = RetryLoop(policy, seed=7)
+        first_a = busy.next_delay("a", 1)
+        busy.next_delay("a", 1)
+        quiet = RetryLoop(policy, seed=7)
+        # fn b's delays do not depend on how many draws fn a made
+        assert busy.next_delay("b", 1) == quiet.next_delay("b", 1)
+        assert quiet.next_delay("a", 1) == first_a
+        assert first_a != quiet.next_delay("b", 1)
+
+
+# ----------------------------------------------------------------------
+# Platform-level integration: the full fail -> backoff -> re-arrival cycle
+# ----------------------------------------------------------------------
+
+
 class TestPlatformRetryCycle:
-    def _rejecting_simulator(self, policy, rejections=None):
-        """A platform whose cold starts are synchronously rejected.
-
-        ``rejections=None`` rejects every cold start; an integer rejects only
-        that many, after which sandboxes become ready normally.
-        """
-        fleet_bus = EventBus()
-        channel = FeedbackChannel().attach(fleet_bus)
-        loop = RetryLoop(policy, seed=3)
-        function = FunctionConfig(
-            name="fn", alloc_vcpus=1.0, alloc_memory_gb=1.0,
-            cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5,
-        )
-        simulator = PlatformSimulator(
-            _deterministic_platform(), function, seed=0, feedback=channel, retry=loop
-        )
-        loop.register("", simulator)
-        loop.attach(simulator.bus)
-        rejected = []
-
-        def reject(event):
-            if rejections is None or len(rejected) < rejections:
-                rejected.append(event.sandbox_name)
-                fleet_bus.publish(
-                    SandboxRejected(event.time_s, event.sandbox_name, reason="no_capacity")
-                )
-
-        simulator.bus.subscribe(SandboxColdStart, reject)
-        return simulator, loop
+    def test_retry_argument_is_the_whole_wiring(self):
+        """``PlatformSimulator(retry=loop)`` retries with nothing else attached."""
+        simulator, loop = _rejecting_simulator(RetryPolicy(max_attempts=3, jitter=0.0))
+        simulator.run([0.0], horizon_s=60.0)
+        m = simulator.metrics
+        assert m.arrivals == 3
+        assert [f.gave_up for f in m.failures] == [False, False, True]
+        assert m.terminal_attempt_stats() == (3, 1)
+        assert loop.retries_scheduled == 2 and loop.gave_up == 1
+        # nothing listens for failures: the simulator asks the loop directly
+        assert simulator.bus.subscriber_count(RequestFailed) == 0
 
     def test_request_retries_until_attempts_exhausted(self):
         policy = RetryPolicy(max_attempts=3, base_backoff_s=1.0,
                              backoff_multiplier=2.0, jitter=0.0)
-        simulator, loop = self._rejecting_simulator(policy)
+        simulator, loop = _rejecting_simulator(policy)
         simulator.run([0.0], horizon_s=60.0)
         m = simulator.metrics
         # one organic arrival + two re-injections, every attempt failed
@@ -256,7 +250,7 @@ class TestPlatformRetryCycle:
     def test_budget_caps_total_retries(self):
         policy = RetryPolicy(max_attempts=5, base_backoff_s=1.0, jitter=0.0,
                              retry_budget=1)
-        simulator, loop = self._rejecting_simulator(policy)
+        simulator, loop = _rejecting_simulator(policy)
         simulator.run([0.0, 0.1], horizon_s=60.0)
         m = simulator.metrics
         # two organic arrivals share one budget unit: exactly one retry fires
@@ -266,7 +260,7 @@ class TestPlatformRetryCycle:
 
     def test_late_backoff_is_censored_by_the_horizon(self):
         policy = RetryPolicy(max_attempts=2, base_backoff_s=50.0, max_backoff_s=50.0, jitter=0.0)
-        simulator, loop = self._rejecting_simulator(policy)
+        simulator, loop = _rejecting_simulator(policy)
         simulator.run([0.0], horizon_s=10.0)
         m = simulator.metrics
         assert loop.retries_scheduled == 1
@@ -282,7 +276,7 @@ class TestPlatformRetryCycle:
         """
         policy = RetryPolicy(max_attempts=5, base_backoff_s=1.0, backoff_multiplier=1.0,
                              jitter=0.0, deadline_s=2.5)
-        simulator, loop = self._rejecting_simulator(policy)
+        simulator, loop = _rejecting_simulator(policy)
         simulator.run([arrival_s], horizon_s=60.0)
         failures = simulator.metrics.failures
         # attempts arrive 0, 1, 2 and 3 s after the first; the fourth fails
@@ -295,7 +289,7 @@ class TestPlatformRetryCycle:
     def test_completed_retry_latency_counts_from_the_first_arrival(self):
         """SLO latency of a retried t=0 request includes the failed attempt."""
         policy = RetryPolicy(max_attempts=3, base_backoff_s=1.0, jitter=0.0)
-        simulator, _ = self._rejecting_simulator(policy, rejections=1)
+        simulator, _ = _rejecting_simulator(policy, rejections=1)
         simulator.metrics.slo_latency_s = 1.0
         simulator.run([0.0], horizon_s=60.0)
         m = simulator.metrics

@@ -8,9 +8,9 @@ import numpy as np
 
 from repro.sim.events import (
     EventBus,
-    InstanceCountChanged,
     RequestCompleted,
     SandboxColdStart,
+    SandboxIdle,
     SimEvent,
 )
 from repro.sim.rng import RngStreams, derive_seed, named_generator
@@ -45,8 +45,8 @@ class TestEventBus:
         all_events = []
         bus.subscribe(SimEvent, lambda e: all_events.append(type(e).__name__))
         bus.publish(RequestCompleted(1.0, outcome=None))
-        bus.publish(InstanceCountChanged(2.0, count=3))
-        assert all_events == ["RequestCompleted", "InstanceCountChanged"]
+        bus.publish(SandboxIdle(2.0, sandbox_name="sb-1"))
+        assert all_events == ["RequestCompleted", "SandboxIdle"]
 
     def test_exact_subscribers_run_before_base_subscribers(self):
         bus = EventBus()
@@ -140,7 +140,7 @@ class TestForwarding:
         for forward in (by_subscriber, by_splice):
             upstream, downstream, order = self._wire(forward)
             upstream.publish(_CustomEvent(1.0, outcome=None))
-            upstream.publish(InstanceCountChanged(2.0, count=1))
+            upstream.publish(SandboxIdle(2.0, sandbox_name="sb-1"))
             downstream.publish(RequestCompleted(3.0, outcome=None))
             logs.append(order)
         assert logs[0] == logs[1]
