@@ -38,7 +38,7 @@ placement-policy interaction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.host import Host, HostSpec
 from repro.cluster.placement import PlacementPolicy, SandboxRequirement, choose_host
@@ -156,6 +156,10 @@ class Fleet:
         self._opened_at: Dict[str, float] = {}
         #: sandbox name -> (host, vcpus, memory_gb) for everything placed.
         self._placements: Dict[str, Tuple[Host, float, float]] = {}
+        #: (vcpus, memory_gb) shapes that found no host and no zone headroom
+        #: since the last release: hosts never close and a placement only
+        #: takes room, so only a release can make such a shape fit again.
+        self._full_shapes: Set[Tuple[float, float]] = set()
         #: bounded admission queue (backpressure), in enqueue order.
         self.queue: List[_QueuedSandbox] = []
         self._queue_seq = 0
@@ -247,8 +251,8 @@ class Fleet:
             for zone in self.zones
         )
 
-    def _open_host(self, requirement: SandboxRequirement) -> Optional[Host]:
-        """Open a host for ``requirement`` in the zone the policy prefers.
+    def _open_host(self, time_s: float, requirement: SandboxRequirement) -> Optional[Host]:
+        """Open a host for ``requirement`` at ``time_s`` in the zone the policy prefers.
 
         Candidate zones are those with cap headroom whose host shape fits the
         requirement.  ``COST_FIT`` opens in the cheapest candidate zone
@@ -282,6 +286,7 @@ class Fleet:
             host = Host(spec=zone.host_spec, name=name, zone=zone.name)
         self._zone_counts[zone.name] = count + 1
         self.hosts.append(host)
+        self._opened_at[name] = time_s
         return host
 
     def _place_on(self, host: Host, requirement: SandboxRequirement) -> Host:
@@ -293,33 +298,29 @@ class Fleet:
         self.peak_placed = max(self.peak_placed, len(self._placements))
         return host
 
-    def _place(self, time_s: float, requirement: SandboxRequirement) -> Optional[Host]:
-        """Find (or open) a host and record the placement; ``None`` when full."""
-        chosen = choose_host(self.hosts, requirement, self.config.policy)
-        if chosen is None:
-            chosen = self._open_host(requirement)
-            if chosen is None:
-                return None
-            self._opened_at[chosen.name] = time_s
-        return self._place_on(chosen, requirement)
-
     def admit(self, time_s: float, sandbox_name: str, vcpus: float, memory_gb: float) -> Optional[Host]:
         """Place one sandbox; queues or rejects it when nothing fits.
 
         Returns the chosen host for direct placements.  Returns ``None`` when
         the sandbox was queued (backpressure enabled, bound not reached) or
-        rejected (oversized for every zone, queue full, or queueing disabled).
+        rejected (oversized for every zone, queue full, or queueing disabled);
+        a shape already known to find no room skips the placement scan.
         """
         self.last_event_s = max(self.last_event_s, time_s)
-        requirement = SandboxRequirement(sandbox_name, vcpus, memory_gb)
-        if not self._fits_some_zone(vcpus, memory_gb):
-            # Can never fit, so waiting for capacity release is pointless.
-            self._reject(time_s, sandbox_name, "oversized")
-            return None
-        host = self._place(time_s, requirement)
-        if host is not None:
-            self._publish(SandboxAdmitted(time_s, sandbox_name, host_name=host.name))
-            return host
+        if (vcpus, memory_gb) not in self._full_shapes:
+            requirement = SandboxRequirement(sandbox_name, vcpus, memory_gb)
+            if not self._fits_some_zone(vcpus, memory_gb):
+                # Can never fit, so waiting for capacity release is pointless.
+                self._reject(time_s, sandbox_name, "oversized")
+                return None
+            host = choose_host(self.hosts, requirement, self.config.policy)
+            if host is None:
+                host = self._open_host(time_s, requirement)
+            if host is not None:
+                self._place_on(host, requirement)
+                self._publish(SandboxAdmitted(time_s, sandbox_name, host_name=host.name))
+                return host
+            self._full_shapes.add((vcpus, memory_gb))
         if self.config.queue_depth > 0:
             if len(self.queue) < self.config.queue_depth:
                 self._enqueue(time_s, sandbox_name, vcpus, memory_gb)
@@ -389,6 +390,7 @@ class Fleet:
             return
         host, vcpus, memory_gb = placement
         host.remove(sandbox_name, vcpus, memory_gb)
+        self._full_shapes.clear()
         self.released += 1
         self._drain_queue(time_s)
 

@@ -384,14 +384,7 @@ class PlatformSimulator:
             # Single-concurrency platforms provision a fresh sandbox per excess
             # request; multi-concurrency platforms also cold-start when scaled
             # to zero.
-            sandbox = self._create_sandbox()
-            if sandbox.state is SandboxState.TERMINATED:
-                # The feedback layer reported the fleet rejected this sandbox's
-                # admission; the request it was provisioned for fails instead
-                # of waiting for a readiness that will never come.
-                self._fail_request(attempt, "admission_rejected", sandbox.name)
-                return
-            self._pending_cold.setdefault(sandbox.name, []).append(attempt)
+            self._create_sandbox(attempt)
             return
         # Multi-concurrency: all instances are at their concurrency limit; the
         # request queues at the ingress until capacity frees or the autoscaler
@@ -419,57 +412,62 @@ class PlatformSimulator:
         del routable[bisect_left(routable, (old_concurrency, name))]
         insort(routable, (sandbox.concurrency, name))
 
-    def _create_sandbox(self) -> Sandbox:
-        init_duration = self.platform.placement_delay_s + self.function.init_duration_s
+    def _create_sandbox(self, attempt: Optional[Attempt] = None) -> None:
+        """Cold-start a sandbox for ``attempt`` (``None``: for the autoscaler).
+
+        An attached fleet decides admission synchronously inside the
+        cold-start publish; a rejected cold start is never built, and the
+        attempt it was made for fails instead of waiting for readiness.
+        """
+        now = self._now
+        function = self.function
+        init_duration = self.platform.placement_delay_s + function.init_duration_s
         # Per-simulator, zero-padded names (prefixed with the simulator name in
         # a co-simulation): runs are reproducible regardless of how many
         # sandboxes other simulations in this process created, and
         # lexicographic tie-breaks in `_pick_sandbox` match creation order.
-        sandbox = Sandbox(
-            name=f"{self._id_prefix}sandbox-{next(self._sandbox_counter):06d}",
-            function_name=self.function.name,
-            alloc_vcpus=self.function.alloc_vcpus,
-            alloc_memory_gb=self.function.alloc_memory_gb,
-            contention=self.platform.contention,
-            created_s=self._now,
-            init_duration_s=init_duration,
-            runtime_workers=self.platform.concurrency.effective_workers,
-        )
-        self._sandboxes[sandbox.name] = sandbox
-        self._completion_version[sandbox.name] = 0
+        name = f"{self._id_prefix}sandbox-{next(self._sandbox_counter):06d}"
         self.bus.publish(
             SandboxColdStart(
-                self._now,
-                sandbox.name,
-                function_name=self.function.name,
-                alloc_vcpus=self.function.alloc_vcpus,
-                alloc_memory_gb=self.function.alloc_memory_gb,
+                now,
+                name,
+                function_name=function.name,
+                alloc_vcpus=function.alloc_vcpus,
+                alloc_memory_gb=function.alloc_memory_gb,
                 init_duration_s=init_duration,
             )
         )
-        # An attached fleet (subscribed downstream of the publish above) has
-        # synchronously decided this sandbox's admission by now; gate
-        # readiness on the outcome instead of scheduling it blindly.
-        self._resolve_admission(sandbox)
-        self.metrics.record_instances(self._now, self._instance_count())
-        return sandbox
-
-    def _resolve_admission(self, sandbox: Sandbox) -> None:
-        """Schedule, defer, or abort ``sandbox_ready`` from the fleet's decision."""
-        state = self._feedback.admission_state(sandbox.name)
+        feedback = self._feedback
+        state = feedback.admission_state(name)
+        if state is AdmissionState.REJECTED:
+            feedback.forget(name)
+            self.bus.publish(SandboxTerminated(now, name, reason="admission_rejected"))
+            self.metrics.record_instances(now, self._instance_count())
+            if attempt is not None:
+                self._fail_request(attempt, "admission_rejected", name)
+            return
+        self._sandboxes[name] = Sandbox(
+            name=name,
+            function_name=function.name,
+            alloc_vcpus=function.alloc_vcpus,
+            alloc_memory_gb=function.alloc_memory_gb,
+            contention=self.platform.contention,
+            created_s=now,
+            init_duration_s=init_duration,
+            runtime_workers=self.platform.concurrency.effective_workers,
+        )
+        self._completion_version[name] = 0
         if state is AdmissionState.QUEUED:
             # Initialisation cannot start until the sandbox lands on a host;
             # readiness is scheduled from the admission callback instead, so
             # the measured queue wait shifts `sandbox_ready` one-for-one.
-            self._feedback.gate_readiness(sandbox.name, self._on_admission_resolved)
-            return
-        if state is AdmissionState.REJECTED:
-            self._abort_sandbox(sandbox)
-            return
-        # ADMITTED, or None when no admission-publishing fleet is attached.
-        self._kernel.schedule_in(
-            sandbox.init_duration_s, self._kind_sandbox_ready, {"sandbox": sandbox.name}
-        )
+            feedback.gate_readiness(name, self._on_admission_resolved)
+        else:
+            # ADMITTED, or None when no admission-publishing fleet is attached.
+            self._kernel.schedule_in(init_duration, self._kind_sandbox_ready, {"sandbox": name})
+        self.metrics.record_instances(now, self._instance_count())
+        if attempt is not None:
+            self._pending_cold.setdefault(name, []).append(attempt)
 
     def _on_admission_resolved(self, event: SimEvent) -> None:
         """Feedback-channel callback: a queued sandbox was admitted or rejected."""
@@ -487,7 +485,9 @@ class PlatformSimulator:
         # allows a fleet to time queue entries out, so the platform must
         # handle it: tear the sandbox down, fail everything waiting on it.
         waiting = self._pending_cold.pop(name, [])
-        self._abort_sandbox(sandbox)
+        sandbox.terminate(self._now)
+        self._discard_sandbox(sandbox)
+        self.bus.publish(SandboxTerminated(self._now, name, reason="admission_rejected"))
         for attempt in waiting:
             self._fail_request(attempt, "admission_rejected", name)
         self.metrics.record_instances(self._now, self._instance_count())
@@ -512,12 +512,6 @@ class PlatformSimulator:
         index = bisect_left(routable, (sandbox.concurrency, name))
         if index < len(routable) and routable[index][1] == name:
             del routable[index]
-
-    def _abort_sandbox(self, sandbox: Sandbox) -> None:
-        """Tear down a sandbox whose fleet admission was rejected."""
-        sandbox.terminate(self._now)
-        self._discard_sandbox(sandbox)
-        self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="admission_rejected"))
 
     def _fail_request(self, attempt: Attempt, reason: str, sandbox_name: str = "") -> None:
         # One retry decision per failed attempt: the loop's answer stamps

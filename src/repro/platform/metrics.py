@@ -13,9 +13,9 @@ collector therefore keeps *incremental* aggregates next to the raw records:
   requests complete, in arrival order -- the same left-to-right order the
   old ``sum(...)`` calls used, so every derived statistic is bit-identical.
 
-``retain_outcomes=False`` additionally drops the per-request
-:class:`RequestOutcome` objects (the aggregates above are kept), bounding
-memory for million-request benchmark runs.  Record-level views
+``retain_outcomes=False`` additionally drops the per-request outcome and
+failure records (the aggregates and counters are kept), bounding memory
+for million-request benchmark runs.  Record-level views
 (``duration_timeline``, ``attempt_counts``) raise in that mode instead of
 silently returning empty results.
 """
@@ -176,8 +176,8 @@ class SimulationMetrics:
     slo_latency_s: Optional[float] = None
     #: Completions that met ``slo_latency_s`` (0 when no target is set).
     slo_attained: int = 0
-    #: ``False`` drops the per-request :class:`RequestOutcome` objects at
-    #: record time while keeping every incremental aggregate -- bounded
+    #: ``False`` drops the per-request outcome and failure records at record
+    #: time while keeping every incremental aggregate and counter -- bounded
     #: memory for million-request runs.  Record-level views
     #: (:meth:`duration_timeline`, :meth:`attempt_counts`) then raise.
     retain_outcomes: bool = True
@@ -192,7 +192,10 @@ class SimulationMetrics:
         self._latencies: np.ndarray = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         self._latency_sum: float = 0.0
         self._floor_sum: float = 0.0
-        self._completed_attempts_sum: int = 0
+        #: Attempts of every terminal request: completed or given up.
+        self._terminal_attempts_sum: int = 0
+        self._failed: int = 0
+        self._gave_up: int = 0
 
     def record(self, outcome: RequestOutcome) -> None:
         if self.retain_outcomes:
@@ -211,14 +214,19 @@ class SimulationMetrics:
         self._completed = index + 1
         self._latency_sum += latency
         self._floor_sum += outcome.service_floor_s
-        self._completed_attempts_sum += outcome.attempts
+        self._terminal_attempts_sum += outcome.attempts
         if outcome.cold_start:
             self.cold_starts += 1
         if self.slo_latency_s is not None and outcome.client_latency_s <= self.slo_latency_s:
             self.slo_attained += 1
 
     def record_failure(self, failure: FailedRequest) -> None:
-        self.failures.append(failure)
+        if self.retain_outcomes:
+            self.failures.append(failure)
+        self._failed += 1
+        if failure.gave_up:
+            self._gave_up += 1
+            self._terminal_attempts_sum += failure.attempts
 
     def record_denied(self) -> None:
         """Count a credit-denied arrival (terminal; never routed or retried)."""
@@ -233,7 +241,7 @@ class SimulationMetrics:
         self.instance_timeline.append((now_s, count))
 
     def _require_outcomes(self, what: str) -> None:
-        if not self.retain_outcomes and self._completed:
+        if not self.retain_outcomes and (self._completed or self._failed):
             raise RuntimeError(
                 f"{what} needs per-request outcome records, but this collector "
                 "was created with retain_outcomes=False"
@@ -249,12 +257,12 @@ class SimulationMetrics:
 
     @property
     def failed_requests(self) -> int:
-        return len(self.failures)
+        return self._failed
 
     @property
     def gave_up_requests(self) -> int:
         """Terminal failures: the client exhausted its attempts or budget."""
-        return sum(1 for f in self.failures if f.gave_up)
+        return self._gave_up
 
     @property
     def latency_sum_s(self) -> float:
@@ -282,17 +290,10 @@ class SimulationMetrics:
         """``(sum of attempts, count)`` over terminal requests.
 
         The integer-exact aggregate behind ``mean_attempts``-style columns,
-        available even with ``retain_outcomes=False``: the completed half is
-        accumulated at record time, the gave-up half read off the (always
-        retained) failure records.
+        available even with ``retain_outcomes=False``: it is accumulated at
+        record time.
         """
-        total = self._completed_attempts_sum
-        count = self._completed
-        for failure in self.failures:
-            if failure.gave_up:
-                total += failure.attempts
-                count += 1
-        return total, count
+        return self._terminal_attempts_sum, self._completed + self._gave_up
 
     def execution_durations_s(self) -> List[float]:
         return self._durations[: self._completed].tolist()
