@@ -52,7 +52,7 @@ Three cross-layer refinements ride on the same event stream:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.billing.calculator import BillingCalculator, InvocationBillingInput
 from repro.billing.models import FEE_LABEL, BillableTime, BillingModel, billable_quantities
@@ -198,7 +198,7 @@ class CostMeter:
 
     def attach(self, bus: EventBus, resources: Optional[RequestResources] = None) -> "CostMeter":
         """Subscribe to a bus; ``resources`` fills in what outcomes don't carry."""
-        prices: Dict[object, Callable] = {}  # this bus's compiled Equation 1, per flavor
+        prices: Dict[object, object] = {}  # this bus's compiled Equation 1, per flavor
         bus.subscribe(RequestCompleted, lambda event: self._meter(event.outcome, resources, prices))
         bus.subscribe(SandboxColdStart, self._on_cold_start)
         bus.subscribe(SandboxBusy, self._on_busy)
@@ -264,15 +264,16 @@ class CostMeter:
         used_memory_gb: float, cold_start: bool, price_class: Optional[str], attempts: int,
         tenant: str,
     ) -> None:
-        """Price one request with a compiled Equation 1 and fold it into the totals."""
-        rows, billable_cpu, billable_memory = price(
-            execution_s, init_s, used_cpu_seconds, used_memory_gb
-        )
-        total = fee = 0.0  # Invoice.total and charge_for(FEE_LABEL), without the invoice
-        for label, _, _, _, charge in rows:
-            total += charge
-            if label == FEE_LABEL:
-                fee += charge
+        """Price one request with a compiled Equation 1 and :meth:`_fold` it into the totals."""
+        self._fold(_charges(price, execution_s, init_s, used_cpu_seconds, used_memory_gb),
+                   execution_s, used_cpu_seconds, used_memory_gb, cold_start, price_class,
+                   attempts, tenant)
+
+    def _fold(self, charges: Tuple[float, float, float, float], execution_s: float,
+              used_cpu_seconds: float, used_memory_gb: float, cold_start: bool,
+              price_class: Optional[str], attempts: int, tenant: str) -> None:
+        """Fold one request's :func:`_charges` into the running totals."""
+        total, fee, billable_cpu, billable_memory = charges
         self.num_requests += 1
         if cold_start:
             self.num_cold_starts += 1
@@ -326,13 +327,15 @@ class CostMeter:
         self._meter(outcome, resources, {})
 
     def _meter(self, outcome: object, resources: Optional[RequestResources],
-               prices: Dict[object, Callable]) -> None:
+               prices: Dict[object, object]) -> None:
         """:meth:`meter_outcome`, reusing ``prices``: Equation 1 compiled per flavor.
 
         A simulator outcome's flavor is the bus's fixed ``resources`` context,
         so ``prices`` is keyed by price class alone; a trace record carries its
         own, keyed by ``(price_class, alloc_vcpus, alloc_memory_gb)``.  Either
-        way each bus compiles once per price class and flavor.
+        way each bus compiles once per price class and flavor.  A simulator
+        outcome's usages are fixed too, so where the model rounds time its
+        :func:`_charges` are memoised per billable duration (per step reached).
         """
         is_record = isinstance(outcome, RequestRecord)
         execution_s = None if is_record else getattr(outcome, "execution_duration_s", None)
@@ -350,7 +353,8 @@ class CostMeter:
             if cold:
                 self.num_cold_starts += 1
             return
-        price_class = self._resolve_price_class(str(getattr(outcome, "sandbox_name", "")))
+        price_class = None if self._price_class_resolver is None else self._resolve_price_class(
+            str(getattr(outcome, "sandbox_name", "")))
         if is_record:
             flavor, key = outcome, (price_class, outcome.alloc_vcpus, outcome.alloc_memory_gb)
             execution_s, init_s = outcome.duration_s, outcome.init_duration_s
@@ -365,14 +369,25 @@ class CostMeter:
             execution_s = float(execution_s)
             init_s = float(getattr(outcome, "init_duration_s", 0.0))
             used_cpu_seconds, used_memory_gb = resources.used_cpu_seconds, resources.used_memory_gb
-        price = prices.get(key)
-        if price is None:
-            price = prices[key] = self._calculator_for(price_class).compile(
-                flavor, self.include_invocation_fee
+        entry = prices.get(key)
+        if entry is None:
+            calculator = self._calculator_for(price_class)
+            model = calculator.model
+            entry = prices[key] = (
+                calculator.compile(flavor, self.include_invocation_fee), model.billable_seconds,
+                None if is_record or model.time_granularity_s <= 0 else {},
             )
-        self._book(price, execution_s, init_s, used_cpu_seconds, used_memory_gb, cold,
-                   price_class, int(getattr(outcome, "attempts", 1)),
-                   str(getattr(outcome, "tenant", "")))
+        price, billable_seconds, memo = entry
+        if memo is None:
+            charges = _charges(price, execution_s, init_s, used_cpu_seconds, used_memory_gb)
+        else:
+            billable = billable_seconds(execution_s, init_s, None, used_cpu_seconds)
+            charges = memo.get(billable)
+            if charges is None:
+                charges = memo[billable] = _charges(price, execution_s, init_s,
+                                                    used_cpu_seconds, used_memory_gb)
+        self._fold(charges, execution_s, used_cpu_seconds, used_memory_gb, cold, price_class,
+                   int(getattr(outcome, "attempts", 1)), str(getattr(outcome, "tenant", "")))
 
     # ------------------------------------------------------------------
     # Instance metering (sandbox lifecycle events)
@@ -470,6 +485,18 @@ class CostMeter:
             "allocated_vcpu_seconds": self.allocated_vcpu_seconds,
             "allocated_memory_gb_seconds": self.allocated_memory_gb_seconds,
         }
+
+
+def _charges(price: Callable, execution_s: float, init_s: float, used_cpu_seconds: float,
+             used_memory_gb: float) -> Tuple[float, float, float, float]:
+    """``(total, fee, billable_cpu, billable_memory)`` of one request priced by ``price``."""
+    rows, billable_cpu, billable_memory = price(execution_s, init_s, used_cpu_seconds, used_memory_gb)
+    total = fee = 0.0  # Invoice.total and charge_for(FEE_LABEL), without the invoice
+    for label, _, _, _, charge in rows:
+        total += charge
+        if label == FEE_LABEL:
+            fee += charge
+    return total, fee, billable_cpu, billable_memory
 
 
 def replay_trace(

@@ -177,6 +177,11 @@ class PlatformSimulator:
         #: sandbox -> fire time of its single pending keep-alive expiry check.
         self._keepalive_pending: Dict[str, float] = {}
         self.metrics = SimulationMetrics(retain_outcomes=retain_outcomes)
+        # The function's per-request constants, folded once for admit/completion.
+        self._sample_overhead = platform.serving.sampler(function.alloc_vcpus, self._rng)
+        self._cpu_time_s = function.cpu_time_s
+        self._io_time_s = function.io_time_s
+        self._service_time_s = function.service_time_s
         # Feedback off is an unattached channel: rate 1.0, no admission
         # state and an empty admission queue.
         self._feedback = feedback if feedback is not None else FeedbackChannel()
@@ -294,10 +299,6 @@ class PlatformSimulator:
     # Event plumbing
     # ------------------------------------------------------------------
 
-    @property
-    def _now(self) -> float:
-        return self._kernel.now
-
     def _instance_count(self) -> int:
         # The registry holds exactly the alive sandboxes (terminated ones are
         # discarded on the spot).
@@ -314,7 +315,7 @@ class PlatformSimulator:
         # attempt's metadata, and chunk-boundary arrivals from a streamed
         # source carry the stream to refill.
         data = event.data
-        now = self._now
+        now = self._kernel.now
         if data and "attempts" in data:
             attempt = Attempt(
                 request_id, now, data["origin_s"], data["attempts"], data["retry_wait_s"]
@@ -348,9 +349,9 @@ class PlatformSimulator:
             decision = self._admission.admit(self.name, now, attempt)
             if decision is not _ADMIT:
                 if decision is _DENY:
-                    self._deny_request(request_id)
+                    self._deny_request(request_id, now)
                 return
-        self._route(attempt)
+        self._route(attempt, now)
 
     def resume_admission(self, attempt: Attempt) -> None:
         """Route a credit-released attempt with its original arrival metadata.
@@ -360,14 +361,14 @@ class PlatformSimulator:
         is the arrival that was parked, so the credit wait is visible in the
         request's latency (and SLO attainment) like any other queueing delay.
         """
-        self._route(attempt)
+        self._route(attempt, self._kernel.now)
 
-    def _deny_request(self, request_id: str) -> None:
+    def _deny_request(self, request_id: str, now: float) -> None:
         """Record and publish a credit denial (terminal; nothing was routed)."""
         self.metrics.record_denied()
         self.bus.publish(
             RequestDenied(
-                self._now,
+                now,
                 request_id,
                 tenant=self._tenant,
                 function_name=self.function.name,
@@ -375,16 +376,16 @@ class PlatformSimulator:
             )
         )
 
-    def _route(self, attempt: Attempt) -> None:
+    def _route(self, attempt: Attempt, now: float) -> None:
         sandbox = self._pick_sandbox()
         if sandbox is not None:
-            self._admit(sandbox, attempt, cold=False)
+            self._admit(sandbox, attempt, False, now)
             return
         if self._max_concurrency == 1 or not self._sandboxes:
             # Single-concurrency platforms provision a fresh sandbox per excess
             # request; multi-concurrency platforms also cold-start when scaled
             # to zero.
-            self._create_sandbox(attempt)
+            self._create_sandbox(now, attempt)
             return
         # Multi-concurrency: all instances are at their concurrency limit; the
         # request queues at the ingress until capacity frees or the autoscaler
@@ -412,14 +413,13 @@ class PlatformSimulator:
         del routable[bisect_left(routable, (old_concurrency, name))]
         insort(routable, (sandbox.concurrency, name))
 
-    def _create_sandbox(self, attempt: Optional[Attempt] = None) -> None:
+    def _create_sandbox(self, now: float, attempt: Optional[Attempt] = None) -> None:
         """Cold-start a sandbox for ``attempt`` (``None``: for the autoscaler).
 
         An attached fleet decides admission synchronously inside the
         cold-start publish; a rejected cold start is never built, and the
         attempt it was made for fails instead of waiting for readiness.
         """
-        now = self._now
         function = self.function
         init_duration = self.platform.placement_delay_s + function.init_duration_s
         # Per-simulator, zero-padded names (prefixed with the simulator name in
@@ -444,7 +444,7 @@ class PlatformSimulator:
             self.bus.publish(SandboxTerminated(now, name, reason="admission_rejected"))
             self.metrics.record_instances(now, self._instance_count())
             if attempt is not None:
-                self._fail_request(attempt, "admission_rejected", name)
+                self._fail_request(attempt, "admission_rejected", now, name)
             return
         self._sandboxes[name] = Sandbox(
             name=name,
@@ -484,13 +484,14 @@ class PlatformSimulator:
         # admission time (before any gate exists), but the channel contract
         # allows a fleet to time queue entries out, so the platform must
         # handle it: tear the sandbox down, fail everything waiting on it.
+        now = self._kernel.now
         waiting = self._pending_cold.pop(name, [])
-        sandbox.terminate(self._now)
+        sandbox.terminate(now)
         self._discard_sandbox(sandbox)
-        self.bus.publish(SandboxTerminated(self._now, name, reason="admission_rejected"))
+        self.bus.publish(SandboxTerminated(now, name, reason="admission_rejected"))
         for attempt in waiting:
-            self._fail_request(attempt, "admission_rejected", name)
-        self.metrics.record_instances(self._now, self._instance_count())
+            self._fail_request(attempt, "admission_rejected", now, name)
+        self.metrics.record_instances(now, self._instance_count())
 
     def _discard_sandbox(self, sandbox: Sandbox) -> None:
         """Forget a terminated sandbox.
@@ -513,12 +514,11 @@ class PlatformSimulator:
         if index < len(routable) and routable[index][1] == name:
             del routable[index]
 
-    def _fail_request(self, attempt: Attempt, reason: str, sandbox_name: str = "") -> None:
+    def _fail_request(self, attempt: Attempt, reason: str, now: float, sandbox_name: str) -> None:
         # One retry decision per failed attempt: the loop's answer stamps
         # gave_up and drives the re-arrival, so the two always agree.
         # Elapsed time since the logical request's first attempt feeds the
         # policy's retry deadline.
-        now = self._now
         retry = self._retry
         delay = (
             retry.next_delay(self.name, attempt.attempts, now - attempt.origin_s)
@@ -572,31 +572,25 @@ class PlatformSimulator:
         sandbox = self._sandboxes.get(event.data["sandbox"])
         if sandbox is None or sandbox.state is SandboxState.TERMINATED:
             return
-        sandbox.mark_ready(self._now)
+        now = self._kernel.now
+        sandbox.mark_ready(now)
         insort(self._routable, (sandbox.concurrency, sandbox.name))
         waiting = self._pending_cold.pop(sandbox.name, [])
         for attempt in waiting:
             # The request(s) that waited for this sandbox experienced the cold start.
-            self._admit(sandbox, attempt, cold=True)
-        self._drain_queue()
-        self._maybe_schedule_keepalive(sandbox)
+            self._admit(sandbox, attempt, True, now)
+        self._drain_queue(now)
+        self._maybe_schedule_keepalive(sandbox, now)
 
-    def _admit(self, sandbox: Sandbox, attempt: Attempt, cold: bool) -> None:
-        now = self._now
-        overhead = self.platform.serving.sample_overhead_s(self.function.alloc_vcpus, self._rng)
-        request = ActiveRequest(
-            attempt=attempt,
-            remaining_cpu_s=self.function.cpu_time_s,
-            io_remaining_s=self.function.io_time_s + overhead,
-            overhead_s=overhead,
-            cold_start=cold,
-            init_wait_s=(now - attempt.arrival_s) if cold else 0.0,
-        )
+    def _admit(self, sandbox: Sandbox, attempt: Attempt, cold: bool, now: float) -> None:
+        overhead = self._sample_overhead()
+        request = ActiveRequest(attempt, self._cpu_time_s, self._io_time_s + overhead, overhead,
+                                cold, (now - attempt.arrival_s) if cold else 0.0)
         was_busy = sandbox.state is SandboxState.BUSY
         concurrency = sandbox.concurrency
         sandbox.admit(request, now)
         self._reindex(sandbox, concurrency)
-        self._refresh_rate_factor(sandbox)
+        self._refresh_rate_factor(sandbox, now)
         if self._emit_spans:
             self.bus.publish(
                 RequestExecuting(
@@ -609,9 +603,9 @@ class PlatformSimulator:
             )
         if not was_busy:
             self.bus.publish(SandboxBusy(now, sandbox.name, sandbox.concurrency))
-        self._schedule_completion_check(sandbox)
+        self._schedule_completion_check(sandbox, now)
 
-    def _refresh_rate_factor(self, sandbox: Sandbox) -> None:
+    def _refresh_rate_factor(self, sandbox: Sandbox, now: float) -> None:
         """Re-read the feedback channel's combined slowdown at event-schedule time.
 
         Called *after* the sandbox advanced its requests to ``now`` (so the
@@ -621,82 +615,79 @@ class PlatformSimulator:
         feedback off the channel has no modifiers and the factor stays at
         exactly ``1.0`` -- the float-identical pre-feedback behaviour.
         """
-        sandbox.rate_factor = self._feedback.service_rate(self._now)
+        sandbox.rate_factor = self._feedback.service_rate(now)
 
     # ------------------------------------------------------------------
     # Completion handling
     # ------------------------------------------------------------------
 
-    def _schedule_completion_check(self, sandbox: Sandbox) -> None:
-        name = sandbox.name
+    def _schedule_completion_check(self, sandbox: Sandbox, now: float) -> None:
+        self._arm_completion_check(sandbox.name, now, sandbox.next_completion_time(now))
+
+    def _arm_completion_check(self, name: str, now: float, next_time: Optional[float]) -> None:
+        """Supersede the sandbox's pending check with one at ``next_time`` (``None``: none)."""
         version = self._completion_version[name] + 1
         self._completion_version[name] = version
-        now = self._now
-        next_time = sandbox.next_completion_time(now)
-        if next_time is None:
-            return
-        self._kernel.schedule(
-            max(next_time, now),
-            self._kind_completion,
-            {"sandbox": sandbox.name, "version": version},
-        )
+        if next_time is not None:
+            self._kernel.schedule(now if now > next_time else next_time, self._kind_completion,
+                                  {"sandbox": name, "version": version})
 
     def _handle_completion(self, event: Event) -> None:
-        name = event.data["sandbox"]
-        sandbox = self._sandboxes.get(name)
-        if sandbox is None or sandbox.state is SandboxState.TERMINATED:
-            return
-        if event.data["version"] != self._completion_version[name]:
-            return  # stale check; membership changed since it was scheduled
-        now = self._now
-        sandbox.advance(now)
-        finished = sandbox.completed_requests()
-        for request_id, request in finished.items():
+        data = event.data
+        name = data["sandbox"]
+        if data["version"] != self._completion_version.get(name):
+            return  # stale: membership changed, or the sandbox is gone (no version)
+        sandbox = self._sandboxes[name]
+        now = self._kernel.now
+        finished = sandbox.advance(now)
+        if not finished:
+            self._refresh_rate_factor(sandbox, now)
+            next_time = sandbox.next_completion_time(now)
+            if next_time is None or next_time > now:
+                self._arm_completion_check(name, now, next_time)
+                return
+            # Armed at `now`, this check would fire into the same state
+            # forever: far from t = 0 a residual above the done tolerance can
+            # still round to `now`.  Finish what the clock cannot tell apart.
+            finished = sandbox.stalled_requests(now)
+            if not finished:
+                raise RuntimeError(f"sandbox {name} stalled at t={now!r} with no request to finish")
+        for request in finished:
+            attempt = request.attempt
+            request_id = attempt.request_id
             concurrency = sandbox.concurrency
             sandbox.remove(request_id, now)
             self._reindex(sandbox, concurrency)
-            attempt = request.attempt
             exec_start = request.exec_start_s
+            queue_delay = exec_start - attempt.arrival_s - request.init_wait_s
             outcome = RequestOutcome(
-                request_id=request_id,
-                arrival_s=attempt.arrival_s,
-                origin_s=attempt.origin_s,
-                start_s=exec_start,
-                completion_s=now,
-                execution_duration_s=now - exec_start,
-                cold_start=request.cold_start,
-                init_duration_s=request.init_wait_s,
-                queue_delay_s=max(exec_start - attempt.arrival_s - request.init_wait_s, 0.0),
-                sandbox_name=sandbox.name,
-                service_floor_s=self.function.service_time_s + request.overhead_s,
-                attempts=attempt.attempts,
-                retry_wait_s=attempt.retry_wait_s,
-                tenant=self._tenant,
+                request_id, attempt.arrival_s, attempt.origin_s, exec_start, now, now - exec_start,
+                request.cold_start, request.init_wait_s, 0.0 if 0.0 > queue_delay else queue_delay,
+                name, self._service_time_s + request.overhead_s, attempt.attempts,
+                attempt.retry_wait_s, self._tenant,
             )
             self.metrics.record(outcome)
             self.bus.publish(RequestCompleted(now, outcome))
-        if finished:
-            self._drain_queue()
-            self._maybe_schedule_keepalive(sandbox)
-        self._refresh_rate_factor(sandbox)
-        self._schedule_completion_check(sandbox)
+        self._drain_queue(now)
+        self._maybe_schedule_keepalive(sandbox, now)
+        self._refresh_rate_factor(sandbox, now)
+        self._schedule_completion_check(sandbox, now)
 
-    def _drain_queue(self) -> None:
+    def _drain_queue(self, now: float) -> None:
         """Move queued requests onto sandboxes with free capacity (FIFO)."""
         while self._queue:
             sandbox = self._pick_sandbox()
             if sandbox is None:
                 return
-            self._admit(sandbox, self._queue.popleft(), cold=False)
+            self._admit(sandbox, self._queue.popleft(), False, now)
 
     # ------------------------------------------------------------------
     # Keep-alive and termination
     # ------------------------------------------------------------------
 
-    def _maybe_schedule_keepalive(self, sandbox: Sandbox) -> None:
+    def _maybe_schedule_keepalive(self, sandbox: Sandbox, now: float) -> None:
         if sandbox.state is not SandboxState.IDLE:
             return
-        now = self._now
         self.bus.publish(SandboxIdle(now, sandbox.name))
         keep_alive = self.platform.keep_alive.sample_keep_alive_s(
             self._rng, scaled_out_instances=self._instance_count()
@@ -740,10 +731,11 @@ class PlatformSimulator:
                     deadline, self._kind_keepalive_expire, {"sandbox": name, "deadline": deadline}
                 )
             return
-        sandbox.terminate(self._now)
+        now = self._kernel.now
+        sandbox.terminate(now)
         self._discard_sandbox(sandbox)
-        self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="keepalive_expire"))
-        self.metrics.record_instances(self._now, self._instance_count())
+        self.bus.publish(SandboxTerminated(now, sandbox.name, reason="keepalive_expire"))
+        self.metrics.record_instances(now, self._instance_count())
 
     # ------------------------------------------------------------------
     # Autoscaling (a periodic kernel process, registered in __init__)
@@ -765,17 +757,17 @@ class PlatformSimulator:
         busy_vcpus = fold(
             min(float(s.concurrency), s.alloc_vcpus) for s in alive if s.state is SandboxState.BUSY
         )
-        self._autoscaler.observe(self._now, active_requests, busy_vcpus, len(alive))
-        desired = self._autoscaler.desired_instances(self._now, len(alive))
+        self._autoscaler.observe(now_s, active_requests, busy_vcpus, len(alive))
+        desired = self._autoscaler.desired_instances(now_s, len(alive))
         current = len(alive)
         if desired > current:
             for _ in range(desired - current):
-                self._create_sandbox()
+                self._create_sandbox(now_s)
         elif desired < current:
             removable = [s for s in alive if s.state is SandboxState.IDLE]
             for sandbox in removable[: current - desired]:
-                sandbox.terminate(self._now)
+                sandbox.terminate(now_s)
                 self._discard_sandbox(sandbox)
-                self.bus.publish(SandboxTerminated(self._now, sandbox.name, reason="scale_down"))
-        self.metrics.record_instances(self._now, self._instance_count())
-        self._drain_queue()
+                self.bus.publish(SandboxTerminated(now_s, sandbox.name, reason="scale_down"))
+        self.metrics.record_instances(now_s, self._instance_count())
+        self._drain_queue(now_s)

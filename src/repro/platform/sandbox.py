@@ -136,34 +136,51 @@ class Sandbox:
     # Processor-sharing execution
     # ------------------------------------------------------------------
 
-    def advance(self, now_s: float) -> None:
-        """Advance executing requests' progress to ``now_s`` under processor sharing."""
-        if now_s < self._last_progress_update_s - _CLOCK_SKEW_S:
-            raise ValueError("time went backwards in sandbox advance")
-        elapsed = max(now_s - self._last_progress_update_s, 0.0)
-        self._last_progress_update_s = now_s
-        if elapsed <= 0 or not self.executing:
-            return
-        rate = self._per_request_rate() * self.rate_factor
-        for request in self.executing.values():
-            if request.remaining_cpu_s > 0:
-                consumed = min(request.remaining_cpu_s, elapsed * rate)
-                request.remaining_cpu_s -= consumed
-                # IO only starts after the CPU phase finishes; leftover elapsed
-                # time beyond the CPU completion counts toward IO.
-                leftover = elapsed - (consumed / rate if rate > 0 else 0.0)
-                if request.remaining_cpu_s <= _WORK_DONE_S and leftover > 0:
-                    request.io_remaining_s = max(request.io_remaining_s - leftover, 0.0)
-            else:
-                request.io_remaining_s = max(request.io_remaining_s - elapsed, 0.0)
+    def advance(self, now_s: float) -> List[ActiveRequest]:
+        """Advance progress to ``now_s`` under processor sharing; return the done requests.
 
-    def _per_request_rate(self) -> float:
-        """The contention model's rate for the current executing count (memoised)."""
-        n = len(self.executing)
+        Done means both phases finished; the list is in admission order.  ``min``
+        and ``max`` are spelled as the comparisons that return the same operand.
+        """
+        last = self._last_progress_update_s
+        if now_s < last - _CLOCK_SKEW_S:
+            raise ValueError("time went backwards in sandbox advance")
+        elapsed = now_s - last
+        if 0.0 > elapsed:
+            elapsed = 0.0
+        self._last_progress_update_s = now_s
+        executing = self.executing
+        if elapsed <= 0 or not executing:
+            return [r for r in executing.values()
+                    if r.remaining_cpu_s <= _WORK_DONE_S and r.io_remaining_s <= _WORK_DONE_S]
+        n = len(executing)
         if n != self._rate_count:
             self._rate_count = n
             self._contended_rate = self.contention.per_request_rate(n, self.alloc_vcpus)
-        return self._contended_rate
+        rate = self._contended_rate * self.rate_factor
+        step = elapsed * rate
+        done = []
+        for request in executing.values():
+            cpu = request.remaining_cpu_s
+            if cpu > 0:
+                consumed = cpu if not (step < cpu) else step
+                request.remaining_cpu_s = cpu = cpu - consumed
+                if cpu <= _WORK_DONE_S:
+                    # IO only starts after the CPU phase finishes; leftover
+                    # elapsed time beyond the CPU completion counts toward IO.
+                    io = request.io_remaining_s
+                    leftover = elapsed - (consumed / rate if rate > 0 else 0.0)
+                    if leftover > 0:
+                        io -= leftover
+                        request.io_remaining_s = io = 0.0 if 0.0 > io else io
+                    if io <= _WORK_DONE_S:
+                        done.append(request)
+            else:
+                io = request.io_remaining_s - elapsed
+                request.io_remaining_s = io = 0.0 if 0.0 > io else io
+                if io <= _WORK_DONE_S and cpu <= _WORK_DONE_S:
+                    done.append(request)
+        return done
 
     def admit(self, request: ActiveRequest, now_s: float) -> None:
         """Admit a request: it starts executing if a runtime worker is free, else waits."""
@@ -176,14 +193,6 @@ class Sandbox:
         self.concurrency += 1
         self.state = SandboxState.BUSY
         self.keep_alive_deadline_s = float("inf")
-
-    def completed_requests(self) -> Dict[str, ActiveRequest]:
-        """Executing requests whose CPU and IO phases have both finished."""
-        return {
-            rid: req
-            for rid, req in self.executing.items()
-            if req.remaining_cpu_s <= _WORK_DONE_S and req.io_remaining_s <= _WORK_DONE_S
-        }
 
     def remove(self, request_id: str, now_s: float) -> ActiveRequest:
         """Remove a finished request and promote the oldest waiting request, if any."""
@@ -200,23 +209,32 @@ class Sandbox:
 
     def next_completion_time(self, now_s: float) -> Optional[float]:
         """Earliest time at which some executing request could finish, given current sharing."""
-        if not self.executing:
+        executing = self.executing
+        if not executing:
             return None
-        rate = self._per_request_rate() * self.rate_factor
+        n = len(executing)
+        if n != self._rate_count:
+            self._rate_count = n
+            self._contended_rate = self.contention.per_request_rate(n, self.alloc_vcpus)
+        rate = self._contended_rate * self.rate_factor
         best: Optional[float] = None
-        for request in self.executing.values():
-            if request.remaining_cpu_s > _WORK_DONE_S:
+        for request in executing.values():
+            cpu = request.remaining_cpu_s
+            if cpu > _WORK_DONE_S:
                 if rate <= 0:
                     continue
-                t = now_s + request.remaining_cpu_s / rate + request.io_remaining_s
+                t = now_s + cpu / rate + request.io_remaining_s
             else:
                 t = now_s + request.io_remaining_s
             if best is None or t < best:
                 best = t
         return best
 
-    def idle_time(self, now_s: float) -> float:
-        """How long the sandbox has been idle (0 when busy or initialising)."""
-        if self.state is not SandboxState.IDLE:
-            return 0.0
-        return max(now_s - self.last_busy_s, 0.0)
+    def stalled_requests(self, now_s: float) -> List[ActiveRequest]:
+        """Executing requests whose :meth:`next_completion_time` projection rounds to ``now_s``."""
+        rate = self.contention.per_request_rate(len(self.executing), self.alloc_vcpus) * self.rate_factor
+        return [
+            r for r in self.executing.values()
+            if (now_s + r.io_remaining_s <= now_s if r.remaining_cpu_s <= _WORK_DONE_S else
+                rate > 0 and now_s + r.remaining_cpu_s / rate + r.io_remaining_s <= now_s)
+        ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -91,11 +92,13 @@ class ServingOverheadModel:
             scale += self.cpu_sensitivity * (1.0 / alloc_vcpus - 1.0)
         return self.base_overhead_s * scale
 
-    def sample_overhead_s(self, alloc_vcpus: float, rng: np.random.Generator) -> float:
-        """Draw one per-request overhead sample (lognormal around the mean)."""
+    def sampler(self, alloc_vcpus: float, rng: np.random.Generator) -> Callable[[], float]:
+        """``sample()``: one overhead draw from ``rng`` (lognormal around the allocation's mean)."""
         mean = self.mean_overhead_s(alloc_vcpus)
         if mean <= 0:
-            return 0.0
+            return lambda: 0.0
         sigma = self.jitter_fraction
         # Lognormal with the requested mean: mu = ln(mean) - sigma^2 / 2.
-        return float(rng.lognormal(np.log(mean) - 0.5 * sigma**2, sigma))
+        mu = np.log(mean) - 0.5 * sigma**2
+        lognormal = rng.lognormal
+        return lambda: float(lognormal(mu, sigma))

@@ -34,7 +34,8 @@ class TestServingOverhead:
     def test_sample_positive_and_near_mean(self):
         model = ServingOverheadModel.http_server()
         rng = np.random.default_rng(0)
-        samples = [model.sample_overhead_s(1.0, rng) for _ in range(500)]
+        sample = model.sampler(1.0, rng)
+        samples = [sample() for _ in range(500)]
         assert all(s > 0 for s in samples)
         assert np.mean(samples) == pytest.approx(model.mean_overhead_s(1.0), rel=0.15)
 
@@ -353,9 +354,8 @@ class TestSandbox:
         sandbox.mark_ready(0.0)
         sandbox.admit(self._request("a", cpu=0.1), 0.0)
         sandbox.admit(self._request("b", cpu=0.1), 0.0)
-        sandbox.advance(0.1)
-        done = sandbox.completed_requests()
-        assert set(done) == {"a"}
+        done = sandbox.advance(0.1)
+        assert [r.attempt.request_id for r in done] == ["a"]
         sandbox.remove("a", 0.1)
         assert "b" in sandbox.executing
         assert sandbox.executing["b"].exec_start_s == pytest.approx(0.1)
@@ -369,7 +369,7 @@ class TestSandbox:
         sandbox.advance(0.05)
         sandbox.remove("a", 0.05)
         assert sandbox.state is SandboxState.IDLE
-        assert sandbox.idle_time(0.15) == pytest.approx(0.1)
+        assert sandbox.last_busy_s == 0.05
 
     def test_next_completion_time(self):
         sandbox = self._sandbox()
