@@ -18,12 +18,19 @@ identity, so sequential and parallel sweeps produce identical rows.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis.scenario import ClusterScenarioParams, run_cluster_grid, run_cluster_scenario
+from repro.cluster.fleet import QUEUE_DISCIPLINES, ZoneConfig
+from repro.cluster.host import HostSpec
+from repro.cluster.placement import PlacementPolicy
+from repro.sim.params import from_mapping
 from repro.sim.results import ResultStore
 from repro.sim.rng import named_generator
 
 __all__ = [
+    "BackpressurePointParams",
     "backpressure_point",
     "backpressure_sweep",
     "retry_amplification_sweep",
@@ -59,10 +66,7 @@ RETRY_AXES: Dict[str, Sequence[object]] = {
 
 
 def _zones(heterogeneity: str, host_vcpus: float, host_memory_gb: float, max_hosts: int):
-    """The fleet partitions of one grid point (imports deferred for workers)."""
-    from repro.cluster.fleet import ZoneConfig
-    from repro.cluster.host import HostSpec
-
+    """The fleet partitions of one grid point (``heterogeneity`` is parsed)."""
     if heterogeneity == "homogeneous":
         return (
             ZoneConfig(
@@ -71,25 +75,23 @@ def _zones(heterogeneity: str, host_vcpus: float, host_memory_gb: float, max_hos
                 max_hosts=max_hosts,
             ),
         )
-    if heterogeneity == "two_tier":
-        # An economy tier priced at the default unit rates next to a premium
-        # tier with twice the shape at a 5x price: cost-aware placement
-        # should fill economy hosts first and strand less premium capacity.
-        # The two zones *split* the host cap (ceil to economy), so a two_tier
-        # point never opens more hosts than the homogeneous one.
-        economy = HostSpec(vcpus=host_vcpus, memory_gb=host_memory_gb, price_class="economy")
-        premium = HostSpec(
-            vcpus=host_vcpus * 2.0,
-            memory_gb=host_memory_gb * 2.0,
-            hourly_cost_usd=economy.hourly_cost_usd * 5.0,
-            price_class="premium",
-        )
-        split = (max_hosts + 1) // 2
-        return (
-            ZoneConfig(name="economy", host_spec=economy, max_hosts=split),
-            ZoneConfig(name="premium", host_spec=premium, max_hosts=max_hosts - split),
-        )
-    raise ValueError(f"unknown heterogeneity {heterogeneity!r}; choose from {HETEROGENEITIES}")
+    # "two_tier": an economy tier priced at the default unit rates next to a
+    # premium tier with twice the shape at a 5x price: cost-aware placement
+    # should fill economy hosts first and strand less premium capacity.  The
+    # two zones *split* the host cap (ceil to economy), so a two_tier point
+    # never opens more hosts than the homogeneous one.
+    economy = HostSpec(vcpus=host_vcpus, memory_gb=host_memory_gb, price_class="economy")
+    premium = HostSpec(
+        vcpus=host_vcpus * 2.0,
+        memory_gb=host_memory_gb * 2.0,
+        hourly_cost_usd=economy.hourly_cost_usd * 5.0,
+        price_class="premium",
+    )
+    split = (max_hosts + 1) // 2
+    return (
+        ZoneConfig(name="economy", host_spec=economy, max_hosts=split),
+        ZoneConfig(name="premium", host_spec=premium, max_hosts=max_hosts - split),
+    )
 
 
 def _scheduler(seed: int, horizon_s: float):
@@ -117,85 +119,60 @@ def _scheduler(seed: int, horizon_s: float):
     return SchedulerSim(config, tasks)
 
 
+@dataclass(frozen=True)
+class BackpressurePointParams:
+    """The params keys of :func:`backpressure_point`, with their defaults.
+
+    The fleet is kept small (``max_hosts``) so it saturates; ``keep_alive_s``
+    defaults to a third of ``duration_s``, so evictions drain the queue
+    mid-run; ``with_scheduler`` co-simulates the CPU-bandwidth scheduler.
+    """
+
+    queue_depth: int
+    placement_policy: str = field(metadata={"choices": PlacementPolicy})
+    heterogeneity: str = field(metadata={"choices": HETEROGENEITIES})
+    queue_discipline: str = field(default="fifo", metadata={"choices": QUEUE_DISCIPLINES})
+    num_functions: int = 6
+    max_hosts: int = 2
+    duration_s: float = 30.0
+    keep_alive_s: Optional[float] = None
+    host_vcpus: float = 2.0
+    host_memory_gb: float = 4.0
+    with_scheduler: bool = True
+    scenario: ClusterScenarioParams = field(default_factory=ClusterScenarioParams)
+
+
 def backpressure_point(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     """Sweep runner: one backpressure co-simulation grid point.
 
-    Expected params: ``queue_depth``, ``placement_policy`` (any
-    :class:`~repro.cluster.placement.PlacementPolicy` value, including
-    ``cost_fit``), ``heterogeneity`` (``homogeneous`` | ``two_tier``), and
-    optionally ``num_functions``, ``max_hosts`` (kept small so the fleet
-    saturates), ``queue_discipline`` (``fifo`` | ``smallest_first``),
-    ``platform`` (preset name), ``billing`` (billing-model name),
-    ``workload``, ``rps_per_function``, ``duration_s``, ``keep_alive_s``
-    (rescales the preset's keep-alive window; defaults to a third of the
-    duration so evictions drain the queue mid-run), ``arrival_process``,
-    ``host_vcpus``, ``host_memory_gb``, ``sample_interval_s``,
-    ``with_scheduler`` (default true: co-simulate the sched engine), and
-    ``feedback`` (``off`` | ``on``, default ``off``).  With feedback on the
-    admission outcomes and scheduler throttling feed back into serving, so
-    the ``failed_requests`` / ``latency_inflation`` columns report the
-    user-visible cost of backpressure instead of zero.
-
-    ``retry`` (``off`` | ``on``) adds the client retry loop on top of the
-    closed feedback loop: failed requests are re-injected with exponential
-    backoff (tunable via ``retry_max_attempts``, ``retry_base_backoff_s``,
-    ``retry_backoff_multiplier``, ``retry_max_backoff_s``, ``retry_jitter``,
-    ``retry_budget``) and the row gains the ``retried_requests`` /
-    ``mean_attempts`` / ``gave_up_requests`` / ``retry_amplification``
-    columns.  When the ``retry`` param is absent entirely the row is
-    byte-identical to the pre-retry output.
-
-    ``tenants`` (``off`` | an integer count, resolved through
-    :func:`repro.tenancy.model.resolve_tenants` with the ``tenant_*``
-    knobs) adds credit-metered multi-tenant admission over the same closed
-    loop: rows gain the ``credit_denied_requests`` / ``jain_fairness`` /
-    per-tenant columns, and when the param is absent entirely rows stay
-    byte-identical to the pre-tenancy output.
-
-    ``trace_out`` / ``telemetry_out`` / ``profile_out`` (file paths) attach
-    the observability layer for this point and write its artifacts after the
-    run: a Chrome-trace JSON (``.jsonl`` for raw span lines), the sampled
-    telemetry series as CSV, and the kernel profile as JSON.  Observers only
-    read the bus, so the returned row is byte-identical with or without them.
-
-    Imports stay inside the function so the runner is resolvable by dotted
-    path in sweep worker processes without import cycles.
+    Its keys, defaults and allowed values are the fields of
+    :class:`BackpressurePointParams`; what the shared keys add to the row is
+    described on :class:`~repro.analysis.scenario.ClusterScenarioParams`.
     """
-    from repro.analysis.scenario import run_cluster_scenario
-    from repro.cluster.placement import PlacementPolicy
-
-    queue_depth = int(params["queue_depth"])  # type: ignore[arg-type]
-    policy = PlacementPolicy(str(params["placement_policy"]))
-    heterogeneity = str(params["heterogeneity"])
-    discipline = str(params.get("queue_discipline", "fifo"))
-    duration_s = float(params.get("duration_s", 30.0))  # type: ignore[arg-type]
-    zones = _zones(
-        heterogeneity,
-        float(params.get("host_vcpus", 2.0)),  # type: ignore[arg-type]
-        float(params.get("host_memory_gb", 4.0)),  # type: ignore[arg-type]
-        int(params.get("max_hosts", 2)),  # type: ignore[arg-type]
-    )
+    point = from_mapping(BackpressurePointParams, params)
+    policy = PlacementPolicy(point.placement_policy)
+    zones = _zones(point.heterogeneity, point.host_vcpus, point.host_memory_gb, point.max_hosts)
     return run_cluster_scenario(
-        params,
+        point.scenario,
         seed,
         head={
-            "queue_depth_bound": queue_depth,
+            "queue_depth_bound": point.queue_depth,
             "placement_policy": policy.value,
-            "heterogeneity": heterogeneity,
-            "queue_discipline": discipline,
+            "heterogeneity": point.heterogeneity,
+            "queue_discipline": point.queue_discipline,
         },
         fleet={
             "policy": policy,
             "zones": zones,
-            "queue_depth": queue_depth,
-            "queue_discipline": discipline,
+            "queue_depth": point.queue_depth,
+            "queue_discipline": point.queue_discipline,
         },
-        num_functions=int(params.get("num_functions", 6)),  # type: ignore[arg-type]
-        duration_s=duration_s,
-        # Defaults to a third of the duration so keep-alive expiries free
-        # capacity mid-run and the admission queue drains.
-        keep_alive_s=float(params.get("keep_alive_s", duration_s / 3.0)),  # type: ignore[arg-type]
-        scheduler=_scheduler(seed, duration_s) if params.get("with_scheduler", True) else None,
+        num_functions=point.num_functions,
+        duration_s=point.duration_s,
+        keep_alive_s=(
+            point.keep_alive_s if point.keep_alive_s is not None else point.duration_s / 3.0
+        ),
+        scheduler=_scheduler(seed, point.duration_s) if point.with_scheduler else None,
     )
 
 
@@ -209,21 +186,12 @@ def backpressure_sweep(
 ) -> ResultStore:
     """Run the backpressure grid through the sweep orchestrator.
 
-    ``backend`` / ``checkpoint`` pass through to
-    :func:`repro.sim.sweep.run_sweep`: any execution backend and an optional
-    JSONL journal that makes the sweep kill/resume-safe.  Rows are
-    byte-identical across all of them.
-
-    ``first_point_extra`` merges extra params into the *first* grid point
-    only -- how the CLI attaches ``trace_out``/``telemetry_out``/``profile_out``
-    artifact paths to a single representative point without every worker racing to
-    write the same files.  Scenario seeds derive from grid identity, not
-    params, so the extra keys leave every row byte-identical.
+    The parameters are those of
+    :func:`repro.analysis.cluster_costs.cluster_cost_sweep`.
     """
-    from repro.analysis.scenario import run_cluster_grid
-
     return run_cluster_grid(
         "repro.analysis.backpressure:backpressure_point",
+        BackpressurePointParams,
         axes or DEFAULT_AXES,
         common=common,
         base_seed=base_seed,

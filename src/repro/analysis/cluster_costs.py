@@ -15,11 +15,16 @@ so sequential and parallel sweeps produce identical rows.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.analysis.scenario import ClusterScenarioParams, run_cluster_grid, run_cluster_scenario
+from repro.cluster.host import HostSpec
+from repro.cluster.placement import PlacementPolicy
+from repro.sim.params import from_mapping
 from repro.sim.results import ResultStore
 
-__all__ = ["cluster_point", "cluster_cost_sweep", "DEFAULT_AXES"]
+__all__ = ["ClusterPointParams", "cluster_point", "cluster_cost_sweep", "DEFAULT_AXES"]
 
 #: Default sweep axes: fleet size (deployed functions) x placement policy x
 #: keep-alive window (seconds, scales the platform preset's window).
@@ -30,64 +35,44 @@ DEFAULT_AXES: Dict[str, Sequence[object]] = {
 }
 
 
+@dataclass(frozen=True)
+class ClusterPointParams:
+    """The params keys of :func:`cluster_point`, with their defaults.
+
+    ``keep_alive_s`` is the swept keep-alive window: the preset's window is
+    rescaled so its max equals it.
+    """
+
+    num_functions: int
+    placement_policy: str = field(metadata={"choices": PlacementPolicy})
+    keep_alive_s: float
+    duration_s: float = 60.0
+    host_vcpus: float = 16.0
+    host_memory_gb: float = 64.0
+    scenario: ClusterScenarioParams = field(default_factory=ClusterScenarioParams)
+
+
 def cluster_point(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     """Sweep runner: one cluster co-simulation grid point.
 
-    Expected params: ``num_functions``, ``placement_policy``
-    (``first_fit`` | ``best_fit`` | ``worst_fit``), ``keep_alive_s`` (the
-    swept keep-alive window; the preset's window is rescaled so its max
-    equals this value), and optionally ``platform`` (preset name, default
-    ``gcp_run_like``), ``billing`` (billing-model name, default
-    ``gcp_run_request``), ``workload`` (catalog name, default ``pyaes``),
-    ``rps_per_function``, ``duration_s``, ``arrival_process``,
-    ``host_vcpus``, ``host_memory_gb``, ``sample_interval_s``,
-    ``feedback`` (``off`` | ``on``, default ``off``: close the state loop so
-    admission outcomes and scheduler throttling shape the
-    ``failed_requests`` / ``latency_inflation`` columns), and ``retry``
-    (``off`` | ``on``: re-inject failed requests through the client retry
-    loop, tunable via the ``retry_*`` params of
-    :meth:`repro.sim.retry.RetryPolicy.from_params`; rows then gain the
-    retry columns, and when the param is absent entirely rows stay
-    byte-identical to the pre-retry output).
-
-    Tenancy params (:func:`repro.tenancy.model.resolve_tenants`):
-    ``tenants`` (``off`` | an integer tenant count) plus the
-    ``tenant_credit_capacity`` / ``tenant_credit_refill_per_s`` /
-    ``tenant_request_cost`` / ``tenant_on_exhausted`` /
-    ``tenant_max_queued`` / ``tenant_slo_latency_s`` knobs.  An integer
-    turns on credit-metered admission (deployments assigned round-robin)
-    and adds the per-tenant fairness/SLO columns; when the param is absent
-    entirely rows stay byte-identical to the pre-tenancy output.
-
-    Observability params (all optional, all passive): ``trace_out``
-    (request-span export path; ``.jsonl`` for span lines, anything else for
-    Chrome ``trace_event`` JSON), ``telemetry_out`` (sampled time-series
-    CSV), ``profile_out`` (kernel profile JSON).  Any of them attaches a
-    :class:`repro.obs.Observability` to the run; rows stay byte-identical
-    either way.
-
-    Imports stay inside the function so the runner is resolvable by dotted
-    path in sweep worker processes without import cycles.
+    Its keys, defaults and allowed values are the fields of
+    :class:`ClusterPointParams`; what the shared keys add to the row is
+    described on :class:`~repro.analysis.scenario.ClusterScenarioParams`.
     """
-    from repro.analysis.scenario import run_cluster_scenario
-    from repro.cluster.host import HostSpec
-    from repro.cluster.placement import PlacementPolicy
-
-    num_functions = int(params["num_functions"])  # type: ignore[arg-type]
-    policy = PlacementPolicy(str(params["placement_policy"]))
-    host_spec = HostSpec(
-        vcpus=float(params.get("host_vcpus", 16.0)),  # type: ignore[arg-type]
-        memory_gb=float(params.get("host_memory_gb", 64.0)),  # type: ignore[arg-type]
-    )
+    point = from_mapping(ClusterPointParams, params)
+    policy = PlacementPolicy(point.placement_policy)
     # No ``zones``: the fleet special-cases an unnamed single default zone.
     return run_cluster_scenario(
-        params,
+        point.scenario,
         seed,
-        head={"num_functions": num_functions, "placement_policy": policy.value},
-        fleet={"host_spec": host_spec, "policy": policy},
-        num_functions=num_functions,
-        duration_s=float(params.get("duration_s", 60.0)),  # type: ignore[arg-type]
-        keep_alive_s=float(params["keep_alive_s"]),  # type: ignore[arg-type]
+        head={"num_functions": point.num_functions, "placement_policy": policy.value},
+        fleet={
+            "host_spec": HostSpec(vcpus=point.host_vcpus, memory_gb=point.host_memory_gb),
+            "policy": policy,
+        },
+        num_functions=point.num_functions,
+        duration_s=point.duration_s,
+        keep_alive_s=point.keep_alive_s,
     )
 
 
@@ -108,13 +93,14 @@ def cluster_cost_sweep(
 
     ``first_point_extra`` merges extra params into the *first* grid point
     only -- how the CLI attaches ``trace_out``/``telemetry_out``/``profile_out``
-    artifact paths to a single representative point.  Seeds derive from grid
-    identity, not params, so the rows are unchanged.
+    artifact paths to a single representative point without every worker
+    racing to write the same files.  Seeds derive from grid identity, not
+    params, so the rows are unchanged.  Every point is parsed before the
+    first one runs (:func:`repro.analysis.scenario.run_cluster_grid`).
     """
-    from repro.analysis.scenario import run_cluster_grid
-
     return run_cluster_grid(
         "repro.analysis.cluster_costs:cluster_point",
+        ClusterPointParams,
         axes or DEFAULT_AXES,
         common=common,
         base_seed=base_seed,

@@ -3,34 +3,66 @@
 :func:`repro.analysis.cluster_costs.cluster_point` and
 :func:`repro.analysis.backpressure.backpressure_point` differ only in their
 own axes, their fleet shape and whether the CPU-bandwidth scheduler rides
-along.  Everything else -- the shared params, the keep-alive rescale, the
-function population, the :class:`~repro.cluster.cosim.ClusterSimulator`
-build and run, the observability artifacts and the row tail -- lives here,
-once, next to the one grid function both sweeps share.
+along.  Everything else -- the shared params (:class:`ClusterScenarioParams`),
+the keep-alive rescale, the function population, the
+:class:`~repro.cluster.cosim.ClusterSimulator` build and run, the
+observability artifacts and the row tail -- lives here, once, next to the
+one grid function both sweeps share.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence, Type
 
+from repro.billing.catalog import PlatformName
 from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import FleetConfig
-from repro.obs import obs_from_params, write_obs_artifacts
-from repro.platform.presets import get_platform_preset
+from repro.obs import ObsParams, write_obs_artifacts
+from repro.platform.presets import PLATFORM_PRESETS, get_platform_preset
+from repro.sim.arrivals import ARRIVAL_PROCESSES
+from repro.sim.feedback import FEEDBACK_MODES
+from repro.sim.params import from_mapping
 from repro.sim.results import ResultStore
-from repro.sim.retry import resolve_retry
+from repro.sim.retry import RetryParams
 from repro.sim.rng import named_generator
 from repro.sim.sweep import build_grid, run_sweep
-from repro.tenancy import resolve_tenants
+from repro.tenancy import TenantParams
 from repro.traces.generator import HUAWEI_FLAVORS
-from repro.workloads.functions import get_workload
+from repro.workloads.functions import WORKLOAD_CATALOG, get_workload
 
-__all__ = ["run_cluster_scenario", "run_cluster_grid"]
+__all__ = ["ClusterScenarioParams", "run_cluster_scenario", "run_cluster_grid"]
+
+
+@dataclass(frozen=True)
+class ClusterScenarioParams:
+    """The params keys both cluster runners share, with their defaults.
+
+    ``platform`` is a preset name, ``billing`` a billing-model name and
+    ``workload`` a catalog name.  ``feedback="on"`` closes the state loop, so
+    admission outcomes and scheduler throttling show in the
+    ``failed_requests`` / ``latency_inflation`` columns.  The sections add
+    the ``retry`` / ``retry_*`` keys (client retries and their columns), the
+    ``tenants`` / ``tenant_*`` keys (credit-metered admission and the
+    per-tenant columns) and the ``trace_out`` / ``telemetry_out`` /
+    ``profile_out`` artifact paths (rows unchanged).
+    """
+
+    platform: str = field(default="gcp_run_like", metadata={"choices": PLATFORM_PRESETS})
+    billing: str = field(default="gcp_run_request", metadata={"choices": PlatformName})
+    workload: str = field(default="pyaes", metadata={"choices": WORKLOAD_CATALOG})
+    rps_per_function: float = 2.0
+    arrival_process: str = field(default="constant", metadata={"choices": ARRIVAL_PROCESSES})
+    feedback: str = field(default="off", metadata={"choices": FEEDBACK_MODES})
+    sample_interval_s: float = 10.0
+    retries: RetryParams = field(default_factory=RetryParams)
+    tenancy: TenantParams = field(default_factory=TenantParams)
+    obs: ObsParams = field(default_factory=ObsParams)
 
 
 def run_cluster_scenario(
-    params: Mapping[str, object],
+    scenario: ClusterScenarioParams,
     seed: int,
     head: Mapping[str, object],
     fleet: Mapping[str, object],
@@ -43,30 +75,16 @@ def run_cluster_scenario(
 
     ``head`` holds the runner's own leading row columns; ``fleet`` holds its
     :class:`~repro.cluster.fleet.FleetConfig` fields (``sample_interval_s``
-    is read from ``params`` here).  This function reads the params both
-    runners share: ``platform`` (default ``gcp_run_like``), ``billing``
-    (default ``gcp_run_request``), ``workload`` (default ``pyaes``),
-    ``rps_per_function`` (default 2), ``arrival_process`` (default
-    ``constant``), ``feedback`` (default ``off``), ``sample_interval_s``
-    (default 10), plus ``retry`` / ``retry_*``
-    (:func:`repro.sim.retry.resolve_retry`), ``tenants`` / ``tenant_*``
-    (:func:`repro.tenancy.model.resolve_tenants`) and ``trace_out`` /
-    ``telemetry_out`` / ``profile_out``
-    (:func:`repro.obs.obs_from_params`).
+    comes from ``scenario``).
 
     The row is ``head``, then ``keep_alive_s``, ``platform``, ``feedback``,
-    ``seed``, ``retry`` and ``tenants`` (each only when its param is
-    present), then the run summary minus ``policy`` and minus any key
-    already in ``head``.
+    ``seed``, ``retry`` and ``tenants`` (each only when its key is present),
+    then the run summary minus ``policy`` and minus any key already in
+    ``head``.
     """
-    platform = get_platform_preset(str(params.get("platform", "gcp_run_like")))
-    workload = get_workload(str(params.get("workload", "pyaes")))
-    rps = float(params.get("rps_per_function", 2.0))  # type: ignore[arg-type]
-    arrival_process = str(params.get("arrival_process", "constant"))
-    feedback = str(params.get("feedback", "off"))
-    retry_mode, retry_policy = resolve_retry(params)
-    tenants_mode, tenant_configs = resolve_tenants(params)
-    obs = obs_from_params(params)
+    platform = get_platform_preset(scenario.platform)
+    workload = get_workload(scenario.workload)
+    obs = scenario.obs.observability()
 
     # Rescale the preset's keep-alive window so its max hits ``keep_alive_s``
     # (preserving the min/max ratio keeps the opportunistic ramp shape).  A
@@ -96,35 +114,37 @@ def run_cluster_scenario(
             FunctionDeployment(
                 function=function,
                 platform=platform,
-                rps=rps,
+                rps=scenario.rps_per_function,
                 duration_s=duration_s,
-                arrival_process=arrival_process,
+                arrival_process=scenario.arrival_process,
             )
         )
 
     simulator = ClusterSimulator(
         deployments,
         fleet_config=FleetConfig(
-            sample_interval_s=float(params.get("sample_interval_s", 10.0)),  # type: ignore[arg-type]
+            sample_interval_s=scenario.sample_interval_s,
             **fleet,  # type: ignore[arg-type]
         ),
-        billing_platform=str(params.get("billing", "gcp_run_request")),
+        billing_platform=scenario.billing,
         scheduler=scheduler,
         seed=seed,
-        feedback=feedback,
-        retry=retry_policy,
+        feedback=scenario.feedback,
+        retry=scenario.retries.policy(),
         obs=obs,
-        tenants=tenant_configs,
+        tenants=scenario.tenancy.configs(),
     )
     result = simulator.run()
-    write_obs_artifacts(obs, params)
+    write_obs_artifacts(obs, scenario.obs)
 
     row: Dict[str, object] = dict(head)
-    row.update(keep_alive_s=keep_alive_s, platform=platform.name, feedback=feedback, seed=seed)
-    if retry_mode is not None:
-        row["retry"] = retry_mode
-    if tenants_mode is not None:
-        row["tenants"] = tenants_mode
+    row.update(
+        keep_alive_s=keep_alive_s, platform=platform.name, feedback=scenario.feedback, seed=seed
+    )
+    if scenario.retries.retry is not None:
+        row["retry"] = scenario.retries.retry
+    if scenario.tenancy.tenants is not None:
+        row["tenants"] = scenario.tenancy.tenants
     summary = result.summary()
     summary.pop("policy", None)
     row.update((key, value) for key, value in summary.items() if key not in head)
@@ -133,6 +153,7 @@ def run_cluster_scenario(
 
 def run_cluster_grid(
     runner: str,
+    params_type: Type[object],
     axes: Mapping[str, Sequence[object]],
     common: Optional[Mapping[str, object]] = None,
     base_seed: int = 2026,
@@ -140,16 +161,21 @@ def run_cluster_grid(
     backend: Optional[object] = None,
     checkpoint: Optional[str] = None,
 ) -> ResultStore:
-    """Build ``runner``'s grid and run it through :func:`repro.sim.sweep.run_sweep`.
+    """Build ``runner``'s grid, parse every point into ``params_type``, then run it.
 
     The body of both public cluster sweeps (see
     :func:`repro.analysis.cluster_costs.cluster_cost_sweep` for the
-    parameters).  ``first_point_extra`` merges into the first grid point's
-    params only; seeds derive from grid identity, so rows are unchanged.
+    parameters).  A bad key or value anywhere in the grid raises
+    :class:`~repro.sim.params.ScenarioParamError` before any point runs or
+    any journal is written.  ``first_point_extra`` merges into the first
+    grid point's params only; seeds derive from grid identity, so rows are
+    unchanged.
     """
     scenarios = build_grid(runner=runner, axes=dict(axes), common=common, base_seed=base_seed)
     if first_point_extra:
         scenarios[0] = dataclasses.replace(
             scenarios[0], params={**scenarios[0].params, **first_point_extra}
         )
+    for scenario in scenarios:
+        from_mapping(params_type, scenario.params)
     return run_sweep(scenarios, backend=backend, checkpoint=checkpoint)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
 
 from repro._version import __version__
 from repro.analysis.experiments import EXPERIMENTS, list_experiments, run_experiment
@@ -30,11 +30,9 @@ from repro.core.report import render_table, to_markdown_table
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.sim.results import ResultStore
+    from repro.sim.sweep import Scenario
 
 __all__ = ["main", "build_parser"]
-
-#: The values of every on/off switch (``--feedback``, ``--retry``).
-_SWITCH = ("off", "on")
 
 
 def _add_sweep_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +94,12 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     points out through the sweep orchestrator, so everything but their own
     axes and fleet shape is one flag group (``--retry`` stays per command:
     cluster forwards it as a common param, backpressure sweeps it as an axis).
+    Allowed values come from
+    :class:`~repro.analysis.scenario.ClusterScenarioParams`, which parses them.
     """
+    from repro.analysis.scenario import ClusterScenarioParams
+    from repro.sim.params import choices_of
+
     parser.add_argument(
         "--platform",
         default="gcp_run_like",
@@ -115,7 +118,7 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--feedback",
-        choices=_SWITCH,
+        choices=choices_of(ClusterScenarioParams, "feedback"),
         default="off",
         help=(
             "Close the state loop: fleet admission outcomes delay/fail serving "
@@ -147,7 +150,7 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tenant-on-exhausted",
-        choices=("deny", "queue"),
+        choices=choices_of(ClusterScenarioParams, "tenant_on_exhausted"),
         default="deny",
         help=(
             "What happens to arrivals of a credit-exhausted tenant: deny fails them "
@@ -188,6 +191,13 @@ def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing)."""
+    from repro.analysis.backpressure import BackpressurePointParams
+    from repro.analysis.cluster_costs import ClusterPointParams
+    from repro.sim.params import choices_of
+    from repro.sim.sweep import PlatformPointParams
+
+    policies = ", ".join(choices_of(ClusterPointParams, "placement_policy"))
+    shapes = ", ".join(choices_of(BackpressurePointParams, "heterogeneity"))
     parser = argparse.ArgumentParser(
         prog="repro-serverless-costs",
         description=(
@@ -248,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--arrival-process",
-        choices=("constant", "poisson"),
+        choices=choices_of(PlatformPointParams, "arrival_process"),
         default="constant",
         help="Arrival process for every scenario",
     )
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument(
         "--policies",
         default="first_fit,best_fit,worst_fit",
-        help="Comma-separated placement policies (first_fit, best_fit, worst_fit, cost_fit)",
+        help=f"Comma-separated placement policies ({policies})",
     )
     cluster_parser.add_argument(
         "--keep-alive-s",
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_parser.add_argument(
         "--retry",
-        choices=_SWITCH,
+        choices=choices_of(ClusterPointParams, "retry"),
         default="off",
         help=(
             "Client retry loop: failed requests are re-injected with exponential "
@@ -322,16 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     backpressure_parser.add_argument(
         "--policies",
         default="best_fit,cost_fit",
-        help="Comma-separated placement policies (first_fit, best_fit, worst_fit, cost_fit)",
+        help=f"Comma-separated placement policies ({policies})",
     )
     backpressure_parser.add_argument(
         "--heterogeneity",
         default="homogeneous,two_tier",
-        help="Comma-separated fleet shapes (homogeneous, two_tier)",
+        help=f"Comma-separated fleet shapes ({shapes})",
     )
     backpressure_parser.add_argument(
         "--queue-discipline",
-        choices=("fifo", "smallest_first"),
+        choices=choices_of(BackpressurePointParams, "queue_discipline"),
         default="fifo",
         help="Order in which queued sandboxes are retried on capacity release",
     )
@@ -400,35 +410,22 @@ def _obs_first_point_extra(args: "argparse.Namespace"):
     return extra
 
 
-def _print_invalid(flag: str, value: str, allowed: Sequence[str]) -> None:
-    print(f"invalid {flag} value {value!r}; choose from: {', '.join(allowed)}", file=sys.stderr)
+def _parse_grid(params_type: type, scenarios: "List[Scenario]", flags: Mapping[str, str]) -> bool:
+    """Parse every grid point before any runs; print the first bad value, per flag.
 
-
-def _check_grid_values(*checks: Tuple[str, List[str], Sequence[str]]) -> bool:
-    """Check comma-list flag values before any grid point runs.
-
-    Each check is ``(flag, values, allowed)``; the first value outside its
-    ``allowed`` set is reported as one line naming the flag, and the result
-    is ``False``.
+    A params key maps to its flag through ``flags``, else to ``--key``.
     """
-    for flag, values, allowed in checks:
-        for value in values:
-            if value not in allowed:
-                _print_invalid(flag, value, allowed)
-                return False
+    from repro.sim.params import ScenarioParamError, from_mapping
+
+    try:
+        for scenario in scenarios:
+            from_mapping(params_type, scenario.params)
+    except ScenarioParamError as error:
+        flag = flags.get(error.key, "--" + error.key.replace("_", "-"))
+        allowed = ", ".join(map(str, error.allowed))
+        print(f"invalid {flag} value {error.value!r}; choose from: {allowed}", file=sys.stderr)
+        return False
     return True
-
-
-def _placement_policies() -> List[str]:
-    from repro.cluster.placement import PlacementPolicy
-
-    return [policy.value for policy in PlacementPolicy]
-
-
-def _platform_presets() -> List[str]:
-    from repro.platform.presets import PLATFORM_PRESETS
-
-    return list(PLATFORM_PRESETS)
 
 
 def _cmd_list() -> int:
@@ -500,7 +497,7 @@ def _run_and_print(
 
 
 def _cmd_sweep(args: "argparse.Namespace") -> int:
-    from repro.sim.sweep import build_grid, run_sweep
+    from repro.sim.sweep import PlatformPointParams, build_grid, run_sweep
 
     platforms = [name.strip() for name in args.platforms.split(",") if name.strip()]
     workloads = [name.strip() for name in args.workloads.split(",") if name.strip()]
@@ -512,22 +509,18 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
     if not platforms or not workloads or not rates:
         print("sweep needs at least one platform, workload, and rps value", file=sys.stderr)
         return 2
-    from repro.workloads.functions import WORKLOAD_CATALOG
-
-    if not _check_grid_values(
-        ("--platforms", platforms, _platform_presets()),
-        ("--workloads", workloads, list(WORKLOAD_CATALOG)),
-    ):
-        return 2
-    code = _compact_checkpoint_if_requested(args)
-    if code is not None:
-        return code
     scenarios = build_grid(
         runner="repro.sim.sweep:platform_point",
         axes={"platform": platforms, "workload": workloads, "rps": rates},
         common={"duration_s": args.duration_s, "arrival_process": args.arrival_process},
         base_seed=args.seed,
     )
+    flags = {"platform": "--platforms", "workload": "--workloads"}
+    if not _parse_grid(PlatformPointParams, scenarios, flags):
+        return 2
+    code = _compact_checkpoint_if_requested(args)
+    if code is not None:
+        return code
     return _run_and_print(
         args,
         "sweep",
@@ -539,6 +532,7 @@ def _run_cluster_grid(
     args: "argparse.Namespace",
     command: str,
     sweep: "Callable[..., ResultStore]",
+    params_type: type,
     axes: Dict[str, List[object]],
     common: Dict[str, object],
     retry_on: bool,
@@ -546,25 +540,13 @@ def _run_cluster_grid(
     """The shared tail of the cluster and backpressure subcommands.
 
     Adds the :func:`_add_cluster_flags` params to the command's own ``axes``
-    and ``common``, gates the tenancy axis, and runs ``sweep`` (a
-    ``*_sweep`` function of :mod:`repro.analysis`) with the execution flags.
+    and ``common``, gates the tenancy axis, parses every grid point into
+    ``params_type``, and runs ``sweep`` (a ``*_sweep`` function of
+    :mod:`repro.analysis`) with the execution flags.
     """
-    tenants: List[object] = []
-    for item in filter(None, (item.strip() for item in args.tenants.split(","))):
-        if item != "off" and not (item.isdecimal() and int(item) >= 1):
-            _print_invalid("--tenants", item, ("off", "an integer >= 1"))
-            return 2
-        tenants.append(item if item == "off" else int(item))
-    from repro.billing.catalog import PlatformName
+    from repro.sim.sweep import build_grid
 
-    if not _check_grid_values(
-        ("--platform", [args.platform], _platform_presets()),
-        ("--billing", [args.billing], [name.value for name in PlatformName]),
-    ):
-        return 2
-    code = _compact_checkpoint_if_requested(args)
-    if code is not None:
-        return code
+    tenants = [item.strip() for item in args.tenants.split(",") if item.strip()]
     common.update(
         platform=args.platform,
         billing=args.billing,
@@ -583,6 +565,12 @@ def _run_cluster_grid(
         )
         if args.tenant_slo_latency_s is not None:
             common["tenant_slo_latency_s"] = args.tenant_slo_latency_s
+    grid = build_grid(runner="", axes=axes, common=common)  # parsed here, never run
+    if not _parse_grid(params_type, grid, {"placement_policy": "--policies"}):
+        return 2
+    code = _compact_checkpoint_if_requested(args)
+    if code is not None:
+        return code
     _warn_inert_retry(args.feedback, retry_on)
     return _run_and_print(
         args,
@@ -599,7 +587,7 @@ def _run_cluster_grid(
 
 
 def _cmd_cluster(args: "argparse.Namespace") -> int:
-    from repro.analysis.cluster_costs import cluster_cost_sweep
+    from repro.analysis.cluster_costs import ClusterPointParams, cluster_cost_sweep
 
     try:
         fleet_sizes = [int(value) for value in args.fleet_sizes.split(",") if value.strip()]
@@ -613,8 +601,6 @@ def _cmd_cluster(args: "argparse.Namespace") -> int:
     policies = [name.strip() for name in args.policies.split(",") if name.strip()]
     if not fleet_sizes or not policies or not keep_alive:
         print("cluster needs at least one fleet size, policy, and keep-alive value", file=sys.stderr)
-        return 2
-    if not _check_grid_values(("--policies", policies, _placement_policies())):
         return 2
     common: Dict[str, object] = {
         "host_vcpus": args.host_vcpus,
@@ -630,12 +616,18 @@ def _cmd_cluster(args: "argparse.Namespace") -> int:
         "keep_alive_s": keep_alive,
     }
     return _run_cluster_grid(
-        args, "cluster", cluster_cost_sweep, axes, common, retry_on=args.retry == "on"
+        args,
+        "cluster",
+        cluster_cost_sweep,
+        ClusterPointParams,
+        axes,
+        common,
+        retry_on=args.retry == "on",
     )
 
 
 def _cmd_backpressure(args: "argparse.Namespace") -> int:
-    from repro.analysis.backpressure import HETEROGENEITIES, backpressure_sweep
+    from repro.analysis.backpressure import BackpressurePointParams, backpressure_sweep
 
     try:
         queue_depths = [int(value) for value in args.queue_depths.split(",") if value.strip()]
@@ -650,12 +642,6 @@ def _cmd_backpressure(args: "argparse.Namespace") -> int:
             "backpressure needs at least one queue depth, policy, heterogeneity and retry value",
             file=sys.stderr,
         )
-        return 2
-    if not _check_grid_values(
-        ("--policies", policies, _placement_policies()),
-        ("--heterogeneity", heterogeneity, HETEROGENEITIES),
-        ("--retry", retries, _SWITCH),
-    ):
         return 2
     axes: Dict[str, List[object]] = {
         "queue_depth": queue_depths,
@@ -673,7 +659,13 @@ def _cmd_backpressure(args: "argparse.Namespace") -> int:
         "with_scheduler": not args.no_scheduler,
     }
     return _run_cluster_grid(
-        args, "backpressure", backpressure_sweep, axes, common, retry_on="on" in retries
+        args,
+        "backpressure",
+        backpressure_sweep,
+        BackpressurePointParams,
+        axes,
+        common,
+        retry_on="on" in retries,
     )
 
 

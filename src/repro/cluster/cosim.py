@@ -41,9 +41,9 @@ from repro.platform.config import FunctionConfig, PlatformConfig
 from repro.platform.invoker import PlatformSimulator
 from repro.platform.metrics import SimulationMetrics
 from repro.sched.engine import SchedulerSim, SimulationResult
-from repro.sim.arrivals import ArrivalSource, ConstantRateSource, PoissonSource
+from repro.sim.arrivals import ARRIVAL_PROCESSES, ArrivalSource, ConstantRateSource, PoissonSource
 from repro.sim.events import EventBus
-from repro.sim.feedback import FeedbackChannel
+from repro.sim.feedback import FEEDBACK_MODES, FeedbackChannel
 from repro.sim.kernel import SimulationKernel
 from repro.sim.retry import RetryLoop, RetryPolicy
 from repro.sim.rng import derive_seed
@@ -65,7 +65,7 @@ class FunctionDeployment:
     platform: PlatformConfig
     rps: float = 1.0
     duration_s: float = 60.0
-    arrival_process: str = "constant"  # "constant" | "poisson"
+    arrival_process: str = "constant"  # one of ARRIVAL_PROCESSES
     #: Which tenant owns this deployment (multi-tenant runs only).  Empty =
     #: assign round-robin over the configured tenants; ignored entirely --
     #: and must stay empty -- when the simulator runs without tenants.
@@ -74,7 +74,7 @@ class FunctionDeployment:
     def __post_init__(self) -> None:
         if self.rps <= 0 or self.duration_s < 0:
             raise ValueError("rps must be positive and duration_s >= 0")
-        if self.arrival_process not in ("constant", "poisson"):
+        if self.arrival_process not in ARRIVAL_PROCESSES:
             raise ValueError(f"unknown arrival process {self.arrival_process!r}")
 
     def resources(self) -> RequestResources:
@@ -263,7 +263,7 @@ class ClusterSimulator:
         names = [d.function.name for d in deployments]
         if len(set(names)) != len(names):
             raise ValueError(f"deployment function names must be unique, got {names}")
-        if feedback not in ("off", "on"):
+        if feedback not in FEEDBACK_MODES:
             raise ValueError(f"feedback must be 'off' or 'on', got {feedback!r}")
         if tenants is None:
             tagged = [d.function.name for d in deployments if d.tenant]

@@ -53,7 +53,10 @@ from repro.sim.events import (
 )
 from repro.sim.kernel import PeriodicProcess
 
-__all__ = ["FleetConfig", "Fleet", "ZoneConfig"]
+__all__ = ["FleetConfig", "Fleet", "QUEUE_DISCIPLINES", "ZoneConfig"]
+
+#: The orders in which an admission queue retries its sandboxes.
+QUEUE_DISCIPLINES: Tuple[str, ...] = ("fifo", "smallest_first")
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class FleetConfig:
                 raise ValueError(f"zone names must be unique, got {names}")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-        if self.queue_discipline not in ("fifo", "smallest_first"):
+        if self.queue_discipline not in QUEUE_DISCIPLINES:
             raise ValueError(f"unknown queue discipline {self.queue_discipline!r}")
         if self.sample_interval_s is not None and self.sample_interval_s <= 0:
             raise ValueError("sample_interval_s must be positive (or None)")

@@ -4,7 +4,8 @@ Three windows into a run, all attached *beside* the simulators rather than
 inside them, at one seam: ``ClusterSimulator(obs=)``
 (:class:`~repro.cluster.cosim.ClusterSimulator`; the CLI's ``cluster`` and
 ``backpressure`` ``--trace-out`` / ``--telemetry-out`` / ``--profile-out``
-flags reach it through :func:`obs_from_params` for the first grid point):
+flags reach it through :class:`ObsParams`, the obs section of the first
+grid point's params):
 
 - **request tracing** (:mod:`repro.obs.trace`): a bus subscriber stitching
   per-attempt spans -- arrival, cold start / admission, execution,
@@ -29,6 +30,7 @@ one, and ``obs=None`` (the default) does not even subscribe.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
@@ -56,50 +58,48 @@ __all__ = [
     "KernelProfile",
     "KernelProfiler",
     "MetricsRegistry",
+    "ObsParams",
     "Observability",
     "RequestSpan",
     "SandboxSpan",
     "TelemetryProcess",
     "TraceCollector",
-    "obs_from_params",
     "percentile",
     "validate_chrome_trace",
     "write_obs_artifacts",
 ]
 
-#: Sweep-param keys that request observability artifacts from a runner.
-_OBS_PARAM_KEYS = ("trace_out", "telemetry_out", "profile_out")
 
+@dataclass(frozen=True)
+class ObsParams:
+    """The obs section of a cluster grid point's params: artifact paths.
 
-def obs_from_params(params) -> Optional["Observability"]:
-    """An :class:`Observability` when a grid point asked for artifacts.
-
-    Read by the one cluster scenario builder,
-    :func:`repro.analysis.scenario.run_cluster_scenario`: a point carrying
-    any of ``trace_out`` / ``telemetry_out`` / ``profile_out`` gets the layer
-    attached; all other points (and every pre-obs grid) return ``None`` and
-    take the untouched path.
+    Naming any of them attaches an :class:`Observability` to the point.
     """
-    if any(params.get(key) for key in _OBS_PARAM_KEYS):
-        return Observability()
-    return None
+
+    trace_out: Optional[str] = None
+    telemetry_out: Optional[str] = None
+    profile_out: Optional[str] = None
+
+    def observability(self) -> Optional["Observability"]:
+        """A fresh bundle when any artifact was asked for, else ``None``."""
+        if self.trace_out or self.telemetry_out or self.profile_out:
+            return Observability()
+        return None
 
 
-def write_obs_artifacts(obs: Optional["Observability"], params) -> None:
-    """Write whichever artifacts the point's params asked for (post-run)."""
+def write_obs_artifacts(obs: Optional["Observability"], artifacts: ObsParams) -> None:
+    """Write whichever artifacts the point's obs section asked for (post-run)."""
     if obs is None:
         return
-    trace_out = params.get("trace_out")
-    if trace_out:
-        obs.write_trace(str(trace_out))
-    telemetry_out = params.get("telemetry_out")
-    if telemetry_out:
-        obs.write_telemetry_csv(str(telemetry_out))
-    profile_out = params.get("profile_out")
-    if profile_out:
+    if artifacts.trace_out:
+        obs.write_trace(artifacts.trace_out)
+    if artifacts.telemetry_out:
+        obs.write_telemetry_csv(artifacts.telemetry_out)
+    if artifacts.profile_out:
         import json
 
-        with open(str(profile_out), "w") as handle:
+        with open(artifacts.profile_out, "w") as handle:
             json.dump(obs.kernel_profile().to_dict(), handle, indent=2, sort_keys=True)
 
 

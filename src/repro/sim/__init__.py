@@ -32,16 +32,18 @@ scheduler (`repro.sched.engine`) into one reusable layer:
   orchestrator that fans a grid of (platform x workload x config) runs out
   across a pluggable execution backend with per-run derived seeds, and the
   structured result store the rows land in.
+- :mod:`repro.sim.params` -- the typed params boundary each runner parses
+  its grid point through (:func:`~repro.sim.params.from_mapping`).
 - :mod:`repro.sim.backends` / :mod:`repro.sim.checkpoint` -- the sweep
   execution seam (:class:`~repro.sim.backends.SweepBackend`: in-process
-  serial or a multiprocessing pool) and the append-only JSONL checkpoint
+  serial or a process pool) and the append-only JSONL checkpoint
   journal that makes 10k+-point grids kill/resume-safe.  Every backend yields byte-identical results because
   rows are reassembled by grid index from per-point derived seeds.
 
 Layering: ``kernel``/``events``/``rng``/``results`` depend only on the
-standard library and numpy; ``sweep`` sits at the top of the package and may
-import domain modules (platform presets, workloads) to provide ready-made
-scenario runners.
+standard library and numpy; ``sweep`` sits at the top of the package and
+imports domain modules (platform presets, workloads) to provide ready-made
+scenario runners, so this package imports it on first use only.
 """
 
 from repro.sim.backends import (
@@ -71,9 +73,8 @@ from repro.sim.feedback import (
 )
 from repro.sim.kernel import Event, PeriodicProcess, SimulationKernel, SimProcess
 from repro.sim.results import ResultStore
-from repro.sim.retry import RetryLoop, RetryPolicy, resolve_retry
+from repro.sim.retry import RetryLoop, RetryPolicy
 from repro.sim.rng import RngStreams, derive_seed, named_generator
-from repro.sim.sweep import Scenario, build_grid, run_scenario, run_sweep
 
 __all__ = [
     "AdmissionState",
@@ -107,7 +108,16 @@ __all__ = [
     "derive_seed",
     "named_generator",
     "resolve_backend",
-    "resolve_retry",
     "run_scenario",
     "run_sweep",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # The sweep module's names load on first use: it imports domain layers
+    # that import this package's lower modules.
+    if name in ("Scenario", "build_grid", "run_scenario", "run_sweep"):
+        from repro.sim import sweep
+
+        return getattr(sweep, name)
+    raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")

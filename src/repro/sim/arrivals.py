@@ -35,12 +35,16 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "ARRIVAL_PROCESSES",
     "ArrivalSource",
     "ArrivalStream",
     "ConstantRateSource",
     "DEFAULT_CHUNK_SIZE",
     "PoissonSource",
 ]
+
+#: The arrival processes a deployment or grid point can name.
+ARRIVAL_PROCESSES: Tuple[str, ...] = ("constant", "poisson")
 
 #: Default number of arrivals generated and scheduled per chunk.  Large enough
 #: to amortize the numpy call overhead, small enough that pending arrivals

@@ -12,7 +12,7 @@ only has to implement work distribution.
 Backends:
 
 - ``serial`` -- in-process loop, no pool (the default).
-- ``multiprocessing[:N]`` -- a ``multiprocessing.Pool`` of ``N`` workers
+- ``multiprocessing[:N]`` -- a process pool of ``N`` fork-started workers
   (every core without ``N``) pulling one point at a time.
 
 A remote transport (e.g. a multi-node work queue) would plug in as another
@@ -157,12 +157,12 @@ class SerialBackend:
 
 
 class MultiprocessingBackend:
-    """``multiprocessing.Pool`` fan-out over ``processes`` workers (``None``: every core).
+    """A pool of ``processes`` fork-started workers (``None``: every core).
 
-    Each worker pulls the next point when it finishes one, and every outcome
-    is yielded the moment it completes (``imap_unordered``), so the sweep
-    layer journals it straight away; rows are reassembled by grid index, so
-    the results match the serial backend's.
+    Each outcome is yielded the moment its point completes, so the sweep
+    layer journals it straight away.  A worker that dies mid-point breaks the
+    pool, and the sweep fails on a point that had not finished instead of
+    waiting for it forever.
     """
 
     name = "multiprocessing"
@@ -171,11 +171,31 @@ class MultiprocessingBackend:
         self.processes = multiprocessing.cpu_count() if processes is None else processes
 
     def run(self, items: Iterable[WorkItem]) -> Iterator[PointOutcome]:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         items = list(items)
         if not items:
             return
-        with multiprocessing.Pool(processes=min(self.processes, len(items))) as pool:
-            yield from pool.imap_unordered(execute_point, items, chunksize=1)
+        pool = ProcessPoolExecutor(
+            min(self.processes, len(items)), mp_context=multiprocessing.get_context("fork")
+        )
+        try:
+            futures = {pool.submit(execute_point, item): item for item in items}
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool as error:
+                    index, scenario = futures[future]
+                    message = f"a pool worker died before this point finished ({error})"
+                    yield PointOutcome(
+                        index, scenario.scenario_id, scenario.seed,
+                        error_type=type(error).__name__, error_message=message,
+                    )
+                    return
+                yield outcome
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def resolve_backend(backend: Union[str, SweepBackend, None]) -> SweepBackend:

@@ -46,11 +46,15 @@ from repro.sim.events import (
 )
 
 __all__ = [
+    "FEEDBACK_MODES",
     "AdmissionState",
     "FeedbackChannel",
     "PublishedRate",
     "ServiceTimeModifier",
 ]
+
+#: The values of a simulator's ``feedback`` switch.
+FEEDBACK_MODES: Tuple[str, ...] = ("off", "on")
 
 #: Floor of the combined service rate (see :meth:`FeedbackChannel.service_rate`).
 MIN_SERVICE_RATE = 0.01

@@ -37,32 +37,17 @@ simulators take byte-identical pre-retry paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.rng import RngStreams
 
-__all__ = ["RetryPolicy", "RetryLoop", "resolve_retry"]
+__all__ = ["RETRY_MODES", "RetryLoop", "RetryParams", "RetryPolicy"]
 
-
-def resolve_retry(
-    params: Mapping[str, object],
-) -> Tuple[Optional[str], Optional["RetryPolicy"]]:
-    """One sweep grid point's (retry mode, policy) pair.
-
-    Read by the one cluster scenario builder,
-    :func:`repro.analysis.scenario.run_cluster_scenario`.  The mode is ``None`` when the ``retry`` param
-    is absent -- deliberately distinct from ``"off"``, so pre-retry grids
-    keep producing byte-identical rows (no ``retry`` column at all); the
-    policy is non-``None`` only for ``"on"`` (built from the point's
-    ``retry_*`` params via :meth:`RetryPolicy.from_params`).
-    """
-    mode = str(params["retry"]) if "retry" in params else None
-    if mode not in (None, "off", "on"):
-        raise ValueError(f"retry must be 'off' or 'on', got {mode!r}")
-    return mode, (RetryPolicy.from_params(params) if mode == "on" else None)
+#: The values of a grid point's ``retry`` key.
+RETRY_MODES: Tuple[str, ...] = ("off", "on")
 
 
 @dataclass(frozen=True)
@@ -113,28 +98,6 @@ class RetryPolicy:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be > 0 (or None for no deadline)")
 
-    @classmethod
-    def from_params(cls, params: Mapping[str, object]) -> "RetryPolicy":
-        """Build a policy from sweep-grid params (``retry_*`` keys, all optional).
-
-        Used by the analysis sweep runners so grid points can tune the client
-        behaviour (``retry_max_attempts``, ``retry_base_backoff_s``,
-        ``retry_backoff_multiplier``, ``retry_max_backoff_s``,
-        ``retry_jitter``, ``retry_budget``, ``retry_deadline_s``) without
-        each runner re-spelling the defaults.
-        """
-        budget = params.get("retry_budget")
-        deadline = params.get("retry_deadline_s")
-        return cls(
-            max_attempts=int(params.get("retry_max_attempts", 3)),  # type: ignore[arg-type]
-            base_backoff_s=float(params.get("retry_base_backoff_s", 0.5)),  # type: ignore[arg-type]
-            backoff_multiplier=float(params.get("retry_backoff_multiplier", 2.0)),  # type: ignore[arg-type]
-            max_backoff_s=float(params.get("retry_max_backoff_s", 30.0)),  # type: ignore[arg-type]
-            jitter=float(params.get("retry_jitter", 0.1)),  # type: ignore[arg-type]
-            retry_budget=int(budget) if budget is not None else None,  # type: ignore[arg-type]
-            deadline_s=float(deadline) if deadline is not None else None,  # type: ignore[arg-type]
-        )
-
     def backoff_s(self, failed_attempt: int, rng: np.random.Generator) -> float:
         """The delay before re-injecting after attempt ``failed_attempt`` failed.
 
@@ -152,6 +115,40 @@ class RetryPolicy:
         if self.jitter > 0:
             delay *= 1.0 + self.jitter * float(rng.random())
         return delay
+
+
+@dataclass(frozen=True)
+class RetryParams:
+    """The retry section of a cluster grid point's params.
+
+    ``retry`` absent (``None``) is deliberately distinct from ``"off"``: an
+    absent key adds no ``retry`` column, so pre-retry grids keep producing
+    byte-identical rows.  The ``retry_*`` keys tune the policy that
+    ``"on"`` builds; their defaults are :class:`RetryPolicy`'s own.
+    """
+
+    retry: Optional[str] = field(default=None, metadata={"choices": RETRY_MODES})
+    retry_max_attempts: int = RetryPolicy.max_attempts
+    retry_base_backoff_s: float = RetryPolicy.base_backoff_s
+    retry_backoff_multiplier: float = RetryPolicy.backoff_multiplier
+    retry_max_backoff_s: float = RetryPolicy.max_backoff_s
+    retry_jitter: float = RetryPolicy.jitter
+    retry_budget: Optional[int] = RetryPolicy.retry_budget
+    retry_deadline_s: Optional[float] = RetryPolicy.deadline_s
+
+    def policy(self) -> Optional[RetryPolicy]:
+        """The client retry policy, or ``None`` unless ``retry`` is ``"on"``."""
+        if self.retry != "on":
+            return None
+        return RetryPolicy(
+            max_attempts=self.retry_max_attempts,
+            base_backoff_s=self.retry_base_backoff_s,
+            backoff_multiplier=self.retry_backoff_multiplier,
+            max_backoff_s=self.retry_max_backoff_s,
+            jitter=self.retry_jitter,
+            retry_budget=self.retry_budget,
+            deadline_s=self.retry_deadline_s,
+        )
 
 
 class RetryLoop:

@@ -29,12 +29,20 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.platform.config import PlatformConfig
+from repro.platform.invoker import PlatformSimulator
+from repro.platform.presets import PLATFORM_PRESETS, get_platform_preset
+from repro.sim.arrivals import ARRIVAL_PROCESSES
 from repro.sim.backends import PointOutcome, SweepBackend, SweepPointError, resolve_backend
 from repro.sim.checkpoint import SweepJournal
+from repro.sim.params import from_mapping
 from repro.sim.results import ResultStore
 from repro.sim.rng import derive_seed
+from repro.workloads.functions import WORKLOAD_CATALOG, WorkloadSpec, get_workload
+from repro.workloads.traffic import constant_rate_arrivals, poisson_arrivals
 
 __all__ = [
+    "PlatformPointParams",
     "Scenario",
     "SweepPointError",
     "build_grid",
@@ -44,7 +52,6 @@ __all__ = [
     "resolve_workload",
     "run_scenario",
     "run_sweep",
-    "trace_replay_point",
 ]
 
 RowOrRows = Union[Mapping[str, object], Sequence[Mapping[str, object]]]
@@ -221,65 +228,68 @@ def run_sweep(
 # ----------------------------------------------------------------------
 
 
-def resolve_platform(value: object):
+def resolve_platform(value: object) -> PlatformConfig:
     """A ``PlatformConfig`` from either a preset name or the config itself."""
-    from repro.platform.config import PlatformConfig
-    from repro.platform.presets import get_platform_preset
-
     if isinstance(value, PlatformConfig):
         return value
     return get_platform_preset(str(value))
 
 
-def resolve_workload(value: object):
+def resolve_workload(value: object) -> WorkloadSpec:
     """A ``WorkloadSpec`` from either a catalog name or the spec itself."""
-    from repro.workloads.functions import WorkloadSpec, get_workload
-
     if isinstance(value, WorkloadSpec):
         return value
     return get_workload(str(value))
 
 
-def _resolve_arrivals(params: Mapping[str, object], seed: int) -> List[float]:
-    from repro.workloads.traffic import constant_rate_arrivals, poisson_arrivals
+@dataclass(frozen=True)
+class PlatformPointParams:
+    """The params keys of :func:`platform_point`, with their defaults.
 
-    rps = float(params.get("rps", 1.0))  # type: ignore[arg-type]
-    duration_s = float(params.get("duration_s", 60.0))  # type: ignore[arg-type]
-    if params.get("arrival_process", "constant") == "poisson":
-        # Traffic gets its own named stream: seeding it with the run seed
-        # directly would make the arrival draws bit-identical to the
-        # simulator's overhead/keep-alive draws.
-        return poisson_arrivals(rps, duration_s, seed=derive_seed(seed, "arrivals"))
-    return constant_rate_arrivals(rps, duration_s)
+    ``platform`` is a preset name or a ``PlatformConfig``; ``workload`` is a
+    catalog name or a ``WorkloadSpec``.  ``label`` replaces the platform
+    name in the row.
+    """
+
+    platform: Union[str, PlatformConfig] = field(metadata={"choices": PLATFORM_PRESETS})
+    workload: Union[str, WorkloadSpec] = field(metadata={"choices": WORKLOAD_CATALOG})
+    rps: float = 1.0
+    duration_s: float = 60.0
+    alloc_vcpus: float = 1.0
+    alloc_memory_gb: float = 2.0
+    init_duration_s: float = 1.0
+    arrival_process: str = field(default="constant", metadata={"choices": ARRIVAL_PROCESSES})
+    label: Optional[str] = None
 
 
 def platform_point(params: Mapping[str, object], seed: int) -> Dict[str, object]:
     """Simulate one (platform, workload, traffic) grid point and summarise it.
 
-    Expected params: ``platform`` (preset name or ``PlatformConfig``),
-    ``workload`` (catalog name or ``WorkloadSpec``), ``rps``, ``duration_s``,
-    and optionally ``alloc_vcpus``, ``alloc_memory_gb``, ``init_duration_s``,
-    ``arrival_process`` (``"constant"`` | ``"poisson"``) and ``label``.
+    The keys, defaults and allowed values are the fields of
+    :class:`PlatformPointParams`.
     """
-    from repro.platform.invoker import PlatformSimulator
-
-    platform = resolve_platform(params["platform"])
-    workload = resolve_workload(params["workload"])
+    point = from_mapping(PlatformPointParams, params)
+    platform = resolve_platform(point.platform)
+    workload = resolve_workload(point.workload)
     function = workload.to_function_config(
-        float(params.get("alloc_vcpus", 1.0)),  # type: ignore[arg-type]
-        float(params.get("alloc_memory_gb", 2.0)),  # type: ignore[arg-type]
-        init_duration_s=float(params.get("init_duration_s", 1.0)),  # type: ignore[arg-type]
+        point.alloc_vcpus, point.alloc_memory_gb, init_duration_s=point.init_duration_s
     )
     simulator = PlatformSimulator(platform, function, seed=seed)
-    arrivals = _resolve_arrivals(params, seed)
+    if point.arrival_process == "poisson":
+        # Traffic gets its own named stream: seeding it with the run seed
+        # directly would make the arrival draws bit-identical to the
+        # simulator's overhead/keep-alive draws.
+        arrivals = poisson_arrivals(point.rps, point.duration_s, seed=derive_seed(seed, "arrivals"))
+    else:
+        arrivals = constant_rate_arrivals(point.rps, point.duration_s)
     metrics = simulator.run(arrivals)
     summary = metrics.summary()
     nan = float("nan")
     row: Dict[str, object] = {
-        "platform": params.get("label", platform.name),
+        "platform": point.label if point.label is not None else platform.name,
         "workload": workload.name,
-        "rps": float(params.get("rps", 1.0)),  # type: ignore[arg-type]
-        "duration_s": float(params.get("duration_s", 60.0)),  # type: ignore[arg-type]
+        "rps": point.rps,
+        "duration_s": point.duration_s,
         "seed": seed,
         "num_requests": summary["num_requests"],
         "mean_duration_ms": summary.get("mean_execution_duration_s", nan) * 1e3,
@@ -289,109 +299,3 @@ def platform_point(params: Mapping[str, object], seed: int) -> Dict[str, object]
         "max_instances": summary.get("max_instances", 0.0),
     }
     return row
-
-
-# ----------------------------------------------------------------------
-# Ready-made runner: trace-driven scenarios from the synthetic generator
-# ----------------------------------------------------------------------
-
-
-def trace_replay_point(params: Mapping[str, object], seed: int) -> List[Dict[str, object]]:
-    """Trace-driven sweep runner: replay a generated Huawei-like trace.
-
-    Instead of a synthetic (rps, duration) parameter point, this runner
-    generates a :class:`repro.traces.generator.TraceGenerator` trace shard
-    (deterministically from the scenario seed), reconstructs each of its
-    busiest functions as a :class:`~repro.platform.config.FunctionConfig`
-    (flavor allocation and a CPU/IO split matching the function's profiled
-    mean duration and CPU utilisation), and drives the platform simulator
-    with the trace's actual arrival timestamps.  One result row per replayed
-    function.
-
-    Expected params: ``platform`` (preset name or config), and optionally
-    ``num_requests`` / ``num_functions`` (trace shard size, defaults 2000/40),
-    ``top_functions`` (how many of the busiest functions to replay, default 3),
-    ``time_scale`` (compresses the trace's arrival timeline, default 1.0),
-    ``billing`` (billing-model name; adds live-metered ``cost_usd`` per row)
-    and ``label``.
-    """
-    from repro.billing.meter import CostMeter, RequestResources
-    from repro.platform.config import FunctionConfig
-    from repro.platform.invoker import PlatformSimulator
-    from repro.traces.generator import TraceGenerator, TraceGeneratorConfig
-
-    platform = resolve_platform(params["platform"])
-    num_requests = int(params.get("num_requests", 2_000))  # type: ignore[arg-type]
-    num_functions = int(params.get("num_functions", 40))  # type: ignore[arg-type]
-    top_functions = int(params.get("top_functions", 3))  # type: ignore[arg-type]
-    time_scale = float(params.get("time_scale", 1.0))  # type: ignore[arg-type]
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
-    billing = params.get("billing")
-
-    trace = TraceGenerator(
-        TraceGeneratorConfig(
-            num_requests=num_requests,
-            num_functions=num_functions,
-            seed=derive_seed(seed, "trace"),
-        )
-    ).generate()
-
-    arrivals_by_function: Dict[str, List[float]] = {}
-    for record in trace.requests:
-        arrivals_by_function.setdefault(record.function_id, []).append(record.arrival_s)
-    busiest = sorted(arrivals_by_function, key=lambda fid: (-len(arrivals_by_function[fid]), fid))
-
-    rows: List[Dict[str, object]] = []
-    for function_id in busiest[:top_functions]:
-        profile = trace.functions[function_id]
-        # Split the profiled mean duration into CPU work and IO wait: consumed
-        # CPU per request is utilisation x allocation x duration, and whatever
-        # the CPU phase does not explain is modelled as IO.  A single request
-        # executes at min(1, alloc) vCPU in the contention model, so CPU work
-        # is capped there -- otherwise the replayed duration would exceed the
-        # profiled one whenever utilisation x allocation > 1.
-        cpu_rate = min(profile.alloc_vcpus, 1.0)
-        cpu_time_s = min(
-            profile.mean_cpu_utilization * profile.alloc_vcpus, cpu_rate
-        ) * profile.mean_duration_s
-        io_time_s = max(profile.mean_duration_s - cpu_time_s / cpu_rate, 0.0)
-        function = FunctionConfig(
-            name=function_id,
-            alloc_vcpus=profile.alloc_vcpus,
-            alloc_memory_gb=profile.alloc_memory_gb,
-            cpu_time_s=cpu_time_s,
-            io_time_s=io_time_s,
-            used_memory_gb=profile.mean_memory_utilization * profile.alloc_memory_gb,
-            init_duration_s=1.0,
-        )
-        simulator = PlatformSimulator(platform, function, seed=derive_seed(seed, "replay", function_id))
-        meter = None
-        if billing is not None:
-            meter = CostMeter(str(billing)).attach(simulator.bus, RequestResources.from_function(function))
-        arrivals = sorted(t * time_scale for t in arrivals_by_function[function_id])
-        metrics = simulator.run(arrivals)
-        if meter is not None:
-            # Close instances still inside their keep-alive window so
-            # instance-billed models account for every open lifespan.
-            meter.finalize(simulator.kernel.now)
-        summary = metrics.summary()
-        nan = float("nan")
-        row: Dict[str, object] = {
-            "platform": params.get("label", platform.name),
-            "function_id": function_id,
-            "alloc_vcpus": profile.alloc_vcpus,
-            "alloc_memory_gb": profile.alloc_memory_gb,
-            "seed": seed,
-            "num_requests": summary["num_requests"],
-            "trace_mean_duration_ms": profile.mean_duration_s * 1e3,
-            "mean_duration_ms": summary.get("mean_execution_duration_s", nan) * 1e3,
-            "p95_duration_ms": summary.get("p95_execution_duration_s", nan) * 1e3,
-            "cold_start_rate": summary.get("cold_start_rate", nan),
-            "max_instances": summary.get("max_instances", 0.0),
-        }
-        if meter is not None:
-            row["billing_platform"] = meter.model.platform
-            row["cost_usd"] = meter.cost_usd
-        rows.append(row)
-    return rows

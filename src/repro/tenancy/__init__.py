@@ -17,7 +17,7 @@ contract the feedback/retry/observability layers ship under.
 from repro.tenancy.admission import AdmissionController, AdmissionDecision
 from repro.tenancy.credits import CreditAccount
 from repro.tenancy.metrics import TenancyReport, TenantReport, jain_fairness
-from repro.tenancy.model import TenantConfig, resolve_tenants
+from repro.tenancy.model import TenantConfig, TenantParams
 
 __all__ = [
     "AdmissionController",
@@ -26,6 +26,6 @@ __all__ = [
     "TenancyReport",
     "TenantReport",
     "TenantConfig",
+    "TenantParams",
     "jain_fairness",
-    "resolve_tenants",
 ]

@@ -11,20 +11,16 @@ weight.  Deployments are tagged with a tenant name
 :class:`~repro.tenancy.credits.CreditAccount` per tenant and meters every
 arrival of every deployment the tenant owns.
 
-:func:`resolve_tenants` is the sweep-grid adapter, following the exact
-``resolve_retry`` contract: the mode is ``None`` when the ``tenants`` param
-is absent (rows stay byte-identical to pre-tenancy output -- no column at
-all), ``"off"`` for an explicit off-cell, or the tenant count for active
-cells (tenant configs are then built from the point's ``tenant_*`` params).
+:class:`TenantParams` is the tenants section of a sweep grid point's params.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Union
 
-__all__ = ["TenantConfig", "resolve_tenants"]
+__all__ = ["TenantConfig", "TenantParams"]
 
 #: Valid values of :attr:`TenantConfig.on_exhausted`.
 _EXHAUSTION_POLICIES = ("deny", "queue")
@@ -96,42 +92,40 @@ class TenantConfig:
         return math.isinf(self.credit_capacity)
 
 
-def resolve_tenants(
-    params: Mapping[str, object],
-) -> Tuple[Optional[Union[int, str]], Optional[List[TenantConfig]]]:
-    """One sweep grid point's (tenants mode, tenant configs) pair.
+@dataclass(frozen=True)
+class TenantParams:
+    """The tenants section of a cluster grid point's params.
 
-    Read by the one cluster scenario builder,
-    :func:`repro.analysis.scenario.run_cluster_scenario`.  The mode is ``None`` when the
-    ``tenants`` param is absent -- deliberately distinct from ``"off"``, so
-    pre-tenancy grids keep producing byte-identical rows (no ``tenants``
-    column at all).  An integer count ``N >= 1`` builds ``N`` identical
-    tenants named ``tenant-00 .. tenant-{N-1}`` from the point's optional
-    ``tenant_*`` params: ``tenant_credit_capacity`` (default 50),
-    ``tenant_credit_refill_per_s`` (default 2), ``tenant_request_cost``
-    (default 1), ``tenant_on_exhausted`` (default ``deny``),
-    ``tenant_max_queued``, ``tenant_slo_latency_s``.
+    ``tenants`` is ``None`` when the key is absent -- deliberately distinct
+    from ``"off"``, so pre-tenancy grids keep producing byte-identical rows
+    (no ``tenants`` column at all).  A count ``N >= 1`` builds ``N``
+    identical tenants named ``tenant-00 .. tenant-{N-1}`` from the
+    ``tenant_*`` keys.
     """
-    mode = params["tenants"] if "tenants" in params else None
-    if mode is None:
-        return None, None
-    if str(mode) == "off":
-        return "off", None
-    count = int(mode)  # type: ignore[arg-type]
-    if count < 1:
-        raise ValueError(f"tenants must be >= 1 or 'off', got {mode!r}")
-    slo = params.get("tenant_slo_latency_s")
-    max_queued = params.get("tenant_max_queued")
-    configs = [
-        TenantConfig(
-            name=f"tenant-{index:02d}",
-            credit_capacity=float(params.get("tenant_credit_capacity", 50.0)),  # type: ignore[arg-type]
-            credit_refill_per_s=float(params.get("tenant_credit_refill_per_s", 2.0)),  # type: ignore[arg-type]
-            request_cost=float(params.get("tenant_request_cost", 1.0)),  # type: ignore[arg-type]
-            on_exhausted=str(params.get("tenant_on_exhausted", "deny")),
-            max_queued=int(max_queued) if max_queued is not None else None,  # type: ignore[arg-type]
-            slo_latency_s=float(slo) if slo is not None else None,  # type: ignore[arg-type]
-        )
-        for index in range(count)
-    ]
-    return count, configs
+
+    tenants: Optional[Union[int, str]] = field(
+        default=None, metadata={"choices": ("off",), "min": 1}
+    )
+    tenant_credit_capacity: float = 50.0
+    tenant_credit_refill_per_s: float = 2.0
+    tenant_request_cost: float = 1.0
+    tenant_on_exhausted: str = field(default="deny", metadata={"choices": _EXHAUSTION_POLICIES})
+    tenant_max_queued: Optional[int] = None
+    tenant_slo_latency_s: Optional[float] = None
+
+    def configs(self) -> Optional[List[TenantConfig]]:
+        """The tenant set, or ``None`` when tenancy is absent or ``"off"``."""
+        if not isinstance(self.tenants, int):
+            return None
+        return [
+            TenantConfig(
+                name=f"tenant-{index:02d}",
+                credit_capacity=self.tenant_credit_capacity,
+                credit_refill_per_s=self.tenant_credit_refill_per_s,
+                request_cost=self.tenant_request_cost,
+                on_exhausted=self.tenant_on_exhausted,
+                max_queued=self.tenant_max_queued,
+                slo_latency_s=self.tenant_slo_latency_s,
+            )
+            for index in range(self.tenants)
+        ]

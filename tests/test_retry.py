@@ -41,7 +41,8 @@ from repro.sim.events import (
     SandboxRejected,
 )
 from repro.sim.feedback import FeedbackChannel
-from repro.sim.retry import RetryLoop, RetryPolicy
+from repro.sim.params import from_mapping
+from repro.sim.retry import RetryLoop, RetryParams, RetryPolicy
 from repro.workloads.functions import PYAES_FUNCTION
 
 RETRY_POLICY = RetryPolicy(max_attempts=3, base_backoff_s=0.3, jitter=0.1)
@@ -94,12 +95,15 @@ class TestRetryPolicy:
             assert 1.0 <= delay <= 1.5
 
     def test_from_params_defaults_and_overrides(self):
-        assert RetryPolicy.from_params({}) == RetryPolicy()
-        policy = RetryPolicy.from_params(
-            {"retry_max_attempts": 5, "retry_base_backoff_s": 1.5,
+        # The grid's retry section is parsed at the params boundary; its
+        # defaults are the policy's own.
+        assert from_mapping(RetryParams, {"retry": "on"}).policy() == RetryPolicy()
+        policy = from_mapping(
+            RetryParams,
+            {"retry": "on", "retry_max_attempts": 5, "retry_base_backoff_s": 1.5,
              "retry_backoff_multiplier": 3.0, "retry_max_backoff_s": 60.0,
-             "retry_jitter": 0.0, "retry_budget": 10}
-        )
+             "retry_jitter": 0.0, "retry_budget": 10},
+        ).policy()
         assert policy == RetryPolicy(5, 1.5, 3.0, 60.0, 0.0, 10)
 
 

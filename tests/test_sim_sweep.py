@@ -111,6 +111,12 @@ class TestGridAndScenarios:
         assert rows[0]["num_requests"] == 10.0
 
 
+def _seeded_rows(params, seed):
+    """A list-returning runner: one row per requested copy, tagged by seed."""
+    label = params["label"]
+    return [{"label": label, "copy": copy, "seed": seed} for copy in range(params["copies"])]
+
+
 class TestParallelSweep:
     @pytest.fixture(scope="class")
     def grid(self):
@@ -133,6 +139,16 @@ class TestParallelSweep:
     def test_sequential_rerun_is_reproducible(self, grid):
         assert run_sweep(grid).rows == run_sweep(grid).rows
 
+    def test_list_rows_are_identical_serial_and_pooled(self):
+        grid = build_grid(
+            runner=f"{__name__}:_seeded_rows",
+            axes={"label": ["a", "b", "c"], "copies": [1, 3]},
+            base_seed=3,
+        )
+        sequential = run_sweep(grid)
+        assert len(sequential) == 12
+        assert run_sweep(grid, backend="multiprocessing:2") == sequential
+
     def test_figure6_routes_through_sweep_identically(self):
         from repro.analysis.concurrency import figure6_burst_sweep
 
@@ -152,7 +168,7 @@ class TestParallelSweep:
 
 
 class TestWorkStealingSweep:
-    """The pool's imap_unordered completion order never reaches the rows."""
+    """The pool's completion order never reaches the rows."""
 
     @pytest.fixture(scope="class")
     def heterogeneous_grid(self):
@@ -286,73 +302,6 @@ class TestSweepCli:
         assert main(["sweep", "--rps", "not-a-number"]) == 2
         assert main(["sweep", "--platforms", ""]) == 2
         assert main(["sweep", "--platforms", "no_such_platform"]) == 2
-
-
-class TestTraceReplayRunner:
-    """The trace-driven sweep adapter: scenarios driven by generated traces."""
-
-    PARAMS = {
-        "platform": "aws_lambda_like",
-        "num_requests": 400,
-        "num_functions": 10,
-        "top_functions": 2,
-    }
-
-    def test_replays_busiest_functions(self):
-        from repro.sim.sweep import trace_replay_point
-
-        rows = trace_replay_point(self.PARAMS, seed=7)
-        # The generator's popularity distribution is heavy-tailed, so a small
-        # shard may concentrate traffic on fewer than top_functions functions.
-        assert 1 <= len(rows) <= 2
-        for row in rows:
-            assert row["num_requests"] > 0
-            assert row["trace_mean_duration_ms"] > 0
-            assert 0.0 <= row["cold_start_rate"] <= 1.0
-
-    def test_deterministic_and_seed_sensitive(self):
-        from repro.sim.sweep import trace_replay_point
-
-        assert trace_replay_point(self.PARAMS, seed=7) == trace_replay_point(self.PARAMS, seed=7)
-        different = trace_replay_point(self.PARAMS, seed=8)
-        assert trace_replay_point(self.PARAMS, seed=7) != different
-
-    def test_billing_adds_live_metered_cost(self):
-        from repro.sim.sweep import trace_replay_point
-
-        params = dict(self.PARAMS, billing="aws_lambda")
-        rows = trace_replay_point(params, seed=7)
-        assert all(row["cost_usd"] > 0 for row in rows)
-        assert all(row["billing_platform"] == "aws_lambda" for row in rows)
-
-    def test_instance_billed_model_accounts_open_lifespans(self):
-        """finalize() closes keep-alive sandboxes, so instance billing is non-zero."""
-        from repro.sim.sweep import trace_replay_point
-
-        params = dict(self.PARAMS, billing="gcp_run_instance")
-        rows = trace_replay_point(params, seed=7)
-        assert all(row["cost_usd"] > 0 for row in rows)
-
-    def test_routes_through_grid_and_parallel_sweep(self):
-        from repro.sim.sweep import build_grid, run_sweep
-
-        grid = build_grid(
-            runner="repro.sim.sweep:trace_replay_point",
-            axes={"platform": ["aws_lambda_like", "gcp_run_like"]},
-            common={"num_requests": 400, "num_functions": 10, "top_functions": 2},
-            base_seed=3,
-        )
-        sequential = run_sweep(grid)
-        parallel = run_sweep(grid, backend="multiprocessing:2")
-        assert sequential == parallel
-        assert len(sequential) >= 2  # at least one replayed function per platform
-        assert set(row["platform"] for row in sequential) == {"aws_lambda_like", "gcp_run_like"}
-
-    def test_invalid_time_scale(self):
-        from repro.sim.sweep import trace_replay_point
-
-        with pytest.raises(ValueError):
-            trace_replay_point(dict(self.PARAMS, time_scale=0.0), seed=7)
 
 
 class TestResultStoreCsvRoundTrip:

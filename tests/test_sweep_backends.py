@@ -12,6 +12,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from repro.sim.backends import (
     resolve_backend,
 )
 from repro.sim.checkpoint import SweepJournal
+from repro.sim.params import ScenarioParamError
 from repro.sim.rng import derive_seed
 from repro.sim.sweep import build_grid, run_sweep
 
@@ -208,15 +214,15 @@ class TestSweepPointError:
         error = excinfo.value
         assert error.scenario_id == grid[0].scenario_id
         assert error.seed == grid[0].seed
-        assert error.error_type == "KeyError"
+        assert error.error_type == "ScenarioParamError"
         assert "no_such" in str(error)
-        assert isinstance(error.__cause__, KeyError)  # serial keeps the live chain
+        assert isinstance(error.__cause__, ScenarioParamError)  # serial keeps the live chain
 
     def test_pool_failure_carries_worker_traceback(self):
         grid = [_broken(s) for s in _grid(rates=(1.0, 2.0))]
         with pytest.raises(SweepPointError) as excinfo:
             run_sweep(grid, backend="multiprocessing:2")
-        assert "KeyError" in (excinfo.value.traceback_text or "")
+        assert "ScenarioParamError" in (excinfo.value.traceback_text or "")
 
     def test_completed_rows_are_journaled_before_the_raise(self, tmp_path):
         grid = _grid(rates=(1.0, 2.0))
@@ -232,6 +238,45 @@ class TestSweepPointError:
         store = run_sweep(grid, backend=recorder, checkpoint=str(journal))
         assert recorder.ran == [1]
         assert len(store) == 2
+
+
+#: Four points on a two-worker pool; the worker that takes point 2 exits
+#: without returning, as a killed or crashed worker would.
+DYING_SWEEP = textwrap.dedent(
+    """
+    import os, sys
+    from repro.sim.backends import SweepPointError
+    from repro.sim.sweep import Scenario, run_sweep
+
+    def runner(params, seed):
+        if params["die"]:
+            os._exit(3)
+        return {"point": params["point"]}
+
+    grid = [Scenario(f"p{i}", "__main__:runner", {"point": i, "die": i == 2}, i) for i in range(4)]
+    try:
+        run_sweep(grid, backend="multiprocessing:2", checkpoint=sys.argv[1])
+    except SweepPointError as error:
+        print(error.error_type)
+        sys.exit(1)
+    """
+)
+
+
+class TestDeadWorker:
+    def test_a_dead_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        journal = tmp_path / "grid.jsonl"
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+        done = subprocess.run(
+            [sys.executable, "-c", DYING_SWEEP, str(journal)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout.strip() == "BrokenProcessPool"
+        # The point the dead worker had finished before was journaled first.
+        journaled = SweepJournal(journal).load()
+        assert journaled and {key[0] for key in journaled} <= {"p0", "p1", "p3"}
 
 
 # ----------------------------------------------------------------------

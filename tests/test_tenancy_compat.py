@@ -36,7 +36,7 @@ from repro.analysis.cluster_costs import cluster_cost_sweep
 from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import FleetConfig
 from repro.cluster.host import HostSpec
-from repro.obs import obs_from_params
+from repro.obs import Observability
 from repro.platform.presets import get_platform_preset
 from repro.sim.retry import RetryPolicy
 from repro.workloads.functions import PYAES_FUNCTION
@@ -183,10 +183,10 @@ class TestReplayFingerprints:
         golden = json.loads(_require(GOLDEN_DIR / "baseline_fingerprints.json").read_text())
         assert _current_fingerprints() == golden
 
-    def test_obs_attached_run_matches_the_same_fingerprint(self, tmp_path):
+    def test_obs_attached_run_matches_the_same_fingerprint(self):
         """Observability only reads the bus: same fingerprint as the bare run."""
         golden = json.loads(_require(GOLDEN_DIR / "baseline_fingerprints.json").read_text())
-        obs = obs_from_params({"trace_out": str(tmp_path / "trace.json")})
+        obs = Observability()
         result = _fingerprint_scenario("on", RETRY_POLICY, obs=obs).run()
         assert _fingerprint(result) == golden["feedback_on_retry_on"]
 
