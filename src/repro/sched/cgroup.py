@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.numeric import fold
+
 __all__ = ["BandwidthConfig", "BandwidthController", "CpuLocalPool"]
 
 #: Kernel default for sched_cfs_bandwidth_slice_us (5 ms).
@@ -103,7 +105,8 @@ class BandwidthController:
         if num_cpus <= 0:
             raise ValueError("num_cpus must be positive")
         self.config = config
-        self.global_runtime_s: float = config.quota_s if config.enabled else float("inf")
+        self._enabled = config.enabled
+        self.global_runtime_s: float = config.quota_s if self._enabled else float("inf")
         self.local: Dict[int, CpuLocalPool] = {
             cpu: CpuLocalPool(cpu_id=cpu) for cpu in range(num_cpus)
         }
@@ -119,7 +122,7 @@ class BandwidthController:
         Returns ``True`` when the CPU must be throttled (both pools exhausted).
         """
         pool = self.local[cpu_id]
-        if not self.config.enabled:
+        if not self._enabled:
             return False
         pool.runtime_remaining_s -= consumed_s
         if pool.runtime_remaining_s > 0:
@@ -154,7 +157,7 @@ class BandwidthController:
         point; returns True when the CPU is (now) throttled.
         """
         pool = self.local[cpu_id]
-        if not self.config.enabled:
+        if not self._enabled:
             return False
         if pool.throttled:
             return True
@@ -181,7 +184,7 @@ class BandwidthController:
         the global pool can cover it; CPUs whose debt exceeds the refreshed
         quota stay throttled and wait for later periods.
         """
-        if not self.config.enabled:
+        if not self._enabled:
             return []
         self.nr_periods += 1
         self.global_runtime_s = self.config.quota_s
@@ -210,5 +213,5 @@ class BandwidthController:
         return {
             "nr_periods": float(self.nr_periods),
             "nr_throttled": float(sum(p.nr_throttled for p in self.local.values())),
-            "throttled_time_s": sum(p.throttled_time_s for p in self.local.values()),
+            "throttled_time_s": fold(p.throttled_time_s for p in self.local.values()),
         }

@@ -15,6 +15,9 @@ The engine advances time from event to event.  Events are:
 The simulation is deterministic: randomness (e.g. the phase offset between a
 function invocation and the tick/period grids) is injected by callers through
 ``tick_phase_s`` / ``period_phase_s`` / task arrival times.
+
+:class:`SchedulerSim` reads its frozen :class:`SchedulerConfig` once, so a tick
+re-derives nothing, and the tick path builds no throwaway lists.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sched.cgroup import EXHAUSTED_RUNTIME_S, BandwidthConfig, BandwidthController
-from repro.sched.policies import PolicyParameters, SchedulingPolicy, max_burst_s, pick_next
+from repro.sched.cgroup import EXHAUSTED_RUNTIME_S, BandwidthConfig, BandwidthController, CpuLocalPool
+from repro.sched.policies import PolicyParameters, SchedulingPolicy, max_burst_s, pick_key
 from repro.sched.task import PhaseKind, SimTask, TaskState
 from repro.sim.feedback import FeedbackChannel, PublishedRate
 from repro.sim.kernel import SimulationKernel
@@ -34,11 +37,15 @@ __all__ = ["QuotaEnforcement", "SchedulerConfig", "SchedulerSim", "SimulationRes
 
 #: Seconds within which two event times count as equal and remaining work,
 #: demand or elapsed time counts as none: float residue of time arithmetic.
+#: Past 2**14 s half the clock's ulp exceeds it: a phase ending at the clock is done.
 _TIME_EPS_S = 1e-12
 #: Fraction of a grid interval by which the clock may fall short of a grid
 #: point and still count as on it, so the next grid point is the one after.
+#: Below the ulp past ~2**15 s (4 ms ticks): a point not after the clock moves on.
 _GRID_SNAP = 1e-9
 #: Fraction of a grid interval within which the clock counts as on the grid.
+#: It sets the safe horizon: grid-aligned runs of the Table-3 presets keep their
+#: t = 0 period and throttle counts to 2**20 s (measured); by 2**24 s ticks are missed.
 _ON_GRID_TOL = 1e-7
 #: Seconds by which a running burst may fall short of the EEVDF slice and
 #: still count as expired.
@@ -138,30 +145,43 @@ class SimulationResult:
 class _CpuState:
     """Mutable per-CPU simulation state."""
 
-    __slots__ = ("cpu_id", "running", "segment_start", "last_account", "burst_start", "unaccounted")
+    __slots__ = ("cpu_id", "pool", "running", "segment_start", "burst_start", "unaccounted")
 
-    def __init__(self, cpu_id: int) -> None:
+    def __init__(self, cpu_id: int, pool: CpuLocalPool) -> None:
         self.cpu_id = cpu_id
+        self.pool = pool
         self.running: Optional[SimTask] = None
         self.segment_start: float = 0.0
-        self.last_account: float = 0.0
         self.burst_start: float = 0.0
         self.unaccounted: float = 0.0
 
 
 class SchedulerSim:
-    """Simulates one cgroup's tasks under CPU bandwidth control."""
+    """Simulates one cgroup's tasks under CPU bandwidth control.
+
+    ``config`` is read once: ``__init__`` folds the grids, switches, burst
+    limit, pick key and horizon it fixes, so a tick reads only changing state.
+    """
 
     def __init__(self, config: SchedulerConfig, tasks: Sequence[SimTask]) -> None:
         if not tasks:
             raise ValueError("at least one task is required")
-        names = [t.name for t in tasks]
-        if len(set(names)) != len(names):
+        self._task_index: Dict[str, SimTask] = {t.name: t for t in tasks}
+        if len(self._task_index) != len(tasks):
             raise ValueError("task names must be unique")
         self.config = config
         self.tasks: List[SimTask] = list(tasks)
         self.controller = BandwidthController(config.bandwidth, num_cpus=config.num_cpus)
-        self._cpus = [_CpuState(i) for i in range(config.num_cpus)]
+        self._tick_s = config.tick_interval_s
+        self._tick_phase_s = config.tick_phase_s
+        self._period_s = config.bandwidth.period_s
+        self._period_phase_s = config.period_phase_s
+        self._bandwidth_on = config.bandwidth.enabled
+        self._event_enforced = self._bandwidth_on and config.quota_enforcement is QuotaEnforcement.EVENT
+        self._burst_limit_s = max_burst_s(config.policy)
+        self._pick_key = pick_key(config.policy)
+        self._horizon_s = config.horizon_s
+        self._cpus = [_CpuState(i, self.controller.local[i]) for i in range(config.num_cpus)]
         self._now = 0.0
         self._kernel: Optional[SimulationKernel] = None
         self._attached = False
@@ -279,7 +299,7 @@ class SchedulerSim:
         if not self._finalized:
             self._finalized = True
             if not self._all_done():
-                self._advance_running(max(self._now, self.config.horizon_s))
+                self._advance_running(max(self._now, self._horizon_s))
             self._close_open_segments()
             self._quiesce_feedback(self._now)
         return self._collect()
@@ -289,18 +309,57 @@ class SchedulerSim:
     def next_event_time(self, now: float) -> Optional[float]:
         """When this engine next needs the clock (asked after every :meth:`handle`).
 
-        Returns ``None`` once the next event would fall strictly beyond the
-        configured horizon -- exactly where the standalone :meth:`run` loop
-        stops -- so a shared kernel never drives the engine past it.
+        A running minimum over arrival, wake-up, tick, refill, phase end,
+        burst and budget times.  Returns ``None`` once the next event would
+        fall strictly beyond the configured horizon -- exactly where the
+        standalone :meth:`run` loop stops -- so a shared kernel never drives
+        the engine past it.
         """
         if self._finalized:
             return None
-        next_time = self._next_event_time()
-        if next_time is None or next_time > self.config.horizon_s:
+        best = self._pending[0].arrival_s if self._pending else None
+        if self._wakeups:
+            wake = min(self._wakeups.values())
+            if best is None or wake < best:
+                best = wake
+        running = throttled = False
+        for cpu in self._cpus:
+            if cpu.running is not None:
+                running = True
+            elif cpu.pool.throttled:
+                throttled = True
+        if running:
+            tick = self._next_grid_point(self._tick_phase_s, self._tick_s)
+            if best is None or tick < best:
+                best = tick
+        if self._bandwidth_on and (running or throttled):
+            refill = self._next_grid_point(self._period_phase_s, self._period_s)
+            if best is None or refill < best:
+                best = refill
+        if running:
+            burst_limit = self._burst_limit_s
+            for cpu in self._cpus:
+                task = cpu.running
+                if task is None:
+                    continue
+                end = self._now + task.phase_remaining_s
+                if best is None or end < best:
+                    best = end
+                if burst_limit is not None:
+                    expiry = cpu.burst_start + burst_limit
+                    if expiry < best:
+                        best = expiry
+                if self._event_enforced:
+                    budget = self._remaining_budget(cpu)
+                    if budget is not None:
+                        exhausted = self._now + max(budget, 0.0)
+                        if exhausted < best:
+                            best = exhausted
+        if best is None or best > self._horizon_s:
             # Quiet for good: stop throttling the platform layer too.
             self._quiesce_feedback(now)
             return None
-        return next_time
+        return best
 
     def handle(self, now: float) -> None:
         """Advance running tasks to ``now`` and process that instant's events."""
@@ -313,47 +372,16 @@ class SchedulerSim:
     # ------------------------------------------------------------------
 
     def _next_grid_point(self, phase: float, interval: float) -> float:
-        """The first grid point strictly after the current time."""
+        """The first grid point strictly after the current time (see ``_GRID_SNAP``)."""
         k = math.floor((self._now - phase) / interval + _GRID_SNAP) + 1
-        return phase + k * interval
-
-    def _next_event_time(self) -> Optional[float]:
-        candidates: List[float] = []
-        if self._pending:
-            candidates.append(self._pending[0].arrival_s)
-        if self._wakeups:
-            candidates.append(min(self._wakeups.values()))
-        any_running = any(cpu.running is not None for cpu in self._cpus)
-        if any_running:
-            candidates.append(self._next_grid_point(self.config.tick_phase_s, self.config.tick_interval_s))
-        if self.config.bandwidth.enabled and (
-            any_running or any(self.controller.is_throttled(c.cpu_id) for c in self._cpus)
-        ):
-            candidates.append(
-                self._next_grid_point(self.config.period_phase_s, self.config.bandwidth.period_s)
-            )
-        burst_limit = max_burst_s(self.config.policy)
-        for cpu in self._cpus:
-            if cpu.running is None:
-                continue
-            candidates.append(self._now + cpu.running.phase_remaining_s)
-            if burst_limit is not None:
-                candidates.append(cpu.burst_start + burst_limit)
-            if (
-                self.config.quota_enforcement is QuotaEnforcement.EVENT
-                and self.config.bandwidth.enabled
-            ):
-                budget = self._remaining_budget(cpu)
-                if budget is not None:
-                    candidates.append(self._now + max(budget, 0.0))
-        if not candidates:
-            return None
-        return min(candidates)
+        point = phase + k * interval
+        if point <= self._now:
+            point = phase + (k + 1) * interval
+        return point
 
     def _remaining_budget(self, cpu: _CpuState) -> Optional[float]:
         """Runtime left before this CPU's cgroup budget is exhausted (event enforcement)."""
-        pool = self.controller.local[cpu.cpu_id]
-        budget = pool.runtime_remaining_s + self.controller.global_runtime_s - cpu.unaccounted
+        budget = cpu.pool.runtime_remaining_s + self.controller.global_runtime_s - cpu.unaccounted
         if budget == float("inf"):
             return None
         return budget
@@ -390,10 +418,6 @@ class SchedulerSim:
     # Event handling
     # ------------------------------------------------------------------
 
-    def _on_grid(self, phase: float, interval: float) -> bool:
-        offset = (self._now - phase) / interval
-        return abs(offset - round(offset)) < _ON_GRID_TOL
-
     def _handle_events(self) -> None:
         now = self._now
         # 1. Arrivals.
@@ -405,17 +429,21 @@ class SchedulerSim:
             self._runqueues[cpu_id].append(task)
 
         # 2. IO wake-ups.
-        for name, wake_time in list(self._wakeups.items()):
-            if wake_time <= now + _TIME_EPS_S:
-                del self._wakeups[name]
-                task = self._task_by_name(name)
-                task.advance_phase()
-                self._after_phase_transition(task)
+        if self._wakeups:
+            for name, wake_time in list(self._wakeups.items()):
+                if wake_time <= now + _TIME_EPS_S:
+                    del self._wakeups[name]
+                    task = self._task_index[name]
+                    task.advance_phase()
+                    self._after_phase_transition(task)
 
         # 3. Compute-phase completions (account consumed runtime at the switch).
+        # Far from t = 0 a residual above _TIME_EPS_S can still end at `now`
+        # itself once added to the clock; such a phase is finished too.
         for cpu in self._cpus:
             task = cpu.running
-            if task is None or task.phase_remaining_s > _TIME_EPS_S:
+            if task is None or (task.phase_remaining_s > _TIME_EPS_S
+                                and now + task.phase_remaining_s != now):
                 continue
             self._account_cpu(cpu)
             self._stop_running(cpu, record_throttle_wait=False)
@@ -423,20 +451,20 @@ class SchedulerSim:
             self._after_phase_transition(task)
 
         # 4. Period refill (before the tick so a coinciding tick sees fresh quota).
-        if self.config.bandwidth.enabled and self._on_grid(
-            self.config.period_phase_s, self.config.bandwidth.period_s
-        ):
-            self._publish_feedback(now)
-            unthrottled = self.controller.refill(now)
-            for cpu_id in unthrottled:
-                for task in self._runqueues[cpu_id]:
-                    if task.name in self._throttle_wait_since:
-                        started = self._throttle_wait_since.pop(task.name)
-                        task.throttle_segments.append((started, now - started))
-                        task.state = TaskState.RUNNABLE
+        if self._bandwidth_on:
+            offset = (now - self._period_phase_s) / self._period_s
+            if abs(offset - round(offset)) < _ON_GRID_TOL:
+                self._publish_feedback(now)
+                for cpu_id in self.controller.refill(now):
+                    for task in self._runqueues[cpu_id]:
+                        if task.name in self._throttle_wait_since:
+                            started = self._throttle_wait_since.pop(task.name)
+                            task.throttle_segments.append((started, now - started))
+                            task.state = TaskState.RUNNABLE
 
         # 5. Scheduler tick: accounting, throttling, and preemption points.
-        if self._on_grid(self.config.tick_phase_s, self.config.tick_interval_s):
+        offset = (now - self._tick_phase_s) / self._tick_s
+        if abs(offset - round(offset)) < _ON_GRID_TOL:
             for cpu in self._cpus:
                 if cpu.running is not None:
                     self._account_and_maybe_throttle(cpu)
@@ -445,27 +473,23 @@ class SchedulerSim:
         # 5b. Event-driven quota enforcement (§4.3 proposal): throttle a running
         # task the instant its remaining budget hits zero rather than waiting
         # for the next tick.
-        if (
-            self.config.quota_enforcement is QuotaEnforcement.EVENT
-            and self.config.bandwidth.enabled
-        ):
+        if self._event_enforced:
             for cpu in self._cpus:
                 if cpu.running is None:
                     continue
                 budget = self._remaining_budget(cpu)
                 if budget is not None and budget <= EXHAUSTED_RUNTIME_S:
                     self._account_cpu(cpu)
-                    if self.controller.throttle_if_exhausted(cpu.cpu_id, self._now) and cpu.running is not None:
+                    if self.controller.throttle_if_exhausted(cpu.cpu_id, now) and cpu.running is not None:
                         task = cpu.running
                         self._stop_running(cpu, record_throttle_wait=True)
                         task.state = TaskState.THROTTLED
 
         # 6. EEVDF slice expiry: an extra accounting point for the running task.
-        burst_limit = max_burst_s(self.config.policy)
+        burst_limit = self._burst_limit_s
         if burst_limit is not None:
             for cpu in self._cpus:
-                task = cpu.running
-                if task is None:
+                if cpu.running is None:
                     continue
                 if now - cpu.burst_start >= burst_limit - _SLICE_EXPIRY_SLACK_S:
                     self._account_and_maybe_throttle(cpu)
@@ -530,10 +554,9 @@ class SchedulerSim:
     def _account_cpu(self, cpu: _CpuState) -> bool:
         """Charge unaccounted runtime; returns True when the CPU got throttled."""
         if cpu.unaccounted <= 0:
-            return self.controller.is_throttled(cpu.cpu_id)
+            return cpu.pool.throttled
         throttled = self.controller.account(cpu.cpu_id, cpu.unaccounted, self._now)
         cpu.unaccounted = 0.0
-        cpu.last_account = self._now
         return throttled
 
     def _account_and_maybe_throttle(self, cpu: _CpuState) -> None:
@@ -554,42 +577,42 @@ class SchedulerSim:
         cpu.running = None
         cpu.unaccounted = 0.0
 
+    def _best_runnable(self, cpu_id: int, current: Optional[SimTask]):
+        """The runnable task other than ``current`` with the smallest pick key, and the key."""
+        key = self._pick_key
+        best = best_key = None
+        for task in self._runqueues[cpu_id]:
+            if task.state is TaskState.RUNNABLE and task is not current:
+                task_key = key(task)
+                if best is None or task_key < best_key:
+                    best, best_key = task, task_key
+        return best, best_key
+
     def _preempt_if_needed(self) -> None:
         """At a tick, let a waiting task with a smaller scheduling key take the CPU."""
         for cpu in self._cpus:
-            if self.controller.is_throttled(cpu.cpu_id):
-                continue
-            waiting = [
-                t
-                for t in self._runqueues[cpu.cpu_id]
-                if t.state is TaskState.RUNNABLE and t is not cpu.running
-            ]
-            if not waiting:
-                continue
-            best_waiting = pick_next(waiting, self.config.policy, self._now)
             current = cpu.running
-            if current is None:
+            if current is None or cpu.pool.throttled:
                 continue
-            candidate = pick_next([current, best_waiting], self.config.policy, self._now)
-            if candidate is not current:
-                self._account_cpu(cpu)
-                self._stop_running(cpu, record_throttle_wait=False)
-                current.state = TaskState.RUNNABLE
+            best, best_key = self._best_runnable(cpu.cpu_id, current)
+            if best is None or self._pick_key(current) <= best_key:
+                continue
+            self._account_cpu(cpu)
+            self._stop_running(cpu, record_throttle_wait=False)
+            current.state = TaskState.RUNNABLE
 
     def _dispatch(self) -> None:
         """Put runnable tasks on idle, unthrottled CPUs."""
         for cpu in self._cpus:
-            if cpu.running is not None or self.controller.is_throttled(cpu.cpu_id):
+            if cpu.running is not None or cpu.pool.throttled:
                 continue
-            runnable = [t for t in self._runqueues[cpu.cpu_id] if t.state is TaskState.RUNNABLE]
-            chosen = pick_next(runnable, self.config.policy, self._now)
+            chosen, _ = self._best_runnable(cpu.cpu_id, None)
             if chosen is None:
                 continue
             chosen.state = TaskState.RUNNING
             cpu.running = chosen
             cpu.segment_start = self._now
             cpu.burst_start = self._now
-            cpu.last_account = self._now
             cpu.unaccounted = 0.0
             if chosen.name in self._throttle_wait_since:
                 started = self._throttle_wait_since.pop(chosen.name)
@@ -605,19 +628,13 @@ class SchedulerSim:
     def _least_loaded_cpu(self) -> int:
         return min(self._runqueues, key=lambda cpu_id: len(self._runqueues[cpu_id]))
 
-    def _task_by_name(self, name: str) -> SimTask:
-        for task in self.tasks:
-            if task.name == name:
-                return task
-        raise KeyError(name)
-
     def _close_open_segments(self) -> None:
         for cpu in self._cpus:
             if cpu.running is not None and self._now > cpu.segment_start + _TIME_EPS_S:
                 cpu.running.run_segments.append((cpu.segment_start, self._now))
                 cpu.running = None
         for name, started in list(self._throttle_wait_since.items()):
-            task = self._task_by_name(name)
+            task = self._task_index[name]
             if self._now > started + _TIME_EPS_S:
                 task.throttle_segments.append((started, self._now - started))
             del self._throttle_wait_since[name]

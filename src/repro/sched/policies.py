@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.sched.task import SimTask
 
-__all__ = ["SchedulingPolicy", "PolicyParameters", "pick_next", "max_burst_s"]
+__all__ = ["SchedulingPolicy", "PolicyParameters", "pick_key", "pick_next", "max_burst_s"]
 
 #: Kernel default minimal preemption granularity for CPU-bound tasks (750 us),
 #: referenced by the paper's Algorithm 1 threshold discussion.
@@ -48,6 +49,15 @@ class PolicyParameters:
             raise ValueError("eevdf_base_slice_s must be positive")
 
 
+def pick_key(params: PolicyParameters) -> Callable[[SimTask], Tuple[float, str]]:
+    """The key :func:`pick_next` minimises, built once per policy; names break ties."""
+    if params.policy is SchedulingPolicy.CFS:
+        return attrgetter("vruntime", "name")
+    # EEVDF: virtual deadline = vruntime + slice / weight.
+    slice_s = params.eevdf_base_slice_s
+    return lambda task: (task.vruntime + slice_s / task.weight, task.name)
+
+
 def pick_next(runnable: Sequence[SimTask], params: PolicyParameters, now_s: float) -> Optional[SimTask]:
     """Pick the next task to run among runnable tasks on one CPU.
 
@@ -59,13 +69,7 @@ def pick_next(runnable: Sequence[SimTask], params: PolicyParameters, now_s: floa
     """
     if not runnable:
         return None
-    if params.policy is SchedulingPolicy.CFS:
-        return min(runnable, key=lambda t: (t.vruntime, t.name))
-    # EEVDF: virtual deadline = vruntime + slice / weight.
-    def deadline(task: SimTask) -> float:
-        return task.vruntime + params.eevdf_base_slice_s / task.weight
-
-    return min(runnable, key=lambda t: (deadline(t), t.name))
+    return min(runnable, key=pick_key(params))
 
 
 def max_burst_s(params: PolicyParameters) -> Optional[float]:

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from repro.numeric import fold
 from repro.sched.engine import TaskResult
 
 __all__ = [
@@ -82,7 +83,7 @@ class ThrottleProfile:
         durations = self.throttle_durations_s()
         obtained = self.obtained_cpu_times_s()
         def _mean(xs: Sequence[float]) -> float:
-            return sum(xs) / len(xs) if xs else float("nan")
+            return fold(xs) / len(xs) if xs else float("nan")
         return {
             "num_throttles": float(self.num_throttles),
             "span_s": self.span_s,
@@ -115,11 +116,11 @@ class ThrottleProfileSet:
 
     @property
     def span_s(self) -> float:
-        return sum(p.span_s for p in self.profiles)
+        return fold(p.span_s for p in self.profiles)
 
     @property
     def cpu_obtained_s(self) -> float:
-        return sum(p.cpu_obtained_s for p in self.profiles)
+        return fold(p.cpu_obtained_s for p in self.profiles)
 
     def throttle_intervals_s(self) -> List[float]:
         values: List[float] = []
@@ -159,7 +160,7 @@ class ThrottleProfileSet:
         obtained = self.obtained_cpu_times_s()
 
         def _mean(xs: Sequence[float]) -> float:
-            return sum(xs) / len(xs) if xs else float("nan")
+            return fold(xs) / len(xs) if xs else float("nan")
 
         return {
             "num_invocations": float(len(self.profiles)),
@@ -187,7 +188,7 @@ def profile_task_result(
     if not segments:
         return profile
     profile.span_s = segments[-1][1] - segments[0][0]
-    profile.cpu_obtained_s = sum(end - start for start, end in segments)
+    profile.cpu_obtained_s = fold(end - start for start, end in segments)
     for (prev_start, prev_end), (start, end) in zip(segments, segments[1:]):
         gap = start - prev_end
         if gap >= threshold_s:
@@ -216,5 +217,5 @@ def profile_live(exec_duration_s: float, threshold_s: float = DETECTION_THRESHOL
         if now - start >= exec_duration_s:
             break
     span = time.monotonic() - start
-    throttled = sum(e.duration_s for e in events)
+    throttled = fold(e.duration_s for e in events)
     return ThrottleProfile(events=events, span_s=span, cpu_obtained_s=max(span - throttled, 0.0))

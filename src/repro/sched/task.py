@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.numeric import fold
+
 __all__ = ["TaskState", "TaskPhase", "SimTask"]
 
 _task_counter = itertools.count()
@@ -135,7 +137,7 @@ class SimTask:
     @property
     def total_cpu_demand_s(self) -> float:
         """Total CPU time the task needs across all compute phases."""
-        return sum(p.duration_s for p in self.phases if p.kind is PhaseKind.COMPUTE)
+        return fold(p.duration_s for p in self.phases if p.kind is PhaseKind.COMPUTE)
 
     @property
     def is_done(self) -> bool:

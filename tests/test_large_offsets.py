@@ -1,4 +1,4 @@
-"""Runs far from t = 0 terminate: the completion-check float livelock stays fixed.
+"""Runs far from t = 0 terminate: the completion-check float livelocks stay fixed.
 
 Past 2**14 s half an ulp of the clock (1.8e-12 s) exceeds the sandbox's
 done tolerance (1e-12 s of residual work).  A request can then keep a
@@ -7,6 +7,11 @@ itself, and the completion check used to re-arm at ``now`` forever.  Each
 run here starts its arrivals at a large offset, bounds the kernel so a
 regression fails instead of hanging, and checks the arrival conservation
 law at the end.
+
+The CPU-bandwidth scheduler had the same two hazards: a compute phase's
+residual whose end rounds to ``now``, and a next tick or period boundary
+that rounds back onto ``now`` once the grid snap is below the clock's ulp.
+Its runs at 2**17 s and 2**20 s must finish like the same run at t = 0.
 """
 
 import pytest
@@ -14,6 +19,9 @@ import pytest
 from repro.analysis.keepalive import run_probe_point
 from repro.platform.invoker import PlatformSimulator
 from repro.platform.presets import get_platform_preset
+from repro.sched.engine import SchedulerSim
+from repro.sched.presets import PROVIDER_SCHED_PRESETS, scheduler_config_for
+from repro.sched.task import SimTask, TaskPhase
 from repro.sim.kernel import SimulationKernel
 from repro.workloads.functions import PYAES_FUNCTION
 
@@ -72,3 +80,36 @@ def test_keepalive_probe_past_two_to_the_fourteen_terminates(idle_time_s, monkey
     # Every probe but the always-cold first one completed.
     assert row["num_probes"] == 29.0
     assert row["measured_cold_start_probability"] == row["policy_cold_start_probability"] == 1.0
+
+
+def _scheduler_run(preset, t0):
+    tasks = [
+        SimTask([TaskPhase.compute(0.3)], arrival_s=t0 + 0.01 * i, name=f"t{i}") for i in range(3)
+    ]
+    engine = SchedulerSim(scheduler_config_for(preset, 0.5, horizon_s=t0 + 5.0), tasks)
+    kernel = SimulationKernel()
+    engine.attach(kernel)
+    events = kernel.run(max_events=SCHED_MAX_EVENTS)
+    return events, engine.finalize(), tasks
+
+
+#: A terminating run needs 316-920 events; a livelocked one hits this at once.
+SCHED_MAX_EVENTS = 20_000
+
+
+@pytest.mark.parametrize("t0", [2.0**17, 2.0**20])
+@pytest.mark.parametrize("preset", sorted(PROVIDER_SCHED_PRESETS))
+def test_scheduler_at_large_offset_finishes_like_at_zero(preset, t0):
+    events, result, tasks = _scheduler_run(preset, t0)
+    assert events < SCHED_MAX_EVENTS, "scheduler ticks livelocked"
+    assert all(task.is_done for task in tasks)
+    for task in tasks:
+        assert result.task(task.name).cpu_consumed_s == pytest.approx(
+            task.total_cpu_demand_s, abs=1e-9
+        )
+    _, reference, _ = _scheduler_run(preset, 0.0)
+    for stat in ("nr_periods", "nr_throttled"):
+        assert result.bandwidth_stats[stat] == reference.bandwidth_stats[stat]
+    period_s = PROVIDER_SCHED_PRESETS[preset].period_s
+    for name, task in result.tasks.items():
+        assert abs(task.duration_s - reference.task(name).duration_s) <= period_s

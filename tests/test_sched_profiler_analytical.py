@@ -10,11 +10,11 @@ from repro.sched.analytical import (
     theoretical_duration,
     theoretical_duration_series,
 )
-from repro.sched.cgroup import BandwidthConfig
+from repro.sched.cgroup import BandwidthConfig, BandwidthController
 from repro.sched.engine import SchedulerConfig, SchedulerSim, TaskResult
 from repro.sched.presets import PROVIDER_SCHED_PRESETS, scheduler_config_for
 from repro.sched.profiler import ThrottleProfile, ThrottleProfileSet, profile_live, profile_task_result
-from repro.sched.task import SimTask
+from repro.sched.task import SimTask, TaskPhase
 
 
 class TestEquationTwo:
@@ -166,6 +166,22 @@ class TestThrottleProfileSet:
     def test_summary_counts_invocations(self):
         profile_set = ThrottleProfileSet(profiles=[ThrottleProfile(), ThrottleProfile()])
         assert profile_set.summary()["num_invocations"] == 2
+
+
+def test_float_totals_add_left_to_right():
+    """1 + 2**-53 + 2**-53 is 1.0 left to right; Python 3.12's compensated sum rounds up."""
+    tiny = 2.0**-53
+    profiles = [ThrottleProfile(span_s=x, cpu_obtained_s=x) for x in (1.0, tiny, tiny)]
+    profile_set = ThrottleProfileSet(profiles=profiles)
+    assert profile_set.span_s == profile_set.cpu_obtained_s == 1.0
+    segments = [(-1.0, 0.0), (0.0, tiny), (2 * tiny, 3 * tiny)]
+    result = TaskResult("t", -1.0, 3 * tiny, 1.0, segments, [])
+    assert profile_task_result(result).cpu_obtained_s == 1.0
+    assert SimTask(phases=[TaskPhase.compute(x) for x in (1.0, tiny, tiny)]).total_cpu_demand_s == 1.0
+    controller = BandwidthController(BandwidthConfig(period_s=0.1, quota_s=0.05), num_cpus=3)
+    for pool, throttled_s in zip(controller.local.values(), (1.0, tiny, tiny)):
+        pool.throttled_time_s = throttled_s
+    assert controller.stats()["throttled_time_s"] == 1.0
 
 
 class TestPresets:
