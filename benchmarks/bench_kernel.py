@@ -155,7 +155,6 @@ def bench_cluster_requests(duration_s: float) -> Dict[str, object]:
     from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
     from repro.cluster.fleet import FleetConfig
     from repro.cluster.host import HostSpec
-    from repro.obs import Observability
     from repro.platform.presets import get_platform_preset
     from repro.workloads.functions import get_workload
 
@@ -172,15 +171,14 @@ def bench_cluster_requests(duration_s: float) -> Dict[str, object]:
                 function=function, platform=preset, rps=4.0, duration_s=duration_s
             )
         )
-    obs = Observability(telemetry_interval_s=None, trace=False)
     simulator = ClusterSimulator(
         deployments,
         fleet_config=FleetConfig(host_spec=HostSpec(vcpus=16.0, memory_gb=64.0)),
         billing_platform="gcp_run_request",
         seed=SEED,
         feedback="on",
-        obs=obs,
     )
+    profiler = KernelProfiler().install(simulator.kernel, simulator.bus)
     start = perf_counter()
     result = simulator.run()
     wall_s = perf_counter() - start
@@ -188,7 +186,7 @@ def bench_cluster_requests(duration_s: float) -> Dict[str, object]:
     arrivals = sum(m.arrivals for m in result.metrics.values())
     # The profiler's publish tally must agree with the domain metrics: every
     # completion crossed the bus exactly once.
-    published = obs.kernel_profile().publishes.get("RequestCompleted")
+    published = profiler.snapshot().publishes.get("RequestCompleted")
     if published is None or published["count"] != completed:
         raise AssertionError(
             f"cluster_requests miscount: published={published} completed={completed}"
@@ -216,7 +214,6 @@ def bench_million_requests(num_requests: int) -> Dict[str, object]:
     must be empty.
     """
     from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
-    from repro.obs import Observability
     from repro.platform.presets import get_platform_preset
     from repro.sim.arrivals import DEFAULT_CHUNK_SIZE
     from repro.workloads.functions import get_workload
@@ -237,14 +234,13 @@ def bench_million_requests(num_requests: int) -> Dict[str, object]:
                 function=function, platform=preset, rps=rps, duration_s=duration_s
             )
         )
-    obs = Observability(telemetry_interval_s=None, trace=False)
     simulator = ClusterSimulator(
         deployments,
         seed=SEED,
         feedback="off",
-        obs=obs,
         retain_outcomes=False,
     )
+    profiler = KernelProfiler().install(simulator.kernel, simulator.bus)
     # The default drain tail is sized for lightly loaded sandboxes; at 250
     # rps the final burst sits in one heavily contended sandbox and needs a
     # few extra simulated seconds, so give the run an explicit horizon.
@@ -267,7 +263,7 @@ def bench_million_requests(num_requests: int) -> Dict[str, object]:
     retained = sum(len(m.requests) for m in metrics)
     if retained:
         raise AssertionError(f"million_requests retained {retained} outcome objects")
-    profile = obs.kernel_profile()
+    profile = profiler.snapshot()
     # Streamed arrivals keep at most one chunk per deployment pending; the
     # rest of the heap is in-flight work, which is rate- not count-bound.
     heap_bound = functions * DEFAULT_CHUNK_SIZE + 16_384

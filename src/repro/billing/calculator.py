@@ -118,18 +118,6 @@ class BillingCalculator:
             vcpus = memory_gb / VCPU_EQUIVALENT_MEMORY_GB
         return {ResourceKind.CPU: vcpus, ResourceKind.MEMORY: memory_gb}
 
-    def effective_usages(self, inputs: InvocationBillingInput) -> Dict[ResourceKind, float]:
-        """Usage quantities in the units each usage-billed resource expects.
-
-        Convention: CPU usage is expressed in consumed vCPU-seconds (Cloudflare
-        bills that amount directly); memory usage is the average resident GB
-        (Azure multiplies it by billable execution time).
-        """
-        return {
-            ResourceKind.CPU: inputs.used_cpu_seconds,
-            ResourceKind.MEMORY: inputs.used_memory_gb,
-        }
-
     # ------------------------------------------------------------------
     # Billable resources and invoices
     # ------------------------------------------------------------------
@@ -164,7 +152,8 @@ class BillingCalculator:
 
         def price(execution_s, init_s, used_cpu_seconds, used_memory_gb, instance_s=None):
             billable_time = billable_seconds(execution_s, init_s, instance_s, used_cpu_seconds)
-            # Usages in effective_usages' units: consumed vCPU-seconds, average GB.
+            # Usages: consumed vCPU-seconds (Cloudflare bills that amount) and
+            # average resident GB (Azure multiplies it by the billable time).
             rows = rows_at(billable_time, {cpu_kind: used_cpu_seconds, memory_kind: used_memory_gb})
             cpu = memory = 0.0
             for _, kind, quantity, _, _ in rows:

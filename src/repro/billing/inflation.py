@@ -68,15 +68,6 @@ class InflationResult:
             return float("nan")
         return fold(self.billable_memory_gb_seconds) / total_actual
 
-    def summary(self) -> Dict[str, float]:
-        return {
-            "platform_mean_cpu_inflation": self.mean_cpu_inflation,
-            "platform_mean_memory_inflation": self.mean_memory_inflation,
-            "aggregate_cpu_inflation": self.aggregate_cpu_inflation,
-            "aggregate_memory_inflation": self.aggregate_memory_inflation,
-            "num_requests": float(len(self.billable_cpu_seconds)),
-        }
-
 
 def _mean_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> float:
     ratios = [
@@ -133,13 +124,3 @@ class InflationAnalyzer:
                 list(actual_cpu), list(actual_memory),
             )
         return results
-
-    def inflation_table(self, trace: "Trace | Iterable[RequestRecord]") -> List[Dict[str, float]]:
-        """A compact table of mean CPU / memory inflation per platform (Figure 2 summary)."""
-        results = self.analyze(trace)
-        rows: List[Dict[str, float]] = []
-        for platform, result in results.items():
-            row: Dict[str, float] = {"platform": platform.value}  # type: ignore[dict-item]
-            row.update(result.summary())
-            rows.append(row)
-        return rows

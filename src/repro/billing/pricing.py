@@ -55,13 +55,6 @@ class PlatformPrice:
     invocation_fee: float
     memory_based_billing: bool
 
-    @property
-    def effective_price_1vcpu_1769mb(self) -> float:
-        """Price per second of a 1 vCPU + 1,769 MB function (the paper's §2.2 yardstick)."""
-        if self.memory_based_billing:
-            return self.memory_per_gb_second * VCPU_EQUIVALENT_MEMORY_GB
-        return self.cpu_per_vcpu_second * 1.0 + self.memory_per_gb_second * VCPU_EQUIVALENT_MEMORY_GB
-
     def implied_unit_prices(self) -> Tuple[float, float]:
         """The (vCPU-second, GB-second) prices, splitting a memory-embedded one."""
         if self.memory_based_billing:

@@ -41,7 +41,6 @@ from repro.sim.events import (
     EventBus,
     RequestArrived,
     RequestCompleted,
-    RequestExecuting,
     RequestFailed,
     RetryScheduled,
     SandboxAdmitted,
@@ -115,25 +114,17 @@ class Observability:
         obs.write_telemetry_csv("run.csv")   # sampled series
         print("\\n".join(obs.kernel_profile().table()))
 
-    Components are individually optional (``trace=False`` /
-    ``profile=False`` / ``telemetry_interval_s=None``).  One instance serves
-    one run: :meth:`attach` is called by the simulator and refuses reuse.
+    Every bundle holds all three components; ``telemetry_interval_s`` is the
+    telemetry sampling period.  A caller that wants only the kernel profile
+    installs a :class:`KernelProfiler` on its own.  One instance serves one
+    run: :meth:`attach` is called by the simulator and refuses reuse.
     """
 
-    def __init__(
-        self,
-        telemetry_interval_s: Optional[float] = 1.0,
-        trace: bool = True,
-        profile: bool = True,
-    ) -> None:
+    def __init__(self, telemetry_interval_s: float = 1.0) -> None:
         self.registry = MetricsRegistry()
-        self.trace: Optional[TraceCollector] = TraceCollector() if trace else None
-        self.profiler: Optional[KernelProfiler] = KernelProfiler() if profile else None
-        self.telemetry: Optional[TelemetryProcess] = (
-            TelemetryProcess(self.registry, telemetry_interval_s)
-            if telemetry_interval_s is not None
-            else None
-        )
+        self.trace = TraceCollector()
+        self.profiler = KernelProfiler()
+        self.telemetry = TelemetryProcess(self.registry, telemetry_interval_s)
         self._attached = False
         self._finalized_at: Optional[float] = None
 
@@ -150,13 +141,10 @@ class Observability:
         if self._attached:
             raise RuntimeError("an Observability instance serves exactly one run")
         self._attached = True
-        if self.trace is not None:
-            self.trace.attach(bus)
+        self.trace.attach(bus)
         self._subscribe_metrics(bus)
-        if self.telemetry is not None:
-            kernel.add_process(self.telemetry)
-        if self.profiler is not None:
-            self.profiler.install(kernel, bus)
+        kernel.add_process(self.telemetry)
+        self.profiler.install(kernel, bus)
         return self
 
     def _subscribe_metrics(self, bus: EventBus) -> None:
@@ -204,46 +192,37 @@ class Observability:
         if self._finalized_at is not None:
             return
         self._finalized_at = horizon_s
-        if self.trace is not None:
-            self.trace.finalize(horizon_s)
+        self.trace.finalize(horizon_s)
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
 
     def kernel_profile(self) -> KernelProfile:
-        if self.profiler is None:
-            raise RuntimeError("profiling was disabled for this Observability")
         return self.profiler.snapshot()
 
     def write_trace(self, path: str) -> None:
         """Spans to ``path``: ``.jsonl`` -> span lines, else Chrome trace JSON."""
-        if self.trace is None:
-            raise RuntimeError("tracing was disabled for this Observability")
         if path.endswith(".jsonl"):
             self.trace.to_jsonl(path)
             return
-        counters = self.telemetry.chrome_counters() if self.telemetry is not None else None
-        self.trace.to_chrome_trace(path, counters)
+        self.trace.to_chrome_trace(path, self.telemetry.chrome_counters())
 
     def write_telemetry_csv(self, path: str) -> None:
-        if self.telemetry is None:
-            raise RuntimeError("telemetry was disabled for this Observability")
         self.telemetry.to_csv(path)
 
     def summary(self) -> Dict[str, Any]:
         """Structured end-of-run digest (registry snapshot + span counts)."""
-        out: Dict[str, Any] = {"metrics": self.registry.snapshot()}
-        if self.trace is not None:
-            spans = self.trace.spans
-            out["spans"] = {
+        spans = self.trace.spans
+        return {
+            "metrics": self.registry.snapshot(),
+            "spans": {
                 "total": len(spans),
                 "roots": sum(1 for s in spans if s.is_root),
                 "completed": sum(1 for s in spans if s.outcome == "completed"),
                 "failed": sum(1 for s in spans if s.outcome == "failed"),
                 "denied": sum(1 for s in spans if s.outcome == "denied"),
                 "censored": sum(1 for s in spans if s.outcome == "censored"),
-            }
-        if self.profiler is not None:
-            out["kernel"] = self.kernel_profile().to_dict()
-        return out
+            },
+            "kernel": self.kernel_profile().to_dict(),
+        }

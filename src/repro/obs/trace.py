@@ -288,23 +288,6 @@ class TraceCollector:
                 sandbox.end_s = max(horizon_s, sandbox.cold_start_s)
                 sandbox.end_reason = sandbox.end_reason or "alive_at_horizon"
 
-    def children_of(self, request_id: str) -> List[RequestSpan]:
-        return [s for s in self.spans if s.parent_id == request_id]
-
-    def chain_of(self, request_id: str) -> List[RequestSpan]:
-        """The full retry chain containing ``request_id``, attempt order."""
-        span = self._by_request.get(request_id)
-        if span is None:
-            return []
-        while span.parent_id and span.parent_id in self._by_request:
-            span = self._by_request[span.parent_id]
-        chain = [span]
-        while True:
-            children = self.children_of(chain[-1].request_id)
-            if not children:
-                return chain
-            chain.extend(children)
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------

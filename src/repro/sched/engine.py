@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sched.cgroup import EXHAUSTED_RUNTIME_S, BandwidthConfig, BandwidthController, CpuLocalPool
-from repro.sched.policies import PolicyParameters, SchedulingPolicy, max_burst_s, pick_key
+from repro.sched.policies import PolicyParameters, max_burst_s, pick_key
 from repro.sched.task import PhaseKind, SimTask, TaskState
 from repro.sim.feedback import FeedbackChannel, PublishedRate
 from repro.sim.kernel import SimulationKernel
@@ -44,12 +44,16 @@ _TIME_EPS_S = 1e-12
 #: Below the ulp past ~2**15 s (4 ms ticks): a point not after the clock moves on.
 _GRID_SNAP = 1e-9
 #: Fraction of a grid interval within which the clock counts as on the grid.
-#: It sets the safe horizon: grid-aligned runs of the Table-3 presets keep their
-#: t = 0 period and throttle counts to 2**20 s (measured); by 2**24 s ticks are missed.
+#: It sets the safe horizon (``_SAFE_HORIZON_S``): grid-aligned runs of the Table-3
+#: presets keep their t = 0 period and throttle counts to 2**21 - 8 s (measured).
 _ON_GRID_TOL = 1e-7
 #: Seconds by which a running burst may fall short of the EEVDF slice and
 #: still count as expired.
 _SLICE_EXPIRY_SLACK_S = 1e-9
+#: Largest ``horizon_s`` a config accepts.  Past 2**21 s the clock's rounding
+#: exceeds ``_ON_GRID_TOL`` and ticks are skipped without any error
+#: (ibm_code_engine from 2**21 s, aws_lambda from 2**22 s).
+_SAFE_HORIZON_S = 2.0**21
 
 
 class QuotaEnforcement(str, enum.Enum):
@@ -94,6 +98,11 @@ class SchedulerConfig:
             raise ValueError("num_cpus must be positive")
         if self.horizon_s <= 0:
             raise ValueError("horizon_s must be positive")
+        if self.horizon_s > _SAFE_HORIZON_S:
+            raise ValueError(
+                f"horizon_s {self.horizon_s} exceeds the scheduler's safe horizon of "
+                f"{_SAFE_HORIZON_S:.0f} s (2**21): past it ticks are missed"
+            )
 
     @property
     def tick_interval_s(self) -> float:

@@ -85,10 +85,10 @@ class ArrivalSource:
 class ConstantRateSource(ArrivalSource):
     """Evenly spaced arrivals at ``rps`` requests/second for ``duration_s``.
 
-    Chunk ``i`` of the sequence is ``start_s + k / rps`` for the ``k`` in the
-    chunk's index range -- identical floats to
-    :func:`repro.workloads.traffic.constant_rate_arrivals`, computed as one
-    vectorized expression per chunk.
+    Chunk ``i`` of the sequence is ``start_s + k * (1 / rps)`` for the ``k``
+    in the chunk's index range, computed as one vectorized expression per
+    chunk; :func:`repro.workloads.traffic.constant_rate_arrivals` is the
+    materialized list.
     """
 
     __slots__ = ("rps", "duration_s", "start_s", "_count", "_interval")

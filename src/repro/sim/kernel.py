@@ -138,10 +138,8 @@ class SimulationKernel:
         #: The dispatch table: registered handlers, each wrapped by the
         #: profiler while one is installed.
         self._handlers: Dict[str, Callable[[Event], None]] = {}
-        self._default_handler: Optional[Callable[[Event], None]] = None
         #: The handlers as registered while a profiler wraps the table.
         self._raw_handlers: Dict[str, Callable[[Event], None]] = {}
-        self._raw_default: Optional[Callable[[Event], None]] = None
         #: Every registered process, in registration order (its index is the
         #: process's tie-break rank).
         self._processes: List[SimProcess] = []
@@ -159,16 +157,14 @@ class SimulationKernel:
         later, so the dispatch loop is the same with and without one.
         """
         if self._profiler is not None:
-            self._handlers, self._default_handler = self._raw_handlers, self._raw_default
+            self._handlers = self._raw_handlers
         self._profiler = profiler
         if profiler is not None:
-            self._raw_handlers, self._raw_default = self._handlers, self._default_handler
+            self._raw_handlers = self._handlers
             self._handlers = {
                 kind: profiler.wrap(handler, self._heap)
                 for kind, handler in self._handlers.items()
             }
-            if self._default_handler is not None:
-                self._default_handler = profiler.wrap(self._default_handler, self._heap)
 
     # ------------------------------------------------------------------
     # Clock and registration
@@ -182,13 +178,6 @@ class SimulationKernel:
     def on(self, kind: str, handler: Callable[[Event], None]) -> None:
         """Register the handler for events of ``kind`` (one handler per kind)."""
         self._register(kind, handler)
-
-    def on_default(self, handler: Callable[[Event], None]) -> None:
-        """Handler for kinds with no specific registration."""
-        if self._profiler is not None:
-            self._raw_default = handler
-            handler = self._profiler.wrap(handler, self._heap)
-        self._default_handler = handler
 
     def _register(self, kind: str, handler: Callable[[Event], None]) -> None:
         if self._profiler is not None:
@@ -355,9 +344,7 @@ class SimulationKernel:
                     self._now = time_s
                 handler = handlers.get(event.kind)
                 if handler is None:
-                    handler = self._default_handler
-                    if handler is None:
-                        raise KeyError(f"no handler registered for event kind {event.kind!r}")
+                    raise KeyError(f"no handler registered for event kind {event.kind!r}")
                 handler(event)
                 executed += 1
                 if stop is not None and stop():

@@ -1,16 +1,14 @@
 """Structured result store the sweep orchestrator collects rows into.
 
 A :class:`ResultStore` is a thin, dependency-free container over the
-``List[Dict]`` row shape every experiment in this repo already produces, with
-the few operations sweeps actually need: filtering, grouping, per-group
-summaries, and CSV export for downstream plotting.
+``List[Dict]`` row shape every experiment in this repo already produces: rows
+in scenario order, the union of their columns, and CSV export for downstream
+plotting.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import math
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 __all__ = ["ResultStore", "json_default"]
@@ -75,52 +73,6 @@ class ResultStore:
         return list(seen)
 
     # ------------------------------------------------------------------
-    # Querying
-    # ------------------------------------------------------------------
-
-    def filter(self, **criteria: object) -> "ResultStore":
-        """Rows whose fields equal every given ``key=value`` criterion."""
-        return ResultStore(
-            row for row in self._rows if all(row.get(k) == v for k, v in criteria.items())
-        )
-
-    def unique(self, key: str) -> List[object]:
-        """Distinct values of ``key``, in first-seen order."""
-        seen: Dict[object, None] = {}
-        for row in self._rows:
-            if key in row:
-                seen.setdefault(row[key], None)
-        return list(seen)
-
-    def group_by(self, key: str) -> Dict[object, "ResultStore"]:
-        """Split rows into per-value stores, preserving row order."""
-        groups: Dict[object, ResultStore] = {}
-        for row in self._rows:
-            groups.setdefault(row.get(key), ResultStore()).append(row)
-        return groups
-
-    def summarize(self, group_key: str, value_key: str) -> List[Row]:
-        """Per-group count/mean/min/max of a numeric field."""
-        out: List[Row] = []
-        for group, store in self.group_by(group_key).items():
-            values = [
-                float(row[value_key])  # type: ignore[arg-type]
-                for row in store
-                if isinstance(row.get(value_key), (int, float))
-                and not math.isnan(float(row[value_key]))  # type: ignore[arg-type]
-            ]
-            out.append(
-                {
-                    group_key: group,
-                    "count": len(values),
-                    f"mean_{value_key}": sum(values) / len(values) if values else float("nan"),
-                    f"min_{value_key}": min(values) if values else float("nan"),
-                    f"max_{value_key}": max(values) if values else float("nan"),
-                }
-            )
-        return out
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
 
@@ -133,73 +85,3 @@ class ResultStore:
             for row in self._rows:
                 writer.writerow(row)
         return len(self._rows)
-
-    def to_jsonl(self, path: str) -> int:
-        """Write one JSON object per row; returns the number of rows written.
-
-        Unlike CSV, JSONL preserves types exactly (int vs float vs str, NaN,
-        missing keys stay missing) -- the same encoding the sweep checkpoint
-        journal uses -- so :meth:`from_jsonl` is a lossless round-trip.
-        """
-        with open(path, "w") as handle:
-            for row in self._rows:
-                handle.write(json.dumps(row, default=json_default) + "\n")
-        return len(self._rows)
-
-    @classmethod
-    def from_jsonl(cls, path: str) -> "ResultStore":
-        """Read a store back from a :meth:`to_jsonl` file (blank lines skipped)."""
-        with open(path, "r") as handle:
-            return cls(json.loads(line) for line in handle if line.strip())
-
-    @classmethod
-    def from_csv(cls, path: str) -> "ResultStore":
-        """Read a store back from a :meth:`to_csv` file.
-
-        Values parse back to ``int``/``float`` where they look numeric and
-        stay strings otherwise (CSV does not preserve types); column order
-        follows the file header.  Parsing is *round-trip safe* for the
-        identifier shapes this repo produces: a value only becomes an ``int``
-        if the int prints back to exactly the same text, so zero-padded
-        counters (``"00042"``, the tail of fleet host names and namespaced
-        request/sandbox ids) and underscore-grouped digits (``"1_000"``)
-        survive as strings instead of silently collapsing to numbers.
-
-        Columns a row does not have stay *missing keys*, never ``NaN`` (or a
-        crash): cells written as ``""`` for keys a row never had are dropped,
-        and so are cells a row simply does not reach -- rows shorter than the
-        header, which ``csv.DictReader`` reports as ``None``, as happens when
-        a CSV written before a column existed (e.g. a pre-PR-4 sweep without
-        ``failed_requests``) is re-read under a newer, wider header.  Cells
-        beyond the header (``DictReader``'s ``None`` rest-key) are ignored.
-        Consumers must use ``row.get(...)`` / ``"key" in row`` to distinguish
-        "not recorded" from any recorded value.
-        """
-        def _parse(value: str) -> object:
-            if "_" in value:
-                # int()/float() accept PEP-515 digit grouping ("1_000"), which
-                # does not survive a write-back; keep such values as text.
-                return value
-            try:
-                as_int = int(value)
-            except ValueError:
-                pass
-            else:
-                # Reject non-canonical spellings ("007", "+5", " 5"): they
-                # parse, but str(int(...)) would not reproduce the original.
-                return as_int if str(as_int) == value else value
-            try:
-                return float(value)
-            except ValueError:
-                return value
-
-        with open(path, "r", newline="") as handle:
-            reader = csv.DictReader(handle)
-            return cls(
-                {
-                    key: _parse(value)
-                    for key, value in row.items()
-                    if key is not None and value is not None and value != ""
-                }
-                for row in reader
-            )

@@ -118,10 +118,6 @@ class TraceGenerator:
         requests, cold_starts = self._generate_requests(functions)
         return Trace(requests, cold_starts, functions)
 
-    def generate_functions(self) -> List[FunctionProfile]:
-        """Generate only the function population (useful for targeted tests)."""
-        return self._generate_functions()
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------

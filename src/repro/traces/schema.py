@@ -13,7 +13,6 @@ the paper's analyses actually consume:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
@@ -217,13 +216,9 @@ class Trace:
     def requests_for_function(self, function_id: str) -> List[RequestRecord]:
         return [r for r in self._requests if r.function_id == function_id]
 
-    def requests_for_pod(self, pod_id: str) -> List[RequestRecord]:
-        return [r for r in self._requests if r.pod_id == pod_id]
-
     def filter(self, predicate) -> "Trace":
         """Return a new trace containing only the requests matching ``predicate``."""
         kept = [r for r in self._requests if predicate(r)]
-        kept_ids = {r.request_id for r in kept}
         kept_pods = {r.pod_id for r in kept}
         cold = [c for c in self._cold_starts if c.pod_id in kept_pods]
         return Trace(kept, cold, self._functions.values())
@@ -250,14 +245,3 @@ class Trace:
             "mean_cpu_seconds": sum(r.usage.cpu_seconds for r in self._requests) / n,
             "mean_memory_gb": sum(r.usage.memory_gb for r in self._requests) / n,
         }
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        """Flatten requests to plain dictionaries (used by the IO helpers)."""
-        rows: List[Dict[str, object]] = []
-        for record in self._requests:
-            row = dataclasses.asdict(record)
-            usage = row.pop("usage")
-            row["cpu_seconds"] = usage["cpu_seconds"]
-            row["memory_gb"] = usage["memory_gb"]
-            rows.append(row)
-        return rows

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.platform.config import FunctionConfig
 
@@ -63,11 +63,6 @@ class WorkloadSpec:
             used_memory_gb=self.used_memory_gb,
             init_duration_s=init_duration_s,
         )
-
-    def chunk_cpu_times(self) -> List[float]:
-        """CPU time of each chunk when the workload is decomposed (§4.3 exploit)."""
-        chunk = self.cpu_time_s / self.decomposable_chunks
-        return [chunk] * self.decomposable_chunks
 
 
 #: A minimal function that returns an empty response: the §3.2 overhead probe.

@@ -19,14 +19,14 @@ __all__ = [
 
 
 def constant_rate_arrivals(rps: float, duration_s: float, start_s: float = 0.0) -> List[float]:
-    """Evenly spaced arrivals at ``rps`` requests per second for ``duration_s``."""
-    if rps <= 0:
-        raise ValueError("rps must be positive")
-    if duration_s < 0:
-        raise ValueError("duration_s must be >= 0")
-    count = int(round(rps * duration_s))
-    interval = 1.0 / rps
-    return [start_s + i * interval for i in range(count)]
+    """Evenly spaced arrivals at ``rps`` requests per second for ``duration_s``.
+
+    The times of :class:`repro.sim.arrivals.ConstantRateSource`: the
+    ``int(round(rps * duration_s))`` floats ``start_s + i * (1 / rps)``.
+    """
+    from repro.sim.arrivals import ConstantRateSource
+
+    return ConstantRateSource(rps, duration_s, start_s).times()
 
 
 def poisson_arrivals(

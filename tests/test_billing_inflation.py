@@ -76,11 +76,6 @@ class TestInflationAnalyzer:
             if result.aggregate_memory_inflation > 0:
                 assert result.aggregate_memory_inflation >= 0.99
 
-    def test_inflation_table_shape(self, small_trace):
-        table = InflationAnalyzer([PlatformName.AWS_LAMBDA]).inflation_table(small_trace)
-        assert len(table) == 1
-        assert "aggregate_cpu_inflation" in table[0]
-
     def test_accepts_raw_request_list(self, small_trace):
         requests = small_trace.requests[:100]
         results = InflationAnalyzer([PlatformName.AWS_LAMBDA]).analyze(requests)

@@ -7,6 +7,7 @@ from repro.billing.pricing import (
     CPU_TO_MEMORY_VALUE_RATIO,
     NON_SERVERLESS_PRICES,
     PLATFORM_PRICES,
+    VCPU_EQUIVALENT_MEMORY_GB,
     aws_lambda_price_per_second,
     decompose_memory_embedded_price,
     figure1_series,
@@ -80,5 +81,7 @@ class TestFigure1:
         assert 9.0 <= ibm.cpu_per_vcpu_second / ibm.memory_per_gb_second <= 9.7
 
     def test_effective_price_1vcpu(self):
+        """§2.2: one Lambda vCPU is 1,769 MB of memory, priced per GB-second."""
         aws = PLATFORM_PRICES[PlatformName.AWS_LAMBDA]
-        assert aws.effective_price_1vcpu_1769mb == pytest.approx(2.8792e-5, rel=0.02)
+        price = aws.memory_per_gb_second * VCPU_EQUIVALENT_MEMORY_GB
+        assert price == pytest.approx(2.8792e-5, rel=0.02)

@@ -11,7 +11,6 @@ from repro.cluster.fleet import FleetConfig
 from repro.cluster.host import HostSpec
 from repro.cluster.placement import PlacementPolicy
 from repro.platform.presets import get_platform_preset
-from repro.sim.results import ResultStore
 from repro.sim.sweep import build_grid, run_sweep
 from repro.workloads.functions import PYAES_FUNCTION
 
@@ -104,15 +103,3 @@ class TestSweepDeterminism:
         assert seq_path.read_bytes() == par_path.read_bytes()
         # The grid genuinely exercises backpressure: some point queued work.
         assert any(row["queued"] > 0 for row in sequential.rows)
-
-    def test_backpressure_rows_round_trip_through_csv(self, tmp_path):
-        grid = build_grid(
-            runner="repro.analysis.backpressure:backpressure_point",
-            axes={"queue_depth": (4,), "placement_policy": ("cost_fit",), "heterogeneity": ("two_tier",)},
-            common=self.COMMON,
-            base_seed=17,
-        )
-        store = run_sweep(grid)
-        path = tmp_path / "rows.csv"
-        store.to_csv(str(path))
-        assert ResultStore.from_csv(str(path)) == store

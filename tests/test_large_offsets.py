@@ -11,7 +11,9 @@ law at the end.
 The CPU-bandwidth scheduler had the same two hazards: a compute phase's
 residual whose end rounds to ``now``, and a next tick or period boundary
 that rounds back onto ``now`` once the grid snap is below the clock's ulp.
-Its runs at 2**17 s and 2**20 s must finish like the same run at t = 0.
+Its runs at 2**17 s, 2**20 s and just below its safe horizon of 2**21 s
+must finish like the same run at t = 0; a config past that horizon, where
+ticks would be missed, is refused.
 """
 
 import pytest
@@ -19,7 +21,8 @@ import pytest
 from repro.analysis.keepalive import run_probe_point
 from repro.platform.invoker import PlatformSimulator
 from repro.platform.presets import get_platform_preset
-from repro.sched.engine import SchedulerSim
+from repro.sched.cgroup import BandwidthConfig
+from repro.sched.engine import SchedulerConfig, SchedulerSim
 from repro.sched.presets import PROVIDER_SCHED_PRESETS, scheduler_config_for
 from repro.sched.task import SimTask, TaskPhase
 from repro.sim.kernel import SimulationKernel
@@ -97,7 +100,7 @@ def _scheduler_run(preset, t0):
 SCHED_MAX_EVENTS = 20_000
 
 
-@pytest.mark.parametrize("t0", [2.0**17, 2.0**20])
+@pytest.mark.parametrize("t0", [2.0**17, 2.0**20, 2.0**21 - 8])
 @pytest.mark.parametrize("preset", sorted(PROVIDER_SCHED_PRESETS))
 def test_scheduler_at_large_offset_finishes_like_at_zero(preset, t0):
     events, result, tasks = _scheduler_run(preset, t0)
@@ -113,3 +116,9 @@ def test_scheduler_at_large_offset_finishes_like_at_zero(preset, t0):
     period_s = PROVIDER_SCHED_PRESETS[preset].period_s
     for name, task in result.tasks.items():
         assert abs(task.duration_s - reference.task(name).duration_s) <= period_s
+
+
+def test_scheduler_refuses_a_horizon_past_its_safe_bound():
+    with pytest.raises(ValueError, match="safe horizon of 2097152 s"):
+        SchedulerConfig(BandwidthConfig(0.1, 0.05), horizon_s=2.0**24)
+    SchedulerConfig(BandwidthConfig(0.1, 0.05), horizon_s=2.0**21)

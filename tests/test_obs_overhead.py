@@ -135,12 +135,3 @@ class TestAttachedIsByteInvisible:
         plain_invoice = sorted(plain_result.meter.cost_usd_by_attempt.items())
         observed_invoice = sorted(observed_result.meter.cost_usd_by_attempt.items())
         assert plain_invoice == observed_invoice
-
-    def test_trace_collector_alone_is_byte_invisible(self):
-        """Satellite contract: a bare TraceCollector keeps runs byte-identical."""
-        seed = 20260
-        plain = _fingerprint(_build(seed, feedback="on").run())
-        obs = Observability(telemetry_interval_s=None, profile=False)
-        observed = _fingerprint(_build(seed, feedback="on", obs=obs).run())
-        assert plain == observed
-        assert len(obs.trace.spans) > 0

@@ -79,13 +79,12 @@ class TestKernelProfiler:
         kernel.on("early", seen.append)
         profiler = KernelProfiler().install(kernel)
         kernel.on("late", seen.append)
-        kernel.on_default(seen.append)
-        for kind in ("early", "late", "unregistered"):
+        for kind in ("early", "late"):
             kernel.schedule(1.0, kind)
         kernel.run()
         profile = profiler.snapshot()
-        assert [event.kind for event in seen] == ["early", "late", "unregistered"]
-        assert [profile.count_of(k) for k in ("early", "late", "unregistered")] == [1, 1, 1]
+        assert [event.kind for event in seen] == ["early", "late"]
+        assert [profile.count_of(k) for k in ("early", "late")] == [1, 1]
 
     def test_uninstall_restores_the_raw_handlers(self):
         kernel = SimulationKernel()
@@ -96,23 +95,18 @@ class TestKernelProfiler:
         def late(event):
             pass
 
-        def fallback(event):
-            pass
-
         kernel.on("early", early)
         kernel.add_process(PeriodicProcess(1.0, lambda now: None))
         raw_tick = kernel._handlers["process:PeriodicProcess"]
         KernelProfiler().install(kernel)
         assert kernel._handlers["early"] is not early
         kernel.on("late", late)
-        kernel.on_default(fallback)
         kernel.set_profiler(None)
         assert kernel._profiler is None
         raw = {"early": early, "process:PeriodicProcess": raw_tick, "late": late}
         assert kernel._handlers.keys() == raw.keys()
         for kind, handler in raw.items():
             assert kernel._handlers[kind] is handler
-        assert kernel._default_handler is fallback
 
     def test_counts_bus_publishes_and_fanout(self):
         bus = EventBus()

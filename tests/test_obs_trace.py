@@ -118,15 +118,6 @@ class TestTraceIntegrity:
             if span.exec_start_s is not None:
                 assert span.arrival_s <= span.exec_start_s <= span.end_s
 
-    def test_chain_of_walks_attempts_in_order(self):
-        _, obs = _traced_cluster(7, retry=RetryPolicy(max_attempts=4))
-        chained = [s for s in obs.trace.spans if not s.is_root]
-        assert chained, "saturated fixture must produce retries"
-        span = max(chained, key=lambda s: s.attempt)
-        chain = obs.trace.chain_of(span.request_id)
-        assert [s.attempt for s in chain] == list(range(1, span.attempt + 1))
-        assert all(s.outcome == FAILED for s in chain[:-1])
-
 
 class TestChromeExport:
     def test_chrome_trace_is_well_formed(self, tmp_path):

@@ -63,14 +63,6 @@ class TestEventOrdering:
         with pytest.raises(KeyError):
             kernel.run()
 
-    def test_default_handler_catches_unregistered_kinds(self):
-        kernel = SimulationKernel()
-        seen = []
-        kernel.on_default(lambda event: seen.append(event.kind))
-        kernel.schedule(1.0, "anything")
-        kernel.run()
-        assert seen == ["anything"]
-
 
 class TestPeekStepCancelPause:
     def test_cancelled_events_are_skipped(self):

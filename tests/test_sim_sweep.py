@@ -221,19 +221,6 @@ class TestResultStore:
         assert store.columns() == ["platform", "rps", "mean_ms"]
         assert [row["platform"] for row in store] == ["aws", "aws", "gcp"]
 
-    def test_filter_and_unique(self, store):
-        aws = store.filter(platform="aws")
-        assert len(aws) == 2
-        assert store.filter(platform="aws", rps=2.0).rows[0]["mean_ms"] == 12.0
-        assert store.unique("platform") == ["aws", "gcp"]
-
-    def test_group_by_and_summarize(self, store):
-        groups = store.group_by("platform")
-        assert set(groups) == {"aws", "gcp"}
-        summary = {row["platform"]: row for row in store.summarize("platform", "mean_ms")}
-        assert summary["aws"]["mean_mean_ms"] == pytest.approx(11.0)
-        assert summary["aws"]["count"] == 2
-
     def test_to_csv_roundtrip(self, store, tmp_path):
         path = tmp_path / "rows.csv"
         assert store.to_csv(str(path)) == 3
@@ -302,29 +289,6 @@ class TestSweepCli:
         assert main(["sweep", "--rps", "not-a-number"]) == 2
         assert main(["sweep", "--platforms", ""]) == 2
         assert main(["sweep", "--platforms", "no_such_platform"]) == 2
-
-
-class TestResultStoreCsvRoundTrip:
-    def test_from_csv_round_trips_rows(self, tmp_path):
-        store = ResultStore(
-            [
-                {"platform": "aws", "rps": 1.0, "count": 3, "label": "x"},
-                {"platform": "gcp", "rps": 2.5, "count": 4, "label": "y"},
-            ]
-        )
-        path = tmp_path / "rows.csv"
-        store.to_csv(str(path))
-        loaded = ResultStore.from_csv(str(path))
-        assert loaded.rows == store.rows
-        assert loaded.columns() == store.columns()
-
-    def test_from_csv_preserves_numeric_types(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        ResultStore([{"a": 1, "b": 1.5, "c": "text"}]).to_csv(str(path))
-        row = ResultStore.from_csv(str(path)).rows[0]
-        assert row["a"] == 1 and isinstance(row["a"], int)
-        assert row["b"] == 1.5 and isinstance(row["b"], float)
-        assert row["c"] == "text"
 
 
 class TestClusterCli:

@@ -86,11 +86,6 @@ class TestTraceGenerator:
     def test_duration_floor_respected(self, small_trace):
         assert min(r.duration_s for r in small_trace) >= 1e-3 - 1e-12
 
-    def test_generate_functions_only(self):
-        generator = TraceGenerator(TraceGeneratorConfig(num_requests=10, num_functions=5, seed=3))
-        functions = generator.generate_functions()
-        assert len(functions) == 5
-
 
 class TestCalibration:
     def test_calibrated_trace_passes_all_targets(self, calibrated_trace):

@@ -142,7 +142,6 @@ class TestTrace:
     def test_requests_for_function_and_pod(self):
         trace = self._trace()
         assert len(trace.requests_for_function("f1")) == 2
-        assert len(trace.requests_for_pod("p1")) == 2
 
     def test_exclude_zero_cpu(self):
         trace = self._trace().exclude_zero_cpu()
@@ -163,8 +162,3 @@ class TestTrace:
         summary = Trace([]).summary()
         assert summary["num_requests"] == 0
         assert math.isnan(summary["mean_duration_s"])
-
-    def test_to_dicts_flattens_usage(self):
-        rows = self._trace().to_dicts()
-        assert rows[0]["cpu_seconds"] == pytest.approx(0.05)
-        assert "usage" not in rows[0]

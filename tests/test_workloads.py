@@ -36,8 +36,6 @@ class TestWorkloadSpecs:
 
     def test_video_workload_decomposable(self):
         assert VIDEO_PROCESSING_FUNCTION.decomposable_chunks > 1
-        chunks = VIDEO_PROCESSING_FUNCTION.chunk_cpu_times()
-        assert sum(chunks) == pytest.approx(VIDEO_PROCESSING_FUNCTION.cpu_time_s)
 
     def test_to_function_config(self):
         config = PYAES_FUNCTION.to_function_config(0.5, 1.0, init_duration_s=2.0)
