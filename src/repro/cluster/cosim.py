@@ -44,17 +44,12 @@ from repro.sched.engine import SchedulerSim, SimulationResult
 from repro.sim.arrivals import ARRIVAL_PROCESSES, ArrivalSource, ConstantRateSource, PoissonSource
 from repro.sim.events import EventBus
 from repro.sim.feedback import FEEDBACK_MODES, FeedbackChannel
-from repro.sim.kernel import SimulationKernel
+from repro.sim.kernel import HORIZON_SLACK_S, SimulationKernel
 from repro.sim.retry import RetryLoop, RetryPolicy
 from repro.sim.rng import derive_seed
 from repro.tenancy import AdmissionController, TenancyReport, TenantConfig, TenantReport
 
 __all__ = ["FunctionDeployment", "ClusterResult", "ClusterSimulator"]
-
-#: How far past the horizon :meth:`ClusterSimulator.run` keeps the shared
-#: kernel running, so an event the float arithmetic lands a hair beyond the
-#: horizon still fires.
-_HORIZON_SLACK_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -445,7 +440,7 @@ class ClusterSimulator:
             horizon = max(horizon, self.scheduler.config.horizon_s)
         if horizon_s is not None:
             horizon = horizon_s
-        self.kernel.run(until=horizon + _HORIZON_SLACK_S)
+        self.kernel.run(until=horizon + HORIZON_SLACK_S)
         for simulator in self.simulators.values():
             simulator.metrics.pending_requests = simulator.pending_request_count
         if self.meter is not None:

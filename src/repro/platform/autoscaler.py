@@ -11,6 +11,7 @@ lag is the mechanism behind Figure 6 (right).
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass
 from typing import Deque, Tuple
 
@@ -42,12 +43,6 @@ class AutoscalerConfig:
             the current capacity, the autoscaler scales on the short window
             immediately instead of the stable window (Knative default 2.0).
             Set to 0 to disable panic mode.
-        admission_queue_weight: how many active requests one sandbox stuck in
-            the fleet's *admission queue* counts as in the scale-up signal.
-            Requires a feedback channel (the queue depth is read from it);
-            ``0`` (the default) ignores admission backpressure entirely.
-            Scale-down keeps its hysteresis: a drained queue only shrinks the
-            pool after ``scale_down_delay_s`` of sustained low demand.
     """
 
     target_cpu_utilization: float = 0.6
@@ -59,7 +54,6 @@ class AutoscalerConfig:
     scale_down_delay_s: float = 60.0
     panic_window_s: float = 6.0
     panic_threshold: float = 2.0
-    admission_queue_weight: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0 < self.target_cpu_utilization <= 1:
@@ -72,8 +66,6 @@ class AutoscalerConfig:
             raise ValueError("invalid instance bounds")
         if self.panic_window_s < 0 or self.panic_threshold < 0:
             raise ValueError("panic parameters must be >= 0")
-        if self.admission_queue_weight < 0:
-            raise ValueError("admission_queue_weight must be >= 0")
 
 
 class Autoscaler:
@@ -94,6 +86,10 @@ class Autoscaler:
     def observe(self, now_s: float, active_requests: float, busy_vcpus: float, instances: int) -> None:
         """Record one metric sample (the simulator calls this every evaluation tick)."""
         self._samples.append((now_s, float(active_requests), busy_vcpus, max(instances, 0)))
+        self._trim(now_s)
+
+    def _trim(self, now_s: float) -> None:
+        """Drop the samples older than the metric window: the deque *is* the window."""
         cutoff = now_s - self.config.metric_window_s
         while self._samples and self._samples[0][0] < cutoff:
             self._samples.popleft()
@@ -101,9 +97,8 @@ class Autoscaler:
     def desired_instances(self, now_s: float, current_instances: int) -> int:
         """Compute the desired instance count from window-averaged metrics."""
         cfg = self.config
-        if not self._samples:
-            return max(current_instances, cfg.min_instances)
-        window = [s for s in self._samples if s[0] >= now_s - cfg.metric_window_s]
+        self._trim(now_s)
+        window = self._samples
         if not window:
             return max(current_instances, cfg.min_instances)
         avg_active = fold(s[1] for s in window) / len(window)
@@ -126,9 +121,18 @@ class Autoscaler:
         # scaling alone reacts slowly under overload because per-instance CPU
         # saturates at the allocation -- exactly the lag Figure 6 measures.
         if cfg.panic_threshold > 0 and cfg.panic_window_s > 0:
-            panic_samples = [s for s in window if s[0] >= now_s - cfg.panic_window_s]
-            if panic_samples:
-                panic_active = fold(s[1] for s in panic_samples) / len(panic_samples)
+            # The panic samples are a suffix of the time-ordered window:
+            # count them from the right, then fold them in time order.
+            panic_cutoff = now_s - cfg.panic_window_s
+            count = 0
+            for sample in reversed(window):
+                if sample[0] < panic_cutoff:
+                    break
+                count += 1
+            if count:
+                panic_active = fold(
+                    s[1] for s in islice(window, len(window) - count, None)
+                ) / count
                 capacity = max(current_instances, 1) * per_instance_target
                 if capacity > 0 and panic_active > cfg.panic_threshold * capacity:
                     desired = max(desired, panic_active / per_instance_target)

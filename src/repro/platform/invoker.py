@@ -54,7 +54,7 @@ from repro.sim.events import (
     SimEvent,
 )
 from repro.sim.feedback import AdmissionState, FeedbackChannel
-from repro.sim.kernel import Event, SimulationKernel
+from repro.sim.kernel import HORIZON_SLACK_S, Event, SimulationKernel
 from repro.sim.retry import RetryLoop
 from repro.tenancy.admission import AdmissionDecision
 
@@ -64,10 +64,6 @@ __all__ = ["PlatformSimulator", "RequestOutcome", "SimulationMetrics"]
 _ADMIT = AdmissionDecision.ADMIT
 _DENY = AdmissionDecision.DENY
 
-#: How far past the horizon :meth:`PlatformSimulator.run` keeps the kernel
-#: running, so an event the float arithmetic lands a hair beyond the horizon
-#: still fires.
-_HORIZON_SLACK_S = 1e-9
 #: Largest gap between an expiry check's armed keep-alive deadline and the
 #: sandbox's current one that still counts as the same deadline; a larger
 #: gap means the sandbox served requests since the check was armed.
@@ -92,7 +88,7 @@ class PlatformSimulator:
 
     Pass a :class:`~repro.sim.feedback.FeedbackChannel` to close the state
     loop with the other layers: the simulator then (a) stretches busy times by
-    the channel's combined service rate (re-read at every admit/completion
+    the channel's service rate (re-read at every admit/completion
     event, so the CPU-bandwidth scheduler's throttling factor reaches request
     latency), and (b) gates sandbox readiness on the fleet's admission
     outcome -- a queued cold start defers ``sandbox_ready`` by its measured
@@ -259,7 +255,7 @@ class PlatformSimulator:
     def run(self, arrivals: Sequence[float], horizon_s: Optional[float] = None) -> SimulationMetrics:
         """Simulate the given request arrival times; returns collected metrics."""
         horizon_s = self.schedule_arrivals(arrivals, horizon_s)
-        self._kernel.run(until=horizon_s + _HORIZON_SLACK_S)
+        self._kernel.run(until=horizon_s + HORIZON_SLACK_S)
         self.metrics.pending_requests = self.pending_request_count
         return self.metrics
 
@@ -590,7 +586,7 @@ class PlatformSimulator:
         concurrency = sandbox.concurrency
         sandbox.admit(request, now)
         self._reindex(sandbox, concurrency)
-        self._refresh_rate_factor(sandbox, now)
+        self._refresh_rate_factor(sandbox)
         if self._emit_spans:
             self.bus.publish(
                 RequestExecuting(
@@ -605,17 +601,17 @@ class PlatformSimulator:
             self.bus.publish(SandboxBusy(now, sandbox.name, sandbox.concurrency))
         self._schedule_completion_check(sandbox, now)
 
-    def _refresh_rate_factor(self, sandbox: Sandbox, now: float) -> None:
-        """Re-read the feedback channel's combined slowdown at event-schedule time.
+    def _refresh_rate_factor(self, sandbox: Sandbox) -> None:
+        """Re-read the feedback channel's slowdown at event-schedule time.
 
         Called *after* the sandbox advanced its requests to ``now`` (so the
         interval just closed used the factor it was scheduled under) and
         *before* the next completion check is scheduled (so the projection and
         the eventual :meth:`Sandbox.advance` agree on the new rate).  With
-        feedback off the channel has no modifiers and the factor stays at
+        feedback off the channel's rate slot is empty and the factor stays at
         exactly ``1.0`` -- the float-identical pre-feedback behaviour.
         """
-        sandbox.rate_factor = self._feedback.service_rate(now)
+        sandbox.rate_factor = self._feedback.service_rate()
 
     # ------------------------------------------------------------------
     # Completion handling
@@ -641,7 +637,7 @@ class PlatformSimulator:
         now = self._kernel.now
         finished = sandbox.advance(now)
         if not finished:
-            self._refresh_rate_factor(sandbox, now)
+            self._refresh_rate_factor(sandbox)
             next_time = sandbox.next_completion_time(now)
             if next_time is None or next_time > now:
                 self._arm_completion_check(name, now, next_time)
@@ -670,7 +666,7 @@ class PlatformSimulator:
             self.bus.publish(RequestCompleted(now, outcome))
         self._drain_queue(now)
         self._maybe_schedule_keepalive(sandbox, now)
-        self._refresh_rate_factor(sandbox, now)
+        self._refresh_rate_factor(sandbox)
         self._schedule_completion_check(sandbox, now)
 
     def _drain_queue(self, now: float) -> None:
@@ -743,17 +739,7 @@ class PlatformSimulator:
 
     def _autoscale_tick(self, now_s: float) -> None:
         alive = self._sandboxes.values()
-        active_requests: float = sum(s.concurrency for s in alive) + len(self._queue)
-        queue_weight = self._autoscaler.config.admission_queue_weight
-        if queue_weight > 0:
-            # Queue-aware autoscaling: cold starts stuck in the fleet's
-            # admission queue are demand the concurrency/CPU metrics cannot
-            # see (their requests are parked in _pending_cold, not executing).
-            # Weigh the simulator's own share of the admission queue into the
-            # scale-up signal so the autoscaler reacts to backpressure.
-            active_requests += queue_weight * self._feedback.admission_queue_depth(
-                self._id_prefix
-            )
+        active_requests = sum(s.concurrency for s in alive) + len(self._queue)
         busy_vcpus = fold(
             min(float(s.concurrency), s.alloc_vcpus) for s in alive if s.state is SandboxState.BUSY
         )

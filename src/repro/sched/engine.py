@@ -256,8 +256,8 @@ class SchedulerSim:
         shared clock alone cannot: at every bandwidth-period boundary it
         publishes the period's *effective-bandwidth factor* -- CPU time
         actually delivered over CPU time the runnable tasks demanded (time
-        running plus time parked throttled) -- under the key ``"sched"``.  The
-        platform layer reads the combined factor at event-schedule time and
+        running plus time parked throttled) -- into the channel's rate slot.
+        The platform layer reads the factor at event-schedule time and
         stretches request busy times by it, so cgroup throttling becomes
         visible in end-to-end latency and in the (stretched) durations the
         cost meter bills.  Once the engine goes quiet (horizon passed or all
@@ -268,8 +268,7 @@ class SchedulerSim:
         self._attached = True
         self._kernel = kernel
         if feedback is not None:
-            self._fb_rate = PublishedRate()
-            feedback.set_modifier("sched", self._fb_rate)
+            self._fb_rate = feedback.set_rate(PublishedRate())
         kernel.add_process(self)
         return self
 
@@ -292,7 +291,7 @@ class SchedulerSim:
         registry.gauge(
             "sched_service_rate",
             fn=lambda: (
-                self._fb_rate.service_rate(self._now) if self._fb_rate is not None else 1.0
+                self._fb_rate.service_rate() if self._fb_rate is not None else 1.0
             ),
         )
         return self

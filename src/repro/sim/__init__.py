@@ -16,11 +16,12 @@ scheduler (`repro.sched.engine`) into one reusable layer:
   (``numpy.random.Generator`` per stream) so adding a subscriber or reordering
   consumers never perturbs another component's randomness.
 - :mod:`repro.sim.feedback` -- the execution-feedback layer: a
-  :class:`~repro.sim.feedback.FeedbackChannel` components publish slowdown
-  factors (``ServiceTimeModifier``) and admission/readiness gates into, so
-  co-simulated layers share *state* (scheduler throttling stretches request
-  service times, fleet admission outcomes delay or fail serving) and not just
-  a clock.  Resolved deterministically at event-schedule time.
+  :class:`~repro.sim.feedback.FeedbackChannel` the scheduler publishes its
+  slowdown (a :class:`~repro.sim.feedback.PublishedRate`) and the fleet its
+  admission outcomes into, so co-simulated layers share *state* (scheduler
+  throttling stretches request service times, fleet admission outcomes delay
+  or fail serving) and not just a clock.  Resolved deterministically at
+  event-schedule time.
 - :mod:`repro.sim.retry` -- the client retry loop: a
   :class:`~repro.sim.retry.RetryPolicy` (bounded attempts, exponential
   seed-derived backoff, optional per-function budget) executed by a
@@ -65,12 +66,7 @@ from repro.sim.events import (
     SandboxTerminated,
     SimEvent,
 )
-from repro.sim.feedback import (
-    AdmissionState,
-    FeedbackChannel,
-    PublishedRate,
-    ServiceTimeModifier,
-)
+from repro.sim.feedback import AdmissionState, FeedbackChannel, PublishedRate
 from repro.sim.kernel import Event, PeriodicProcess, SimulationKernel, SimProcess
 from repro.sim.results import ResultStore
 from repro.sim.retry import RetryLoop, RetryPolicy
@@ -97,7 +93,6 @@ __all__ = [
     "SandboxTerminated",
     "Scenario",
     "SerialBackend",
-    "ServiceTimeModifier",
     "SimEvent",
     "SimProcess",
     "SimulationKernel",

@@ -6,13 +6,12 @@ stretched request service times in :mod:`repro.platform`, and admission
 queueing/rejection in :mod:`repro.cluster` never delayed sandbox readiness or
 failed requests.  This module closes that loop with two mechanisms:
 
-- **Service-time modifiers** (:class:`ServiceTimeModifier`): components that
-  know about execution slowdown -- the CPU-bandwidth scheduler publishing its
-  per-period effective-bandwidth factor -- register a modifier on the
-  channel.  Consumers (the platform simulator) read the *combined* rate at
-  event-schedule time and stretch busy times accordingly.  Factors are
-  piecewise-constant between the events that re-read them, so resolution is
-  deterministic: the same seed replays the same stretched timeline.
+- **The service rate** (:class:`PublishedRate`): the CPU-bandwidth scheduler
+  publishes its per-period effective-bandwidth factor into the channel's one
+  rate slot.  Consumers (the platform simulator) read it at event-schedule
+  time and stretch busy times accordingly.  The factor is piecewise-constant
+  between the events that re-read it, so resolution is deterministic: the
+  same seed replays the same stretched timeline.
 - **Readiness gates**: the channel subscribes to the fleet's admission-outcome
   events (:class:`~repro.sim.events.SandboxQueued` /
   :class:`~repro.sim.events.SandboxAdmitted` /
@@ -27,15 +26,15 @@ Every effect happens inside an existing event's handler (publish, gate
 callback, or a consumer reading :meth:`FeedbackChannel.service_rate`), which
 keeps the shared kernel's event order -- and therefore determinism --
 unchanged.  With ``feedback="off"`` (the default for every entry point) each
-simulator holds an unattached channel: no modifiers (rate exactly ``1.0``),
-no admission outcomes and an empty queue, so the outputs are the
-pre-feedback ones byte-for-byte.
+simulator holds an unattached channel: an empty rate slot (rate exactly
+``1.0``) and no admission outcomes, so the outputs are the pre-feedback ones
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import (
     EventBus,
@@ -50,28 +49,13 @@ __all__ = [
     "AdmissionState",
     "FeedbackChannel",
     "PublishedRate",
-    "ServiceTimeModifier",
 ]
 
 #: The values of a simulator's ``feedback`` switch.
 FEEDBACK_MODES: Tuple[str, ...] = ("off", "on")
 
-#: Floor of the combined service rate (see :meth:`FeedbackChannel.service_rate`).
+#: Floor of the service rate (see :meth:`FeedbackChannel.service_rate`).
 MIN_SERVICE_RATE = 0.01
-
-
-@runtime_checkable
-class ServiceTimeModifier(Protocol):
-    """Anything that can slow execution down, as a multiplicative rate factor.
-
-    ``service_rate(now_s)`` returns the fraction of nominal execution speed
-    available at ``now_s``: ``1.0`` means full speed, ``0.5`` means busy times
-    stretch by 2x.  Implementations must be deterministic functions of
-    simulation state (never wall clock or unseeded randomness).
-    """
-
-    def service_rate(self, now_s: float) -> float:
-        ...
 
 
 class PublishedRate:
@@ -80,8 +64,9 @@ class PublishedRate:
     The CPU-bandwidth scheduler cannot be *pulled* for a factor (computing it
     requires closing an accounting interval), so it publishes one at each
     bandwidth-period boundary instead.  ``service_rate`` returns the most
-    recently published value; the full history is kept for introspection and
-    tests (it is tiny: one entry per period).
+    recently published value: the fraction of nominal execution speed, so
+    ``0.5`` stretches busy times by 2x.  The full history is kept for
+    introspection and tests (it is tiny: one entry per period).
     """
 
     def __init__(self) -> None:
@@ -99,7 +84,7 @@ class PublishedRate:
         self._rate = min(max(float(rate), 1e-3), 1.0)
         self.history.append((now_s, self._rate))
 
-    def service_rate(self, now_s: float) -> float:
+    def service_rate(self) -> float:
         return self._rate
 
 
@@ -112,21 +97,20 @@ class AdmissionState(str, enum.Enum):
 
 
 class FeedbackChannel:
-    """Shared mailbox between simulators: slowdown factors and readiness gates.
+    """Shared mailbox between simulators: the service rate and readiness gates.
 
-    One channel serves one co-simulation (one shared kernel + bus).  Producers
-    register :class:`ServiceTimeModifier` objects under string keys; consumers
-    read the combined rate with :meth:`service_rate`.  Attaching the channel
-    to the co-simulation bus (:meth:`attach`) makes it track fleet admission
-    outcomes so the platform simulator can gate sandbox readiness on them.
+    One channel serves one co-simulation (one shared kernel + bus).  The
+    scheduler puts its :class:`PublishedRate` in the rate slot with
+    :meth:`set_rate`; consumers read it with :meth:`service_rate`.  Attaching
+    the channel to the co-simulation bus (:meth:`attach`) makes it track fleet
+    admission outcomes so the platform simulator can gate sandbox readiness
+    on them.
     """
 
     def __init__(self) -> None:
-        #: key -> modifier, in registration order (deterministic product).
-        self._modifiers: Dict[str, ServiceTimeModifier] = {}
+        #: the published slowdown; ``None`` runs at full speed.
+        self._rate: Optional[PublishedRate] = None
         self._admission: Dict[str, AdmissionState] = {}
-        #: sandboxes currently waiting in the fleet's admission queue.
-        self._queued: List[str] = []
         #: sandbox -> one-shot callback fired when its admission resolves.
         self._gates: Dict[str, Callable[[SimEvent], None]] = {}
 
@@ -134,27 +118,22 @@ class FeedbackChannel:
     # Service-time side
     # ------------------------------------------------------------------
 
-    def set_modifier(self, key: str, modifier: ServiceTimeModifier) -> ServiceTimeModifier:
-        """Register (or replace) the modifier published under ``key``."""
-        self._modifiers[key] = modifier
-        return modifier
+    def set_rate(self, rate: PublishedRate) -> PublishedRate:
+        """Fill (or replace) the rate slot with ``rate``."""
+        self._rate = rate
+        return rate
 
-    def service_rate(self, now_s: float) -> float:
-        """The combined execution-rate factor at ``now_s``.
+    def service_rate(self) -> float:
+        """The execution-rate factor now.
 
-        Factors compose multiplicatively (two independent 50% slowdowns give
-        25% of nominal speed) and the product is clamped to
-        ``[MIN_SERVICE_RATE, 1]`` so a pathological producer can neither
-        stall the simulation nor speed it up.  With no modifiers registered
-        the rate is exactly ``1.0``.
+        ``1.0`` while the slot is empty; otherwise the published rate clamped
+        to ``[MIN_SERVICE_RATE, 1]``, so a pathological producer can neither
+        stall the simulation nor speed it up.
         """
-        if not self._modifiers:
+        if self._rate is None:
             # Platforms re-read the rate at every admit and completion.
             return 1.0
-        rate = 1.0
-        for modifier in self._modifiers.values():
-            rate *= modifier.service_rate(now_s)
-        return min(max(rate, MIN_SERVICE_RATE), 1.0)
+        return min(max(self._rate.service_rate(), MIN_SERVICE_RATE), 1.0)
 
     # ------------------------------------------------------------------
     # Admission side
@@ -169,18 +148,13 @@ class FeedbackChannel:
 
     def _on_queued(self, event: SandboxQueued) -> None:
         self._admission[event.sandbox_name] = AdmissionState.QUEUED
-        self._queued.append(event.sandbox_name)
 
     def _on_admitted(self, event: SandboxAdmitted) -> None:
         self._admission[event.sandbox_name] = AdmissionState.ADMITTED
-        if event.sandbox_name in self._queued:
-            self._queued.remove(event.sandbox_name)
         self._resolve_gate(event.sandbox_name, event)
 
     def _on_rejected(self, event: SandboxRejected) -> None:
         self._admission[event.sandbox_name] = AdmissionState.REJECTED
-        if event.sandbox_name in self._queued:
-            self._queued.remove(event.sandbox_name)
         self._resolve_gate(event.sandbox_name, event)
 
     def _resolve_gate(self, sandbox_name: str, event: SimEvent) -> None:
@@ -220,19 +194,3 @@ class FeedbackChannel:
                 "gate it before publishing the cold start or not at all"
             )
         self._gates[sandbox_name] = callback
-
-    def admission_queue_depth(self, prefix: str = "") -> int:
-        """Sandboxes currently in the admission queue, optionally by name prefix.
-
-        Co-simulated platform simulators namespace sandbox names as
-        ``<function>/sandbox-...``, so a simulator can read *its own* share of
-        the fleet's admission queue by passing its id prefix -- the signal the
-        queue-aware autoscaler scales on.  Cold starts provoked by retry
-        re-injections (:mod:`repro.sim.retry`) queue exactly like organic
-        ones, so this depth -- and everything scaling or placing on it
-        (queue-aware autoscaling, ``COST_FIT``) -- sees the amplified load
-        retrying clients actually offer, not just the first-attempt load.
-        """
-        if not prefix:
-            return len(self._queued)
-        return sum(1 for name in self._queued if name.startswith(prefix))

@@ -41,6 +41,12 @@ __all__ = ["Event", "PeriodicProcess", "SimProcess", "SimulationKernel"]
 #: the same instant, and ticks rank among themselves by registration rank.
 _TICK_SEQ = 1 << 62
 
+#: How far past the horizon a simulator runs its kernel, so an event the
+#: float arithmetic lands a hair beyond the horizon still fires.  Safe below
+#: 2^24 s (about 194 days): from there on ``horizon + 1e-9 == horizon`` and
+#: the slack vanishes.
+HORIZON_SLACK_S = 1e-9
+
 
 class Event:
     """One scheduled occurrence; ordered by ``(time, seq)``.

@@ -119,7 +119,6 @@ def build_grid(
     axes: Mapping[str, Sequence[object]],
     common: Optional[Mapping[str, object]] = None,
     base_seed: int = 0,
-    fixed_seed: Optional[int] = None,
 ) -> List[Scenario]:
     """The cartesian product of ``axes`` as a list of scenarios.
 
@@ -130,8 +129,6 @@ def build_grid(
     separators (``/``, ``=``, and the escape character ``%``) are
     percent-encoded in the id, so distinct combinations always get distinct
     ids and seed streams; separator-free values render exactly as before.
-    Pass ``fixed_seed`` to give every point the same seed instead (e.g. to
-    reproduce a legacy per-figure seeding scheme).
     """
     names = list(axes)
     scenarios: List[Scenario] = []
@@ -142,7 +139,7 @@ def build_grid(
             f"{_escape_id_component(name)}={_escape_id_component(str(point[name]))}"
             for name in names
         )
-        seed = fixed_seed if fixed_seed is not None else derive_seed(base_seed, scenario_id)
+        seed = derive_seed(base_seed, scenario_id)
         scenarios.append(Scenario(scenario_id=scenario_id, runner=runner, params=point, seed=seed))
     return scenarios
 
@@ -151,7 +148,6 @@ def run_sweep(
     scenarios: Sequence[Scenario],
     backend: Union[str, SweepBackend, None] = None,
     checkpoint: Optional[str] = None,
-    store: Optional[ResultStore] = None,
 ) -> ResultStore:
     """Run all scenarios and collect their rows, in scenario order.
 
@@ -174,7 +170,6 @@ def run_sweep(
     flushed to the checkpoint, so with a journal attached a crash only ever
     costs the failing point.
     """
-    store = store if store is not None else ResultStore()
     resolved = resolve_backend(backend)
     collected: List[Optional[List[Dict[str, object]]]] = [None] * len(scenarios)
     journal = SweepJournal(checkpoint) if checkpoint is not None else None
@@ -218,6 +213,7 @@ def run_sweep(
         if failure.cause is not None:
             raise error from failure.cause
         raise error
+    store = ResultStore()
     for rows in collected:
         store.extend(rows or [])
     return store

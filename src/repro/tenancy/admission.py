@@ -8,14 +8,14 @@ per tenant and a per-tenant FIFO of credit-parked requests.
 
 Decisions, by tenant policy (:attr:`~repro.tenancy.model.TenantConfig.on_exhausted`):
 
-- ``ADMIT`` -- the account covered the request cost (and no earlier request
+- ``ADMIT`` -- the account covered :data:`REQUEST_COST` (and no earlier request
   of the same tenant is still parked: the credit queue is strictly FIFO).
   The caller routes the request normally.
-- ``DENY`` -- the account is dry and the tenant's policy is ``deny`` (or its
-  credit queue is at ``max_queued``).  The caller fails the request with a
-  typed :class:`~repro.sim.events.RequestDenied` -- terminal, never retried,
-  no capacity burned.
-- ``QUEUE`` -- the request parks in the tenant's credit queue.  The
+- ``DENY`` -- the account is dry and the tenant's policy is ``deny``.  The
+  caller fails the request with a typed
+  :class:`~repro.sim.events.RequestDenied` -- terminal, never retried, no
+  capacity burned.
+- ``QUEUE`` -- the request parks in the tenant's unbounded credit queue.  The
   controller schedules one ``tenancy:credit_release`` kernel event for the
   instant the refill covers the *head* request, and re-arms it each time it
   fires with work left over -- at most one pending event per tenant, so the
@@ -43,7 +43,10 @@ from repro.tenancy.model import TenantConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.metrics import Attempt
 
-__all__ = ["AdmissionController", "AdmissionDecision"]
+__all__ = ["REQUEST_COST", "AdmissionController", "AdmissionDecision"]
+
+#: Credits one admission spends.
+REQUEST_COST = 1.0
 
 
 class AdmissionDecision(enum.Enum):
@@ -137,16 +140,13 @@ class AdmissionController:
         config = self._configs[tenant]
         account = self._accounts[tenant]
         queue = self._queues[tenant]
-        cost = config.request_cost
         # FIFO: while earlier requests are parked, new ones park behind them
         # even if the balance momentarily covers the cost.
-        if not queue and account.try_spend(now_s, cost):
+        if not queue and account.try_spend(now_s, REQUEST_COST):
             self.admitted[tenant] += 1
-            self.credits_spent[tenant] += cost
+            self.credits_spent[tenant] += REQUEST_COST
             return AdmissionDecision.ADMIT
-        if config.on_exhausted == "deny" or (
-            config.max_queued is not None and len(queue) >= config.max_queued
-        ):
+        if config.on_exhausted == "deny":
             self.denied[tenant] += 1
             return AdmissionDecision.DENY
         was_empty = not queue
@@ -154,14 +154,12 @@ class AdmissionController:
         self._queued_by_owner[owner] += 1
         self.queued_total[tenant] += 1
         if was_empty:
-            self._arm_release(tenant, now_s, account, cost)
+            self._arm_release(tenant, now_s, account)
         return AdmissionDecision.QUEUE
 
-    def _arm_release(
-        self, tenant: str, now_s: float, account: CreditAccount, cost: float
-    ) -> None:
+    def _arm_release(self, tenant: str, now_s: float, account: CreditAccount) -> None:
         """Schedule the tenant's (single) pending credit-release wake-up."""
-        wait = account.time_until(now_s, cost)
+        wait = account.time_until(now_s, REQUEST_COST)
         if wait == float("inf"):
             # The bucket can never cover the head request: the queue strands
             # (its entries stay pending for conservation purposes).
@@ -175,17 +173,16 @@ class AdmissionController:
         if not queue:
             return
         account = self._accounts[tenant]
-        cost = self._configs[tenant].request_cost
         now_s = event.time
-        while queue and account.try_spend(now_s, cost):
+        while queue and account.try_spend(now_s, REQUEST_COST):
             owner, attempt = queue.popleft()
             self._queued_by_owner[owner] -= 1
             self.admitted[tenant] += 1
             self.resumed[tenant] += 1
-            self.credits_spent[tenant] += cost
+            self.credits_spent[tenant] += REQUEST_COST
             self._resumers[owner].resume_admission(attempt)
         if queue:
-            self._arm_release(tenant, now_s, account, cost)
+            self._arm_release(tenant, now_s, account)
 
     # ------------------------------------------------------------------
     # Accounting views

@@ -2,10 +2,10 @@
 
 A :class:`TenantConfig` is the control-plane contract for one tenant of the
 co-simulated cluster: a credit entitlement (token-bucket capacity and refill
-rate metered per admitted request), the policy applied when the bucket runs
-dry (deny the request outright, or park it until credits refill), an optional
-latency SLO the fairness metrics judge completions against, and a fairness
-weight.  Deployments are tagged with a tenant name
+rate; every admitted request spends one credit), the policy applied when the
+bucket runs dry (deny the request outright, or park it in an unbounded FIFO
+until credits refill), an optional latency SLO the fairness metrics judge
+completions against, and a fairness weight.  Deployments are tagged with a tenant name
 (:attr:`repro.cluster.cosim.FunctionDeployment.tenant`); the
 :class:`~repro.tenancy.admission.AdmissionController` holds one
 :class:`~repro.tenancy.credits.CreditAccount` per tenant and meters every
@@ -39,14 +39,12 @@ class TenantConfig:
         credit_refill_per_s: bucket refill rate in credits per simulated
             second (lazy refill, clamped at capacity).  The bucket starts
             full.
-        request_cost: credits one admission spends.
         on_exhausted: ``"deny"`` fails an unaffordable arrival immediately
             with a typed :class:`~repro.sim.events.RequestDenied` (a
             throttling response -- terminal, never retried); ``"queue"``
-            parks it until the bucket refills enough (the wait is visible in
-            the request's latency and SLO attainment).
-        max_queued: bound on the credit queue under ``on_exhausted="queue"``;
-            arrivals beyond it are denied.  ``None`` means unbounded.
+            parks it in an unbounded FIFO until the bucket refills enough
+            (the wait is visible in the request's latency and SLO
+            attainment).
         slo_latency_s: client-perceived latency target (completion minus the
             *first* attempt's arrival).  Drives the per-tenant SLO-attainment
             and goodput columns; ``None`` means every completion is goodput.
@@ -58,9 +56,7 @@ class TenantConfig:
     name: str
     credit_capacity: float = math.inf
     credit_refill_per_s: float = 0.0
-    request_cost: float = 1.0
     on_exhausted: str = "deny"
-    max_queued: Optional[int] = None
     slo_latency_s: Optional[float] = None
     weight: float = 1.0
 
@@ -73,14 +69,10 @@ class TenantConfig:
             raise ValueError("credit_capacity must be > 0 (inf for unmetered)")
         if self.credit_refill_per_s < 0:
             raise ValueError("credit_refill_per_s must be >= 0")
-        if not self.request_cost > 0:
-            raise ValueError("request_cost must be > 0")
         if self.on_exhausted not in _EXHAUSTION_POLICIES:
             raise ValueError(
                 f"on_exhausted must be one of {_EXHAUSTION_POLICIES}, got {self.on_exhausted!r}"
             )
-        if self.max_queued is not None and self.max_queued < 0:
-            raise ValueError("max_queued must be >= 0 (or None for unbounded)")
         if self.slo_latency_s is not None and not self.slo_latency_s > 0:
             raise ValueError("slo_latency_s must be > 0 (or None for no SLO)")
         if not self.weight > 0:
@@ -108,9 +100,7 @@ class TenantParams:
     )
     tenant_credit_capacity: float = 50.0
     tenant_credit_refill_per_s: float = 2.0
-    tenant_request_cost: float = 1.0
     tenant_on_exhausted: str = field(default="deny", metadata={"choices": _EXHAUSTION_POLICIES})
-    tenant_max_queued: Optional[int] = None
     tenant_slo_latency_s: Optional[float] = None
 
     def configs(self) -> Optional[List[TenantConfig]]:
@@ -122,9 +112,7 @@ class TenantParams:
                 name=f"tenant-{index:02d}",
                 credit_capacity=self.tenant_credit_capacity,
                 credit_refill_per_s=self.tenant_credit_refill_per_s,
-                request_cost=self.tenant_request_cost,
                 on_exhausted=self.tenant_on_exhausted,
-                max_queued=self.tenant_max_queued,
                 slo_latency_s=self.tenant_slo_latency_s,
             )
             for index in range(self.tenants)

@@ -1,0 +1,96 @@
+"""Analytic oracle for the fleet's rejection path: Erlang B (M/G/k/k loss).
+
+One host of ``k`` vCPUs, no admission queue (``queue_depth=0``) and 1-vCPU
+sandboxes that die the moment their one request finishes (keep-alive window
+[0, 0]) make the fleet a loss system with ``k`` servers: a cold start that
+finds every vCPU busy is rejected, and with feedback on its request fails.
+Each admitted request holds its slot for h = placement 0.05 s + init 0.5 s
++ CPU 0.45 s = 1.0 s with no serving overhead, so under Poisson arrivals at
+rate a/h the rejected fraction is Erlang B's blocking probability B(k, a),
+whatever the holding-time distribution.  The truth comes from the formula,
+not from an earlier version of the code.
+
+A fleet that admits one slot too many (k + 1 servers) gives B(5, 4) = 0.199
+instead of 0.311, about 30 standard errors away.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
+from repro.cluster.fleet import FleetConfig
+from repro.cluster.host import HostSpec
+from repro.platform.config import FunctionConfig
+from repro.platform.presets import get_platform_preset
+
+HOLDING_S = 1.0
+ARRIVALS = 20_000
+
+
+def erlang_b(servers: int, load: float) -> float:
+    """Blocking probability of an M/G/k/k system, by the standard recursion."""
+    blocking = 1.0
+    for n in range(1, servers + 1):
+        blocking = load * blocking / (n + load * blocking)
+    return blocking
+
+
+def _loss_system(servers: int, load: float, seed: int) -> ClusterSimulator:
+    preset = get_platform_preset("aws_lambda_like")
+    platform = dataclasses.replace(
+        preset,
+        keep_alive=dataclasses.replace(
+            preset.keep_alive, min_keep_alive_s=0.0, max_keep_alive_s=0.0
+        ),
+        serving=dataclasses.replace(preset.serving, base_overhead_s=0.0, jitter_fraction=0.0),
+    )
+    function = FunctionConfig(
+        name="fn",
+        alloc_vcpus=1.0,
+        alloc_memory_gb=1.0,
+        cpu_time_s=0.45,
+        init_duration_s=0.5,
+    )
+    rps = load / HOLDING_S
+    deployment = FunctionDeployment(
+        function=function,
+        platform=platform,
+        rps=rps,
+        duration_s=ARRIVALS / rps,
+        arrival_process="poisson",
+    )
+    return ClusterSimulator(
+        [deployment],
+        fleet_config=FleetConfig(
+            host_spec=HostSpec(vcpus=float(servers), memory_gb=1e6),
+            max_hosts=1,
+            queue_depth=0,
+            sample_interval_s=None,
+        ),
+        seed=seed,
+        feedback="on",
+    )
+
+
+@pytest.mark.parametrize("servers, load", [(4, 4.0), (8, 6.0)])
+def test_rejected_fraction_matches_erlang_b(servers, load):
+    result = _loss_system(servers, load, seed=1).run()
+    metrics = result.metrics["fn"]
+    assert metrics.arrivals > 0.95 * ARRIVALS
+    rejected = metrics.failed_requests / metrics.arrivals
+    expected = erlang_b(servers, load)
+    sigma = math.sqrt(expected * (1.0 - expected) / metrics.arrivals)
+    assert abs(rejected - expected) <= 3.0 * sigma, (
+        f"k={servers}, a={load}: rejected {rejected:.4f}, Erlang B {expected:.4f} "
+        f"(3 sigma = {3.0 * sigma:.4f})"
+    )
+
+
+def test_erlang_b_recursion_against_the_closed_form():
+    for servers, load in ((4, 4.0), (8, 6.0), (5, 4.0)):
+        terms = [load**n / math.factorial(n) for n in range(servers + 1)]
+        assert erlang_b(servers, load) == pytest.approx(terms[-1] / sum(terms), rel=1e-12)
+    assert erlang_b(4, 4.0) == pytest.approx(0.3107, abs=1e-4)
+    assert erlang_b(5, 4.0) == pytest.approx(0.1991, abs=1e-4)

@@ -27,7 +27,6 @@ from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import FleetConfig
 from repro.cluster.host import HostSpec
 from repro.cluster.placement import PlacementPolicy
-from repro.platform.autoscaler import AutoscalerConfig
 from repro.platform.concurrency import ConcurrencyModel
 from repro.platform.config import FunctionConfig, PlatformConfig
 from repro.platform.invoker import PlatformSimulator
@@ -50,7 +49,6 @@ from repro.sim.feedback import (
     AdmissionState,
     FeedbackChannel,
     PublishedRate,
-    ServiceTimeModifier,
 )
 from repro.workloads.functions import PYAES_FUNCTION
 
@@ -61,7 +59,7 @@ from repro.workloads.functions import PYAES_FUNCTION
 # ----------------------------------------------------------------------
 
 
-def _deterministic_platform(keep_alive_s=1e6, autoscaler=None, max_concurrency=1):
+def _deterministic_platform(keep_alive_s=1e6):
     """A platform whose overhead and keep-alive draws are sampling-free.
 
     ``jitter_fraction=0`` makes the lognormal overhead collapse to its mean
@@ -69,12 +67,9 @@ def _deterministic_platform(keep_alive_s=1e6, autoscaler=None, max_concurrency=1
     runs differing only in feedback consume identical randomness *values*
     regardless of how many draws each makes.
     """
-    concurrency = (
-        ConcurrencyModel.single() if max_concurrency == 1 else ConcurrencyModel.multi(max_concurrency)
-    )
     return PlatformConfig(
         name="deterministic",
-        concurrency=concurrency,
+        concurrency=ConcurrencyModel.single(),
         serving=ServingOverheadModel(
             architecture=ServingOverheadModel.api_polling().architecture,
             base_overhead_s=1e-3,
@@ -85,15 +80,16 @@ def _deterministic_platform(keep_alive_s=1e6, autoscaler=None, max_concurrency=1
             max_keep_alive_s=keep_alive_s,
             resource_behavior=KeepAliveResourceBehavior.FULL_ALLOCATION,
         ),
-        autoscaler=autoscaler,
     )
 
 
-def _fixed_rate(rate):
-    """A constant slowdown: a published rate with a single publish."""
-    modifier = PublishedRate()
-    modifier.publish(0.0, rate)
-    return modifier
+def _fixed_rate_channel(rate):
+    """A channel whose rate slot holds a constant slowdown (one publish)."""
+    published = PublishedRate()
+    published.publish(0.0, rate)
+    channel = FeedbackChannel()
+    channel.set_rate(published)
+    return channel
 
 
 def _function(cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5):
@@ -114,44 +110,37 @@ def _function(cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5):
 
 class TestFeedbackChannel:
     def test_no_modifiers_is_exactly_full_speed(self):
-        assert FeedbackChannel().service_rate(0.0) == 1.0
+        assert FeedbackChannel().service_rate() == 1.0
 
-    def test_modifiers_compose_multiplicatively_and_clamp(self):
-        channel = FeedbackChannel()
-        channel.set_modifier("a", _fixed_rate(0.5))
-        assert channel.service_rate(0.0) == 0.5
-        channel.set_modifier("b", _fixed_rate(0.5))
-        assert channel.service_rate(0.0) == 0.25
-        channel.set_modifier("c", _fixed_rate(0.01))
-        assert channel.service_rate(0.0) == MIN_SERVICE_RATE  # 0.0025, floored
-        channel.set_modifier("c", _fixed_rate(1.0))  # a key's modifier is replaced
-        assert channel.service_rate(0.0) == 0.25
+    def test_rate_slot_is_replaced_and_clamped(self):
+        channel = _fixed_rate_channel(0.5)
+        assert channel.service_rate() == 0.5
+        floored = PublishedRate()
+        floored.publish(0.0, 0.0)  # PublishedRate floors at 1e-3 ...
+        assert channel.set_rate(floored) is floored  # ... the slot is replaced ...
+        assert channel.service_rate() == MIN_SERVICE_RATE  # ... and the channel at 0.01
 
     def test_published_rate_is_piecewise_and_floored(self):
         rate = PublishedRate()
-        assert rate.service_rate(0.0) == 1.0
+        assert rate.service_rate() == 1.0
         rate.publish(1.0, 0.25)
-        assert rate.service_rate(5.0) == 0.25
+        assert rate.service_rate() == 0.25
         rate.publish(2.0, 0.0)  # a zero-delivery window must not stall consumers
-        assert rate.service_rate(3.0) == pytest.approx(1e-3)
+        assert rate.service_rate() == pytest.approx(1e-3)
         assert [t for t, _ in rate.history] == [1.0, 2.0]
-        assert isinstance(rate, ServiceTimeModifier)
 
-    def test_admission_tracking_and_prefix_depth(self):
+    def test_admission_tracking(self):
         bus = EventBus()
         channel = FeedbackChannel().attach(bus)
         assert channel.admission_state("fn-a/sandbox-0") is None
         bus.publish(SandboxQueued(1.0, "fn-a/sandbox-0", queue_depth=1))
         bus.publish(SandboxQueued(1.5, "fn-b/sandbox-0", queue_depth=2))
         assert channel.admission_state("fn-a/sandbox-0") is AdmissionState.QUEUED
-        assert channel.admission_queue_depth() == 2
-        assert channel.admission_queue_depth("fn-a/") == 1
         bus.publish(SandboxAdmitted(4.0, "fn-a/sandbox-0", host_name="h", queue_wait_s=3.0))
         assert channel.admission_state("fn-a/sandbox-0") is AdmissionState.ADMITTED
-        assert channel.admission_queue_depth() == 1
+        assert channel.admission_state("fn-b/sandbox-0") is AdmissionState.QUEUED
         bus.publish(SandboxRejected(5.0, "fn-b/sandbox-0", reason="queue_full"))
         assert channel.admission_state("fn-b/sandbox-0") is AdmissionState.REJECTED
-        assert channel.admission_queue_depth() == 0
 
     def test_gate_fires_once_on_resolution(self):
         bus = EventBus()
@@ -190,9 +179,7 @@ class TestServiceTimeStretching:
             return simulator.run(arrivals, horizon_s=100.0)
 
         raw = run(None)
-        channel = FeedbackChannel()
-        channel.set_modifier("static", _fixed_rate(0.5))
-        slow = run(channel)
+        slow = run(_fixed_rate_channel(0.5))
         assert raw.num_requests == slow.num_requests == 3
         overhead = 1e-3  # jitter-free serving overhead at 1 vCPU
         for fast, stretched in zip(raw.requests, slow.requests):
@@ -232,9 +219,7 @@ class TestServiceTimeStretching:
             return {r.request_id: r.end_to_end_latency_s for r in metrics.requests}
 
         raw = run(None)
-        channel = FeedbackChannel()
-        channel.set_modifier("static", _fixed_rate(rate))
-        stretched = run(channel)
+        stretched = run(_fixed_rate_channel(rate))
         assert set(raw) == set(stretched)
         for request_id, raw_latency in raw.items():
             assert stretched[request_id] >= raw_latency - 1e-9
@@ -591,10 +576,6 @@ class TestConfigValidationAndMetricsEdges:
         with pytest.raises(ValueError):
             ClusterSimulator([deployment], feedback="bogus")
 
-    def test_autoscaler_config_rejects_negative_queue_weight(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(admission_queue_weight=-1.0)
-
     def test_latency_inflation_edge_cases(self):
         from repro.platform.metrics import RequestOutcome, SimulationMetrics
 
@@ -613,51 +594,3 @@ class TestConfigValidationAndMetricsEdges:
         assert no_floor.summary()["latency_inflation"] == 0.0
 
 
-# ----------------------------------------------------------------------
-# Queue-aware autoscaling (AutoscalerConfig.admission_queue_weight)
-# ----------------------------------------------------------------------
-
-
-class TestQueueAwareAutoscaling:
-    def _simulator(self, weight):
-        autoscaler = AutoscalerConfig(
-            metric_window_s=4.0,
-            evaluation_interval_s=1.0,
-            min_instances=0,
-            max_instances=50,
-            scale_down_delay_s=30.0,
-            panic_threshold=0.0,
-            admission_queue_weight=weight,
-        )
-        platform = _deterministic_platform(autoscaler=autoscaler, max_concurrency=10)
-        bus = EventBus()
-        channel = FeedbackChannel().attach(bus)
-        simulator = PlatformSimulator(platform, _function(), seed=0, feedback=channel)
-        return simulator, bus
-
-    def test_scales_up_on_admission_queue_depth_with_hysteresis(self):
-        simulator, bus = self._simulator(weight=10.0)
-        # Three sandboxes stuck in the fleet admission queue, no traffic at all.
-        for index in range(3):
-            bus.publish(SandboxQueued(0.0, f"sandbox-q{index}", queue_depth=index + 1))
-        simulator.schedule_arrivals([], horizon_s=0.0)
-        simulator.kernel.run(until=6.0)
-        scaled_to = simulator._instance_count()
-        # signal = weight * depth = 30 -> ceil(30 / (0.7 * 10)) = 5 instances
-        assert scaled_to == 5
-        # Queue drains: hysteresis holds the pool for scale_down_delay_s...
-        for index in range(3):
-            bus.publish(SandboxAdmitted(6.0, f"sandbox-q{index}", host_name="h", queue_wait_s=6.0))
-        simulator.kernel.run(until=20.0)
-        assert simulator._instance_count() == scaled_to
-        # ...and only then releases it.
-        simulator.kernel.run(until=60.0)
-        assert simulator._instance_count() == 0
-
-    def test_zero_weight_ignores_the_admission_queue(self):
-        simulator, bus = self._simulator(weight=0.0)
-        for index in range(3):
-            bus.publish(SandboxQueued(0.0, f"sandbox-q{index}", queue_depth=index + 1))
-        simulator.schedule_arrivals([], horizon_s=0.0)
-        simulator.kernel.run(until=6.0)
-        assert simulator._instance_count() == 0

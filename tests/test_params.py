@@ -168,8 +168,15 @@ def test_a_tenant_count_builds_that_many_tenants():
     ).tenancy
     assert tenancy.tenants == 2
     assert tenancy.configs() == [
-        TenantConfig(f"tenant-0{index}", 50.0, 2.0, 1.0, "queue", None, 2.0) for index in (0, 1)
+        TenantConfig(f"tenant-0{index}", 50.0, 2.0, "queue", 2.0) for index in (0, 1)
     ]
+
+
+@pytest.mark.parametrize("key, value", [("tenant_request_cost", 2.0), ("tenant_max_queued", 3)])
+def test_removed_tenant_knobs_are_unknown_keys(key, value):
+    # Every admission spends one credit, and a credit queue is unbounded.
+    with pytest.raises(ScenarioParamError, match=key):
+        from_mapping(ClusterScenarioParams, {"tenants": 2, key: value})
 
 
 def test_obs_section_attaches_only_when_asked(tmp_path):

@@ -119,7 +119,6 @@ def test_birth_rejected_cold_start_leaves_no_platform_state(retry):
                 ("_routable", any(key[1] == name for key in simulator._routable)),
                 ("_pending_cold", name in simulator._pending_cold),
                 ("feedback admission", channel.admission_state(name) is not None),
-                ("feedback queue", name in channel._queued),
                 ("feedback gates", name in channel._gates),
             )
             if present

@@ -87,10 +87,6 @@ class TestGridAndScenarios:
         other = build_grid("m:f", axes, base_seed=8)
         assert [s.seed for s in first] != [s.seed for s in other]
 
-    def test_grid_fixed_seed(self):
-        scenarios = build_grid("m:f", {"rps": [1, 2]}, base_seed=7, fixed_seed=42)
-        assert [s.seed for s in scenarios] == [42, 42]
-
     def test_resolve_runner_validates(self):
         with pytest.raises(ValueError):
             resolve_runner("not.a.path")

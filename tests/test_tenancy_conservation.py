@@ -7,8 +7,7 @@ conservation law of ``tests/test_conservation.py`` gains a term: per tenant,
     arrivals == completed + failed + denied + pending + in-flight
 
 must hold for **any** configuration (deny or queue exhaustion policy, feedback
-on or off, retries on or off, refillable or starved credit buckets, bounded or
-unbounded credit queues).  And because tenants partition the deployments, the
+on or off, retries on or off, refillable or starved credit buckets).  And because tenants partition the deployments, the
 per-tenant reports must sum exactly to the global totals the pre-tenancy law
 pins -- tenancy re-buckets the accounting, it must never change it.
 """
@@ -24,6 +23,7 @@ from repro.cluster.host import HostSpec
 from repro.platform.presets import get_platform_preset
 from repro.sim.retry import RetryPolicy
 from repro.tenancy import TenantConfig
+from repro.tenancy.admission import REQUEST_COST
 from repro.workloads.functions import PYAES_FUNCTION
 
 RETRY_POLICY = RetryPolicy(max_attempts=3, base_backoff_s=0.2, jitter=0.1)
@@ -105,9 +105,8 @@ def _assert_tenant_conservation(simulator, result):
             == tenant.arrivals
         )
         # Credits were spent exactly once per admitted request.
-        config = admission.config(tenant.name)
         assert admission.credits_spent[tenant.name] == (
-            admission.admitted[tenant.name] * config.request_cost
+            admission.admitted[tenant.name] * REQUEST_COST
         )
 
 
@@ -153,17 +152,6 @@ class TestTenancyConservation:
         assert report.pending > 0           # stranded in the credit queue
         assert report.completed == 5        # one 5-credit bucket across both functions
         assert simulator.admission.resumed["starved"] == 0
-
-    def test_bounded_credit_queue_denies_overflow(self):
-        """max_queued caps the park depth; overflow arrivals are denied."""
-        tenants = [TenantConfig("bounded", credit_capacity=4.0, credit_refill_per_s=0.1,
-                                on_exhausted="queue", max_queued=3)]
-        simulator = _build_cluster(23, tenants, rps=5.0, num_functions=2)
-        result = simulator.run()
-        _assert_tenant_conservation(simulator, result)
-        report = result.tenancy.by_name("bounded")
-        assert report.denied > 0
-        assert simulator.admission.queue_depth("bounded") <= 3
 
     def test_deny_under_retry_amplification_conserves(self):
         """Denials, failures, retries and credit refills interleaving at once."""
