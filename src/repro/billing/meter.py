@@ -217,7 +217,7 @@ class CostMeter:
         admission-queue wait.  Directly placed sandboxes are admitted at
         their cold-start time, leaving their lifespans float-exactly
         unchanged.  A sandbox that *never* gets admitted -- still queued at
-        the horizon, or rejected after queueing -- spent its entire life
+        the horizon, or rejected at admission -- spent its entire life
         off-host and is closed without billing anything.
         """
         self._admission_gated = True

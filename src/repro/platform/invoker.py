@@ -51,7 +51,6 @@ from repro.sim.events import (
     SandboxColdStart,
     SandboxIdle,
     SandboxTerminated,
-    SimEvent,
 )
 from repro.sim.feedback import AdmissionState, FeedbackChannel
 from repro.sim.kernel import HORIZON_SLACK_S, Event, SimulationKernel
@@ -63,12 +62,6 @@ __all__ = ["PlatformSimulator", "RequestOutcome", "SimulationMetrics"]
 # Hoisted enum members: the arrival hot path compares these per request.
 _ADMIT = AdmissionDecision.ADMIT
 _DENY = AdmissionDecision.DENY
-
-#: Largest gap between an expiry check's armed keep-alive deadline and the
-#: sandbox's current one that still counts as the same deadline; a larger
-#: gap means the sandbox served requests since the check was armed.
-_KEEPALIVE_MATCH_S = 1e-6
-_INF = float("inf")
 
 #: Event kinds the simulator schedules on the kernel; the autoscaler is a
 #: periodic kernel process (:class:`repro.platform.autoscaler.AutoscalerProcess`)
@@ -91,8 +84,9 @@ class PlatformSimulator:
     the channel's service rate (re-read at every admit/completion
     event, so the CPU-bandwidth scheduler's throttling factor reaches request
     latency), and (b) gates sandbox readiness on the fleet's admission
-    outcome -- a queued cold start defers ``sandbox_ready`` by its measured
-    queue wait, and a rejected one fails its pending request with a typed
+    outcome, taken once per cold start -- a queued cold start defers
+    ``sandbox_ready`` by its measured queue wait, and a rejected one is never
+    built and fails its request with a typed
     :class:`~repro.platform.metrics.FailedRequest`.  Without a channel (the
     default) the simulator holds an unattached one, and behaviour is
     byte-identical to the pre-feedback simulator.
@@ -167,11 +161,6 @@ class PlatformSimulator:
         self._max_concurrency = platform.concurrency.max_concurrency
         #: Ingress FIFO of attempts waiting for a sandbox with free capacity.
         self._queue: Deque[Attempt] = deque()
-        #: sandbox -> attempts waiting for its cold start to finish.
-        self._pending_cold: Dict[str, List[Attempt]] = {}
-        self._completion_version: Dict[str, int] = {}
-        #: sandbox -> fire time of its single pending keep-alive expiry check.
-        self._keepalive_pending: Dict[str, float] = {}
         self.metrics = SimulationMetrics(retain_outcomes=retain_outcomes)
         # The function's per-request constants, folded once for admit/completion.
         self._sample_overhead = platform.serving.sampler(function.alloc_vcpus, self._rng)
@@ -274,7 +263,7 @@ class PlatformSimulator:
         completed, failed nor denied, so the conservation law needs them
         here.
         """
-        pending = len(self._queue) + sum(len(waiting) for waiting in self._pending_cold.values())
+        pending = len(self._queue) + sum(len(s.cold_waiters) for s in self._sandboxes.values())
         if self._admission is not None:
             pending += self._admission.queued_count(self.name)
         return pending
@@ -434,15 +423,14 @@ class PlatformSimulator:
             )
         )
         feedback = self._feedback
-        state = feedback.admission_state(name)
+        state = feedback.take_admission(name)
         if state is AdmissionState.REJECTED:
-            feedback.forget(name)
             self.bus.publish(SandboxTerminated(now, name, reason="admission_rejected"))
             self.metrics.record_instances(now, self._instance_count())
             if attempt is not None:
                 self._fail_request(attempt, "admission_rejected", now, name)
             return
-        self._sandboxes[name] = Sandbox(
+        sandbox = self._sandboxes[name] = Sandbox(
             name=name,
             function_name=function.name,
             alloc_vcpus=function.alloc_vcpus,
@@ -452,7 +440,6 @@ class PlatformSimulator:
             init_duration_s=init_duration,
             runtime_workers=self.platform.concurrency.effective_workers,
         )
-        self._completion_version[name] = 0
         if state is AdmissionState.QUEUED:
             # Initialisation cannot start until the sandbox lands on a host;
             # readiness is scheduled from the admission callback instead, so
@@ -463,31 +450,18 @@ class PlatformSimulator:
             self._kernel.schedule_in(init_duration, self._kind_sandbox_ready, {"sandbox": name})
         self.metrics.record_instances(now, self._instance_count())
         if attempt is not None:
-            self._pending_cold.setdefault(name, []).append(attempt)
+            sandbox.cold_waiters.append(attempt)
 
-    def _on_admission_resolved(self, event: SimEvent) -> None:
-        """Feedback-channel callback: a queued sandbox was admitted or rejected."""
-        name = event.sandbox_name  # type: ignore[attr-defined]
-        sandbox = self._sandboxes.get(name)
-        if sandbox is None or sandbox.state is not SandboxState.INITIALIZING:
-            return
-        if isinstance(event, SandboxAdmitted):
-            self._kernel.schedule_in(
-                sandbox.init_duration_s, self._kind_sandbox_ready, {"sandbox": name}
-            )
-            return
-        # Late rejection of a queued sandbox.  The stock fleet only rejects at
-        # admission time (before any gate exists), but the channel contract
-        # allows a fleet to time queue entries out, so the platform must
-        # handle it: tear the sandbox down, fail everything waiting on it.
-        now = self._kernel.now
-        waiting = self._pending_cold.pop(name, [])
-        sandbox.terminate(now)
-        self._discard_sandbox(sandbox)
-        self.bus.publish(SandboxTerminated(now, name, reason="admission_rejected"))
-        for attempt in waiting:
-            self._fail_request(attempt, "admission_rejected", now, name)
-        self.metrics.record_instances(now, self._instance_count())
+    def _on_admission_resolved(self, event: SandboxAdmitted) -> None:
+        """Feedback-channel callback: the fleet admitted a queued sandbox.
+
+        A gated sandbox is still initialising (nothing terminates one), so
+        initialisation starts now and readiness follows it.
+        """
+        name = event.sandbox_name
+        self._kernel.schedule_in(
+            self._sandboxes[name].init_duration_s, self._kind_sandbox_ready, {"sandbox": name}
+        )
 
     def _discard_sandbox(self, sandbox: Sandbox) -> None:
         """Forget a terminated sandbox.
@@ -500,9 +474,6 @@ class PlatformSimulator:
         """
         name = sandbox.name
         self._sandboxes.pop(name, None)
-        self._completion_version.pop(name, None)
-        self._keepalive_pending.pop(name, None)
-        self._feedback.forget(name)
         # Only sandboxes that became ready have a routing key (an aborted one
         # never did); a terminated sandbox has no active requests.
         routable = self._routable
@@ -571,7 +542,7 @@ class PlatformSimulator:
         now = self._kernel.now
         sandbox.mark_ready(now)
         insort(self._routable, (sandbox.concurrency, sandbox.name))
-        waiting = self._pending_cold.pop(sandbox.name, [])
+        waiting, sandbox.cold_waiters = sandbox.cold_waiters, []
         for attempt in waiting:
             # The request(s) that waited for this sandbox experienced the cold start.
             self._admit(sandbox, attempt, True, now)
@@ -618,29 +589,28 @@ class PlatformSimulator:
     # ------------------------------------------------------------------
 
     def _schedule_completion_check(self, sandbox: Sandbox, now: float) -> None:
-        self._arm_completion_check(sandbox.name, now, sandbox.next_completion_time(now))
+        self._arm_completion_check(sandbox, now, sandbox.next_completion_time(now))
 
-    def _arm_completion_check(self, name: str, now: float, next_time: Optional[float]) -> None:
+    def _arm_completion_check(self, sandbox: Sandbox, now: float, next_time: Optional[float]) -> None:
         """Supersede the sandbox's pending check with one at ``next_time`` (``None``: none)."""
-        version = self._completion_version[name] + 1
-        self._completion_version[name] = version
+        version = sandbox.completion_version = sandbox.completion_version + 1
         if next_time is not None:
             self._kernel.schedule(now if now > next_time else next_time, self._kind_completion,
-                                  {"sandbox": name, "version": version})
+                                  {"sandbox": sandbox.name, "version": version})
 
     def _handle_completion(self, event: Event) -> None:
         data = event.data
         name = data["sandbox"]
-        if data["version"] != self._completion_version.get(name):
-            return  # stale: membership changed, or the sandbox is gone (no version)
-        sandbox = self._sandboxes[name]
+        sandbox = self._sandboxes.get(name)
+        if sandbox is None or data["version"] != sandbox.completion_version:
+            return  # stale: membership changed, or the sandbox is gone
         now = self._kernel.now
         finished = sandbox.advance(now)
         if not finished:
             self._refresh_rate_factor(sandbox)
             next_time = sandbox.next_completion_time(now)
             if next_time is None or next_time > now:
-                self._arm_completion_check(name, now, next_time)
+                self._arm_completion_check(sandbox, now, next_time)
                 return
             # Armed at `now`, this check would fire into the same state
             # forever: far from t = 0 a residual above the done tolerance can
@@ -690,7 +660,6 @@ class PlatformSimulator:
         )
         deadline = now + keep_alive
         sandbox.keep_alive_deadline_s = deadline
-        name = sandbox.name
         # At most one pending expiry check per sandbox.  Scheduling one event
         # per idle transition (the old scheme) left every superseded check on
         # the heap for the full keep-alive window -- hundreds of thousands of
@@ -698,34 +667,36 @@ class PlatformSimulator:
         # re-arms itself at the current deadline when it fires
         # (:meth:`_handle_keepalive_expire`), so only a deadline that moved
         # earlier than the pending check needs a new event.
-        pending = self._keepalive_pending.get(name)
+        pending = sandbox.keepalive_check_s
         if pending is not None and pending <= deadline:
             return
-        self._keepalive_pending[name] = deadline
+        self._arm_keepalive_check(sandbox, deadline)
+
+    def _arm_keepalive_check(self, sandbox: Sandbox, deadline: float) -> None:
+        sandbox.keepalive_check_s = deadline
         self._kernel.schedule(
-            deadline, self._kind_keepalive_expire, {"sandbox": name, "deadline": deadline}
+            deadline, self._kind_keepalive_expire, {"sandbox": sandbox.name, "deadline": deadline}
         )
 
     def _handle_keepalive_expire(self, event: Event) -> None:
-        name = event.data["sandbox"]
+        sandbox = self._sandboxes.get(event.data["sandbox"])
+        if sandbox is None:
+            return
         checked = event.data["deadline"]
-        if self._keepalive_pending.get(name) == checked:
-            del self._keepalive_pending[name]
-        sandbox = self._sandboxes.get(name)
-        if sandbox is None or sandbox.state is not SandboxState.IDLE:
+        if sandbox.keepalive_check_s == checked:
+            sandbox.keepalive_check_s = None
+        if sandbox.state is not SandboxState.IDLE:
             return
         deadline = sandbox.keep_alive_deadline_s
-        if abs(deadline - checked) > _KEEPALIVE_MATCH_S:
+        if deadline != checked:
             # The sandbox served more requests since this check was armed.
             # If its current deadline lies beyond this check and nothing else
             # is pending, re-arm at that deadline -- the check this handler
             # suppressed at idle time.  (A deadline *before* this check
             # always has its own earlier pending event.)
-            if deadline > checked and self._keepalive_pending.get(name, _INF) > deadline:
-                self._keepalive_pending[name] = deadline
-                self._kernel.schedule(
-                    deadline, self._kind_keepalive_expire, {"sandbox": name, "deadline": deadline}
-                )
+            pending = sandbox.keepalive_check_s
+            if deadline > checked and (pending is None or pending > deadline):
+                self._arm_keepalive_check(sandbox, deadline)
             return
         now = self._kernel.now
         sandbox.terminate(now)

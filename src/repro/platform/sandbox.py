@@ -103,6 +103,13 @@ class Sandbox:
     #: every event, and the count rarely changes between the two.
     _rate_count: int = field(default=0, init=False)
     _contended_rate: float = field(default=0.0, init=False)
+    #: The platform simulator's run-time bookkeeping for this sandbox: the
+    #: version a completion check must carry to be live, the fire time of
+    #: the one pending keep-alive expiry check (``None``: none pending), and
+    #: the attempts waiting for initialisation to finish.
+    completion_version: int = field(default=0, init=False)
+    keepalive_check_s: Optional[float] = field(default=None, init=False)
+    cold_waiters: List[Attempt] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -15,11 +15,14 @@ failed requests.  This module closes that loop with two mechanisms:
 - **Readiness gates**: the channel subscribes to the fleet's admission-outcome
   events (:class:`~repro.sim.events.SandboxQueued` /
   :class:`~repro.sim.events.SandboxAdmitted` /
-  :class:`~repro.sim.events.SandboxRejected`) and lets the platform simulator
-  ask, synchronously after publishing a cold start, what the fleet decided --
-  and be called back when a queued sandbox is finally admitted (or rejected),
-  so admission queueing defers sandbox readiness and rejection fails the
-  pending request instead of both being invisible to the serving layer.
+  :class:`~repro.sim.events.SandboxRejected`).  The fleet decides inside the
+  cold-start publish, and the platform simulator takes that decision right
+  after it (:meth:`FeedbackChannel.take_admission`), so the channel holds
+  it for no longer than the publish.  A rejected cold start fails its
+  request; a queued one gates its readiness and is called back when the
+  fleet admits it, so admission queueing defers sandbox readiness instead
+  of being invisible to the serving layer.  The stock fleet never rejects
+  a sandbox it queued, so a rejection of a gated sandbox is an error.
 
 The channel is deliberately passive: it never schedules kernel events itself.
 Every effect happens inside an existing event's handler (publish, gate
@@ -41,7 +44,6 @@ from repro.sim.events import (
     SandboxAdmitted,
     SandboxQueued,
     SandboxRejected,
-    SimEvent,
 )
 
 __all__ = [
@@ -102,17 +104,18 @@ class FeedbackChannel:
     One channel serves one co-simulation (one shared kernel + bus).  The
     scheduler puts its :class:`PublishedRate` in the rate slot with
     :meth:`set_rate`; consumers read it with :meth:`service_rate`.  Attaching
-    the channel to the co-simulation bus (:meth:`attach`) makes it track fleet
-    admission outcomes so the platform simulator can gate sandbox readiness
-    on them.
+    the channel to the co-simulation bus (:meth:`attach`) makes it hand fleet
+    admission outcomes to the platform simulator, which gates sandbox
+    readiness on them.
     """
 
     def __init__(self) -> None:
         #: the published slowdown; ``None`` runs at full speed.
         self._rate: Optional[PublishedRate] = None
+        #: sandbox -> the fleet's decision, until the platform takes it.
         self._admission: Dict[str, AdmissionState] = {}
-        #: sandbox -> one-shot callback fired when its admission resolves.
-        self._gates: Dict[str, Callable[[SimEvent], None]] = {}
+        #: queued sandbox -> one-shot callback fired when the fleet admits it.
+        self._gates: Dict[str, Callable[[SandboxAdmitted], None]] = {}
 
     # ------------------------------------------------------------------
     # Service-time side
@@ -150,47 +153,33 @@ class FeedbackChannel:
         self._admission[event.sandbox_name] = AdmissionState.QUEUED
 
     def _on_admitted(self, event: SandboxAdmitted) -> None:
-        self._admission[event.sandbox_name] = AdmissionState.ADMITTED
-        self._resolve_gate(event.sandbox_name, event)
-
-    def _on_rejected(self, event: SandboxRejected) -> None:
-        self._admission[event.sandbox_name] = AdmissionState.REJECTED
-        self._resolve_gate(event.sandbox_name, event)
-
-    def _resolve_gate(self, sandbox_name: str, event: SimEvent) -> None:
-        callback = self._gates.pop(sandbox_name, None)
-        if callback is not None:
+        callback = self._gates.pop(event.sandbox_name, None)
+        if callback is None:
+            self._admission[event.sandbox_name] = AdmissionState.ADMITTED
+        else:
             callback(event)
 
-    def admission_state(self, sandbox_name: str) -> Optional[AdmissionState]:
-        """The fleet's decision for a sandbox, or ``None`` if it never saw one.
+    def _on_rejected(self, event: SandboxRejected) -> None:
+        if event.sandbox_name in self._gates:
+            raise RuntimeError(
+                f"sandbox {event.sandbox_name!r} was rejected after it was queued; "
+                "a fleet decides rejection at admission time only"
+            )
+        self._admission[event.sandbox_name] = AdmissionState.REJECTED
+
+    def take_admission(self, sandbox_name: str) -> Optional[AdmissionState]:
+        """Hand over (and drop) the fleet's decision for a cold-started sandbox.
 
         ``None`` means no admission-publishing fleet is attached (a standalone
         platform simulation); callers should treat it as admitted.
         """
-        return self._admission.get(sandbox_name)
+        return self._admission.pop(sandbox_name, None)
 
-    def forget(self, sandbox_name: str) -> None:
-        """Drop what the channel knows about a discarded sandbox.
+    def gate_readiness(self, sandbox_name: str, callback: Callable[[SandboxAdmitted], None]) -> None:
+        """Call ``callback`` (once) when the fleet admits the queued sandbox.
 
-        The platform calls this when it discards a terminated sandbox, so the
-        channel's state stays bounded by the live sandboxes rather than
-        growing with every cold start a long run ever made.
+        The callback receives the :class:`SandboxAdmitted` event and runs
+        synchronously inside its bus publish -- i.e. inside an existing
+        kernel event, keeping event order deterministic.
         """
-        self._admission.pop(sandbox_name, None)
-
-    def gate_readiness(self, sandbox_name: str, callback: Callable[[SimEvent], None]) -> None:
-        """Call ``callback`` (once) when the sandbox's queued admission resolves.
-
-        The callback receives the resolving event (:class:`SandboxAdmitted` or
-        :class:`SandboxRejected`) and runs synchronously inside that event's
-        bus publish -- i.e. inside an existing kernel event, keeping event
-        order deterministic.
-        """
-        state = self._admission.get(sandbox_name)
-        if state is not None and state is not AdmissionState.QUEUED:
-            raise ValueError(
-                f"sandbox {sandbox_name!r} admission already resolved ({state.value}); "
-                "gate it before publishing the cold start or not at all"
-            )
         self._gates[sandbox_name] = callback

@@ -107,8 +107,11 @@ class PeriodicProcess:
     Shared by components that need a periodic tick (the platform autoscaler's
     evaluation interval, the fleet's utilisation sampler): ``next_event_time``
     is the next grid point, ``handle`` invokes the callback and advances on
-    the grid (not ``now + interval``), so tick times stay exact multiples of
-    the interval regardless of clock jitter.
+    the grid (not ``now + interval``).  Tick ``k`` fires at
+    ``start_s + k * interval_s``, computed from the integer tick count, so
+    rounding never accumulates: at a 0.1-s interval the tenth tick is at
+    exactly ``1.0``, where repeated addition would reach
+    ``0.9999999999999999``.
 
     Periodic processes never run out of ticks; they are marked ``periodic``,
     which tells :meth:`SimulationKernel.run` without an ``until`` bound to
@@ -122,14 +125,15 @@ class PeriodicProcess:
             raise ValueError("interval_s must be positive")
         self.interval_s = float(interval_s)
         self._callback = callback
-        self._next_tick_s = float(start_s)
+        self._start_s = float(start_s)
+        self._ticks = 0
 
     def next_event_time(self, now: float) -> Optional[float]:
-        return self._next_tick_s
+        return self._start_s + self._ticks * self.interval_s
 
     def handle(self, now: float) -> None:
         self._callback(now)
-        self._next_tick_s += self.interval_s
+        self._ticks += 1
 
 
 class SimulationKernel:

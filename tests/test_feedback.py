@@ -12,8 +12,8 @@ invariants the rest of the repo relies on:
   readiness by the measured queue wait;
 - a static slowdown stretches every request's latency pointwise (hypothesis
   property over traffic shapes, slowdown factors and seeds);
-- the channel forgets every sandbox the platform discards, so its state
-  stays bounded by the live sandboxes.
+- the channel hands each admission decision over once and holds no
+  stale state: after a run, only the gates of still-queued sandboxes.
 """
 
 import dataclasses
@@ -130,36 +130,54 @@ class TestFeedbackChannel:
         assert [t for t, _ in rate.history] == [1.0, 2.0]
 
     def test_admission_tracking(self):
+        """Each decision is handed over once; an ungated admission is a decision."""
         bus = EventBus()
         channel = FeedbackChannel().attach(bus)
-        assert channel.admission_state("fn-a/sandbox-0") is None
+        assert channel.take_admission("fn-a/sandbox-0") is None
         bus.publish(SandboxQueued(1.0, "fn-a/sandbox-0", queue_depth=1))
-        bus.publish(SandboxQueued(1.5, "fn-b/sandbox-0", queue_depth=2))
-        assert channel.admission_state("fn-a/sandbox-0") is AdmissionState.QUEUED
-        bus.publish(SandboxAdmitted(4.0, "fn-a/sandbox-0", host_name="h", queue_wait_s=3.0))
-        assert channel.admission_state("fn-a/sandbox-0") is AdmissionState.ADMITTED
-        assert channel.admission_state("fn-b/sandbox-0") is AdmissionState.QUEUED
-        bus.publish(SandboxRejected(5.0, "fn-b/sandbox-0", reason="queue_full"))
-        assert channel.admission_state("fn-b/sandbox-0") is AdmissionState.REJECTED
+        bus.publish(SandboxAdmitted(1.5, "fn-b/sandbox-0", host_name="h"))
+        bus.publish(SandboxRejected(2.0, "fn-c/sandbox-0", reason="queue_full"))
+        assert channel.take_admission("fn-a/sandbox-0") is AdmissionState.QUEUED
+        assert channel.take_admission("fn-b/sandbox-0") is AdmissionState.ADMITTED
+        assert channel.take_admission("fn-c/sandbox-0") is AdmissionState.REJECTED
+        assert channel.take_admission("fn-a/sandbox-0") is None
+        assert channel._admission == {}
 
     def test_gate_fires_once_on_resolution(self):
         bus = EventBus()
         channel = FeedbackChannel().attach(bus)
         bus.publish(SandboxQueued(0.0, "s0", queue_depth=1))
+        assert channel.take_admission("s0") is AdmissionState.QUEUED
         seen = []
         channel.gate_readiness("s0", seen.append)
         bus.publish(SandboxAdmitted(2.0, "s0", host_name="h", queue_wait_s=2.0))
         assert len(seen) == 1 and isinstance(seen[0], SandboxAdmitted)
+        # the admission that fired the gate is not stored as a decision
+        assert channel._admission == {} and channel._gates == {}
         # a second resolution event does not re-fire the (consumed) gate
         bus.publish(SandboxAdmitted(3.0, "s0", host_name="h"))
         assert len(seen) == 1
 
-    def test_gate_on_already_resolved_admission_is_an_error(self):
-        bus = EventBus()
-        channel = FeedbackChannel().attach(bus)
-        bus.publish(SandboxRejected(0.0, "s0", reason="no_capacity"))
-        with pytest.raises(ValueError):
-            channel.gate_readiness("s0", lambda event: None)
+    def test_rejecting_a_gated_sandbox_is_an_error(self):
+        """A fleet rejects at admission time only; a late rejection must not pass silently."""
+        fleet_bus = EventBus()
+        channel = FeedbackChannel().attach(fleet_bus)
+        simulator = PlatformSimulator(
+            _deterministic_platform(), _function(), seed=0, feedback=channel
+        )
+        # A stand-in fleet: every cold start is queued immediately.
+        simulator.bus.subscribe(
+            SandboxColdStart,
+            lambda event: fleet_bus.publish(
+                SandboxQueued(event.time_s, event.sandbox_name, queue_depth=1)
+            ),
+        )
+        simulator.run([0.0], horizon_s=5.0)
+        assert simulator.pending_request_count == 1  # parked behind the gate
+        (name,) = simulator._sandboxes
+        assert set(channel._gates) == {name}
+        with pytest.raises(RuntimeError, match="rejected after it was queued"):
+            fleet_bus.publish(SandboxRejected(5.0, name, reason="queue_timeout"))
 
 
 # ----------------------------------------------------------------------
@@ -428,23 +446,29 @@ class TestHorizonCensoredBackpressure:
 
 
 class TestChannelMemory:
-    def test_discarded_sandboxes_leave_no_admission_state(self):
-        """The channel's state is bounded by the live sandboxes, not by history."""
+    @staticmethod
+    def _short_keep_alive_cluster(rps, **kwargs):
+        """One function whose sandboxes expire 0.5-1 s after going idle."""
         preset = get_platform_preset("aws_lambda_like")
         keep_alive = dataclasses.replace(
             preset.keep_alive, min_keep_alive_s=0.5, max_keep_alive_s=1.0
         )
-        platform = dataclasses.replace(preset, keep_alive=keep_alive)
         function = dataclasses.replace(
             PYAES_FUNCTION.to_function_config(1.0, 2.0, init_duration_s=0.5), name="fn-00"
         )
-        simulator = ClusterSimulator(
-            [FunctionDeployment(function=function, platform=platform, rps=10.0,
-                                duration_s=20.0, arrival_process="poisson")],
+        return ClusterSimulator(
+            [FunctionDeployment(function=function,
+                                platform=dataclasses.replace(preset, keep_alive=keep_alive),
+                                rps=rps, duration_s=20.0, arrival_process="poisson")],
             seed=5,
             feedback="on",
             retain_outcomes=False,
+            **kwargs,
         )
+
+    def test_discarded_sandboxes_leave_no_admission_state(self):
+        """The channel holds no decision once each cold start took its own."""
+        simulator = self._short_keep_alive_cluster(10.0)
         discarded = []
         simulator.bus.subscribe(
             SandboxTerminated, lambda event: discarded.append(event.sandbox_name)
@@ -452,7 +476,26 @@ class TestChannelMemory:
         simulator.run()
         assert len(discarded) > 10
         channel = simulator.feedback
-        assert all(channel.admission_state(name) is None for name in discarded)
+        assert channel._admission == {} and channel._gates == {}
+
+    def test_closed_loop_run_leaves_only_queued_gates(self):
+        """Mid-run, the channel holds only the gates of the sandboxes still queued.
+
+        Short keep-alives release hosts so queued cold starts get admitted,
+        and the horizon cuts the run while sandboxes are alive and queued.
+        """
+        simulator = self._short_keep_alive_cluster(
+            5.0,
+            fleet_config=FleetConfig(
+                host_spec=HostSpec(vcpus=2.0, memory_gb=4.0), max_hosts=1, queue_depth=4,
+                sample_interval_s=None,
+            ),
+        )
+        fleet = simulator.run(horizon_s=20.0).fleet
+        assert fleet.admitted_from_queue > 0 and fleet.queue and fleet.num_placed > 0
+        channel = simulator.feedback
+        assert channel._admission == {}
+        assert set(channel._gates) == {entry.sandbox_name for entry in fleet.queue}
 
 
 class TestInstanceBillingExcludesQueueWait:
@@ -528,42 +571,6 @@ class TestInstanceBillingExcludesQueueWait:
         assert result.summary()["pending_requests"] > 0  # queued forever
         assert result.meter.instance_seconds == 0.0
         assert result.meter.cost_usd == 0.0
-
-
-class TestRejectionAfterQueueing:
-    def test_rejected_while_queued_fails_the_pending_request(self):
-        """The gate's rejection branch: queue first, reject later.
-
-        The stock fleet never rejects an already-queued sandbox, but the
-        channel contract allows it (a future fleet could time queue entries
-        out), so the platform must handle a late rejection: tear the sandbox
-        down and fail the requests that were waiting on it.
-        """
-        fleet_bus = EventBus()
-        channel = FeedbackChannel().attach(fleet_bus)
-        simulator = PlatformSimulator(
-            _deterministic_platform(), _function(), seed=0, feedback=channel
-        )
-        # A stand-in fleet: every cold start is queued immediately.
-        simulator.bus.subscribe(
-            SandboxColdStart,
-            lambda event: fleet_bus.publish(
-                SandboxQueued(event.time_s, event.sandbox_name, queue_depth=1)
-            ),
-        )
-        simulator.run([0.0], horizon_s=5.0)
-        assert simulator.metrics.num_requests == 0  # still parked behind the gate
-        name = next(iter(simulator._sandboxes))
-        fleet_bus.publish(SandboxRejected(5.0, name, reason="queue_timeout"))
-        assert simulator.metrics.failed_requests == 1
-        failure = simulator.metrics.failures[0]
-        assert failure.reason == "admission_rejected"
-        assert failure.sandbox_name == name
-        # Failure is stamped with the kernel clock (in a co-simulation the
-        # gate fires inside a kernel event; here the clock never advanced).
-        assert failure.failed_s == simulator.kernel.now
-        # The aborted sandbox is gone from the pool and cannot serve.
-        assert simulator._instance_count() == 0
 
 
 class TestConfigValidationAndMetricsEdges:

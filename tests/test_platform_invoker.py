@@ -144,6 +144,38 @@ class TestKeepAliveBehaviour:
         assert outcome.init_duration_s >= 1.0
         assert outcome.turnaround_s > outcome.execution_duration_s
 
+    def test_later_deadline_rearms_the_pending_check(self):
+        """A check armed for a superseded deadline re-arms at the current one.
+
+        With a fixed window K, the second request's idle transition moves the
+        deadline past the pending check, so no second check is scheduled at
+        idle time; the first check must re-arm itself when it fires.
+        """
+        import dataclasses
+
+        from repro.sim.events import SandboxTerminated
+
+        keep_alive_s = 10.0
+        preset = get_platform_preset("aws_lambda_like")
+        platform = dataclasses.replace(
+            preset,
+            keep_alive=dataclasses.replace(
+                preset.keep_alive, min_keep_alive_s=keep_alive_s, max_keep_alive_s=keep_alive_s
+            ),
+        )
+        function = MINIMAL_FUNCTION.to_function_config(1.0, 0.5, init_duration_s=0.5)
+        simulator = PlatformSimulator(platform, function, seed=5)
+        terminations = []
+        simulator.bus.subscribe(SandboxTerminated, terminations.append)
+        metrics = simulator.run([0.0, 5.0], horizon_s=100.0)
+
+        first, second = sorted(metrics.requests, key=lambda r: r.arrival_s)
+        assert first.cold_start and not second.cold_start
+        assert second.completion_s > first.completion_s
+        assert [(t.reason, t.time_s) for t in terminations] == [
+            ("keepalive_expire", second.completion_s + keep_alive_s)
+        ]
+
     def test_empty_arrivals(self):
         preset = get_platform_preset("aws_lambda_like")
         function = MINIMAL_FUNCTION.to_function_config(1.0, 0.5)

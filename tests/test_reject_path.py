@@ -115,10 +115,8 @@ def test_birth_rejected_cold_start_leaves_no_platform_state(retry):
             where
             for where, present in (
                 ("_sandboxes", name in simulator._sandboxes),
-                ("_completion_version", name in simulator._completion_version),
                 ("_routable", any(key[1] == name for key in simulator._routable)),
-                ("_pending_cold", name in simulator._pending_cold),
-                ("feedback admission", channel.admission_state(name) is not None),
+                ("feedback admission", name in channel._admission),
                 ("feedback gates", name in channel._gates),
             )
             if present

@@ -200,6 +200,16 @@ class TestPeriodicProcess:
         kernel.run(until=9.0)
         assert ticks == [0.0, 3.0, 6.0, 9.0]
 
+    def test_ticks_do_not_drift_at_an_inexact_interval(self):
+        # 0.1 has no exact binary form: summing it ten times lands at
+        # 0.9999999999999999, so tick k must be computed as start + k * dt.
+        ticks = []
+        kernel = SimulationKernel()
+        kernel.add_process(PeriodicProcess(0.1, ticks.append, start_s=0.5))
+        kernel.run(until=1.55)
+        assert ticks == [0.5 + k * 0.1 for k in range(11)]
+        assert ticks[5] == 1.0
+
     def test_unbounded_run_terminates_when_only_periodic_ticks_remain(self):
         ticks = []
         kernel = SimulationKernel()
