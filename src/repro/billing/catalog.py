@@ -14,7 +14,7 @@ Unit conventions throughout: CPU in vCPUs, memory in GB, time in seconds.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 from repro.billing.models import (
     AllocationBilledResource,
@@ -344,26 +344,11 @@ def _build_catalog() -> Dict[PlatformName, BillingModel]:
 PLATFORM_BILLING_MODELS: Dict[PlatformName, BillingModel] = _build_catalog()
 
 
-def get_billing_model(
-    platform: "PlatformName | str",
-    price_class: "str | None" = None,
-    price_class_multipliers: "Mapping[str, float] | None" = None,
-) -> BillingModel:
-    """Look up a platform's billing model by enum member or string name.
-
-    Zone-aware pricing: pass the ``price_class`` of the host zone the work
-    runs in plus a ``price_class_multipliers`` mapping (e.g. ``{"economy":
-    0.8, "premium": 1.5}``) to get the model with its resource unit prices
-    scaled for that zone (see :meth:`BillingModel.with_price_multiplier`).
-    Unknown or unmapped price classes bill at the base list prices, so
-    homogeneous fleets are unaffected.
-    """
+def get_billing_model(platform: "PlatformName | str") -> BillingModel:
+    """Look up a platform's billing model by enum member or string name."""
     if isinstance(platform, str):
         platform = PlatformName(platform)
-    model = PLATFORM_BILLING_MODELS[platform]
-    if price_class is not None and price_class_multipliers is not None:
-        model = model.with_price_multiplier(price_class_multipliers.get(price_class, 1.0))
-    return model
+    return PLATFORM_BILLING_MODELS[platform]
 
 
 def list_platforms() -> List[PlatformName]:

@@ -26,7 +26,7 @@ Two billing families are handled:
 Idle (keep-alive) instance-seconds are accounted separately from busy time so
 provider-side keep-alive cost can be read off the meter.
 
-Three cross-layer refinements ride on the same event stream:
+Two cross-layer refinements ride on the same event stream:
 
 - **Stretched billing**: the meter bills the ``execution_duration_s`` each
   outcome actually reports.  When the execution-feedback layer
@@ -34,13 +34,6 @@ Three cross-layer refinements ride on the same event stream:
   durations, so invoices reflect throttled reality with no meter changes --
   and with feedback off the durations (and therefore the float-exact
   live==batch equivalence) are untouched.
-- **Zone-aware pricing**: with ``price_class_multipliers`` configured and a
-  fleet attached (:meth:`CostMeter.attach_fleet`), each request/instance is
-  billed at the price class of the host its sandbox is placed on (resource
-  unit prices scaled via
-  :meth:`~repro.billing.models.BillingModel.with_price_multiplier`), giving
-  heterogeneous multi-zone fleets a per-zone invoice
-  (:attr:`CostMeter.cost_usd_by_class`).
 - **Per-attempt billing**: with the client retry loop
   (:mod:`repro.sim.retry`) on, each completed attempt arrives as its own
   ``RequestCompleted`` event and is invoiced separately, bucketed by attempt
@@ -52,7 +45,7 @@ Three cross-layer refinements ride on the same event stream:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.billing.calculator import BillingCalculator, InvocationBillingInput
 from repro.billing.models import FEE_LABEL, BillableTime, BillingModel, billable_quantities
@@ -130,34 +123,19 @@ class _OpenInstance:
 class CostMeter:
     """Accumulates billable resources and money from simulation events.
 
-    One meter meters one platform billing model.  Attach it to any number of
-    event buses (one per co-simulated function, each with its own
-    :class:`RequestResources` context), or feed it records directly via
-    :meth:`meter_request` / :meth:`meter_outcome`.
+    One meter meters one platform billing model at its list prices.  Attach
+    it to any number of event buses (one per co-simulated function, each with
+    its own :class:`RequestResources` context), or feed it records directly
+    via :meth:`meter_request` / :meth:`meter_outcome`.  Requests pay the
+    per-invocation fee; instance lifespans do not.
     """
 
-    def __init__(
-        self,
-        platform: "str | BillingModel",
-        include_invocation_fee: bool = True,
-        price_class_multipliers: Optional[Mapping[str, float]] = None,
-    ) -> None:
+    def __init__(self, platform: "str | BillingModel") -> None:
         self.calculator = BillingCalculator(platform)
-        self.include_invocation_fee = include_invocation_fee
         self._instance_billed = self.calculator.model.billable_time is BillableTime.INSTANCE
         #: True once attach_admissions() subscribed: lifespans start at fleet
         #: admission, and sandboxes that never get admitted bill nothing.
         self._admission_gated = False
-        # Zone-aware pricing: price class -> unit-price multiplier, with one
-        # lazily built calculator per class.  The resolver (attach_fleet) maps
-        # a sandbox name to the price class of its current host.
-        self._price_class_multipliers = (
-            dict(price_class_multipliers) if price_class_multipliers is not None else None
-        )
-        self._class_calculators: Dict[str, BillingCalculator] = {}
-        self._price_class_resolver: Optional[Callable[[str], Optional[str]]] = None
-        #: Running invoice per price class ("standard" covers unresolved work).
-        self.cost_usd_by_class: Dict[str, float] = {}
         #: Running request-billed invoice per client attempt number.  With a
         #: retry loop on, every billed attempt is invoiced separately (a
         #: request that succeeds on its third attempt pays three times the
@@ -224,18 +202,6 @@ class CostMeter:
         bus.subscribe(SandboxAdmitted, self._on_admitted)
         return self
 
-    def attach_fleet(self, fleet) -> "CostMeter":
-        """Resolve each sandbox's price class through a fleet's live placements.
-
-        ``fleet`` is duck-typed (``price_class_of(sandbox_name)``, see
-        :meth:`repro.cluster.fleet.Fleet.price_class_of`) so the billing layer
-        does not import the cluster layer.  Only meaningful together with
-        ``price_class_multipliers``; without multipliers every class bills at
-        base prices anyway.
-        """
-        self._price_class_resolver = fleet.price_class_of
-        return self
-
     def register_metrics(self, registry) -> "CostMeter":
         """Expose the live invoice as observability gauges (pure reads).
 
@@ -248,36 +214,15 @@ class CostMeter:
         registry.gauge("billed_instance_seconds", fn=lambda: float(self.instance_seconds))
         return self
 
-    def _resolve_price_class(self, sandbox_name: str) -> Optional[str]:
-        if self._price_class_resolver is None or not sandbox_name:
-            return None
-        return self._price_class_resolver(sandbox_name)
-
-    def _add_cost(self, price_class: Optional[str], amount_usd: float) -> None:
-        """Fold one charge into the total and its price-class bucket."""
-        bucket = price_class if price_class is not None else "standard"
-        self.cost_usd_by_class[bucket] = self.cost_usd_by_class.get(bucket, 0.0) + amount_usd
-        self.cost_usd += amount_usd
-
-    def _book(
-        self, price: Callable, execution_s: float, init_s: float, used_cpu_seconds: float,
-        used_memory_gb: float, cold_start: bool, price_class: Optional[str], attempts: int,
-        tenant: str,
-    ) -> None:
-        """Price one request with a compiled Equation 1 and :meth:`_fold` it into the totals."""
-        self._fold(_charges(price, execution_s, init_s, used_cpu_seconds, used_memory_gb),
-                   execution_s, used_cpu_seconds, used_memory_gb, cold_start, price_class,
-                   attempts, tenant)
-
     def _fold(self, charges: Tuple[float, float, float, float], execution_s: float,
               used_cpu_seconds: float, used_memory_gb: float, cold_start: bool,
-              price_class: Optional[str], attempts: int, tenant: str) -> None:
+              attempts: int, tenant: str) -> None:
         """Fold one request's :func:`_charges` into the running totals."""
         total, fee, billable_cpu, billable_memory = charges
         self.num_requests += 1
         if cold_start:
             self.num_cold_starts += 1
-        self._add_cost(price_class, total)
+        self.cost_usd += total
         self.cost_usd_by_attempt[attempts] = self.cost_usd_by_attempt.get(attempts, 0.0) + total
         if tenant:
             self.cost_usd_by_tenant[tenant] = self.cost_usd_by_tenant.get(tenant, 0.0) + total
@@ -287,24 +232,6 @@ class CostMeter:
         self.actual_memory_gb_seconds += used_memory_gb * execution_s
         self.invocation_fee_usd += fee
 
-    def _calculator_for(self, price_class: Optional[str]) -> BillingCalculator:
-        """The per-price-class calculator (the base one when pricing is flat).
-
-        With no multipliers configured -- or a multiplier of exactly 1.0 --
-        this returns the base calculator itself, keeping the float-exact
-        live==batch equivalence intact for single-zone runs.
-        """
-        if price_class is None or self._price_class_multipliers is None:
-            return self.calculator
-        multiplier = self._price_class_multipliers.get(price_class, 1.0)
-        if multiplier == 1.0:
-            return self.calculator
-        calculator = self._class_calculators.get(price_class)
-        if calculator is None:
-            calculator = BillingCalculator(self.model.with_price_multiplier(multiplier))
-            self._class_calculators[price_class] = calculator
-        return calculator
-
     # ------------------------------------------------------------------
     # Request metering
     # ------------------------------------------------------------------
@@ -313,14 +240,15 @@ class CostMeter:
         self,
         inputs: InvocationBillingInput,
         cold_start: bool = False,
-        price_class: Optional[str] = None,
         attempts: int = 1,
         tenant: str = "",
     ) -> None:
-        """Bill one invocation (at its zone's price class) into the running totals."""
-        price = self._calculator_for(price_class).compile(inputs, self.include_invocation_fee)
-        self._book(price, inputs.execution_s, inputs.init_s, inputs.used_cpu_seconds,
-                   inputs.used_memory_gb, cold_start, price_class, attempts, tenant)
+        """Bill one invocation into the running totals."""
+        price = self.calculator.compile(inputs)
+        self._fold(_charges(price, inputs.execution_s, inputs.init_s, inputs.used_cpu_seconds,
+                            inputs.used_memory_gb),
+                   inputs.execution_s, inputs.used_cpu_seconds, inputs.used_memory_gb,
+                   cold_start, attempts, tenant)
 
     def meter_outcome(self, outcome: object, resources: Optional[RequestResources] = None) -> None:
         """Meter a ``RequestCompleted`` payload: a trace record or a simulator outcome."""
@@ -331,9 +259,9 @@ class CostMeter:
         """:meth:`meter_outcome`, reusing ``prices``: Equation 1 compiled per flavor.
 
         A simulator outcome's flavor is the bus's fixed ``resources`` context,
-        so ``prices`` is keyed by price class alone; a trace record carries its
-        own, keyed by ``(price_class, alloc_vcpus, alloc_memory_gb)``.  Either
-        way each bus compiles once per price class and flavor.  A simulator
+        so its ``prices`` key is ``None``; a trace record carries its own,
+        keyed by ``(alloc_vcpus, alloc_memory_gb)``.  Either way each bus
+        compiles once per flavor.  A simulator
         outcome's usages are fixed too, so where the model rounds time its
         :func:`_charges` are memoised per billable duration (per step reached).
         """
@@ -353,10 +281,8 @@ class CostMeter:
             if cold:
                 self.num_cold_starts += 1
             return
-        price_class = None if self._price_class_resolver is None else self._resolve_price_class(
-            str(getattr(outcome, "sandbox_name", "")))
         if is_record:
-            flavor, key = outcome, (price_class, outcome.alloc_vcpus, outcome.alloc_memory_gb)
+            flavor, key = outcome, (outcome.alloc_vcpus, outcome.alloc_memory_gb)
             execution_s, init_s = outcome.duration_s, outcome.init_duration_s
             used_cpu_seconds, used_memory_gb = outcome.usage.cpu_seconds, outcome.usage.memory_gb
         elif resources is None:
@@ -365,16 +291,15 @@ class CostMeter:
                 "(allocations and per-request usage are not part of the outcome)"
             )
         else:
-            flavor, key = resources, price_class
+            flavor, key = resources, None
             execution_s = float(execution_s)
             init_s = float(getattr(outcome, "init_duration_s", 0.0))
             used_cpu_seconds, used_memory_gb = resources.used_cpu_seconds, resources.used_memory_gb
         entry = prices.get(key)
         if entry is None:
-            calculator = self._calculator_for(price_class)
-            model = calculator.model
+            model = self.model
             entry = prices[key] = (
-                calculator.compile(flavor, self.include_invocation_fee), model.billable_seconds,
+                self.calculator.compile(flavor), model.billable_seconds,
                 None if is_record or model.time_granularity_s <= 0 else {},
             )
         price, billable_seconds, memo = entry
@@ -386,7 +311,7 @@ class CostMeter:
             if charges is None:
                 charges = memo[billable] = _charges(price, execution_s, init_s,
                                                     used_cpu_seconds, used_memory_gb)
-        self._fold(charges, execution_s, used_cpu_seconds, used_memory_gb, cold, price_class,
+        self._fold(charges, execution_s, used_cpu_seconds, used_memory_gb, cold,
                    int(getattr(outcome, "attempts", 1)), str(getattr(outcome, "tenant", "")))
 
     # ------------------------------------------------------------------
@@ -422,9 +347,9 @@ class CostMeter:
     def _on_terminated(self, event: SandboxTerminated) -> None:
         instance = self._open_instances.pop(event.sandbox_name, None)
         if instance is not None:
-            self._close_instance(event.sandbox_name, instance, event.time_s)
+            self._close_instance(instance, event.time_s)
 
-    def _close_instance(self, name: str, instance: _OpenInstance, now_s: float) -> None:
+    def _close_instance(self, instance: _OpenInstance, now_s: float) -> None:
         if not instance.admitted:
             # Admission-gated metering: this sandbox never landed on a host,
             # so its whole "lifespan" was off-host admission-queue wait --
@@ -441,10 +366,7 @@ class CostMeter:
         self.allocated_vcpu_seconds += instance.alloc_vcpus * lifespan
         self.allocated_memory_gb_seconds += instance.alloc_memory_gb * lifespan
         if self._instance_billed and lifespan > 0:
-            # Resolve the zone price class while the sandbox is still placed
-            # (the meter closes instances before the fleet releases capacity).
-            price_class = self._resolve_price_class(name)
-            model = self._calculator_for(price_class).model
+            model = self.model
             allocations = {
                 ResourceKind.CPU: instance.alloc_vcpus,
                 ResourceKind.MEMORY: instance.alloc_memory_gb,
@@ -452,7 +374,7 @@ class CostMeter:
             rows = model.compile(allocations, include_invocation_fee=False)(
                 model.billable_seconds(0.0, instance_s=lifespan), {}
             )
-            self._add_cost(price_class, fold((row[4] for row in rows), 0.0))
+            self.cost_usd += fold((row[4] for row in rows), 0.0)
             billable = billable_quantities(rows)
             self.billable_cpu_seconds += billable.get(ResourceKind.CPU, 0.0)
             self.billable_memory_gb_seconds += billable.get(ResourceKind.MEMORY, 0.0)
@@ -460,7 +382,7 @@ class CostMeter:
     def finalize(self, now_s: float) -> None:
         """Close instances still open at the end of the simulation horizon."""
         for name in sorted(self._open_instances):
-            self._close_instance(name, self._open_instances.pop(name), now_s)
+            self._close_instance(self._open_instances.pop(name), now_s)
 
     # ------------------------------------------------------------------
     # Reporting

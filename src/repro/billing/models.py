@@ -316,24 +316,8 @@ class BillingModel:
         )
 
     # ------------------------------------------------------------------
-    # Derived models: zone-aware pricing and the rounding-free twin
+    # Derived model: the rounding-free twin
     # ------------------------------------------------------------------
-
-    def with_price_multiplier(self, multiplier: float) -> "BillingModel":
-        """This model with every resource unit price scaled by ``multiplier``.
-
-        The basis of zone-aware invoicing: a heterogeneous fleet's price
-        classes map to multipliers on the platform's list prices (a premium
-        zone bills the same billable quantities at a higher rate).  The
-        per-invocation fee is *not* scaled -- it pays for the control plane,
-        which is zone-independent.  ``multiplier == 1.0`` returns ``self``
-        unchanged, preserving float-exact behaviour for single-zone fleets.
-        """
-        if multiplier < 0:
-            raise ValueError("price multiplier must be >= 0")
-        if multiplier == 1.0:
-            return self
-        return self._replace_resources(lambda r: {"unit_price": r.unit_price * multiplier})
 
     def without_rounding(self) -> "BillingModel":
         """This model with every time and resource granularity and the minimum cutoff zeroed.
@@ -342,19 +326,16 @@ class BillingModel:
         cost ladder's rounding-free rungs): :func:`round_up` and
         :func:`apply_minimum` return their input unchanged at granularity 0.
         """
-        return self._replace_resources(
-            lambda r: {"granularity": 0.0}, time_granularity_s=0.0, minimum_time_s=0.0
-        )
-
-    def _replace_resources(self, update: Callable[..., dict], **changes) -> "BillingModel":
-        """A copy with ``update(resource)``'s fields replaced on every resource."""
         return dataclasses.replace(
             self,
             allocation_resources=tuple(
-                dataclasses.replace(r, **update(r)) for r in self.allocation_resources
+                dataclasses.replace(r, granularity=0.0) for r in self.allocation_resources
             ),
-            usage_resources=tuple(dataclasses.replace(r, **update(r)) for r in self.usage_resources),
-            **changes,
+            usage_resources=tuple(
+                dataclasses.replace(r, granularity=0.0) for r in self.usage_resources
+            ),
+            time_granularity_s=0.0,
+            minimum_time_s=0.0,
         )
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ costs and fleet utilisation read off as they accrue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.billing.meter import CostMeter, RequestResources
 from repro.cluster.fleet import Fleet, FleetConfig
@@ -61,10 +61,6 @@ class FunctionDeployment:
     rps: float = 1.0
     duration_s: float = 60.0
     arrival_process: str = "constant"  # one of ARRIVAL_PROCESSES
-    #: Which tenant owns this deployment (multi-tenant runs only).  Empty =
-    #: assign round-robin over the configured tenants; ignored entirely --
-    #: and must stay empty -- when the simulator runs without tenants.
-    tenant: str = ""
 
     def __post_init__(self) -> None:
         if self.rps <= 0 or self.duration_s < 0:
@@ -203,10 +199,6 @@ class ClusterSimulator:
     rejected cold start fails its pending request -- all visible in the
     ``failed_requests`` / ``latency_inflation`` summary columns.
 
-    ``price_class_multipliers`` (price class -> unit-price factor) makes the
-    live cost meter invoice each request at the price class of the *host its
-    sandbox landed on*, so heterogeneous multi-zone fleets bill by zone.
-
     ``retry`` (a :class:`~repro.sim.retry.RetryPolicy`) models clients that
     retry failed requests: every simulator asks one shared
     :class:`~repro.sim.retry.RetryLoop` per failed attempt and re-schedules
@@ -234,9 +226,8 @@ class ClusterSimulator:
     run result carries a :class:`~repro.tenancy.metrics.TenancyReport` with
     per-tenant SLO attainment, goodput, invoice share and Jain's fairness
     index (surfaced as extra summary columns).  Deployments are assigned to
-    tenants by their explicit ``tenant`` tag, or round-robin over the tenant
-    list when untagged.  ``tenants=None`` (the default) byte-reproduces the
-    pre-tenancy outputs.
+    tenants round-robin over the tenant list, in deployment order.
+    ``tenants=None`` (the default) byte-reproduces the pre-tenancy outputs.
     """
 
     def __init__(
@@ -247,7 +238,6 @@ class ClusterSimulator:
         scheduler: Optional[SchedulerSim] = None,
         seed: int = 0,
         feedback: str = "off",
-        price_class_multipliers: Optional[Mapping[str, float]] = None,
         retry: Optional[RetryPolicy] = None,
         obs: Optional[Observability] = None,
         retain_outcomes: bool = True,
@@ -260,12 +250,6 @@ class ClusterSimulator:
             raise ValueError(f"deployment function names must be unique, got {names}")
         if feedback not in FEEDBACK_MODES:
             raise ValueError(f"feedback must be 'off' or 'on', got {feedback!r}")
-        if tenants is None:
-            tagged = [d.function.name for d in deployments if d.tenant]
-            if tagged:
-                raise ValueError(
-                    f"deployments {tagged} carry tenant tags but no tenants were configured"
-                )
         self.deployments = list(deployments)
         self.seed = seed
         self._ran = False
@@ -295,17 +279,11 @@ class ClusterSimulator:
         if self.fleet.config.sample_interval_s is not None:
             self.kernel.add_process(self.fleet)
         self.meter: Optional[CostMeter] = (
-            CostMeter(billing_platform, price_class_multipliers=price_class_multipliers)
-            if billing_platform is not None
-            else None
+            CostMeter(billing_platform) if billing_platform is not None else None
         )
         if self.meter is not None:
-            # The fleet samples the live invoice next to its own host spend;
-            # with zone-aware pricing the meter reads each sandbox's price
-            # class back from the fleet's placements.
+            # The fleet samples the live invoice next to its own host spend.
             self.fleet.attach_meter(self.meter)
-            if price_class_multipliers is not None:
-                self.meter.attach_fleet(self.fleet)
             if self.feedback is not None:
                 # Closed loop: a queued sandbox is not on a host until the
                 # fleet admits it, so instance-billed lifespans start at
@@ -357,23 +335,13 @@ class ClusterSimulator:
             self._register_gauges(obs)
 
     def _assign_tenants(self) -> Dict[str, str]:
-        """Map each deployment to its tenant: explicit tags win, the rest round-robin."""
+        """Map each deployment to its tenant, round-robin in deployment order."""
         assert self.admission is not None
         tenant_names = self.admission.tenant_names
-        assignment: Dict[str, str] = {}
-        cursor = 0
-        for deployment in self.deployments:
-            if deployment.tenant:
-                if deployment.tenant not in tenant_names:
-                    raise ValueError(
-                        f"deployment {deployment.function.name!r} is tagged with unknown "
-                        f"tenant {deployment.tenant!r} (have {tenant_names})"
-                    )
-                assignment[deployment.function.name] = deployment.tenant
-            else:
-                assignment[deployment.function.name] = tenant_names[cursor % len(tenant_names)]
-                cursor += 1
-        return assignment
+        return {
+            deployment.function.name: tenant_names[index % len(tenant_names)]
+            for index, deployment in enumerate(self.deployments)
+        }
 
     def _register_gauges(self, obs: Observability) -> None:
         """Wire every layer's live state into the telemetry registry.

@@ -12,10 +12,10 @@ hosts on demand up to per-zone caps.
 Three cluster-level mechanisms live here:
 
 - **Multi-zone heterogeneity**: a fleet is partitioned into zones
-  (:class:`ZoneConfig`), each with its own host shape and price class
+  (:class:`ZoneConfig`), each with its own host shape and hourly price
   (:class:`~repro.cluster.host.HostSpec`) and host cap.  The ``COST_FIT``
-  policy exploits the price classes; the default single-zone configuration
-  reproduces the homogeneous PR-2 fleet exactly.
+  policy exploits the price differences; the default single-zone
+  configuration reproduces the original homogeneous fleet exactly.
 - **Admission backpressure**: with ``queue_depth > 0`` an unplaceable sandbox
   is *queued* (:class:`~repro.sim.events.SandboxQueued`) instead of dropped,
   and retried whenever capacity is released -- eviction or termination --
@@ -23,7 +23,7 @@ Three cluster-level mechanisms live here:
   (:class:`~repro.sim.events.SandboxRejected`); each successful placement
   publishes :class:`~repro.sim.events.SandboxAdmitted` with its queue wait.
 - **Live cost accounting**: the fleet integrates the provider-side spend of
-  its open hosts (price class x open time) and, when a
+  its open hosts (hourly cost x open time) and, when a
   :class:`~repro.billing.meter.CostMeter` is attached via
   :meth:`Fleet.attach_meter`, samples the user-side billed cost next to it --
   the provider-vs-user cost comparison of §2.2/§3.3 read off one timeline.
@@ -61,7 +61,7 @@ QUEUE_DISCIPLINES: Tuple[str, ...] = ("fifo", "smallest_first")
 
 @dataclass(frozen=True)
 class ZoneConfig:
-    """One fleet partition: a host shape/price class plus a host cap."""
+    """One fleet partition: a priced host shape plus a host cap."""
 
     name: str
     host_spec: HostSpec = field(default_factory=HostSpec)
@@ -84,7 +84,7 @@ class FleetConfig:
         policy: bin-packing policy used to admit sandboxes.
         max_hosts: host cap of the default single zone (ignored with ``zones``).
         zones: heterogeneous fleet partitions; each zone has its own host
-            shape, price class and cap.  ``None`` means one homogeneous zone
+            shape, hourly price and cap.  ``None`` means one homogeneous zone
             built from ``host_spec``/``max_hosts`` (the PR-2 behaviour).
         queue_depth: bound of the admission queue.  ``0`` disables
             backpressure: unplaceable sandboxes are rejected immediately.
@@ -401,15 +401,6 @@ class Fleet:
         """The host currently running a sandbox, if it is placed."""
         placement = self._placements.get(sandbox_name)
         return placement[0] if placement is not None else None
-
-    def price_class_of(self, sandbox_name: str) -> Optional[str]:
-        """The price class of the host a sandbox is placed on (zone-aware billing).
-
-        ``None`` when the sandbox is not currently placed (queued, rejected,
-        or already released) -- the cost meter then bills at base prices.
-        """
-        host = self.host_of(sandbox_name)
-        return host.spec.price_class if host is not None else None
 
     @property
     def num_placed(self) -> int:

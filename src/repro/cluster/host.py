@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 __all__ = ["HostSpec", "Host", "DEFAULT_VCPU_HOUR_USD", "DEFAULT_GB_HOUR_USD"]
 
-_host_counter = itertools.count()
 #: vCPUs or GB by which a sandbox may exceed a host's free capacity and still
 #: fit: float residue of repeated place/release arithmetic.
 _FIT_SLACK = 1e-9
@@ -22,15 +20,17 @@ DEFAULT_GB_HOUR_USD = 0.006
 
 @dataclass(frozen=True)
 class HostSpec:
-    """Capacity and price class of one host server shape.
+    """Capacity and provider-side price of one host server shape.
 
     The default matches a common cloud server shape used for FaaS fleets:
     64 vCPUs and 256 GB of memory (a 1:4 vCPU:GB ratio).  ``hourly_cost_usd``
     is the provider-side cost of keeping one such host open; when left at
     ``None`` it is derived from capacity at the default unit prices, so
     homogeneous fleets keep working unchanged while heterogeneous fleets can
-    declare distinct price classes (e.g. a cheap high-density shape next to a
-    premium low-latency one) that the ``COST_FIT`` placement policy reads.
+    declare distinct shapes (e.g. a cheap high-density shape next to a
+    premium low-latency one) whose hourly cost the ``COST_FIT`` placement
+    policy reads.  ``price_class`` is a descriptive label only: no invoice,
+    placement or cost figure prices by it.
     """
 
     vcpus: float = 64.0
@@ -62,10 +62,6 @@ class Host:
     allocated_vcpus: float = field(default=0.0, init=False)
     allocated_memory_gb: float = field(default=0.0, init=False)
     sandboxes: List[str] = field(default_factory=list, init=False)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            self.name = f"host-{next(_host_counter)}"
 
     @property
     def free_vcpus(self) -> float:

@@ -35,7 +35,7 @@ class PlacementPolicy(str, enum.Enum):
     """Bin-packing heuristics for sandbox placement.
 
     ``COST_FIT`` is the cost-aware policy: among feasible hosts it minimises
-    the host's price class (``HostSpec.hourly_cost_usd``) first, breaking
+    the host's hourly price (``HostSpec.hourly_cost_usd``) first, breaking
     price ties best-fit-style (smallest leftover) and breaking *those* ties
     by host open order -- a total, deterministic order, so equal-price hosts
     always resolve the same way across runs and processes.

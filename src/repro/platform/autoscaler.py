@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import islice
 from dataclasses import dataclass
-from typing import Deque, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.numeric import fold
 from repro.sim.kernel import PeriodicProcess
@@ -81,7 +81,8 @@ class Autoscaler:
         self.alloc_vcpus = alloc_vcpus
         #: (timestamp, total active requests, total cpu demand rate, instance count) samples.
         self._samples: Deque[Tuple[float, float, float, int]] = deque()
-        self._last_scale_down_candidate: float = 0.0
+        #: When the current wish to scale in first appeared (None: no such wish).
+        self._last_scale_down_candidate: Optional[float] = None
 
     def observe(self, now_s: float, active_requests: float, busy_vcpus: float, instances: int) -> None:
         """Record one metric sample (the simulator calls this every evaluation tick)."""
@@ -143,13 +144,13 @@ class Autoscaler:
         if desired_count < current_instances:
             # Scale-in is damped by the scale-down delay: remember when the
             # desire to shrink first appeared and only act after the delay.
-            if self._last_scale_down_candidate == 0.0:
+            if self._last_scale_down_candidate is None:
                 self._last_scale_down_candidate = now_s
                 return current_instances
             if now_s - self._last_scale_down_candidate < cfg.scale_down_delay_s:
                 return current_instances
         else:
-            self._last_scale_down_candidate = 0.0
+            self._last_scale_down_candidate = None
         return desired_count
 
 

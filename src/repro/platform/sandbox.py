@@ -15,7 +15,6 @@ the paper plots.
 from __future__ import annotations
 
 import enum
-import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -31,7 +30,6 @@ __all__ = ["SandboxState", "ActiveRequest", "Sandbox"]
 #: dict-backed dataclasses with identical behaviour.
 _SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-_sandbox_counter = itertools.count()
 #: Remaining CPU or IO seconds at or below this count as done: it absorbs
 #: the rounding left over when processor-sharing progress is subtracted.
 _WORK_DONE_S = 1e-12
@@ -112,8 +110,6 @@ class Sandbox:
     cold_waiters: List[Attempt] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            self.name = f"sandbox-{next(_sandbox_counter)}"
         if self.runtime_workers < 1:
             raise ValueError("runtime_workers must be >= 1")
         self.ready_s = self.created_s + self.init_duration_s

@@ -116,18 +116,24 @@ def _meter_totals(meter):
 @pytest.mark.parametrize("fee", [True, False], ids=["fee_on", "fee_off"])
 @pytest.mark.parametrize("platform", REQUEST_BILLED, ids=lambda p: p.value)
 def test_meter_record_path_matches_bill_request(platform, fee):
+    """The meter against ``bill_request``, bit for bit.
+
+    The meter always bills its model's fee, so ``fee_off`` meters a copy of
+    the model with the fee zeroed against ``include_invocation_fee=False``.
+    """
+    model = get_billing_model(platform)
+    if not fee:
+        model = dataclasses.replace(model, invocation_fee=0.0)
     trace = _trace(num_requests=400, seed=13)
     bus = EventBus()
-    meter = CostMeter(platform, include_invocation_fee=fee).attach(bus)
+    meter = CostMeter(model).attach(bus)
     ordered = replay_trace(trace, bus)
     expected = _oracle_meter(platform, ordered, fee)
     assert _hex(_meter_totals(meter)) == _hex(expected)
     assert meter.num_requests == len(ordered)
-    assert _hex([meter.cost_usd_by_class["standard"], meter.cost_usd_by_attempt[1]]) == _hex(
-        [expected[0]] * 2
-    )
+    assert _hex([meter.cost_usd_by_attempt[1]]) == _hex([expected[0]])
 
-    direct = CostMeter(platform, include_invocation_fee=fee)
+    direct = CostMeter(model)
     for record in ordered:
         direct.meter_request(InvocationBillingInput.from_request(record))
     assert _hex(_meter_totals(direct)) == _hex(expected)

@@ -55,17 +55,6 @@ class TestLiveBatchEquivalence:
         assert meter.invocation_fee_usd == batch_fees
         assert meter.num_requests == len(small_trace.requests)
 
-    def test_fee_toggle_matches_batch(self, small_trace):
-        bus = EventBus()
-        meter = CostMeter(PlatformName.AWS_LAMBDA, include_invocation_fee=False).attach(bus)
-        ordered = replay_trace(small_trace, bus)
-        calculator = BillingCalculator(PlatformName.AWS_LAMBDA)
-        batch = 0.0
-        for record in ordered:
-            batch += calculator.bill_request(record, include_invocation_fee=False).invoice.total
-        assert meter.cost_usd == batch
-        assert meter.invocation_fee_usd == 0.0
-
     def test_cold_starts_counted(self, small_trace):
         bus = EventBus()
         meter = CostMeter(PlatformName.AWS_LAMBDA).attach(bus)

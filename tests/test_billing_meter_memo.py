@@ -2,14 +2,17 @@
 
 A bus-attached :class:`CostMeter` bills simulator outcomes under one fixed
 :class:`RequestResources` context, so each request's charges depend only on
-its price class and billable seconds, and the meter memoises them per
-billable duration.  Every request here is also billed through
-:meth:`CostMeter.meter_request`, which compiles and prices each invocation
-afresh, and every running total and bucket must agree with ``==``.
+its billable seconds, and the meter memoises them per billable duration.
+Every request here is also billed through :meth:`CostMeter.meter_request`,
+which compiles and prices each invocation afresh, and every running total
+and bucket must agree with ``==``.
 Durations sit on exact granularity multiples, within
 :data:`ROUND_UP_TOLERANCE` of one, and in between, so the memo is hit by
 requests that round to the same billable time from different raw durations.
+Each platform runs with its list invocation fee and with the fee zeroed.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -31,8 +34,6 @@ REQUEST_BILLED_PLATFORMS = (
     "cloudflare_workers",
 )
 
-MULTIPLIERS = {"economy": 0.8, "premium": 1.5}
-
 #: Two functions, each on its own bus: memo entries must not leak between them.
 RESOURCES = (
     RequestResources(alloc_vcpus=1.0, alloc_memory_gb=2.0, used_cpu_seconds=0.16,
@@ -40,15 +41,6 @@ RESOURCES = (
     RequestResources(alloc_vcpus=0.5, alloc_memory_gb=0.25, used_cpu_seconds=0.0301,
                      used_memory_gb=0.1),
 )
-
-
-class _Zones:
-    """A fleet stand-in: a sandbox's price class is its name's prefix."""
-
-    @staticmethod
-    def price_class_of(sandbox_name):
-        prefix = sandbox_name.split("-")[0]
-        return prefix if prefix in ("economy", "premium", "standard") else None
 
 
 def _durations(granularity_s: float, rng: np.random.Generator, count: int):
@@ -64,7 +56,6 @@ def _durations(granularity_s: float, rng: np.random.Generator, count: int):
 def _outcomes(granularity_s: float, seed: int, count: int = 240):
     rng = np.random.default_rng(seed)
     durations = _durations(granularity_s, rng, count)
-    zones = ("premium", "economy", "standard", "unplaced")
     outcomes = []
     for index, duration in enumerate(durations):
         cold = bool(rng.random() < 0.3)
@@ -79,7 +70,7 @@ def _outcomes(granularity_s: float, seed: int, count: int = 240):
             cold_start=cold,
             init_duration_s=init,
             queue_delay_s=0.0,
-            sandbox_name=f"{zones[index % 4]}-{index % 7}",
+            sandbox_name=f"sb-{index % 7}",
             attempts=int(rng.integers(1, 4)),
             tenant=("tenant-a", "tenant-b")[index % 2],
         ))
@@ -89,7 +80,6 @@ def _outcomes(granularity_s: float, seed: int, count: int = 240):
 def _snapshot(meter: CostMeter):
     return (
         meter.totals(),
-        dict(meter.cost_usd_by_class),
         dict(meter.cost_usd_by_attempt),
         dict(meter.cost_usd_by_tenant),
     )
@@ -98,12 +88,14 @@ def _snapshot(meter: CostMeter):
 @pytest.mark.parametrize("include_fee", [True, False])
 @pytest.mark.parametrize("platform", REQUEST_BILLED_PLATFORMS)
 def test_memoised_bus_meter_matches_unmemoised_invoices(platform, include_fee, monkeypatch):
-    granularity_s = get_billing_model(platform).time_granularity_s
+    model = get_billing_model(platform)
+    if not include_fee:
+        model = dataclasses.replace(model, invocation_fee=0.0)
+    granularity_s = model.time_granularity_s
     assert granularity_s > 0  # every request-billed catalog model rounds time
     streams = [_outcomes(granularity_s, seed) for seed in (1, 2)]
 
-    memoised = CostMeter(platform, include_fee, price_class_multipliers=MULTIPLIERS)
-    memoised.attach_fleet(_Zones())
+    memoised = CostMeter(model)
     buses = [EventBus() for _ in RESOURCES]
     for bus, resources in zip(buses, RESOURCES):
         memoised.attach(bus, resources)
@@ -125,7 +117,7 @@ def test_memoised_bus_meter_matches_unmemoised_invoices(platform, include_fee, m
     # The memo is in play: many requests share a billable duration.
     assert len(priced) < requests
 
-    unmemoised = CostMeter(platform, include_fee, price_class_multipliers=MULTIPLIERS)
+    unmemoised = CostMeter(model)
     for pair in zip(*streams):
         for resources, outcome in zip(RESOURCES, pair):
             unmemoised.meter_request(
@@ -138,7 +130,6 @@ def test_memoised_bus_meter_matches_unmemoised_invoices(platform, include_fee, m
                     used_memory_gb=resources.used_memory_gb,
                 ),
                 cold_start=outcome.cold_start,
-                price_class=_Zones.price_class_of(outcome.sandbox_name),
                 attempts=outcome.attempts,
                 tenant=outcome.tenant,
             )
@@ -147,4 +138,4 @@ def test_memoised_bus_meter_matches_unmemoised_invoices(platform, include_fee, m
     assert memoised.num_requests == requests
     assert set(memoised.cost_usd_by_tenant) == {"tenant-a", "tenant-b"}
     assert set(memoised.cost_usd_by_attempt) == {1, 2, 3}
-    assert {"premium", "economy", "standard"} <= set(memoised.cost_usd_by_class)
+    assert (memoised.invocation_fee_usd > 0) is include_fee

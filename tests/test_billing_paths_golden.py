@@ -8,11 +8,10 @@ suite pins the paths it does not reach, float for float:
   catalog model that is not instance-billed, over the frozen golden trace
   (stored as a sha256 of the per-record rows plus the first and last record);
 - ``meter``: :meth:`CostMeter.attach` with fixed :class:`RequestResources`
-  (the simulator's shape) for the five request-billed models, invocation
-  fee on and off, attempts 1-3 and two tenants, flat and zone-priced;
+  (the simulator's shape) for the five request-billed models, attempts 1-3
+  and two tenants;
 - ``instances``: ``gcp_run_instance`` and ``azure_premium`` sandbox
-  lifecycles closed by terminations and :meth:`CostMeter.finalize`, with and
-  without ``price_class_multipliers``.
+  lifecycles closed by terminations and :meth:`CostMeter.finalize`.
 
 JSON stores the shortest round-tripping ``repr`` of each double, so ``==`` is
 bit-exact.  Regenerate after an *intentional* billing change with::
@@ -55,19 +54,7 @@ REQUEST_BILLED_PLATFORMS = (
     "cloudflare_workers",
 )
 INSTANCE_BILLED_PLATFORMS = ("gcp_run_instance", "azure_premium")
-MULTIPLIERS = {"economy": 0.8, "premium": 1.5}
 TENANTS = ("alice", "bob")
-
-
-class _FakeFleet:
-    """Price classes by sandbox name: ``*-p*`` premium, ``*-e*`` economy."""
-
-    def price_class_of(self, sandbox_name):
-        if "-p" in sandbox_name:
-            return "premium"
-        if "-e" in sandbox_name:
-            return "economy"
-        return None
 
 
 def _keyed(buckets) -> dict:
@@ -79,7 +66,6 @@ def _meter_state(meter: CostMeter) -> dict:
         "totals": meter.totals(),
         "cost_usd_by_attempt": _keyed(meter.cost_usd_by_attempt),
         "cost_usd_by_tenant": _keyed(meter.cost_usd_by_tenant),
-        "cost_usd_by_class": _keyed(meter.cost_usd_by_class),
     }
 
 
@@ -108,7 +94,7 @@ def _calculator_paths() -> dict:
 
 
 def _outcomes(seed: int, function: str):
-    """Simulator-shaped outcomes: cold starts, retries, tenants, zone names."""
+    """Simulator-shaped outcomes: cold starts, retries, tenants."""
     rng = random.Random(seed)
     # Granularity edges (exact multiples of 1/100 ms), zero and long runs.
     durations = [0.0, 0.1, 0.2, 0.3, 0.001, 1.0, 12.5]
@@ -146,65 +132,54 @@ def _meter_paths() -> dict:
     }
     out = {}
     for platform in REQUEST_BILLED_PLATFORMS:
-        for variant, fee, multipliers in (
-            ("fee_on", True, None),
-            ("fee_off", False, None),
-            ("zones", True, MULTIPLIERS),
-        ):
-            meter = CostMeter(platform, include_invocation_fee=fee,
-                              price_class_multipliers=multipliers)
-            if multipliers is not None:
-                meter.attach_fleet(_FakeFleet())
-            buses = {name: EventBus() for name in functions}
-            for name, bus in buses.items():
-                meter.attach(bus, functions[name])
-            streams = [
-                (name, outcome)
-                for seed, name in enumerate(sorted(functions))
-                for outcome in _outcomes(seed, name)
-            ]
-            streams.sort(key=lambda item: (item[1].completion_s, item[1].request_id))
-            for name, outcome in streams:
-                buses[name].publish(RequestCompleted(outcome.completion_s, outcome))
-            out[f"{platform}:{variant}"] = _meter_state(meter)
+        meter = CostMeter(platform)
+        buses = {name: EventBus() for name in functions}
+        for name, bus in buses.items():
+            meter.attach(bus, functions[name])
+        streams = [
+            (name, outcome)
+            for seed, name in enumerate(sorted(functions))
+            for outcome in _outcomes(seed, name)
+        ]
+        streams.sort(key=lambda item: (item[1].completion_s, item[1].request_id))
+        for name, outcome in streams:
+            buses[name].publish(RequestCompleted(outcome.completion_s, outcome))
+        out[f"{platform}:fee_on"] = _meter_state(meter)
     return out
 
 
 def _instance_paths() -> dict:
     out = {}
     for platform in INSTANCE_BILLED_PLATFORMS:
-        for variant, multipliers in (("flat", None), ("zones", MULTIPLIERS)):
-            meter = CostMeter(platform, price_class_multipliers=multipliers)
-            if multipliers is not None:
-                meter.attach_fleet(_FakeFleet())
-            bus = EventBus()
-            meter.attach(bus)
-            rng = random.Random(7)
-            names = [f"fn-{zone}{index}" for index in range(6) for zone in "pes"]
-            events = []
-            for index, name in enumerate(names):
-                start = rng.uniform(0.0, 20.0)
-                vcpus = (0.25, 1.0, 2.0)[index % 3]
-                events.append((start, 0, SandboxColdStart(
-                    start, name, function_name="fn", alloc_vcpus=vcpus,
-                    alloc_memory_gb=vcpus * 1.5, init_duration_s=0.4,
-                )))
-                busy = start + 0.4
-                for _ in range(3):
-                    idle = busy + rng.uniform(0.01, 2.0)
-                    events.append((busy, 1, SandboxBusy(busy, name)))
-                    events.append((idle, 2, SandboxIdle(idle, name)))
-                    busy = idle + rng.uniform(0.0, 3.0)
-                if index % 3:
-                    end = busy + rng.uniform(0.0, 5.0)
-                    events.append((end, 3, SandboxTerminated(end, name)))
-            events.sort(key=lambda item: (item[0], item[1], item[2].sandbox_name))
-            for _, _, event in events:
-                bus.publish(event)
-            for outcome in _outcomes(3, "fn"):
-                bus.publish(RequestCompleted(outcome.completion_s, outcome))
-            meter.finalize(60.0)
-            out[f"{platform}:{variant}"] = _meter_state(meter)
+        meter = CostMeter(platform)
+        bus = EventBus()
+        meter.attach(bus)
+        rng = random.Random(7)
+        names = [f"fn-{zone}{index}" for index in range(6) for zone in "pes"]
+        events = []
+        for index, name in enumerate(names):
+            start = rng.uniform(0.0, 20.0)
+            vcpus = (0.25, 1.0, 2.0)[index % 3]
+            events.append((start, 0, SandboxColdStart(
+                start, name, function_name="fn", alloc_vcpus=vcpus,
+                alloc_memory_gb=vcpus * 1.5, init_duration_s=0.4,
+            )))
+            busy = start + 0.4
+            for _ in range(3):
+                idle = busy + rng.uniform(0.01, 2.0)
+                events.append((busy, 1, SandboxBusy(busy, name)))
+                events.append((idle, 2, SandboxIdle(idle, name)))
+                busy = idle + rng.uniform(0.0, 3.0)
+            if index % 3:
+                end = busy + rng.uniform(0.0, 5.0)
+                events.append((end, 3, SandboxTerminated(end, name)))
+        events.sort(key=lambda item: (item[0], item[1], item[2].sandbox_name))
+        for _, _, event in events:
+            bus.publish(event)
+        for outcome in _outcomes(3, "fn"):
+            bus.publish(RequestCompleted(outcome.completion_s, outcome))
+        meter.finalize(60.0)
+        out[f"{platform}:flat"] = _meter_state(meter)
     return out
 
 

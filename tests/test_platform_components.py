@@ -231,13 +231,24 @@ class TestAutoscalerScaleDownHysteresis:
         # Past the delay the shrink goes through (to min_instances = 0).
         assert scaler.desired_instances(120.0, 5) < 5
 
+    def test_a_wish_first_seen_at_time_zero_counts_from_zero(self):
+        """A scale-in wish seen at t = 0 is remembered: the delay runs from 0, not from the next tick."""
+        scaler = Autoscaler(AutoscalerConfig(), max_concurrency=80, alloc_vcpus=1.0)
+        scaled_in_at = None
+        for t in range(0, 80, 2):
+            scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=1)
+            if scaler.desired_instances(float(t), 1) < 1:
+                scaled_in_at = float(t)
+                break
+        assert scaled_in_at == AutoscalerConfig().scale_down_delay_s == 60.0
+
     def test_demand_resets_the_scale_down_clock(self):
         scaler = Autoscaler(
             AutoscalerConfig(scale_down_delay_s=20.0, metric_window_s=10.0),
             max_concurrency=80,
             alloc_vcpus=1.0,
         )
-        # Idle phase: the shrink candidate starts its clock (~t=2).
+        # Idle phase: the shrink candidate starts its clock (t=0).
         for t in range(0, 10, 2):
             scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=5)
             assert scaler.desired_instances(float(t), 5) == 5
@@ -246,7 +257,7 @@ class TestAutoscalerScaleDownHysteresis:
             scaler.observe(float(t), active_requests=2000, busy_vcpus=5.0, instances=5)
             assert scaler.desired_instances(float(t), 5) >= 5
         # Renewed idleness must wait the full delay again: at t=30 more than
-        # delay_s has passed since the *first* candidate (t~2), so without the
+        # delay_s has passed since the *first* candidate (t=0), so without the
         # reset the scaler would already have shrunk.
         for t in range(16, 32, 2):
             scaler.observe(float(t), active_requests=0, busy_vcpus=0.0, instances=5)
