@@ -238,9 +238,11 @@ class Fleet:
         registry.gauge("fleet_hourly_cost_usd", fn=lambda: float(self.hourly_cost_usd))
         return self
 
-    def _publish(self, event) -> None:
-        if self._bus is not None:
-            self._bus.publish(event)
+    def _publish(self, event_type, *fields) -> None:
+        """Build and publish an admission-outcome record, only for a listener."""
+        bus = self._bus
+        if bus is not None and bus.hears(event_type):
+            bus.publish(event_type(*fields))
 
     def _on_cold_start(self, event: SandboxColdStart) -> None:
         self.admit(event.time_s, event.sandbox_name, event.alloc_vcpus, event.alloc_memory_gb)
@@ -321,7 +323,7 @@ class Fleet:
                 host = self._open_host(time_s, requirement)
             if host is not None:
                 self._place_on(host, requirement)
-                self._publish(SandboxAdmitted(time_s, sandbox_name, host_name=host.name))
+                self._publish(SandboxAdmitted, time_s, sandbox_name, host.name)
                 return host
             self._full_shapes.add((vcpus, memory_gb))
         if self.config.queue_depth > 0:
@@ -338,12 +340,12 @@ class Fleet:
         self._queue_seq += 1
         self.queued_total += 1
         self.peak_queue_depth = max(self.peak_queue_depth, len(self.queue))
-        self._publish(SandboxQueued(time_s, sandbox_name, queue_depth=len(self.queue)))
+        self._publish(SandboxQueued, time_s, sandbox_name, len(self.queue))
 
     def _reject(self, time_s: float, sandbox_name: str, reason: str) -> None:
         self.unplaceable.append((time_s, sandbox_name))
         self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
-        self._publish(SandboxRejected(time_s, sandbox_name, reason=reason))
+        self._publish(SandboxRejected, time_s, sandbox_name, reason)
 
     def _drain_order(self) -> List[_QueuedSandbox]:
         if self.config.queue_discipline == "smallest_first":
@@ -371,9 +373,7 @@ class Fleet:
             self.admitted_from_queue += 1
             wait = max(time_s - entry.enqueued_s, 0.0)
             self.queue_wait_total_s += wait
-            self._publish(
-                SandboxAdmitted(time_s, entry.sandbox_name, host_name=host.name, queue_wait_s=wait)
-            )
+            self._publish(SandboxAdmitted, time_s, entry.sandbox_name, host.name, wait)
 
     def release(self, time_s: float, sandbox_name: str) -> None:
         """Free the capacity a sandbox held and retry the admission queue.

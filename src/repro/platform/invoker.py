@@ -20,7 +20,10 @@ The simulator records into its own metrics directly and publishes on a
 full typed sandbox lifecycle (cold start, busy, idle, termination with its
 reason), which the fleet placement layer (:mod:`repro.cluster.fleet`) and
 the live cost meter (:mod:`repro.billing.meter`) consume, plus request
-completions, failures and retries for the meter and observers.
+completions, failures and retries for the meter and observers.  Each of
+those records exists only for its subscribers, so every publish asks
+:meth:`~repro.sim.events.EventBus.hears` first and builds nothing when no
+one listens.
 """
 
 from __future__ import annotations
@@ -351,15 +354,9 @@ class PlatformSimulator:
     def _deny_request(self, request_id: str, now: float) -> None:
         """Record and publish a credit denial (terminal; nothing was routed)."""
         self.metrics.record_denied()
-        self.bus.publish(
-            RequestDenied(
-                now,
-                request_id,
-                tenant=self._tenant,
-                function_name=self.function.name,
-                reason="credits",
-            )
-        )
+        bus = self.bus
+        if bus.hears(RequestDenied):
+            bus.publish(RequestDenied(now, request_id, self._tenant, self.function.name, "credits"))
 
     def _route(self, attempt: Attempt, now: float) -> None:
         sandbox = self._pick_sandbox()
@@ -412,20 +409,15 @@ class PlatformSimulator:
         # sandboxes other simulations in this process created, and
         # lexicographic tie-breaks in `_pick_sandbox` match creation order.
         name = f"{self._id_prefix}sandbox-{next(self._sandbox_counter):06d}"
-        self.bus.publish(
-            SandboxColdStart(
-                now,
-                name,
-                function_name=function.name,
-                alloc_vcpus=function.alloc_vcpus,
-                alloc_memory_gb=function.alloc_memory_gb,
-                init_duration_s=init_duration,
-            )
-        )
+        bus = self.bus
+        if bus.hears(SandboxColdStart):
+            bus.publish(SandboxColdStart(now, name, function.name, function.alloc_vcpus,
+                                         function.alloc_memory_gb, init_duration))
         feedback = self._feedback
         state = feedback.take_admission(name)
         if state is AdmissionState.REJECTED:
-            self.bus.publish(SandboxTerminated(now, name, reason="admission_rejected"))
+            if bus.hears(SandboxTerminated):
+                bus.publish(SandboxTerminated(now, name, "admission_rejected"))
             self.metrics.record_instances(now, self._instance_count())
             if attempt is not None:
                 self._fail_request(attempt, "admission_rejected", now, name)
@@ -493,19 +485,14 @@ class PlatformSimulator:
             else None
         )
         failed = FailedRequest(
-            request_id=attempt.request_id,
-            arrival_s=attempt.arrival_s,
-            origin_s=attempt.origin_s,
-            failed_s=now,
-            reason=reason,
-            sandbox_name=sandbox_name,
-            attempts=attempt.attempts,
-            retry_wait_s=attempt.retry_wait_s,
-            gave_up=retry is not None and delay is None,
-            tenant=self._tenant,
+            attempt.request_id, attempt.arrival_s, attempt.origin_s, now, reason, sandbox_name,
+            attempt.attempts, attempt.retry_wait_s, retry is not None and delay is None,
+            self._tenant,
         )
         self.metrics.record_failure(failed)
-        self.bus.publish(RequestFailed(now, failed))
+        bus = self.bus
+        if bus.hears(RequestFailed):
+            bus.publish(RequestFailed(now, failed))
         if delay is None:
             return
         # The retry is a fresh arrival: attempt number plus one, cumulative
@@ -525,15 +512,10 @@ class PlatformSimulator:
                 "origin_s": attempt.origin_s,
             },
         )
-        self.bus.publish(
-            RetryScheduled(
-                now,
-                attempt.request_id,
-                function_name=self.name,
-                next_attempt=attempt.attempts + 1,
-                delay_s=delay,
+        if bus.hears(RetryScheduled):
+            bus.publish(
+                RetryScheduled(now, attempt.request_id, self.name, attempt.attempts + 1, delay)
             )
-        )
 
     def _handle_sandbox_ready(self, event: Event) -> None:
         sandbox = self._sandboxes.get(event.data["sandbox"])
@@ -569,7 +551,9 @@ class PlatformSimulator:
                 )
             )
         if not was_busy:
-            self.bus.publish(SandboxBusy(now, sandbox.name, sandbox.concurrency))
+            bus = self.bus
+            if bus.hears(SandboxBusy):
+                bus.publish(SandboxBusy(now, sandbox.name, sandbox.concurrency))
         self._schedule_completion_check(sandbox, now)
 
     def _refresh_rate_factor(self, sandbox: Sandbox) -> None:
@@ -633,7 +617,9 @@ class PlatformSimulator:
                 attempt.retry_wait_s, self._tenant,
             )
             self.metrics.record(outcome)
-            self.bus.publish(RequestCompleted(now, outcome))
+            bus = self.bus
+            if bus.hears(RequestCompleted):
+                bus.publish(RequestCompleted(now, outcome))
         self._drain_queue(now)
         self._maybe_schedule_keepalive(sandbox, now)
         self._refresh_rate_factor(sandbox)
@@ -654,7 +640,9 @@ class PlatformSimulator:
     def _maybe_schedule_keepalive(self, sandbox: Sandbox, now: float) -> None:
         if sandbox.state is not SandboxState.IDLE:
             return
-        self.bus.publish(SandboxIdle(now, sandbox.name))
+        bus = self.bus
+        if bus.hears(SandboxIdle):
+            bus.publish(SandboxIdle(now, sandbox.name))
         keep_alive = self.platform.keep_alive.sample_keep_alive_s(
             self._rng, scaled_out_instances=self._instance_count()
         )
@@ -701,7 +689,9 @@ class PlatformSimulator:
         now = self._kernel.now
         sandbox.terminate(now)
         self._discard_sandbox(sandbox)
-        self.bus.publish(SandboxTerminated(now, sandbox.name, reason="keepalive_expire"))
+        bus = self.bus
+        if bus.hears(SandboxTerminated):
+            bus.publish(SandboxTerminated(now, sandbox.name, "keepalive_expire"))
         self.metrics.record_instances(now, self._instance_count())
 
     # ------------------------------------------------------------------
@@ -722,9 +712,11 @@ class PlatformSimulator:
                 self._create_sandbox(now_s)
         elif desired < current:
             removable = [s for s in alive if s.state is SandboxState.IDLE]
+            bus = self.bus
             for sandbox in removable[: current - desired]:
                 sandbox.terminate(now_s)
                 self._discard_sandbox(sandbox)
-                self.bus.publish(SandboxTerminated(now_s, sandbox.name, reason="scale_down"))
+                if bus.hears(SandboxTerminated):
+                    bus.publish(SandboxTerminated(now_s, sandbox.name, "scale_down"))
         self.metrics.record_instances(now_s, self._instance_count())
         self._drain_queue(now_s)

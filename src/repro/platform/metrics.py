@@ -28,6 +28,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.events import slot_init
+
 __all__ = ["Attempt", "FailedRequest", "RequestOutcome", "SimulationMetrics"]
 
 #: ``slots=True`` shrinks the per-request records (one ``RequestOutcome`` per
@@ -50,8 +52,9 @@ class Attempt:
     :class:`FailedRequest`.  ``origin_s`` is the first attempt's arrival
     time: ``arrival_s`` itself for organic traffic, inherited from the
     failed parent for retries.  Not frozen on purpose: one is built per
-    arrival on the hot path, and a frozen slotted init costs several times
-    more.
+    arrival on the hot path, and a frozen init still costs more even through
+    :func:`~repro.sim.events.slot_init` (the helper the outcome records use),
+    which calls one slot setter per field where this init stores directly.
     """
 
     request_id: str
@@ -63,6 +66,7 @@ class Attempt:
     retry_wait_s: float = 0.0
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class RequestOutcome:
     """The outcome of one simulated invocation, as the provider would report it."""
@@ -113,6 +117,7 @@ class RequestOutcome:
         return self.init_duration_s + self.execution_duration_s
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class FailedRequest:
     """A request the platform gave up on (it never started executing).

@@ -20,24 +20,97 @@ a publish delivers to is the one resolved when that publish started: a
 callback that subscribes or unsubscribes mid-dispatch affects the *next*
 publish, never the one in flight.
 
+A record nobody receives need not exist: :meth:`EventBus.hears` answers from
+the same cached chain whether a publish of a type would reach anyone
+(forwarded subscribers included), so a publisher whose record exists only for
+its subscribers asks first and builds nothing on an unheard path -- the
+rejection path of an untraced run publishes no failure or retry records.
+
 The payload fields are deliberately loosely typed (``Any``): the bus sits
 below the domain layers (`repro.platform`, `repro.sched`) and must not import
 them.  Event records are frozen dataclasses with ``__slots__`` (on Python
-3.10+) -- one is allocated per simulated occurrence, so their footprint is
-hot-path state.
+3.10+) -- one is allocated per simulated occurrence, so their footprint and
+their construction are hot-path state.  :func:`slot_init` gives each one an
+``__init__`` that stores through the slot descriptors instead of the frozen
+``object.__setattr__`` path, keeping every other dataclass behaviour; the
+platform's outcome records use it too.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type, TypeVar
 
 #: ``slots=True`` shrinks and speeds up the per-occurrence event records, but
 #: the dataclass flag only exists on Python 3.10+; older interpreters fall
 #: back to ordinary (dict-backed) dataclasses with identical behaviour.
 _SLOTS: Dict[str, bool] = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+_T = TypeVar("_T", bound=type)
+_POSITIONAL = inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def slot_init(cls: _T) -> _T:
+    """Give a frozen slotted dataclass an ``__init__`` that stores through its slots.
+
+    A frozen dataclass's generated ``__init__`` stores every field with
+    ``object.__setattr__(self, "name", value)``, a by-name attribute lookup
+    per field.  This decorator (applied *above* ``@dataclass``) swaps in an
+    ``__init__`` compiled once at import with the same parameters, defaults
+    and annotations, which calls each field's slot descriptor ``__set__``
+    directly -- about a third of the cost per record.  Nothing else changes:
+    assignment still raises ``FrozenInstanceError``, and eq, hash, repr,
+    :func:`dataclasses.replace`, copying and pickling are the dataclass's own.
+
+    Classes without ``__slots__`` (dataclasses on Python < 3.10) keep their
+    ``__init__``.  A class the generated ``__init__`` could not reproduce
+    faithfully -- one with ``__post_init__``, a ``default_factory``, an
+    ``init=False`` field or an ``InitVar``/keyword-only parameter -- raises
+    ``TypeError`` at import, on every interpreter.
+    """
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        raise TypeError(f"slot_init needs a frozen dataclass, got {cls.__name__}")
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"slot_init cannot run {cls.__name__}.__post_init__")
+    names = []
+    for item in fields(cls):
+        if not item.init or item.default_factory is not MISSING:
+            raise TypeError(
+                f"slot_init cannot compile field {cls.__name__}.{item.name} "
+                "(init=False or default_factory)"
+            )
+        names.append(item.name)
+    original = cls.__init__
+    arguments = list(inspect.signature(original).parameters.values())[1:]
+    if [(a.name, a.kind) for a in arguments] != [(n, _POSITIONAL) for n in names]:
+        raise TypeError(
+            f"slot_init cannot compile {cls.__name__}.__init__ "
+            "(InitVar or keyword-only parameters)"
+        )
+    if "__slots__" not in cls.__dict__:
+        return cls
+    setters = [getattr(cls, name).__set__ for name in names]
+    setter_names = [f"__set{index}__" for index in range(len(names))]
+    body = "".join(f"        {s}(self, {n})\n" for s, n in zip(setter_names, names))
+    source = (
+        f"def __make__({', '.join(setter_names)}):\n"
+        f"    def __init__(self, {', '.join(names)}):\n{body}"
+        "    return __init__\n"
+    )
+    namespace: Dict[str, Any] = {}
+    exec(source, namespace)
+    init = namespace["__make__"](*setters)
+    init.__defaults__ = original.__defaults__
+    init.__annotations__ = dict(original.__annotations__)
+    init.__qualname__ = original.__qualname__
+    init.__module__ = original.__module__
+    cls.__init__ = init
+    return cls
+
 
 __all__ = [
     "EventBus",
@@ -55,9 +128,11 @@ __all__ = [
     "SandboxRejected",
     "SandboxTerminated",
     "SimEvent",
+    "slot_init",
 ]
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class SimEvent:
     """Base class for all bus events; carries the simulation time."""
@@ -65,6 +140,7 @@ class SimEvent:
     time_s: float
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class RequestArrived(SimEvent):
     """A request entered the platform (organic arrival or retry re-injection).
@@ -84,6 +160,7 @@ class RequestArrived(SimEvent):
     tenant: str = ""
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class RequestExecuting(SimEvent):
     """A request was admitted into a sandbox and (modulo contention) started.
@@ -100,6 +177,7 @@ class RequestExecuting(SimEvent):
     rate_factor: float = 1.0
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class RetryScheduled(SimEvent):
     """A platform simulator scheduled a failed request's retry.
@@ -116,6 +194,7 @@ class RetryScheduled(SimEvent):
     delay_s: float = 0.0
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class RequestCompleted(SimEvent):
     """A request finished; ``outcome`` is the domain-level outcome record."""
@@ -123,6 +202,7 @@ class RequestCompleted(SimEvent):
     outcome: Any
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class RequestFailed(SimEvent):
     """A request will never be served; ``outcome`` is the failure record.
@@ -138,6 +218,7 @@ class RequestFailed(SimEvent):
     outcome: Any
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class RequestDenied(SimEvent):
     """Admission control refused a request before any capacity was burned.
@@ -155,6 +236,7 @@ class RequestDenied(SimEvent):
     reason: str = "credits"
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class SandboxColdStart(SimEvent):
     """A new sandbox started cold-initialising, with its demand on the fleet.
@@ -170,6 +252,7 @@ class SandboxColdStart(SimEvent):
     init_duration_s: float = 0.0
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class SandboxBusy(SimEvent):
     """An idle (or freshly initialised) sandbox started serving requests."""
@@ -178,6 +261,7 @@ class SandboxBusy(SimEvent):
     concurrency: int = 1
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class SandboxIdle(SimEvent):
     """A sandbox drained its last request and entered the keep-alive phase."""
@@ -185,6 +269,7 @@ class SandboxIdle(SimEvent):
     sandbox_name: str
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class SandboxTerminated(SimEvent):
     """A sandbox was torn down, with the reason.
@@ -198,6 +283,7 @@ class SandboxTerminated(SimEvent):
     reason: str = ""
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class SandboxQueued(SimEvent):
     """A cold-started sandbox found no host and entered the admission queue.
@@ -212,6 +298,7 @@ class SandboxQueued(SimEvent):
     queue_depth: int = 0
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class SandboxAdmitted(SimEvent):
     """The fleet placed a sandbox on a host.
@@ -226,6 +313,7 @@ class SandboxAdmitted(SimEvent):
     queue_wait_s: float = 0.0
 
 
+@slot_init
 @dataclass(frozen=True, **_SLOTS)
 class SandboxRejected(SimEvent):
     """The fleet refused a sandbox for good.
@@ -342,6 +430,19 @@ class EventBus:
         self._resolved[event_type] = entry
         return entry
 
+    def hears(self, event_type: Type[SimEvent]) -> bool:
+        """Whether a publish of ``event_type`` would reach any subscriber now.
+
+        Reads the same cached, version-checked chain :meth:`publish` delivers
+        to, so subscribers reached only through :meth:`forward_to` count.  A
+        publisher whose record exists only for its subscribers asks first and
+        skips building it when nobody listens.
+        """
+        entry = self._resolved.get(event_type)
+        if entry is None or entry[0] != self._version:
+            entry = self._resolve(event_type)
+        return bool(entry[1])
+
     def publish(self, event: SimEvent) -> None:
         """Deliver ``event`` to all matching subscribers in deterministic order."""
         event_type = event.__class__
@@ -363,7 +464,3 @@ class EventBus:
         for callback in chain:
             callback(event)
         profiler.record_publish(event_type.__name__, len(chain), perf_counter() - start)
-
-    def subscriber_count(self, event_type: Type[SimEvent]) -> int:
-        """Number of direct subscriptions for ``event_type`` (diagnostics)."""
-        return len(self._subscribers.get(event_type, ()))

@@ -79,7 +79,7 @@ class TestDetachedAddsNothing:
             RequestExecuting,
             RetryScheduled,
         ):
-            assert simulator.bus.subscriber_count(event_type) == 0
+            assert not simulator.bus.hears(event_type)
 
     def test_no_profiler_installed(self):
         simulator = _build(1)
@@ -104,9 +104,9 @@ class TestDetachedAddsNothing:
 
     def test_attached_observability_subscribes(self):
         simulator = _build(3, obs=Observability())
-        assert simulator.bus.subscriber_count(RequestArrived) > 0
-        assert simulator.bus.subscriber_count(RequestCompleted) > 0
-        assert simulator.bus.subscriber_count(RequestFailed) > 0
+        assert simulator.bus.hears(RequestArrived)
+        assert simulator.bus.hears(RequestCompleted)
+        assert simulator.bus.hears(RequestFailed)
 
 
 class TestAttachedIsByteInvisible:

@@ -13,9 +13,12 @@ pin both halves without timing anything:
 - on a saturated point, placement scans and ``Sandbox`` constructions are
   counted, not timed;
 - ``retain_outcomes=False`` keeps failure counts without keeping the
-  failure records.
+  failure records;
+- an untraced run builds no ``RequestFailed``/``RetryScheduled`` record,
+  since nothing subscribes to them, and a traced run still counts them all.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -28,6 +31,7 @@ from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import Fleet, FleetConfig, ZoneConfig
 from repro.cluster.host import HostSpec
 from repro.cluster.placement import PlacementPolicy, SandboxRequirement, choose_host
+from repro.obs import Observability
 from repro.platform import invoker as invoker_module
 from repro.platform.invoker import PlatformSimulator
 from repro.platform.presets import get_platform_preset
@@ -349,3 +353,53 @@ def test_unretained_run_counts_failures_without_keeping_them():
     assert dropped_summary == kept_summary
     with pytest.raises(RuntimeError):
         dropped.attempt_counts()
+
+
+# ----------------------------------------------------------------------
+# Records nobody hears are never built
+# ----------------------------------------------------------------------
+
+
+def test_untraced_rejections_publish_no_failure_records(monkeypatch):
+    """Without an observer, failures and retries reach the bus not at all.
+
+    Nothing in an untraced cluster subscribes to ``RequestFailed`` or
+    ``RetryScheduled`` (the simulator records and retries by direct call),
+    so neither record is built.  Attaching an :class:`Observability` makes
+    both heard again, and its counters agree with the simulator's metrics.
+    """
+    published = collections.Counter()
+    real_publish = EventBus.publish
+
+    def recording_publish(self, event):
+        published[type(event)] += 1
+        real_publish(self, event)
+
+    monkeypatch.setattr(EventBus, "publish", recording_publish)
+
+    def run(obs):
+        published.clear()
+        result = ClusterSimulator(
+            [_deployment(_pyaes(), rps=50.0, duration_s=20.0)],
+            fleet_config=_one_host_fleet(),
+            seed=11,
+            feedback="on",
+            retry=RetryPolicy(),
+            obs=obs,
+        ).run()
+        return result, dict(published)
+
+    untraced, quiet = run(None)
+    metrics = untraced.metrics["fn-00"]
+    retried = metrics.failed_requests - metrics.gave_up_requests
+    assert metrics.failed_requests > 100 and retried > 0
+    assert quiet[SandboxRejected] == len(untraced.fleet.unplaceable) > 100
+    assert RequestFailed not in quiet and RetryScheduled not in quiet
+
+    obs = Observability()
+    traced, loud = run(obs)
+    assert traced.summary() == untraced.summary()
+    assert loud[RequestFailed] == metrics.failed_requests
+    assert loud[RetryScheduled] == retried
+    assert obs.registry.counter("failures").read() == metrics.failed_requests
+    assert obs.registry.counter("retries_scheduled").read() == retried

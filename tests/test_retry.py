@@ -231,7 +231,7 @@ class TestPlatformRetryCycle:
         assert m.terminal_attempt_stats() == (3, 1)
         assert loop.retries_scheduled == 2 and loop.gave_up == 1
         # nothing listens for failures: the simulator asks the loop directly
-        assert simulator.bus.subscriber_count(RequestFailed) == 0
+        assert not simulator.bus.hears(RequestFailed)
 
     def test_request_retries_until_attempts_exhausted(self):
         policy = RetryPolicy(max_attempts=3, base_backoff_s=1.0,

@@ -67,11 +67,57 @@ class TestEventBus:
         assert len(seen) == 1
         bus.unsubscribe(SimEvent, callback)  # second removal is a no-op
 
-    def test_subscriber_count(self):
+    def test_hears_after_subscribe(self):
         bus = EventBus()
-        assert bus.subscriber_count(SimEvent) == 0
+        assert not bus.hears(SimEvent)
         bus.subscribe(SimEvent, lambda e: None)
-        assert bus.subscriber_count(SimEvent) == 1
+        assert bus.hears(SimEvent)
+
+
+class TestHears:
+    """``hears`` reads the chain ``publish`` would deliver to."""
+
+    def test_fresh_bus_hears_nothing(self):
+        bus = EventBus()
+        for event_type in (SimEvent, RequestCompleted, SandboxColdStart, _CustomEvent):
+            assert not bus.hears(event_type)
+
+    def test_exact_subscription(self):
+        bus = EventBus()
+        bus.subscribe(SandboxIdle, lambda e: None)
+        assert bus.hears(SandboxIdle)
+        assert not bus.hears(SandboxColdStart)
+
+    def test_subclass_event_of_a_subscribed_base(self):
+        bus = EventBus()
+        bus.subscribe(RequestCompleted, lambda e: None)
+        assert bus.hears(_CustomEvent)
+        assert not bus.hears(SandboxIdle)
+
+    def test_subscriber_reached_only_through_forward_to(self):
+        upstream, downstream = EventBus(), EventBus()
+        upstream.forward_to(downstream)
+        assert not upstream.hears(SandboxIdle)  # a bare forwarder delivers nowhere
+        downstream.subscribe(SandboxIdle, lambda e: None)
+        assert upstream.hears(SandboxIdle)
+        assert not upstream.hears(SandboxColdStart)
+
+    def test_unsubscribe_invalidates_the_cached_answer(self):
+        upstream, downstream = EventBus(), EventBus()
+        upstream.forward_to(downstream)
+        callback = downstream.subscribe(RequestCompleted, lambda e: None)
+        assert upstream.hears(_CustomEvent) and downstream.hears(RequestCompleted)
+        downstream.unsubscribe(RequestCompleted, callback)
+        assert not upstream.hears(_CustomEvent)
+        assert not downstream.hears(RequestCompleted)
+
+    def test_agrees_with_publish(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(SandboxIdle, seen.append)
+        for event in (SandboxIdle(1.0, "sb"), SandboxColdStart(2.0, "sb")):
+            bus.publish(event)
+            assert bus.hears(type(event)) == (seen[-1:] == [event])
 
 
 class TestNamedRng:
