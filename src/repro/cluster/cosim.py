@@ -7,11 +7,11 @@ event loop:
   function, all sharing a single :class:`~repro.sim.kernel.SimulationKernel`
   (their autoscalers are periodic kernel processes, their event kinds are
   namespaced by function name);
-- a :class:`~repro.cluster.fleet.Fleet` subscribed to the shared bus, placing
-  every cold-started sandbox onto (possibly heterogeneous, multi-zone) hosts
-  under a placement policy, queueing unplaceable sandboxes when admission
-  backpressure is enabled, and releasing capacity on eviction -- the
-  provider-side view;
+- a :class:`~repro.cluster.fleet.Fleet` every simulator calls directly,
+  placing each cold-started sandbox onto (possibly heterogeneous,
+  multi-zone) hosts under a placement policy, queueing unplaceable sandboxes
+  when admission backpressure is enabled, and releasing capacity on
+  eviction -- the provider-side view;
 - a :class:`~repro.billing.meter.CostMeter` per function bus, invoicing each
   completed request incrementally through the Table-1 billing models -- the
   user-side view, metered live instead of post-hoc.  The meter is also
@@ -191,13 +191,14 @@ class ClusterSimulator:
 
     ``feedback`` closes the *state* loop between those layers (the default
     ``"off"`` byte-reproduces the share-a-clock-only behaviour of every
-    existing entry point).  With ``feedback="on"`` a shared
-    :class:`~repro.sim.feedback.FeedbackChannel` is attached to the cluster
-    bus: the scheduler's throttling stretches request busy times (and
-    therefore the durations the cost meter bills), a queued cold start defers
-    its sandbox's readiness by the measured admission-queue wait, and a
-    rejected cold start fails its pending request -- all visible in the
-    ``failed_requests`` / ``latency_inflation`` summary columns.
+    existing entry point).  With ``feedback="on"`` every simulator shares one
+    :class:`~repro.sim.feedback.FeedbackChannel`: the scheduler's throttling
+    stretches request busy times (and therefore the durations the cost meter
+    bills), and each simulator acts on the fleet's admission answers -- a
+    queued cold start defers its sandbox's readiness by the measured
+    admission-queue wait, and a rejected cold start fails its pending
+    request -- all visible in the ``failed_requests`` / ``latency_inflation``
+    summary columns.
 
     ``retry`` (a :class:`~repro.sim.retry.RetryPolicy`) models clients that
     retry failed requests: every simulator asks one shared
@@ -264,9 +265,7 @@ class ClusterSimulator:
         if obs is not None:
             obs.attach(self.kernel, self.bus)
         #: The execution-feedback channel (None with feedback="off").
-        self.feedback: Optional[FeedbackChannel] = (
-            FeedbackChannel().attach(self.bus) if feedback == "on" else None
-        )
+        self.feedback: Optional[FeedbackChannel] = FeedbackChannel() if feedback == "on" else None
         #: The client retry loop (None without a retry policy).  Its backoff
         #: stream seed derives from the run seed, so retry timing replays
         #: byte-identically from the same seed.
@@ -320,6 +319,7 @@ class ClusterSimulator:
                 retain_outcomes=retain_outcomes,
                 tenant=tenant,
                 admission=self.admission,
+                fleet=self.fleet,
             )
             if self.meter is not None:
                 # Per-function attachment: the meter needs each deployment's

@@ -1,13 +1,15 @@
-"""Event-driven fleet placement: the provider's host pool over simulated time.
+"""Fleet placement: the provider's host pool over simulated time.
 
 :func:`repro.cluster.placement.place_sandboxes` packs a *static* sandbox
-population once, by admitting all of it into a :class:`Fleet` at t=0.  The
-fleet itself is event-driven: it
-subscribes to the typed sandbox-lifecycle events platform simulators publish
-on the shared :class:`~repro.sim.events.EventBus` and maintains the host pool
-continuously -- admitting each cold-started sandbox onto a host under a
-placement policy, releasing capacity when the sandbox is evicted, and opening
-hosts on demand up to per-zone caps.
+population once, by admitting all of it into a :class:`Fleet` at t=0.  In a
+co-simulation the fleet is a direct collaborator of every platform
+simulator: each one calls :meth:`Fleet.admit` right after it publishes a
+cold start and :meth:`Fleet.release` right after it publishes a
+termination.  The fleet so maintains the host pool continuously --
+admitting each cold-started sandbox onto a host under a placement policy,
+releasing capacity when the sandbox is evicted, and opening hosts on demand
+up to per-zone caps.  It subscribes to nothing; it publishes its admission
+outcomes on the bus it is attached to, for observers and the meter.
 
 Three cluster-level mechanisms live here:
 
@@ -19,9 +21,11 @@ Three cluster-level mechanisms live here:
 - **Admission backpressure**: with ``queue_depth > 0`` an unplaceable sandbox
   is *queued* (:class:`~repro.sim.events.SandboxQueued`) instead of dropped,
   and retried whenever capacity is released -- eviction or termination --
-  in FIFO or smallest-first order.  Beyond the bound it is rejected
-  (:class:`~repro.sim.events.SandboxRejected`); each successful placement
-  publishes :class:`~repro.sim.events.SandboxAdmitted` with its queue wait.
+  in FIFO or smallest-first order.  A queued entry carries the caller's
+  wake-up callback, which the fleet calls when it admits the entry.  Beyond
+  the bound it is rejected (:class:`~repro.sim.events.SandboxRejected`); each
+  successful placement publishes :class:`~repro.sim.events.SandboxAdmitted`
+  with its queue wait.
 - **Live cost accounting**: the fleet integrates the provider-side spend of
   its open hosts (hourly cost x open time) and, when a
   :class:`~repro.billing.meter.CostMeter` is attached via
@@ -38,19 +42,12 @@ placement-policy interaction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.host import Host, HostSpec
 from repro.cluster.placement import PlacementPolicy, SandboxRequirement, choose_host
 from repro.numeric import fold
-from repro.sim.events import (
-    EventBus,
-    SandboxAdmitted,
-    SandboxColdStart,
-    SandboxQueued,
-    SandboxRejected,
-    SandboxTerminated,
-)
+from repro.sim.events import EventBus, SandboxAdmitted, SandboxQueued, SandboxRejected
 from repro.sim.kernel import PeriodicProcess
 
 __all__ = ["FleetConfig", "Fleet", "QUEUE_DISCIPLINES", "ZoneConfig"]
@@ -127,25 +124,29 @@ class FleetConfig:
         return (ZoneConfig(name="default", host_spec=self.host_spec, max_hosts=self.max_hosts),)
 
 
+#: What a queued sandbox's owner is called with when the fleet admits it.
+Wake = Callable[[str], None]
+
+
 @dataclass
 class _QueuedSandbox:
-    """One admission-queue entry, ordered by enqueue sequence."""
+    """One admission-queue entry; the queue's key is its sandbox name."""
 
-    seq: int
     enqueued_s: float
-    sandbox_name: str
     vcpus: float
     memory_gb: float
+    #: called with the sandbox name when the fleet admits the entry.
+    wake: Optional[Wake] = None
 
 
 class Fleet:
     """The host pool as a live co-simulation participant.
 
-    Event-driven: :meth:`admit` on every :class:`SandboxColdStart`,
-    :meth:`release` on every :class:`SandboxTerminated` (evictions are a
-    subclass, so both teardown paths release capacity and drain the admission
-    queue).  Periodic: when added to the kernel via ``kernel.add_process(fleet)``,
-    it records one utilisation sample per ``sample_interval_s``.
+    Called directly: :meth:`admit` for every cold start, :meth:`release` for
+    every termination (both teardown paths release capacity and drain the
+    admission queue).  Periodic: when added to the kernel via
+    ``kernel.add_process(fleet)``, it records one utilisation sample per
+    ``sample_interval_s``.
     """
 
     def __init__(self, config: Optional[FleetConfig] = None) -> None:
@@ -163,9 +164,9 @@ class Fleet:
         #: since the last release: hosts never close and a placement only
         #: takes room, so only a release can make such a shape fit again.
         self._full_shapes: Set[Tuple[float, float]] = set()
-        #: bounded admission queue (backpressure), in enqueue order.
-        self.queue: List[_QueuedSandbox] = []
-        self._queue_seq = 0
+        #: bounded admission queue (backpressure): sandbox name -> entry, in
+        #: enqueue order, so removal by name is O(1) and a dict scan is FIFO.
+        self.queue: Dict[str, _QueuedSandbox] = {}
         #: (time, sandbox name) of admissions that were rejected for good.
         self.unplaceable: List[Tuple[float, str]] = []
         #: rejection reason -> count (oversized / queue_full / no_capacity).
@@ -196,15 +197,13 @@ class Fleet:
     # ------------------------------------------------------------------
 
     def attach(self, bus: EventBus) -> "Fleet":
-        """Subscribe to sandbox lifecycle events on a (shared) bus.
+        """Publish admission outcomes on a (shared) bus.
 
-        The fleet also publishes its admission outcomes
-        (``SandboxQueued``/``SandboxAdmitted``/``SandboxRejected``) back onto
-        the same bus, so downstream subscribers observe the full loop.
+        ``SandboxQueued``/``SandboxAdmitted``/``SandboxRejected`` records are
+        built only when something there listens (observers, the meter's
+        admission rebasing); the fleet subscribes to nothing.
         """
         self._bus = bus
-        bus.subscribe(SandboxColdStart, self._on_cold_start)
-        bus.subscribe(SandboxTerminated, self._on_terminated)
         return self
 
     def attach_meter(self, meter) -> "Fleet":
@@ -243,12 +242,6 @@ class Fleet:
         bus = self._bus
         if bus is not None and bus.hears(event_type):
             bus.publish(event_type(*fields))
-
-    def _on_cold_start(self, event: SandboxColdStart) -> None:
-        self.admit(event.time_s, event.sandbox_name, event.alloc_vcpus, event.alloc_memory_gb)
-
-    def _on_terminated(self, event: SandboxTerminated) -> None:
-        self.release(event.time_s, event.sandbox_name)
 
     def _fits_some_zone(self, vcpus: float, memory_gb: float) -> bool:
         return any(
@@ -303,13 +296,22 @@ class Fleet:
         self.peak_placed = max(self.peak_placed, len(self._placements))
         return host
 
-    def admit(self, time_s: float, sandbox_name: str, vcpus: float, memory_gb: float) -> Optional[Host]:
+    def admit(
+        self,
+        time_s: float,
+        sandbox_name: str,
+        vcpus: float,
+        memory_gb: float,
+        wake: Optional[Wake] = None,
+    ) -> Optional[Host]:
         """Place one sandbox; queues or rejects it when nothing fits.
 
         Returns the chosen host for direct placements.  Returns ``None`` when
-        the sandbox was queued (backpressure enabled, bound not reached) or
-        rejected (oversized for every zone, queue full, or queueing disabled);
-        a shape already known to find no room skips the placement scan.
+        the sandbox was queued (backpressure enabled, bound not reached; it is
+        then ``in`` :attr:`queue`) or rejected (oversized for every zone,
+        queue full, or queueing disabled); a shape already known to find no
+        room skips the placement scan.  A queued entry keeps ``wake`` and
+        calls it with the sandbox name when the fleet admits it.
         """
         self.last_event_s = max(self.last_event_s, time_s)
         if (vcpus, memory_gb) not in self._full_shapes:
@@ -328,16 +330,17 @@ class Fleet:
             self._full_shapes.add((vcpus, memory_gb))
         if self.config.queue_depth > 0:
             if len(self.queue) < self.config.queue_depth:
-                self._enqueue(time_s, sandbox_name, vcpus, memory_gb)
+                self._enqueue(time_s, sandbox_name, vcpus, memory_gb, wake)
             else:
                 self._reject(time_s, sandbox_name, "queue_full")
         else:
             self._reject(time_s, sandbox_name, "no_capacity")
         return None
 
-    def _enqueue(self, time_s: float, sandbox_name: str, vcpus: float, memory_gb: float) -> None:
-        self.queue.append(_QueuedSandbox(self._queue_seq, time_s, sandbox_name, vcpus, memory_gb))
-        self._queue_seq += 1
+    def _enqueue(
+        self, time_s: float, sandbox_name: str, vcpus: float, memory_gb: float, wake: Optional[Wake]
+    ) -> None:
+        self.queue[sandbox_name] = _QueuedSandbox(time_s, vcpus, memory_gb, wake)
         self.queued_total += 1
         self.peak_queue_depth = max(self.peak_queue_depth, len(self.queue))
         self._publish(SandboxQueued, time_s, sandbox_name, len(self.queue))
@@ -347,10 +350,12 @@ class Fleet:
         self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
         self._publish(SandboxRejected, time_s, sandbox_name, reason)
 
-    def _drain_order(self) -> List[_QueuedSandbox]:
+    def _drain_order(self) -> List[Tuple[str, _QueuedSandbox]]:
+        entries = list(self.queue.items())  # FIFO: enqueue order
         if self.config.queue_discipline == "smallest_first":
-            return sorted(self.queue, key=lambda e: (e.vcpus + e.memory_gb, e.seq))
-        return list(self.queue)  # FIFO: enqueue order
+            # A stable sort: equal demands keep their enqueue order.
+            entries.sort(key=lambda item: item[1].vcpus + item[1].memory_gb)
+        return entries
 
     def _drain_queue(self, time_s: float) -> None:
         """Retry queued sandboxes against the freed capacity, in discipline order.
@@ -361,19 +366,21 @@ class Fleet:
         """
         if not self.queue:
             return
-        for entry in self._drain_order():
-            requirement = SandboxRequirement(entry.sandbox_name, entry.vcpus, entry.memory_gb)
+        for name, entry in self._drain_order():
+            requirement = SandboxRequirement(name, entry.vcpus, entry.memory_gb)
             # Only existing hosts are considered on the retry path -- the drain
             # never *opens* hosts (admission already tried and failed to).
             chosen = choose_host(self.hosts, requirement, self.config.policy)
             if chosen is None:
                 continue
             host = self._place_on(chosen, requirement)
-            self.queue.remove(entry)
+            del self.queue[name]
             self.admitted_from_queue += 1
             wait = max(time_s - entry.enqueued_s, 0.0)
             self.queue_wait_total_s += wait
-            self._publish(SandboxAdmitted, time_s, entry.sandbox_name, host.name, wait)
+            self._publish(SandboxAdmitted, time_s, name, host.name, wait)
+            if entry.wake is not None:
+                entry.wake(name)
 
     def release(self, time_s: float, sandbox_name: str) -> None:
         """Free the capacity a sandbox held and retry the admission queue.
@@ -385,11 +392,8 @@ class Fleet:
         self.last_event_s = max(self.last_event_s, time_s)
         placement = self._placements.pop(sandbox_name, None)
         if placement is None:
-            for entry in self.queue:
-                if entry.sandbox_name == sandbox_name:
-                    self.queue.remove(entry)
-                    self.queue_abandoned += 1
-                    break
+            if self.queue.pop(sandbox_name, None) is not None:
+                self.queue_abandoned += 1
             return
         host, vcpus, memory_gb = placement
         host.remove(sandbox_name, vcpus, memory_gb)

@@ -18,12 +18,13 @@ Event ordering and the clock live in :class:`repro.sim.kernel.SimulationKernel`.
 The simulator records into its own metrics directly and publishes on a
 :class:`repro.sim.events.EventBus` only the facts other layers read: the
 full typed sandbox lifecycle (cold start, busy, idle, termination with its
-reason), which the fleet placement layer (:mod:`repro.cluster.fleet`) and
-the live cost meter (:mod:`repro.billing.meter`) consume, plus request
-completions, failures and retries for the meter and observers.  Each of
-those records exists only for its subscribers, so every publish asks
+reason), which the live cost meter (:mod:`repro.billing.meter`) consumes,
+plus request completions, failures and retries for the meter and observers.
+Each of those records exists only for its subscribers, so every publish asks
 :meth:`~repro.sim.events.EventBus.hears` first and builds nothing when no
-one listens.
+one listens.  The fleet placement layer (:mod:`repro.cluster.fleet`) is not
+a subscriber: the simulator calls it right after each cold-start and
+termination publish.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,16 +50,18 @@ from repro.sim.events import (
     RequestExecuting,
     RequestFailed,
     RetryScheduled,
-    SandboxAdmitted,
     SandboxBusy,
     SandboxColdStart,
     SandboxIdle,
     SandboxTerminated,
 )
-from repro.sim.feedback import AdmissionState, FeedbackChannel
+from repro.sim.feedback import FeedbackChannel
 from repro.sim.kernel import HORIZON_SLACK_S, Event, SimulationKernel
 from repro.sim.retry import RetryLoop
 from repro.tenancy.admission import AdmissionDecision
+
+if TYPE_CHECKING:
+    from repro.cluster.fleet import Fleet
 
 __all__ = ["PlatformSimulator", "RequestOutcome", "SimulationMetrics"]
 
@@ -82,17 +85,23 @@ class PlatformSimulator:
     kinds, sandbox names and request ids so co-simulated simulators never
     collide on the shared kernel or bus.
 
+    Pass a :class:`~repro.cluster.fleet.Fleet` to place sandboxes on hosts:
+    the simulator calls :meth:`~repro.cluster.fleet.Fleet.admit` right after
+    each cold-start publish and :meth:`~repro.cluster.fleet.Fleet.release`
+    right after each termination publish.  ``fleet=`` is the whole wiring.
+
     Pass a :class:`~repro.sim.feedback.FeedbackChannel` to close the state
     loop with the other layers: the simulator then (a) stretches busy times by
     the channel's service rate (re-read at every admit/completion
     event, so the CPU-bandwidth scheduler's throttling factor reaches request
-    latency), and (b) gates sandbox readiness on the fleet's admission
-    outcome, taken once per cold start -- a queued cold start defers
+    latency), and (b) acts on the fleet's answer to each cold start -- a
+    queued cold start hands the fleet a wake-up callback and defers
     ``sandbox_ready`` by its measured queue wait, and a rejected one is never
     built and fails its request with a typed
     :class:`~repro.platform.metrics.FailedRequest`.  Without a channel (the
-    default) the simulator holds an unattached one, and behaviour is
-    byte-identical to the pre-feedback simulator.
+    default) the fleet is still told about every cold start and termination,
+    the answer is ignored, and behaviour is byte-identical to the
+    pre-feedback simulator.
 
     Pass a :class:`~repro.sim.retry.RetryLoop` to model clients that retry:
     the simulator asks the loop once per failed attempt
@@ -131,6 +140,7 @@ class PlatformSimulator:
         retain_outcomes: bool = True,
         tenant: str = "",
         admission=None,
+        fleet: Optional["Fleet"] = None,
     ) -> None:
         self.platform = platform
         self.function = function
@@ -170,9 +180,11 @@ class PlatformSimulator:
         self._cpu_time_s = function.cpu_time_s
         self._io_time_s = function.io_time_s
         self._service_time_s = function.service_time_s
-        # Feedback off is an unattached channel: rate 1.0, no admission
-        # state and an empty admission queue.
+        # Feedback off is an empty channel (rate 1.0), and the fleet's
+        # admission answer is ignored: no wake-up callback to hand it.
         self._feedback = feedback if feedback is not None else FeedbackChannel()
+        self._fleet = fleet
+        self._wake = self._on_admission_resolved if feedback is not None else None
         self._retry = retry
         self._tenant = tenant
         self._admission = admission
@@ -398,9 +410,10 @@ class PlatformSimulator:
     def _create_sandbox(self, now: float, attempt: Optional[Attempt] = None) -> None:
         """Cold-start a sandbox for ``attempt`` (``None``: for the autoscaler).
 
-        An attached fleet decides admission synchronously inside the
-        cold-start publish; a rejected cold start is never built, and the
-        attempt it was made for fails instead of waiting for readiness.
+        The fleet decides admission synchronously right after the
+        cold-start publish.  With feedback on, a rejected cold start is never
+        built, and the attempt it was made for fails instead of waiting for
+        readiness; a queued one waits for the fleet's wake-up call.
         """
         function = self.function
         init_duration = self.platform.placement_delay_s + function.init_duration_s
@@ -413,15 +426,19 @@ class PlatformSimulator:
         if bus.hears(SandboxColdStart):
             bus.publish(SandboxColdStart(now, name, function.name, function.alloc_vcpus,
                                          function.alloc_memory_gb, init_duration))
-        feedback = self._feedback
-        state = feedback.take_admission(name)
-        if state is AdmissionState.REJECTED:
-            if bus.hears(SandboxTerminated):
-                bus.publish(SandboxTerminated(now, name, "admission_rejected"))
-            self.metrics.record_instances(now, self._instance_count())
-            if attempt is not None:
-                self._fail_request(attempt, "admission_rejected", now, name)
-            return
+        queued = False
+        fleet = self._fleet
+        if fleet is not None:
+            wake = self._wake
+            host = fleet.admit(now, name, function.alloc_vcpus, function.alloc_memory_gb, wake)
+            if host is None and wake is not None:
+                queued = name in fleet.queue
+                if not queued:
+                    self._terminated(now, name, "admission_rejected")
+                    self.metrics.record_instances(now, self._instance_count())
+                    if attempt is not None:
+                        self._fail_request(attempt, "admission_rejected", now, name)
+                    return
         sandbox = self._sandboxes[name] = Sandbox(
             name=name,
             function_name=function.name,
@@ -432,28 +449,33 @@ class PlatformSimulator:
             init_duration_s=init_duration,
             runtime_workers=self.platform.concurrency.effective_workers,
         )
-        if state is AdmissionState.QUEUED:
-            # Initialisation cannot start until the sandbox lands on a host;
-            # readiness is scheduled from the admission callback instead, so
+        if not queued:
+            # Placed, or feedback off / no fleet: initialisation starts now.
+            # A queued sandbox cannot initialise until it lands on a host, so
+            # the fleet's wake-up call schedules its readiness instead and
             # the measured queue wait shifts `sandbox_ready` one-for-one.
-            feedback.gate_readiness(name, self._on_admission_resolved)
-        else:
-            # ADMITTED, or None when no admission-publishing fleet is attached.
             self._kernel.schedule_in(init_duration, self._kind_sandbox_ready, {"sandbox": name})
         self.metrics.record_instances(now, self._instance_count())
         if attempt is not None:
             sandbox.cold_waiters.append(attempt)
 
-    def _on_admission_resolved(self, event: SandboxAdmitted) -> None:
-        """Feedback-channel callback: the fleet admitted a queued sandbox.
+    def _on_admission_resolved(self, name: str) -> None:
+        """The fleet's wake-up call: it admitted the queued sandbox ``name``.
 
         A gated sandbox is still initialising (nothing terminates one), so
         initialisation starts now and readiness follows it.
         """
-        name = event.sandbox_name
         self._kernel.schedule_in(
             self._sandboxes[name].init_duration_s, self._kind_sandbox_ready, {"sandbox": name}
         )
+
+    def _terminated(self, now: float, name: str, reason: str) -> None:
+        """Publish a sandbox's termination, then hand its capacity back to the fleet."""
+        bus = self.bus
+        if bus.hears(SandboxTerminated):
+            bus.publish(SandboxTerminated(now, name, reason))
+        if self._fleet is not None:
+            self._fleet.release(now, name)
 
     def _discard_sandbox(self, sandbox: Sandbox) -> None:
         """Forget a terminated sandbox.
@@ -689,9 +711,7 @@ class PlatformSimulator:
         now = self._kernel.now
         sandbox.terminate(now)
         self._discard_sandbox(sandbox)
-        bus = self.bus
-        if bus.hears(SandboxTerminated):
-            bus.publish(SandboxTerminated(now, sandbox.name, "keepalive_expire"))
+        self._terminated(now, sandbox.name, "keepalive_expire")
         self.metrics.record_instances(now, self._instance_count())
 
     # ------------------------------------------------------------------
@@ -712,11 +732,9 @@ class PlatformSimulator:
                 self._create_sandbox(now_s)
         elif desired < current:
             removable = [s for s in alive if s.state is SandboxState.IDLE]
-            bus = self.bus
             for sandbox in removable[: current - desired]:
                 sandbox.terminate(now_s)
                 self._discard_sandbox(sandbox)
-                if bus.hears(SandboxTerminated):
-                    bus.publish(SandboxTerminated(now_s, sandbox.name, "scale_down"))
+                self._terminated(now_s, sandbox.name, "scale_down")
         self.metrics.record_instances(now_s, self._instance_count())
         self._drain_queue(now_s)

@@ -17,11 +17,11 @@ scheduler (`repro.sched.engine`) into one reusable layer:
   consumers never perturbs another component's randomness.
 - :mod:`repro.sim.feedback` -- the execution-feedback layer: a
   :class:`~repro.sim.feedback.FeedbackChannel` the scheduler publishes its
-  slowdown (a :class:`~repro.sim.feedback.PublishedRate`) and the fleet its
-  admission outcomes into, so co-simulated layers share *state* (scheduler
-  throttling stretches request service times, fleet admission outcomes delay
-  or fail serving) and not just a clock.  Resolved deterministically at
-  event-schedule time.
+  slowdown (a :class:`~repro.sim.feedback.PublishedRate`) into, so
+  co-simulated layers share *state* (scheduler throttling stretches request
+  service times) and not just a clock; a simulator holding a channel also
+  acts on the fleet's admission answers (queueing delays serving, rejection
+  fails it).  Resolved deterministically at event-schedule time.
 - :mod:`repro.sim.retry` -- the client retry loop: a
   :class:`~repro.sim.retry.RetryPolicy` (bounded attempts, exponential
   seed-derived backoff, optional per-function budget) executed by a
@@ -66,14 +66,13 @@ from repro.sim.events import (
     SandboxTerminated,
     SimEvent,
 )
-from repro.sim.feedback import AdmissionState, FeedbackChannel, PublishedRate
+from repro.sim.feedback import FeedbackChannel, PublishedRate
 from repro.sim.kernel import Event, PeriodicProcess, SimulationKernel, SimProcess
 from repro.sim.results import ResultStore
 from repro.sim.retry import RetryLoop, RetryPolicy
 from repro.sim.rng import RngStreams, derive_seed, named_generator
 
 __all__ = [
-    "AdmissionState",
     "Event",
     "EventBus",
     "FeedbackChannel",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import inspect
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Tuple, Type, TypeVar
 
@@ -53,6 +53,14 @@ _T = TypeVar("_T", bound=type)
 _POSITIONAL = inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
+def _refuse_setattr(self: Any, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self: Any, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def slot_init(cls: _T) -> _T:
     """Give a frozen slotted dataclass an ``__init__`` that stores through its slots.
 
@@ -62,8 +70,12 @@ def slot_init(cls: _T) -> _T:
     ``__init__`` compiled once at import with the same parameters, defaults
     and annotations, which calls each field's slot descriptor ``__set__``
     directly -- about a third of the cost per record.  Nothing else changes:
-    assignment still raises ``FrozenInstanceError``, and eq, hash, repr,
-    :func:`dataclasses.replace`, copying and pickling are the dataclass's own.
+    eq, hash, repr, :func:`dataclasses.replace`, copying and pickling are the
+    dataclass's own.  Assigning or deleting any attribute raises
+    ``FrozenInstanceError``: the decorator installs ``__setattr__`` and
+    ``__delattr__`` that refuse every name, since the frozen dataclass's own
+    pair, built for the class ``slots=True`` replaced, fails with a
+    ``TypeError`` on a name that is not a field.
 
     Classes without ``__slots__`` (dataclasses on Python < 3.10) keep their
     ``__init__``.  A class the generated ``__init__`` could not reproduce
@@ -91,6 +103,8 @@ def slot_init(cls: _T) -> _T:
             f"slot_init cannot compile {cls.__name__}.__init__ "
             "(InitVar or keyword-only parameters)"
         )
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
     if "__slots__" not in cls.__dict__:
         return cls
     setters = [getattr(cls, name).__set__ for name in names]

@@ -8,8 +8,9 @@ from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import Fleet, FleetConfig
 from repro.cluster.host import HostSpec
 from repro.cluster.placement import PlacementPolicy
+from repro.platform.invoker import PlatformSimulator
 from repro.platform.presets import get_platform_preset
-from repro.sim.events import EventBus, SandboxColdStart, SandboxTerminated
+from repro.sim.events import EventBus, SandboxAdmitted, SandboxTerminated
 from repro.sim.kernel import SimulationKernel
 from repro.workloads.functions import PYAES_FUNCTION
 
@@ -76,13 +77,30 @@ class TestFleet:
         assert fleet.host_of("c") is not fleet.host_of("d")
 
     def test_bus_driven_admission_and_eviction(self):
+        """A simulator's cold start places its sandbox, and its expiry releases it.
+
+        The simulator calls the fleet right after each publish; the fleet
+        publishes its admission on the bus it is attached to.
+        """
         fleet = Fleet(FleetConfig(host_spec=HostSpec(vcpus=4, memory_gb=16)))
         bus = EventBus()
         fleet.attach(bus)
-        bus.publish(SandboxColdStart(0.0, "sb-0", "f", alloc_vcpus=1.0, alloc_memory_gb=2.0))
-        assert fleet.num_placed == 1
-        bus.publish(SandboxTerminated(10.0, "sb-0"))
-        assert fleet.num_placed == 0
+        admitted = []
+        bus.subscribe(SandboxAdmitted, admitted.append)
+        (deployment,) = _deployments(1)
+        keep_alive = dataclasses.replace(
+            deployment.platform.keep_alive, min_keep_alive_s=5.0, max_keep_alive_s=5.0
+        )
+        platform = dataclasses.replace(deployment.platform, keep_alive=keep_alive)
+        simulator = PlatformSimulator(platform, deployment.function, bus=bus, fleet=fleet)
+        placed_at_termination = []
+        simulator.bus.subscribe(
+            SandboxTerminated, lambda event: placed_at_termination.append(fleet.num_placed)
+        )
+        simulator.run([0.0], horizon_s=60.0)
+        assert [e.sandbox_name for e in admitted] == ["sandbox-000000"]
+        assert placed_at_termination == [1]  # released right after the publish
+        assert fleet.num_placed == 0 and fleet.admitted == fleet.released == 1
 
     def test_kernel_sampling_timeline(self):
         fleet = Fleet(FleetConfig(host_spec=HostSpec(vcpus=4, memory_gb=16), sample_interval_s=5.0))

@@ -49,7 +49,7 @@ def _run_cluster(seed, policy, queue_depth, arrival_process):
         {
             "summary": result.summary(),
             "timeline": result.fleet.timeline,
-            "queue": [entry.sandbox_name for entry in result.fleet.queue],
+            "queue": list(result.fleet.queue),
             "unplaceable": result.fleet.unplaceable,
         },
         sort_keys=True,

@@ -12,6 +12,10 @@ not from an earlier version of the code.
 
 A fleet that admits one slot too many (k + 1 servers) gives B(5, 4) = 0.199
 instead of 0.311, about 30 standard errors away.
+
+The ``slow`` profile runs 100,000 arrivals from t = 2^20 s on a
+:class:`~repro.platform.invoker.PlatformSimulator` wired straight to a
+:class:`~repro.cluster.fleet.Fleet` (``fleet=``), with no cluster around it.
 """
 
 import dataclasses
@@ -20,10 +24,13 @@ import math
 import pytest
 
 from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
-from repro.cluster.fleet import FleetConfig
+from repro.cluster.fleet import Fleet, FleetConfig
 from repro.cluster.host import HostSpec
 from repro.platform.config import FunctionConfig
+from repro.platform.invoker import PlatformSimulator
 from repro.platform.presets import get_platform_preset
+from repro.sim.arrivals import PoissonSource
+from repro.sim.feedback import FeedbackChannel
 
 HOLDING_S = 1.0
 ARRIVALS = 20_000
@@ -37,40 +44,56 @@ def erlang_b(servers: int, load: float) -> float:
     return blocking
 
 
-def _loss_system(servers: int, load: float, seed: int) -> ClusterSimulator:
+def _platform():
     preset = get_platform_preset("aws_lambda_like")
-    platform = dataclasses.replace(
+    return dataclasses.replace(
         preset,
         keep_alive=dataclasses.replace(
             preset.keep_alive, min_keep_alive_s=0.0, max_keep_alive_s=0.0
         ),
         serving=dataclasses.replace(preset.serving, base_overhead_s=0.0, jitter_fraction=0.0),
     )
-    function = FunctionConfig(
-        name="fn",
-        alloc_vcpus=1.0,
-        alloc_memory_gb=1.0,
-        cpu_time_s=0.45,
-        init_duration_s=0.5,
+
+
+_FUNCTION = FunctionConfig(
+    name="fn",
+    alloc_vcpus=1.0,
+    alloc_memory_gb=1.0,
+    cpu_time_s=0.45,
+    init_duration_s=0.5,
+)
+
+
+def _fleet_config(servers: int) -> FleetConfig:
+    return FleetConfig(
+        host_spec=HostSpec(vcpus=float(servers), memory_gb=1e6),
+        max_hosts=1,
+        queue_depth=0,
+        sample_interval_s=None,
     )
+
+
+def _loss_system(servers: int, load: float, seed: int) -> ClusterSimulator:
     rps = load / HOLDING_S
     deployment = FunctionDeployment(
-        function=function,
-        platform=platform,
+        function=_FUNCTION,
+        platform=_platform(),
         rps=rps,
         duration_s=ARRIVALS / rps,
         arrival_process="poisson",
     )
     return ClusterSimulator(
-        [deployment],
-        fleet_config=FleetConfig(
-            host_spec=HostSpec(vcpus=float(servers), memory_gb=1e6),
-            max_hosts=1,
-            queue_depth=0,
-            sample_interval_s=None,
-        ),
-        seed=seed,
-        feedback="on",
+        [deployment], fleet_config=_fleet_config(servers), seed=seed, feedback="on"
+    )
+
+
+def _check(servers: int, load: float, metrics) -> None:
+    rejected = metrics.failed_requests / metrics.arrivals
+    expected = erlang_b(servers, load)
+    sigma = math.sqrt(expected * (1.0 - expected) / metrics.arrivals)
+    assert abs(rejected - expected) <= 3.0 * sigma, (
+        f"k={servers}, a={load}: rejected {rejected:.4f}, Erlang B {expected:.4f} "
+        f"(3 sigma = {3.0 * sigma:.4f})"
     )
 
 
@@ -79,13 +102,22 @@ def test_rejected_fraction_matches_erlang_b(servers, load):
     result = _loss_system(servers, load, seed=1).run()
     metrics = result.metrics["fn"]
     assert metrics.arrivals > 0.95 * ARRIVALS
-    rejected = metrics.failed_requests / metrics.arrivals
-    expected = erlang_b(servers, load)
-    sigma = math.sqrt(expected * (1.0 - expected) / metrics.arrivals)
-    assert abs(rejected - expected) <= 3.0 * sigma, (
-        f"k={servers}, a={load}: rejected {rejected:.4f}, Erlang B {expected:.4f} "
-        f"(3 sigma = {3.0 * sigma:.4f})"
+    _check(servers, load, metrics)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("servers, load", [(4, 4.0), (8, 6.0)])
+def test_rejected_fraction_matches_erlang_b_at_a_large_offset(servers, load):
+    arrivals = 100_000
+    rps = load / HOLDING_S
+    source = PoissonSource(rps, arrivals / rps, seed=1001, start_s=2.0**20)
+    simulator = PlatformSimulator(
+        _platform(), _FUNCTION, seed=1, feedback=FeedbackChannel(),
+        fleet=Fleet(_fleet_config(servers)),
     )
+    metrics = simulator.run(source)
+    assert metrics.arrivals > 0.95 * arrivals
+    _check(servers, load, metrics)
 
 
 def test_erlang_b_recursion_against_the_closed_form():

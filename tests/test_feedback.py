@@ -12,8 +12,8 @@ invariants the rest of the repo relies on:
   readiness by the measured queue wait;
 - a static slowdown stretches every request's latency pointwise (hypothesis
   property over traffic shapes, slowdown factors and seeds);
-- the channel hands each admission decision over once and holds no
-  stale state: after a run, only the gates of still-queued sandboxes.
+- the fleet's queue holds the wake-up callbacks of exactly the sandboxes a
+  closed-loop simulator still gates, and none with feedback off.
 """
 
 import dataclasses
@@ -32,6 +32,7 @@ from repro.platform.config import FunctionConfig, PlatformConfig
 from repro.platform.invoker import PlatformSimulator
 from repro.platform.keepalive import KeepAlivePolicy, KeepAliveResourceBehavior
 from repro.platform.presets import get_platform_preset
+from repro.platform.sandbox import SandboxState
 from repro.platform.serving import ServingOverheadModel
 from repro.sched.cgroup import BandwidthConfig
 from repro.sched.engine import SchedulerConfig, SchedulerSim
@@ -41,15 +42,9 @@ from repro.sim.events import (
     SandboxAdmitted,
     SandboxColdStart,
     SandboxQueued,
-    SandboxRejected,
     SandboxTerminated,
 )
-from repro.sim.feedback import (
-    MIN_SERVICE_RATE,
-    AdmissionState,
-    FeedbackChannel,
-    PublishedRate,
-)
+from repro.sim.feedback import MIN_SERVICE_RATE, FeedbackChannel, PublishedRate
 from repro.workloads.functions import PYAES_FUNCTION
 
 
@@ -128,56 +123,6 @@ class TestFeedbackChannel:
         rate.publish(2.0, 0.0)  # a zero-delivery window must not stall consumers
         assert rate.service_rate() == pytest.approx(1e-3)
         assert [t for t, _ in rate.history] == [1.0, 2.0]
-
-    def test_admission_tracking(self):
-        """Each decision is handed over once; an ungated admission is a decision."""
-        bus = EventBus()
-        channel = FeedbackChannel().attach(bus)
-        assert channel.take_admission("fn-a/sandbox-0") is None
-        bus.publish(SandboxQueued(1.0, "fn-a/sandbox-0", queue_depth=1))
-        bus.publish(SandboxAdmitted(1.5, "fn-b/sandbox-0", host_name="h"))
-        bus.publish(SandboxRejected(2.0, "fn-c/sandbox-0", reason="queue_full"))
-        assert channel.take_admission("fn-a/sandbox-0") is AdmissionState.QUEUED
-        assert channel.take_admission("fn-b/sandbox-0") is AdmissionState.ADMITTED
-        assert channel.take_admission("fn-c/sandbox-0") is AdmissionState.REJECTED
-        assert channel.take_admission("fn-a/sandbox-0") is None
-        assert channel._admission == {}
-
-    def test_gate_fires_once_on_resolution(self):
-        bus = EventBus()
-        channel = FeedbackChannel().attach(bus)
-        bus.publish(SandboxQueued(0.0, "s0", queue_depth=1))
-        assert channel.take_admission("s0") is AdmissionState.QUEUED
-        seen = []
-        channel.gate_readiness("s0", seen.append)
-        bus.publish(SandboxAdmitted(2.0, "s0", host_name="h", queue_wait_s=2.0))
-        assert len(seen) == 1 and isinstance(seen[0], SandboxAdmitted)
-        # the admission that fired the gate is not stored as a decision
-        assert channel._admission == {} and channel._gates == {}
-        # a second resolution event does not re-fire the (consumed) gate
-        bus.publish(SandboxAdmitted(3.0, "s0", host_name="h"))
-        assert len(seen) == 1
-
-    def test_rejecting_a_gated_sandbox_is_an_error(self):
-        """A fleet rejects at admission time only; a late rejection must not pass silently."""
-        fleet_bus = EventBus()
-        channel = FeedbackChannel().attach(fleet_bus)
-        simulator = PlatformSimulator(
-            _deterministic_platform(), _function(), seed=0, feedback=channel
-        )
-        # A stand-in fleet: every cold start is queued immediately.
-        simulator.bus.subscribe(
-            SandboxColdStart,
-            lambda event: fleet_bus.publish(
-                SandboxQueued(event.time_s, event.sandbox_name, queue_depth=1)
-            ),
-        )
-        simulator.run([0.0], horizon_s=5.0)
-        assert simulator.pending_request_count == 1  # parked behind the gate
-        (name,) = simulator._sandboxes
-        assert set(channel._gates) == {name}
-        with pytest.raises(RuntimeError, match="rejected after it was queued"):
-            fleet_bus.publish(SandboxRejected(5.0, name, reason="queue_timeout"))
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +392,7 @@ class TestHorizonCensoredBackpressure:
 
 class TestChannelMemory:
     @staticmethod
-    def _short_keep_alive_cluster(rps, **kwargs):
+    def _short_keep_alive_cluster(rps, feedback="on", **kwargs):
         """One function whose sandboxes expire 0.5-1 s after going idle."""
         preset = get_platform_preset("aws_lambda_like")
         keep_alive = dataclasses.replace(
@@ -461,41 +406,68 @@ class TestChannelMemory:
                                 platform=dataclasses.replace(preset, keep_alive=keep_alive),
                                 rps=rps, duration_s=20.0, arrival_process="poisson")],
             seed=5,
-            feedback="on",
+            feedback=feedback,
             retain_outcomes=False,
             **kwargs,
         )
 
     def test_discarded_sandboxes_leave_no_admission_state(self):
-        """The channel holds no decision once each cold start took its own."""
+        """The fleet keeps no entry for a sandbox the simulator discarded."""
         simulator = self._short_keep_alive_cluster(10.0)
         discarded = []
         simulator.bus.subscribe(
             SandboxTerminated, lambda event: discarded.append(event.sandbox_name)
         )
-        simulator.run()
+        fleet = simulator.run().fleet
         assert len(discarded) > 10
-        channel = simulator.feedback
-        assert channel._admission == {} and channel._gates == {}
+        assert not set(discarded) & set(fleet.queue)
+        assert all(fleet.host_of(name) is None for name in discarded)
 
-    def test_closed_loop_run_leaves_only_queued_gates(self):
-        """Mid-run, the channel holds only the gates of the sandboxes still queued.
+    def _run_one_host_queue(self, feedback):
+        """Run to a mid-run horizon; returns the simulator and every queued entry's callback.
 
-        Short keep-alives release hosts so queued cold starts get admitted,
-        and the horizon cuts the run while sandboxes are alive and queued.
+        Short keep-alives release the one host so queued cold starts get
+        admitted, and the horizon cuts the run while sandboxes are alive and
+        queued.
         """
         simulator = self._short_keep_alive_cluster(
             5.0,
+            feedback=feedback,
             fleet_config=FleetConfig(
                 host_spec=HostSpec(vcpus=2.0, memory_gb=4.0), max_hosts=1, queue_depth=4,
                 sample_interval_s=None,
             ),
         )
-        fleet = simulator.run(horizon_s=20.0).fleet
-        assert fleet.admitted_from_queue > 0 and fleet.queue and fleet.num_placed > 0
-        channel = simulator.feedback
-        assert channel._admission == {}
-        assert set(channel._gates) == {entry.sandbox_name for entry in fleet.queue}
+        fleet = simulator.fleet
+        wakes = []
+        simulator.bus.subscribe(
+            SandboxQueued, lambda event: wakes.append(fleet.queue[event.sandbox_name].wake)
+        )
+        simulator.run(horizon_s=20.0)
+        assert fleet.admitted_from_queue > 0 and fleet.num_placed > 0 and wakes
+        return simulator, wakes
+
+    def test_closed_loop_run_leaves_only_queued_gates(self):
+        """Mid-run, the queue's callbacks are exactly the simulator's gated sandboxes.
+
+        A gated sandbox is one the fleet queued and has not yet admitted: the
+        simulator built it but cannot start its initialisation.  With
+        feedback off the simulator ignores the fleet's answer, so no entry
+        carries a callback.
+        """
+        simulator, wakes = self._run_one_host_queue("on")
+        fleet = simulator.fleet
+        (platform,) = simulator.simulators.values()
+        assert all(wake.__self__ is platform for wake in wakes)
+        gated = {
+            name for name, sandbox in platform._sandboxes.items()
+            if sandbox.state is SandboxState.INITIALIZING and fleet.host_of(name) is None
+        }
+        assert gated
+        assert {name for name, entry in fleet.queue.items() if entry.wake is not None} == gated
+
+        _, open_loop_wakes = self._run_one_host_queue("off")
+        assert all(wake is None for wake in open_loop_wakes)
 
 
 class TestInstanceBillingExcludesQueueWait:

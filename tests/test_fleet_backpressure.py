@@ -5,15 +5,7 @@ import pytest
 from repro.cluster.fleet import Fleet, FleetConfig, ZoneConfig
 from repro.cluster.host import Host, HostSpec
 from repro.cluster.placement import PlacementPolicy, SandboxRequirement, choose_host
-from repro.sim.events import (
-    EventBus,
-    SandboxAdmitted,
-    SandboxColdStart,
-    SandboxQueued,
-    SandboxRejected,
-    SandboxTerminated,
-    SimEvent,
-)
+from repro.sim.events import EventBus, SandboxAdmitted, SandboxQueued, SandboxRejected, SimEvent
 
 
 def _recording_bus():
@@ -77,7 +69,7 @@ class TestAdmissionQueue:
         admitted = [e for e in seen if isinstance(e, SandboxAdmitted) and e.queue_wait_s > 0]
         assert [e.sandbox_name for e in admitted] == ["q0", "q1"]
         assert [e.queue_wait_s for e in admitted] == [9.0, 8.0]
-        assert fleet.queue_depth == 1 and fleet.queue[0].sandbox_name == "q2"
+        assert fleet.queue_depth == 1 and list(fleet.queue) == ["q2"]
         assert fleet.admitted_from_queue == 2
         assert fleet.summary()["mean_queue_wait_s"] == pytest.approx(8.5)
 
@@ -98,7 +90,7 @@ class TestAdmissionQueue:
         # entry; the large one keeps waiting for the capacity small now holds.
         assert fleet.host_of("small") is not None
         assert fleet.host_of("large") is None
-        assert [entry.sandbox_name for entry in fleet.queue] == ["large"]
+        assert list(fleet.queue) == ["large"]
         assert fleet.admitted_from_queue == 1
         # Under FIFO the same sequence admits the older large entry instead.
         fifo = Fleet(
@@ -125,7 +117,7 @@ class TestAdmissionQueue:
         # entry behind it is admitted; the head stays queued, not dropped.
         assert fleet.host_of("large") is None
         assert fleet.host_of("small") is not None
-        assert [entry.sandbox_name for entry in fleet.queue] == ["large"]
+        assert list(fleet.queue) == ["large"]
 
     def test_sandbox_terminated_while_queued_is_removed(self):
         fleet = Fleet(
@@ -139,17 +131,21 @@ class TestAdmissionQueue:
         assert fleet.released == 0  # never held capacity
 
     def test_bus_driven_backpressure_loop(self):
-        """Cold start -> queued -> eviction -> admitted, all through bus events."""
+        """Cold start -> queued -> eviction -> admitted -> woken; the bus hears each outcome."""
         fleet = Fleet(
             FleetConfig(host_spec=HostSpec(vcpus=1, memory_gb=2), max_hosts=1, queue_depth=4)
         )
         bus, seen = _recording_bus()
         fleet.attach(bus)
-        bus.publish(SandboxColdStart(0.0, "sb-a", "f", alloc_vcpus=1.0, alloc_memory_gb=2.0))
-        bus.publish(SandboxColdStart(1.0, "sb-b", "f", alloc_vcpus=1.0, alloc_memory_gb=2.0))
-        assert fleet.num_placed == 1 and fleet.queue_depth == 1
-        bus.publish(SandboxTerminated(7.5, "sb-a"))
-        assert fleet.host_of("sb-b") is not None
+        woken = []
+        assert fleet.admit(0.0, "sb-a", 1.0, 2.0, woken.append) is not None
+        assert fleet.admit(1.0, "sb-b", 1.0, 2.0, woken.append) is None
+        assert fleet.num_placed == 1 and list(fleet.queue) == ["sb-b"]
+        assert woken == []  # a direct placement keeps no callback
+        fleet.release(7.5, "sb-a")
+        assert fleet.host_of("sb-b") is not None and fleet.queue_depth == 0
+        assert woken == ["sb-b"]
+        assert [type(e) for e in seen] == [SandboxAdmitted, SandboxQueued, SandboxAdmitted]
         waited = [e for e in seen if isinstance(e, SandboxAdmitted) and e.sandbox_name == "sb-b"]
         assert waited and waited[-1].queue_wait_s == pytest.approx(6.5)
 

@@ -64,7 +64,7 @@ def _fingerprint(result):
         {
             "summary": result.summary(),
             "timeline": result.fleet.timeline,
-            "queue": [entry.sandbox_name for entry in result.fleet.queue],
+            "queue": list(result.fleet.queue),
             "unplaceable": result.fleet.unplaceable,
         },
         sort_keys=True,

@@ -5,7 +5,7 @@ A cold start the fleet turns away at admission never becomes a
 shape cannot be placed answers without rescanning its hosts.  These tests
 pin both halves without timing anything:
 
-- a birth-rejected cold start leaves no platform or feedback state, spends
+- a birth-rejected cold start leaves no platform or fleet state, spends
   its name's number, is counted by the meter, and publishes the same
   lifecycle it always did;
 - the fleet's memo of unplaceable shapes never changes an admission
@@ -15,7 +15,9 @@ pin both halves without timing anything:
 - ``retain_outcomes=False`` keeps failure counts without keeping the
   failure records;
 - an untraced run builds no ``RequestFailed``/``RetryScheduled`` record,
-  since nothing subscribes to them, and a traced run still counts them all.
+  since nothing subscribes to them, and a traced run still counts them all;
+  nor, in the closed loop, any admission-outcome record: the simulator
+  reads the fleet's answer by direct call.
 """
 
 import collections
@@ -39,7 +41,9 @@ from repro.sim.events import (
     EventBus,
     RequestFailed,
     RetryScheduled,
+    SandboxAdmitted,
     SandboxColdStart,
+    SandboxQueued,
     SandboxRejected,
     SandboxTerminated,
 )
@@ -68,15 +72,14 @@ def _one_host_fleet(queue_depth=0):
 def _wired_simulator(retry):
     """One single-concurrency function on a one-host fleet, wired by hand.
 
-    The recorder subscribes to each lifecycle type on the shared bus before
-    the fleet does, so it sees them in publish order (the fleet's rejection
-    is published from inside the cold-start publish).
+    The recorder subscribes to each lifecycle type on the shared bus, so it
+    sees them in publish order (the simulator calls the fleet right after
+    the cold-start publish, and the fleet publishes its rejection there).
     """
     bus = EventBus()
     published = []
     for event_type in _LIFECYCLE:
         bus.subscribe(event_type, published.append)
-    channel = FeedbackChannel().attach(bus)
     fleet = Fleet(dataclasses.replace(_one_host_fleet(), sample_interval_s=None)).attach(bus)
     function = _pyaes()
     simulator = PlatformSimulator(
@@ -85,11 +88,12 @@ def _wired_simulator(retry):
         seed=3,
         bus=bus,
         name="fn-00",
-        feedback=channel,
+        feedback=FeedbackChannel(),
         retry=RetryLoop(RetryPolicy(), seed=4) if retry else None,
+        fleet=fleet,
     )
     meter = CostMeter("aws_lambda").attach(simulator.bus, _deployment(function).resources())
-    return simulator, channel, fleet, meter, published
+    return simulator, fleet, meter, published
 
 
 def _deployment(function, rps=40.0, duration_s=5.0):
@@ -108,7 +112,7 @@ def _sandbox_number(name):
 
 @pytest.mark.parametrize("retry", [False, True], ids=["retry_off", "retry_on"])
 def test_birth_rejected_cold_start_leaves_no_platform_state(retry):
-    simulator, channel, fleet, meter, published = _wired_simulator(retry)
+    simulator, fleet, meter, published = _wired_simulator(retry)
     leftovers = []
 
     def inspect(event):
@@ -120,8 +124,8 @@ def test_birth_rejected_cold_start_leaves_no_platform_state(retry):
             for where, present in (
                 ("_sandboxes", name in simulator._sandboxes),
                 ("_routable", any(key[1] == name for key in simulator._routable)),
-                ("feedback admission", name in channel._admission),
-                ("feedback gates", name in channel._gates),
+                ("fleet queue", name in fleet.queue),
+                ("fleet placement", fleet.host_of(name) is not None),
             )
             if present
         )
@@ -253,7 +257,7 @@ def test_fleet_memo_never_changes_a_decision(ops, queue_depth, discipline, polic
         names.append(name)
         vcpus, memory_gb = _SHAPES[arg % len(_SHAPES)]
         expected_host, expected_reason = _oracle_admit(fleet, name, vcpus, memory_gb)
-        queue_before = [entry.sandbox_name for entry in fleet.queue]
+        queue_before = list(fleet.queue)
         reasons_before = dict(fleet.reject_reasons)
 
         host = fleet.admit(time_s, name, vcpus, memory_gb)
@@ -266,7 +270,7 @@ def test_fleet_memo_never_changes_a_decision(ops, queue_depth, discipline, polic
         }
         assert new_reasons == ({expected_reason: 1} if expected_reason else {})
         queued = expected_host is None and expected_reason is None
-        assert [entry.sandbox_name for entry in fleet.queue] == (
+        assert list(fleet.queue) == (
             queue_before + [name] if queued else queue_before
         )
 
@@ -393,13 +397,43 @@ def test_untraced_rejections_publish_no_failure_records(monkeypatch):
     metrics = untraced.metrics["fn-00"]
     retried = metrics.failed_requests - metrics.gave_up_requests
     assert metrics.failed_requests > 100 and retried > 0
-    assert quiet[SandboxRejected] == len(untraced.fleet.unplaceable) > 100
+    assert len(untraced.fleet.unplaceable) > 100 and SandboxRejected not in quiet
     assert RequestFailed not in quiet and RetryScheduled not in quiet
 
     obs = Observability()
     traced, loud = run(obs)
     assert traced.summary() == untraced.summary()
+    assert loud[SandboxRejected] == len(traced.fleet.unplaceable)
     assert loud[RequestFailed] == metrics.failed_requests
     assert loud[RetryScheduled] == retried
     assert obs.registry.counter("failures").read() == metrics.failed_requests
     assert obs.registry.counter("retries_scheduled").read() == retried
+
+
+def test_closed_loop_builds_no_admission_record_nobody_hears(monkeypatch):
+    """The simulator reads the fleet's answer itself, so no record carries it.
+
+    A closed-loop run that places, queues and rejects sandboxes, with no
+    observer and no meter, publishes no ``SandboxQueued``,
+    ``SandboxRejected`` or ``SandboxAdmitted`` record.
+    """
+    published = collections.Counter()
+    real_publish = EventBus.publish
+
+    def recording_publish(self, event):
+        published[type(event)] += 1
+        real_publish(self, event)
+
+    monkeypatch.setattr(EventBus, "publish", recording_publish)
+    result = ClusterSimulator(
+        [_deployment(_pyaes(), rps=50.0, duration_s=20.0)],
+        fleet_config=_one_host_fleet(queue_depth=2),
+        seed=11,
+        feedback="on",
+        retry=RetryPolicy(),
+    ).run()
+    fleet = result.fleet
+    assert fleet.admitted > 0 and fleet.queued_total > 0
+    assert len(fleet.unplaceable) > 100
+    assert result.metrics["fn-00"].failed_requests > 100
+    assert not {SandboxQueued, SandboxRejected, SandboxAdmitted} & set(published)

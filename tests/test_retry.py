@@ -12,8 +12,8 @@ and the invariants the rest of the repo relies on:
   latency pointwise (retry load can slow or starve organic traffic, never
   speed it up);
 - retries re-enter the admission path: amplified load shows up in fleet
-  cold-start/queue counters, the feedback channel's admission-queue depth,
-  and the cost meter's per-attempt invoice.
+  cold-start/queue counters, the fleet's admission-queue depth, and the cost
+  meter's per-attempt invoice.
 """
 
 import dataclasses
@@ -33,13 +33,7 @@ from repro.platform.invoker import PlatformSimulator
 from repro.platform.keepalive import KeepAlivePolicy, KeepAliveResourceBehavior
 from repro.platform.presets import get_platform_preset
 from repro.platform.serving import ServingOverheadModel
-from repro.sim.events import (
-    EventBus,
-    RequestFailed,
-    RetryScheduled,
-    SandboxColdStart,
-    SandboxRejected,
-)
+from repro.sim.events import RequestFailed, RetryScheduled
 from repro.sim.feedback import FeedbackChannel
 from repro.sim.params import from_mapping
 from repro.sim.retry import RetryLoop, RetryParams, RetryPolicy
@@ -129,6 +123,28 @@ def _deterministic_platform():
     )
 
 
+class _RejectingFleet:
+    """A stand-in fleet that rejects the first ``rejections`` cold starts.
+
+    ``rejections=None`` rejects every one; later ones are placed.  It never
+    queues, so a rejected sandbox is never ``in`` its queue.
+    """
+
+    def __init__(self, rejections):
+        self.rejections = rejections
+        self.rejected = []
+        self.queue = {}
+
+    def admit(self, time_s, sandbox_name, vcpus, memory_gb, wake=None):
+        if self.rejections is None or len(self.rejected) < self.rejections:
+            self.rejected.append(sandbox_name)
+            return None
+        return "host"
+
+    def release(self, time_s, sandbox_name):
+        pass
+
+
 def _rejecting_simulator(policy, rejections=None):
     """A standalone platform whose cold starts are synchronously rejected.
 
@@ -136,26 +152,15 @@ def _rejecting_simulator(policy, rejections=None):
     that many, after which sandboxes become ready normally.  ``retry=`` is
     the only retry wiring.
     """
-    fleet_bus = EventBus()
-    channel = FeedbackChannel().attach(fleet_bus)
     loop = RetryLoop(policy, seed=3)
     function = FunctionConfig(
         name="fn", alloc_vcpus=1.0, alloc_memory_gb=1.0,
         cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5,
     )
     simulator = PlatformSimulator(
-        _deterministic_platform(), function, seed=0, feedback=channel, retry=loop
+        _deterministic_platform(), function, seed=0, feedback=FeedbackChannel(), retry=loop,
+        fleet=_RejectingFleet(rejections),
     )
-    rejected = []
-
-    def reject(event):
-        if rejections is None or len(rejected) < rejections:
-            rejected.append(event.sandbox_name)
-            fleet_bus.publish(
-                SandboxRejected(event.time_s, event.sandbox_name, reason="no_capacity")
-            )
-
-    simulator.bus.subscribe(SandboxColdStart, reject)
     return simulator, loop
 
 
