@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Type
 
 from repro.billing.catalog import PlatformName
-from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
+from repro.cluster.cosim import FEEDBACK_MODES, ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import FleetConfig
 from repro.obs import ObsParams, write_obs_artifacts
 from repro.platform.presets import PLATFORM_PRESETS, get_platform_preset
 from repro.sim.arrivals import ARRIVAL_PROCESSES
-from repro.sim.feedback import FEEDBACK_MODES
 from repro.sim.params import from_mapping
 from repro.sim.results import ResultStore
 from repro.sim.retry import RetryParams

@@ -43,13 +43,16 @@ from repro.platform.metrics import SimulationMetrics
 from repro.sched.engine import SchedulerSim, SimulationResult
 from repro.sim.arrivals import ARRIVAL_PROCESSES, ArrivalSource, ConstantRateSource, PoissonSource
 from repro.sim.events import EventBus
-from repro.sim.feedback import FEEDBACK_MODES, FeedbackChannel
+from repro.sim.feedback import PublishedRate
 from repro.sim.kernel import HORIZON_SLACK_S, SimulationKernel
 from repro.sim.retry import RetryLoop, RetryPolicy
 from repro.sim.rng import derive_seed
 from repro.tenancy import AdmissionController, TenancyReport, TenantConfig, TenantReport
 
-__all__ = ["FunctionDeployment", "ClusterResult", "ClusterSimulator"]
+__all__ = ["FEEDBACK_MODES", "FunctionDeployment", "ClusterResult", "ClusterSimulator"]
+
+#: The values of :class:`ClusterSimulator`'s ``feedback`` switch.
+FEEDBACK_MODES = ("off", "on")
 
 
 @dataclass(frozen=True)
@@ -191,14 +194,17 @@ class ClusterSimulator:
 
     ``feedback`` closes the *state* loop between those layers (the default
     ``"off"`` byte-reproduces the share-a-clock-only behaviour of every
-    existing entry point).  With ``feedback="on"`` every simulator shares one
-    :class:`~repro.sim.feedback.FeedbackChannel`: the scheduler's throttling
-    stretches request busy times (and therefore the durations the cost meter
-    bills), and each simulator acts on the fleet's admission answers -- a
-    queued cold start defers its sandbox's readiness by the measured
-    admission-queue wait, and a rejected cold start fails its pending
-    request -- all visible in the ``failed_requests`` / ``latency_inflation``
-    summary columns.
+    existing entry point).  ``feedback="on"`` is three wirings: one
+    :class:`~repro.sim.feedback.PublishedRate` handed to the scheduler
+    (``attach(kernel, rate=)``) and to every simulator (``rate=``), so the
+    scheduler's throttling stretches request busy times (and therefore the
+    durations the cost meter bills) and each simulator acts on the fleet's
+    admission answers -- a queued cold start defers its sandbox's readiness
+    by the measured admission-queue wait, and a rejected cold start fails
+    its pending request; and the meter's ``attach_admissions``, so
+    instance-billed lifespans start at admission.  All of it is visible in
+    the ``failed_requests`` / ``latency_inflation`` summary columns.  With
+    ``"off"`` none of the three is made.
 
     ``retry`` (a :class:`~repro.sim.retry.RetryPolicy`) models clients that
     retry failed requests: every simulator asks one shared
@@ -264,8 +270,9 @@ class ClusterSimulator:
         self.obs = obs
         if obs is not None:
             obs.attach(self.kernel, self.bus)
-        #: The execution-feedback channel (None with feedback="off").
-        self.feedback: Optional[FeedbackChannel] = FeedbackChannel() if feedback == "on" else None
+        #: The scheduler's published service rate every simulator reads
+        #: (None with feedback="off").
+        self.rate: Optional[PublishedRate] = PublishedRate() if feedback == "on" else None
         #: The client retry loop (None without a retry policy).  Its backoff
         #: stream seed derives from the run seed, so retry timing replays
         #: byte-identically from the same seed.
@@ -283,14 +290,14 @@ class ClusterSimulator:
         if self.meter is not None:
             # The fleet samples the live invoice next to its own host spend.
             self.fleet.attach_meter(self.meter)
-            if self.feedback is not None:
+            if self.rate is not None:
                 # Closed loop: a queued sandbox is not on a host until the
                 # fleet admits it, so instance-billed lifespans start at
                 # admission rather than at the cold-start request.
                 self.meter.attach_admissions(self.bus)
         self.scheduler = scheduler
         if scheduler is not None:
-            scheduler.attach(self.kernel, feedback=self.feedback)
+            scheduler.attach(self.kernel, rate=self.rate)
         #: The multi-tenant admission controller (None without tenants).
         self.admission: Optional[AdmissionController] = None
         self._tenant_of: Dict[str, str] = {}
@@ -308,7 +315,7 @@ class ClusterSimulator:
                 bus=self.bus,
                 kernel=self.kernel,
                 name=name,
-                feedback=self.feedback,
+                rate=self.rate,
                 retry=self.retry,
                 # Request-level span markers are only worth publishing when a
                 # collector is listening on the shared bus.

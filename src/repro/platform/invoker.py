@@ -55,7 +55,7 @@ from repro.sim.events import (
     SandboxIdle,
     SandboxTerminated,
 )
-from repro.sim.feedback import FeedbackChannel
+from repro.sim.feedback import PublishedRate
 from repro.sim.kernel import HORIZON_SLACK_S, Event, SimulationKernel
 from repro.sim.retry import RetryLoop
 from repro.tenancy.admission import AdmissionDecision
@@ -90,18 +90,19 @@ class PlatformSimulator:
     each cold-start publish and :meth:`~repro.cluster.fleet.Fleet.release`
     right after each termination publish.  ``fleet=`` is the whole wiring.
 
-    Pass a :class:`~repro.sim.feedback.FeedbackChannel` to close the state
-    loop with the other layers: the simulator then (a) stretches busy times by
-    the channel's service rate (re-read at every admit/completion
+    Pass a :class:`~repro.sim.feedback.PublishedRate` as ``rate=`` to close
+    the state loop with the other layers: the simulator then (a) stretches
+    busy times by the rate's served value (re-read at every admit/completion
     event, so the CPU-bandwidth scheduler's throttling factor reaches request
     latency), and (b) acts on the fleet's answer to each cold start -- a
     queued cold start hands the fleet a wake-up callback and defers
     ``sandbox_ready`` by its measured queue wait, and a rejected one is never
     built and fails its request with a typed
-    :class:`~repro.platform.metrics.FailedRequest`.  Without a channel (the
-    default) the fleet is still told about every cold start and termination,
-    the answer is ignored, and behaviour is byte-identical to the
-    pre-feedback simulator.
+    :class:`~repro.platform.metrics.FailedRequest`.  ``rate=`` is the whole
+    wiring.  Without one (the default) the simulator holds a private rate
+    nobody publishes into (exactly ``1.0``), the fleet is still told about
+    every cold start and termination, the answer is ignored, and behaviour is
+    byte-identical to the pre-feedback simulator.
 
     Pass a :class:`~repro.sim.retry.RetryLoop` to model clients that retry:
     the simulator asks the loop once per failed attempt
@@ -134,7 +135,7 @@ class PlatformSimulator:
         bus: Optional[EventBus] = None,
         kernel: Optional[SimulationKernel] = None,
         name: str = "",
-        feedback: Optional[FeedbackChannel] = None,
+        rate: Optional[PublishedRate] = None,
         retry: Optional[RetryLoop] = None,
         emit_spans: bool = False,
         retain_outcomes: bool = True,
@@ -180,11 +181,11 @@ class PlatformSimulator:
         self._cpu_time_s = function.cpu_time_s
         self._io_time_s = function.io_time_s
         self._service_time_s = function.service_time_s
-        # Feedback off is an empty channel (rate 1.0), and the fleet's
-        # admission answer is ignored: no wake-up callback to hand it.
-        self._feedback = feedback if feedback is not None else FeedbackChannel()
+        # Open loop: a never-published rate (1.0), and the fleet's admission
+        # answer is ignored -- no wake-up callback to hand it.
+        self._rate = rate if rate is not None else PublishedRate()
         self._fleet = fleet
-        self._wake = self._on_admission_resolved if feedback is not None else None
+        self._wake = self._on_admission_resolved if rate is not None else None
         self._retry = retry
         self._tenant = tenant
         self._admission = admission
@@ -411,7 +412,7 @@ class PlatformSimulator:
         """Cold-start a sandbox for ``attempt`` (``None``: for the autoscaler).
 
         The fleet decides admission synchronously right after the
-        cold-start publish.  With feedback on, a rejected cold start is never
+        cold-start publish.  In the closed loop, a rejected cold start is never
         built, and the attempt it was made for fails instead of waiting for
         readiness; a queued one waits for the fleet's wake-up call.
         """
@@ -450,7 +451,7 @@ class PlatformSimulator:
             runtime_workers=self.platform.concurrency.effective_workers,
         )
         if not queued:
-            # Placed, or feedback off / no fleet: initialisation starts now.
+            # Placed, or open loop / no fleet: initialisation starts now.
             # A queued sandbox cannot initialise until it lands on a host, so
             # the fleet's wake-up call schedules its readiness instead and
             # the measured queue wait shifts `sandbox_ready` one-for-one.
@@ -579,16 +580,16 @@ class PlatformSimulator:
         self._schedule_completion_check(sandbox, now)
 
     def _refresh_rate_factor(self, sandbox: Sandbox) -> None:
-        """Re-read the feedback channel's slowdown at event-schedule time.
+        """Re-read the published slowdown at event-schedule time.
 
         Called *after* the sandbox advanced its requests to ``now`` (so the
         interval just closed used the factor it was scheduled under) and
         *before* the next completion check is scheduled (so the projection and
-        the eventual :meth:`Sandbox.advance` agree on the new rate).  With
-        feedback off the channel's rate slot is empty and the factor stays at
-        exactly ``1.0`` -- the float-identical pre-feedback behaviour.
+        the eventual :meth:`Sandbox.advance` agree on the new rate).  In the
+        open loop nobody publishes and the factor stays at exactly ``1.0`` --
+        the float-identical pre-feedback behaviour.
         """
-        sandbox.rate_factor = self._feedback.service_rate()
+        sandbox.rate_factor = self._rate.served
 
     # ------------------------------------------------------------------
     # Completion handling

@@ -78,7 +78,7 @@ class Sandbox:
 
     state: SandboxState = field(default=SandboxState.INITIALIZING, init=False)
     #: Execution-rate factor in (0, 1] applied on top of the contention model.
-    #: The platform simulator re-reads it from the feedback channel at every
+    #: The platform simulator re-reads it from its published rate at every
     #: admit/completion event; between events it is piecewise-constant, so
     #: scheduled completion projections stay consistent with :meth:`advance`.
     #: ``1.0`` (the default, and the only value with feedback off) leaves

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.sched.cgroup import EXHAUSTED_RUNTIME_S, BandwidthConfig, BandwidthController, CpuLocalPool
 from repro.sched.policies import PolicyParameters, max_burst_s, pick_key
 from repro.sched.task import PhaseKind, SimTask, TaskState
-from repro.sim.feedback import FeedbackChannel, PublishedRate
+from repro.sim.feedback import PublishedRate
 from repro.sim.kernel import SimulationKernel
 
 __all__ = ["QuotaEnforcement", "SchedulerConfig", "SchedulerSim", "SimulationResult", "TaskResult"]
@@ -205,7 +205,7 @@ class SchedulerSim:
         # Tasks currently waiting because their CPU is throttled, with the time
         # they stopped running (for throttle segment bookkeeping).
         self._throttle_wait_since: Dict[str, float] = {}
-        # Execution-feedback publication (attach(..., feedback=...)): the
+        # Execution-feedback publication (attach(..., rate=...)): the
         # engine accumulates delivered vs demanded CPU time per bandwidth
         # period and publishes the ratio as a piecewise-constant service-rate
         # factor the platform layer stretches busy times by.
@@ -238,7 +238,7 @@ class SchedulerSim:
     def attach(
         self,
         kernel: SimulationKernel,
-        feedback: Optional[FeedbackChannel] = None,
+        rate: Optional[PublishedRate] = None,
     ) -> "SchedulerSim":
         """Register this engine as a process on a *shared* kernel.
 
@@ -252,23 +252,24 @@ class SchedulerSim:
         alive.  After the kernel run, call :meth:`finalize` to close open run
         segments and collect results.
 
-        With a ``feedback`` channel, the engine closes the state loop the
+        With a ``rate`` (a :class:`~repro.sim.feedback.PublishedRate` the
+        platform simulators hold too), the engine closes the state loop the
         shared clock alone cannot: at every bandwidth-period boundary it
         publishes the period's *effective-bandwidth factor* -- CPU time
         actually delivered over CPU time the runnable tasks demanded (time
-        running plus time parked throttled) -- into the channel's rate slot.
-        The platform layer reads the factor at event-schedule time and
-        stretches request busy times by it, so cgroup throttling becomes
-        visible in end-to-end latency and in the (stretched) durations the
-        cost meter bills.  Once the engine goes quiet (horizon passed or all
-        tasks done) it publishes ``1.0`` so it stops slowing anyone down.
+        running plus time parked throttled) -- into it.  Without one it
+        publishes nothing.  The platform layer reads the factor at
+        event-schedule time and stretches request busy times by it, so cgroup
+        throttling becomes visible in end-to-end latency and in the
+        (stretched) durations the cost meter bills.  Once the engine goes
+        quiet (horizon passed or all tasks done) it publishes ``1.0`` so it
+        stops slowing anyone down.
         """
         if self._attached or self._kernel is not None:
             raise RuntimeError("engine already attached to a kernel (or already run)")
         self._attached = True
         self._kernel = kernel
-        if feedback is not None:
-            self._fb_rate = feedback.set_rate(PublishedRate())
+        self._fb_rate = rate
         kernel.add_process(self)
         return self
 
@@ -278,7 +279,7 @@ class SchedulerSim:
         ``sched_throttled_tasks`` is the set currently parked by bandwidth
         control, ``sched_runnable_tasks`` the run-queue population, and
         ``sched_service_rate`` the most recently published feedback factor
-        (1.0 without a feedback channel) -- the telemetry sampler turns these
+        (1.0 without a rate to publish into) -- the telemetry sampler turns these
         into the throttle-pressure series the summary scalars hide.
         """
         registry.gauge(
@@ -291,7 +292,7 @@ class SchedulerSim:
         registry.gauge(
             "sched_service_rate",
             fn=lambda: (
-                self._fb_rate.service_rate() if self._fb_rate is not None else 1.0
+                self._fb_rate.rate if self._fb_rate is not None else 1.0
             ),
         )
         return self

@@ -15,13 +15,13 @@ scheduler (`repro.sched.engine`) into one reusable layer:
 - :mod:`repro.sim.rng` -- named, seed-derived random streams
   (``numpy.random.Generator`` per stream) so adding a subscriber or reordering
   consumers never perturbs another component's randomness.
-- :mod:`repro.sim.feedback` -- the execution-feedback layer: a
-  :class:`~repro.sim.feedback.FeedbackChannel` the scheduler publishes its
-  slowdown (a :class:`~repro.sim.feedback.PublishedRate`) into, so
-  co-simulated layers share *state* (scheduler throttling stretches request
-  service times) and not just a clock; a simulator holding a channel also
-  acts on the fleet's admission answers (queueing delays serving, rejection
-  fails it).  Resolved deterministically at event-schedule time.
+- :mod:`repro.sim.feedback` -- the execution-feedback coupling: a
+  :class:`~repro.sim.feedback.PublishedRate` the scheduler publishes its
+  slowdown into and every closed-loop simulator holds, so co-simulated
+  layers share *state* (scheduler throttling stretches request service
+  times) and not just a clock; a simulator given a rate also acts on the
+  fleet's admission answers (queueing delays serving, rejection fails it).
+  Resolved deterministically at event-schedule time.
 - :mod:`repro.sim.retry` -- the client retry loop: a
   :class:`~repro.sim.retry.RetryPolicy` (bounded attempts, exponential
   seed-derived backoff, optional per-function budget) executed by a
@@ -66,7 +66,7 @@ from repro.sim.events import (
     SandboxTerminated,
     SimEvent,
 )
-from repro.sim.feedback import FeedbackChannel, PublishedRate
+from repro.sim.feedback import PublishedRate
 from repro.sim.kernel import Event, PeriodicProcess, SimulationKernel, SimProcess
 from repro.sim.results import ResultStore
 from repro.sim.retry import RetryLoop, RetryPolicy
@@ -75,7 +75,6 @@ from repro.sim.rng import RngStreams, derive_seed, named_generator
 __all__ = [
     "Event",
     "EventBus",
-    "FeedbackChannel",
     "MultiprocessingBackend",
     "PeriodicProcess",
     "PointOutcome",

@@ -30,7 +30,7 @@ from repro.platform.config import FunctionConfig
 from repro.platform.invoker import PlatformSimulator
 from repro.platform.presets import get_platform_preset
 from repro.sim.arrivals import PoissonSource
-from repro.sim.feedback import FeedbackChannel
+from repro.sim.feedback import PublishedRate
 
 HOLDING_S = 1.0
 ARRIVALS = 20_000
@@ -112,7 +112,7 @@ def test_rejected_fraction_matches_erlang_b_at_a_large_offset(servers, load):
     rps = load / HOLDING_S
     source = PoissonSource(rps, arrivals / rps, seed=1001, start_s=2.0**20)
     simulator = PlatformSimulator(
-        _platform(), _FUNCTION, seed=1, feedback=FeedbackChannel(),
+        _platform(), _FUNCTION, seed=1, rate=PublishedRate(),
         fleet=Fleet(_fleet_config(servers)),
     )
     metrics = simulator.run(source)

@@ -13,7 +13,9 @@ invariants the rest of the repo relies on:
 - a static slowdown stretches every request's latency pointwise (hypothesis
   property over traffic shapes, slowdown factors and seeds);
 - the fleet's queue holds the wake-up callbacks of exactly the sandboxes a
-  closed-loop simulator still gates, and none with feedback off.
+  closed-loop simulator still gates, and none with feedback off;
+- ``feedback="on"`` hands one :class:`PublishedRate` to the scheduler and
+  every simulator, and ``"off"`` builds none, so nothing is published.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from repro.cluster.cosim import ClusterSimulator, FunctionDeployment
 from repro.cluster.fleet import FleetConfig
 from repro.cluster.host import HostSpec
 from repro.cluster.placement import PlacementPolicy
+from repro.obs import Observability
 from repro.platform.concurrency import ConcurrencyModel
 from repro.platform.config import FunctionConfig, PlatformConfig
 from repro.platform.invoker import PlatformSimulator
@@ -39,12 +42,13 @@ from repro.sched.engine import SchedulerConfig, SchedulerSim
 from repro.sched.task import SimTask, TaskPhase
 from repro.sim.events import (
     EventBus,
+    RequestExecuting,
     SandboxAdmitted,
     SandboxColdStart,
     SandboxQueued,
     SandboxTerminated,
 )
-from repro.sim.feedback import MIN_SERVICE_RATE, FeedbackChannel, PublishedRate
+from repro.sim.feedback import MIN_SERVICE_RATE, PublishedRate
 from repro.workloads.functions import PYAES_FUNCTION
 
 
@@ -78,13 +82,11 @@ def _deterministic_platform(keep_alive_s=1e6):
     )
 
 
-def _fixed_rate_channel(rate):
-    """A channel whose rate slot holds a constant slowdown (one publish)."""
+def _fixed_rate(rate):
+    """A rate holding a constant slowdown (one publish)."""
     published = PublishedRate()
     published.publish(0.0, rate)
-    channel = FeedbackChannel()
-    channel.set_rate(published)
-    return channel
+    return published
 
 
 def _function(cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5):
@@ -99,30 +101,58 @@ def _function(cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5):
 
 
 # ----------------------------------------------------------------------
-# FeedbackChannel unit behaviour
+# PublishedRate unit behaviour
 # ----------------------------------------------------------------------
 
 
-class TestFeedbackChannel:
-    def test_no_modifiers_is_exactly_full_speed(self):
-        assert FeedbackChannel().service_rate() == 1.0
+class TestPublishedRate:
+    def test_unpublished_rate_is_exactly_full_speed(self):
+        assert PublishedRate().served == 1.0
 
-    def test_rate_slot_is_replaced_and_clamped(self):
-        channel = _fixed_rate_channel(0.5)
-        assert channel.service_rate() == 0.5
-        floored = PublishedRate()
-        floored.publish(0.0, 0.0)  # PublishedRate floors at 1e-3 ...
-        assert channel.set_rate(floored) is floored  # ... the slot is replaced ...
-        assert channel.service_rate() == MIN_SERVICE_RATE  # ... and the channel at 0.01
+    def test_served_rate_is_clamped(self):
+        assert _fixed_rate(0.5).served == 0.5
+        floored = _fixed_rate(0.0)  # PublishedRate floors at 1e-3 ...
+        assert floored.served == MIN_SERVICE_RATE  # ... and serves at 0.01
 
     def test_published_rate_is_piecewise_and_floored(self):
         rate = PublishedRate()
-        assert rate.service_rate() == 1.0
+        assert rate.rate == 1.0
         rate.publish(1.0, 0.25)
-        assert rate.service_rate() == 0.25
+        assert rate.rate == 0.25
         rate.publish(2.0, 0.0)  # a zero-delivery window must not stall consumers
-        assert rate.service_rate() == pytest.approx(1e-3)
+        assert rate.rate == pytest.approx(1e-3)
         assert [t for t, _ in rate.history] == [1.0, 2.0]
+
+
+#: Published rates spanning both clamps: below the publish floor (1e-3),
+#: between it and the served floor (0.01), inside (0, 1] and above it.
+RATE_TABLE = (-1.0, 0.0, 1e-4, 1e-3, 0.005, 0.01, 0.3, 1.0, 2.0)
+
+
+def _applied_rate(rate):
+    """The rate factor a simulator holding ``rate`` runs its one request at."""
+    simulator = PlatformSimulator(
+        _deterministic_platform(), _function(), seed=1, rate=rate, emit_spans=True
+    )
+    applied = []
+    simulator.bus.subscribe(RequestExecuting, lambda event: applied.append(event.rate_factor))
+    simulator.run([0.0], horizon_s=1.0)
+    (factor,) = applied
+    return factor
+
+
+class TestServedRateTable:
+    @pytest.mark.parametrize("published", RATE_TABLE)
+    def test_applied_rate_is_published_rate_clamped_to_the_served_range(self, published):
+        applied = _applied_rate(_fixed_rate(published))
+        assert applied.hex() == min(max(published, 0.01), 1.0).hex()
+
+    @pytest.mark.parametrize("published", RATE_TABLE)
+    def test_history_records_the_publish_floor(self, published):
+        rate = PublishedRate()
+        rate.publish(0.0, published)
+        ((time, recorded),) = rate.history
+        assert (time, recorded.hex()) == (0.0, min(max(published, 1e-3), 1.0).hex())
 
 
 # ----------------------------------------------------------------------
@@ -135,14 +165,14 @@ class TestServiceTimeStretching:
         function = _function(cpu_time_s=0.4, io_time_s=0.1)
         arrivals = [0.0, 10.0, 20.0]
 
-        def run(channel):
+        def run(rate):
             simulator = PlatformSimulator(
-                _deterministic_platform(), function, seed=1, feedback=channel
+                _deterministic_platform(), function, seed=1, rate=rate
             )
             return simulator.run(arrivals, horizon_s=100.0)
 
         raw = run(None)
-        slow = run(_fixed_rate_channel(0.5))
+        slow = run(_fixed_rate(0.5))
         assert raw.num_requests == slow.num_requests == 3
         overhead = 1e-3  # jitter-free serving overhead at 1 vCPU
         for fast, stretched in zip(raw.requests, slow.requests):
@@ -174,15 +204,15 @@ class TestServiceTimeStretching:
         function = _function(cpu_time_s=cpu_time_s, io_time_s=0.02)
         arrivals = constant_rate_arrivals(rps, 6.0)
 
-        def run(channel):
+        def run(rate):
             simulator = PlatformSimulator(
-                _deterministic_platform(), function, seed=seed, feedback=channel
+                _deterministic_platform(), function, seed=seed, rate=rate
             )
             metrics = simulator.run(arrivals, horizon_s=500.0)
             return {r.request_id: r.end_to_end_latency_s for r in metrics.requests}
 
         raw = run(None)
-        stretched = run(_fixed_rate_channel(rate))
+        stretched = run(_fixed_rate(rate))
         assert set(raw) == set(stretched)
         for request_id, raw_latency in raw.items():
             assert stretched[request_id] >= raw_latency - 1e-9
@@ -195,7 +225,7 @@ class TestServiceTimeStretching:
 
 def _cluster(seed, feedback, *, policy=PlacementPolicy.BEST_FIT, max_hosts=100_000,
              queue_depth=0, host_vcpus=64.0, preset="gcp_run_like", rps=3.0,
-             with_scheduler=False, quota_s=None):
+             with_scheduler=False, quota_s=None, obs=None):
     preset_config = get_platform_preset(preset)
     deployments = []
     for index in range(2):
@@ -228,6 +258,7 @@ def _cluster(seed, feedback, *, policy=PlacementPolicy.BEST_FIT, max_hosts=100_0
         scheduler=scheduler,
         seed=seed,
         feedback=feedback,
+        obs=obs,
     )
 
 
@@ -326,6 +357,42 @@ class TestSchedulerThrottleCoupling:
             assert task.throttle_segments == other.throttle_segments
 
 
+class TestFeedbackWiring:
+    def test_feedback_off_builds_no_rate_and_publishes_nothing(self):
+        """A throttled scheduler with feedback off slows no sandbox down."""
+        obs = Observability(telemetry_interval_s=0.5)
+        simulator = _cluster(3, "off", with_scheduler=True, quota_s=0.03, obs=obs)
+        applied = []
+        simulator.bus.subscribe(RequestExecuting, lambda event: applied.append(event.rate_factor))
+        result = simulator.run()
+        assert simulator.rate is None
+        assert result.scheduler.single.throttle_segments  # there was throttling to publish
+        assert simulator.scheduler._fb_rate is None
+        assert applied and all(rate == 1.0 for rate in applied)
+        _, served = obs.telemetry.series("sched_service_rate")
+        assert served and all(rate == 1.0 for rate in served)
+        for platform in simulator.simulators.values():
+            assert platform._rate.history == []
+            assert all(sandbox.rate_factor == 1.0 for sandbox in platform._sandboxes.values())
+        assert not simulator.meter._admission_gated
+
+    def test_feedback_on_shares_one_rate(self):
+        simulator = _cluster(3, "on", with_scheduler=True, quota_s=0.03)
+        rate = simulator.rate
+        assert isinstance(rate, PublishedRate)
+        assert simulator.scheduler._fb_rate is rate
+        assert all(platform._rate is rate for platform in simulator.simulators.values())
+        assert simulator.meter._admission_gated
+        simulator.run()
+        assert min(published for _, published in rate.history) < 1.0
+
+    def test_feedback_on_without_a_scheduler_never_publishes(self):
+        simulator = _cluster(3, "on")
+        simulator.run()
+        assert simulator.rate.history == []
+        assert simulator.rate.served == 1.0
+
+
 class TestQueuedReadinessDeferral:
     def test_queue_wait_shifts_sandbox_readiness_one_for_one(self):
         """A queued cold start's requests wait queue time + init, not just init."""
@@ -390,7 +457,7 @@ class TestHorizonCensoredBackpressure:
         assert summary["pending_requests"] == summary["queued"] - summary["admitted_from_queue"]
 
 
-class TestChannelMemory:
+class TestFleetAdmissionMemory:
     @staticmethod
     def _short_keep_alive_cluster(rps, feedback="on", **kwargs):
         """One function whose sandboxes expire 0.5-1 s after going idle."""

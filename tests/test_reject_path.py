@@ -47,7 +47,7 @@ from repro.sim.events import (
     SandboxRejected,
     SandboxTerminated,
 )
-from repro.sim.feedback import FeedbackChannel
+from repro.sim.feedback import PublishedRate
 from repro.sim.retry import RetryLoop, RetryPolicy
 from repro.workloads.functions import PYAES_FUNCTION
 
@@ -88,7 +88,7 @@ def _wired_simulator(retry):
         seed=3,
         bus=bus,
         name="fn-00",
-        feedback=FeedbackChannel(),
+        rate=PublishedRate(),
         retry=RetryLoop(RetryPolicy(), seed=4) if retry else None,
         fleet=fleet,
     )

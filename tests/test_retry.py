@@ -34,7 +34,7 @@ from repro.platform.keepalive import KeepAlivePolicy, KeepAliveResourceBehavior
 from repro.platform.presets import get_platform_preset
 from repro.platform.serving import ServingOverheadModel
 from repro.sim.events import RequestFailed, RetryScheduled
-from repro.sim.feedback import FeedbackChannel
+from repro.sim.feedback import PublishedRate
 from repro.sim.params import from_mapping
 from repro.sim.retry import RetryLoop, RetryParams, RetryPolicy
 from repro.workloads.functions import PYAES_FUNCTION
@@ -158,7 +158,7 @@ def _rejecting_simulator(policy, rejections=None):
         cpu_time_s=0.2, io_time_s=0.05, init_duration_s=0.5,
     )
     simulator = PlatformSimulator(
-        _deterministic_platform(), function, seed=0, feedback=FeedbackChannel(), retry=loop,
+        _deterministic_platform(), function, seed=0, rate=PublishedRate(), retry=loop,
         fleet=_RejectingFleet(rejections),
     )
     return simulator, loop
@@ -469,7 +469,7 @@ class TestClusterRetryProperties:
         off_cold_starts = off.fleet.admitted + off.fleet.queued_total + len(off.fleet.unplaceable)
         on_cold_starts = on.fleet.admitted + on.fleet.queued_total + len(on.fleet.unplaceable)
         assert on_cold_starts > off_cold_starts
-        # the feedback channel observed retry-provoked admissions too: the
+        # the fleet observed retry-provoked admissions too: the
         # queue-aware autoscaler and COST_FIT read amplified depth, not zero
         assert on.summary()["queued"] >= off.summary()["queued"]
         assert on.summary()["retried_requests"] > 0

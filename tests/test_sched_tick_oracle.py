@@ -29,7 +29,7 @@ from repro.sched.cgroup import EXHAUSTED_RUNTIME_S, BandwidthConfig
 from repro.sched.engine import QuotaEnforcement, SchedulerConfig, SchedulerSim, SimulationResult, _CpuState
 from repro.sched.policies import PolicyParameters, SchedulingPolicy, max_burst_s
 from repro.sched.task import SimTask, TaskPhase, TaskState
-from repro.sim.feedback import FeedbackChannel
+from repro.sim.feedback import PublishedRate
 from repro.sim.kernel import SimulationKernel
 
 _TIME_EPS_S = 1e-12
@@ -443,10 +443,11 @@ def _bits(result: SimulationResult):
 
 def _attached(engine_type, config, specs):
     kernel = SimulationKernel()
-    engine = engine_type(config, _tasks(specs)).attach(kernel, feedback=FeedbackChannel())
+    published = PublishedRate()
+    engine = engine_type(config, _tasks(specs)).attach(kernel, rate=published)
     events = kernel.run(until=config.horizon_s, max_events=MAX_EVENTS)
     result = engine.finalize()
-    history = [(time.hex(), rate.hex()) for time, rate in engine._fb_rate.history]
+    history = [(time.hex(), rate.hex()) for time, rate in published.history]
     return _bits(result), events, kernel.now.hex(), history
 
 
